@@ -2,7 +2,7 @@
 
 Library layout:
 
-    linalg        dense complex operators, partial trace/transpose, Jacobi eigensolver
+    linalg        dense complex operators, partial trace/transpose, checked eigvalsh
     states        singlet / generalized GHZ / maximal slice states, spin observables
     unruh         acceleration parameter and the wedge damping channel
     nonlocality   CHSH and Svetlichny evaluators, closed-form bounds, thresholds

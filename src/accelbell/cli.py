@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 1 failed check or exceeded evaluation budget,
 2 usage error.  The default seed comes from the ACCELBELL_SEED environment
-variable when set.  Sweep output is CSV with a header row, 12 significant
-digits and "\n" line endings; scalar reports are JSON.  Identical specs
-and seeds give byte-identical output, also when --jobs > 1 (rows are
-assembled by grid index).
+variable when set; a value that is not an integer is a usage error.  Sweep
+output is CSV with a header row, 12 significant digits and "\n" line
+endings; scalar reports are JSON.  Identical specs and seeds give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,14 +15,21 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import checks, entanglement, linalg, nonlocality, optimize, states, unruh
 
-DEFAULT_SEED = int(os.environ.get("ACCELBELL_SEED", "0"))
+
+def _default_seed() -> int:
+    """The seed named by ACCELBELL_SEED, or 0 when it is unset."""
+    text = os.environ.get("ACCELBELL_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"ACCELBELL_SEED must be an integer, got {text!r}") from None
+
 
 STATE_BUILDERS = {
     "singlet": lambda param: states.singlet(),
@@ -55,8 +62,7 @@ class SweepSpec:
     r_steps: int
     mode: int
     columns: tuple
-    seed: int = DEFAULT_SEED
-    jobs: int = 1
+    seed: int = field(default_factory=_default_seed)
     restarts: int = 64
     max_iterations: int = 2000
     certify_resolution: float | None = None
@@ -72,6 +78,8 @@ def _validate_spec(spec: SweepSpec) -> None:
         ("param", spec.param_start, spec.param_stop, spec.param_steps),
         ("r", spec.r_start, spec.r_stop, spec.r_steps),
     ):
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValueError(f"{label} grid ends must be finite")
         if steps < 1:
             raise ValueError(f"{label} grid needs at least one step")
         if stop < start:
@@ -87,8 +95,6 @@ def _validate_spec(spec: SweepSpec) -> None:
             raise ValueError(f"column {col!r} needs a three-mode state, not {spec.state!r}")
         if n == 3 and col in TWO_MODE_COLUMNS:
             raise ValueError(f"column {col!r} needs a two-mode state, not {spec.state!r}")
-    if spec.jobs < 1:
-        raise ValueError("jobs must be >= 1")
 
 
 def _svetlichny_bound(spec: SweepSpec, param: float, r: float, envelope: bool) -> float:
@@ -142,12 +148,7 @@ def run_sweep(spec: SweepSpec) -> str:
     _validate_spec(spec)
     params = np.linspace(spec.param_start, spec.param_stop, spec.param_steps)
     rs = np.linspace(spec.r_start, spec.r_stop, spec.r_steps)
-    points = [(float(p), float(r)) for p in params for r in rs]
-    if spec.jobs > 1:
-        with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-            rows = list(pool.map(lambda pr: _row_values(spec, *pr), points))
-    else:
-        rows = [_row_values(spec, p, r) for p, r in points]
+    rows = [_row_values(spec, float(p), float(r)) for p in params for r in rs]
     header = ["param", "r"]
     for col in spec.columns:
         header.append(col)
@@ -180,6 +181,8 @@ def solve_pi_tangle(state: str, param: float, r: float, mode: int) -> dict:
         raise ValueError(f"mode {mode} out of range for state {state!r}")
     if STATE_MODES[state] != 3:
         raise ValueError("pi-tangle needs a three-mode state")
+    if not math.isfinite(param):
+        raise ValueError(f"state parameter must be finite, got {param!r}")
     damped = unruh.apply_channel(linalg.density(STATE_BUILDERS[state](param)), mode, r)
     tangle = entanglement.pi_tangle(damped)
     return {
@@ -216,8 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--r-steps", type=int, default=33)
     sweep.add_argument("--mode", type=int, default=None, help="accelerated mode (default 2 for singlet/ms, 3 for gghz)")
     sweep.add_argument("--columns", required=True, help="comma-separated list, e.g. svetlichny_bound,pi_tangle")
-    sweep.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sweep.add_argument("--jobs", type=int, default=1)
+    sweep.add_argument("--seed", type=int, default=None, help="default: ACCELBELL_SEED, else 0")
     sweep.add_argument("--restarts", type=int, default=64)
     sweep.add_argument("--max-iterations", type=int, default=2000)
     sweep.add_argument("--certify", type=float, default=None, metavar="RES",
@@ -244,6 +246,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        seed = _default_seed()
         if args.command == "sweep":
             mode = args.mode if args.mode is not None else (3 if args.state == "gghz" else 2)
             spec = SweepSpec(
@@ -256,8 +259,7 @@ def main(argv=None) -> int:
                 r_steps=args.r_steps,
                 mode=mode,
                 columns=tuple(c.strip() for c in args.columns.split(",") if c.strip()),
-                seed=args.seed,
-                jobs=args.jobs,
+                seed=seed if args.seed is None else args.seed,
                 restarts=args.restarts,
                 max_iterations=args.max_iterations,
                 certify_resolution=args.certify,

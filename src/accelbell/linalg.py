@@ -6,9 +6,10 @@ significant bit of the basis index, so the product ket |abc> sits at index
 4a + 2b + c.  Mode indices are 1-based throughout.  The sign convention is
 sigma_z |0> = +|0>.
 
-Operators never exceed dimension 16 (four modes), so the eigensolver is a
-cyclic Jacobi iteration on the Hermitian matrix rather than a general
-purpose routine.  All functions are pure and never mutate their inputs.
+Operators never exceed dimension 16: three modes plus the hidden partner
+mode of the channel's dilation.  The eigensolver refuses anything larger,
+so a misshaped operator fails loudly instead of being diagonalized.  All
+functions are pure and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -112,57 +113,17 @@ def _require_hermitian(matrix: np.ndarray, atol: float = HERMITICITY_ATOL) -> np
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] > MAX_DIM:
         raise ValueError(f"dimension {m.shape[0]} exceeds the supported maximum {MAX_DIM}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix has non-finite entries")
     residual = float(np.max(np.abs(m - m.conj().T)))
     if residual > atol:
         raise ValueError(f"matrix is not Hermitian (residual {residual:.3e} > {atol:.0e})")
     return m
 
 
-def hermitian_eigenvalues(
-    matrix: np.ndarray, off_tol: float = 1e-14, max_sweeps: int = 100
-) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, in ascending order.
-
-    Cyclic Jacobi iteration: each sweep visits every off-diagonal pair
-    (p, q) and applies the complex Givens rotation that zeroes a[p, q].
-    Sweeps repeat until the Frobenius mass of the off-diagonal part drops
-    below ``off_tol``; convergence is quadratic, so a handful of sweeps
-    suffices at dimension <= 16.
-    """
-    a = _require_hermitian(matrix).copy()
-    a = (a + a.conj().T) / 2.0
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real])
-    for _ in range(max_sweeps):
-        off_part = a.copy()
-        np.fill_diagonal(off_part, 0.0)
-        if np.linalg.norm(off_part) < off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = a[p, q]
-                if abs(g) < 1e-300:
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                phase = g / abs(g)
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * abs(g))
-                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # unitary J: J[p,p]=c, J[p,q]=s, J[q,p]=-s*conj(phase), J[q,q]=c*conj(phase)
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(phase) * col_q
-                a[:, q] = s * col_p + c * np.conj(phase) * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * row_p + c * phase * row_q
-                a[p, q] = a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-    else:
-        raise RuntimeError("Jacobi eigensolver did not converge")
-    return np.sort(np.real(np.diag(a)))
+def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a Hermitian matrix, in ascending order."""
+    return np.linalg.eigvalsh(_require_hermitian(matrix))
 
 
 def trace_norm(matrix: np.ndarray) -> float:

@@ -152,7 +152,8 @@ def chsh_value(rho: np.ndarray, settings) -> float | np.ndarray:
     a, ap, b, bp = (obs[..., m, :, :] for m in range(4))
     combo = _kron2(a, b + bp) + _kron2(ap, b - bp)
     vals = np.abs(np.einsum("...ij,ji->...", combo, rho).real)
-    assert np.all(vals <= CHSH_QUANTUM_MAX + VIOLATION_TOL), "CHSH value above the quantum maximum"
+    if not np.all(vals <= CHSH_QUANTUM_MAX + VIOLATION_TOL):
+        raise ValueError("CHSH value above the quantum maximum; is rho a density operator?")
     return _maybe_scalar(vals)
 
 
@@ -248,7 +249,8 @@ def svetlichny_value(rho: np.ndarray, settings) -> float | np.ndarray:
     kp = b - bp
     s = _kron3(a, c, kp) + _kron3(a, cp, k) + _kron3(ap, c, k) - _kron3(ap, cp, kp)
     vals = np.abs(np.einsum("...ij,ji->...", s, rho).real)
-    assert np.all(vals <= SVETLICHNY_QUANTUM_MAX + VIOLATION_TOL), "Svetlichny value above the algebraic maximum"
+    if not np.all(vals <= SVETLICHNY_QUANTUM_MAX + VIOLATION_TOL):
+        raise ValueError("Svetlichny value above the algebraic maximum; is rho a density operator?")
     return _maybe_scalar(vals)
 
 

@@ -199,6 +199,8 @@ def maximize_over_spheres(
 
 
 def _lattice(resolution: float) -> np.ndarray:
+    if not (math.isfinite(resolution) and resolution > 0.0):
+        raise ValueError(f"resolution {resolution!r} must be a positive angle")
     k = round(math.pi / resolution)
     if k < 1 or abs(math.pi / resolution - k) > 1e-9:
         raise ValueError(f"resolution {resolution!r} must divide pi")

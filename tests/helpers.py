@@ -21,8 +21,8 @@ def random_hermitian(rng, dim):
     return (g + g.conj().T) / 2.0
 
 
-def random_unitary_2(rng):
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+def random_unitary(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
 

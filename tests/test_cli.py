@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from accelbell import checks, unruh
 from accelbell.cli import SweepSpec, main, run_sweep, solve_pi_tangle, solve_threshold
 
 SQRT2 = math.sqrt(2.0)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def bound_spec(**overrides):
@@ -61,11 +66,6 @@ def test_sweep_row_major_order():
 def test_sweep_deterministic_bytes():
     spec = bound_spec()
     assert run_sweep(spec) == run_sweep(spec)
-
-
-def test_sweep_jobs_do_not_change_output():
-    spec = bound_spec()
-    assert run_sweep(spec) == run_sweep(bound_spec(jobs=3))
 
 
 def test_sweep_ms_matches_pair_bound():
@@ -170,6 +170,33 @@ def test_main_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--state", "unknown", "--columns", "pi_tangle"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    small = ["sweep", "--state", "gghz", "--param-steps", "2", "--r-steps", "2",
+             "--columns", "svetlichny_bound,pi_tangle"]
+    assert main(small + ["--param-start", "nan", "--param-stop", "0.5"]) == 2
+    assert main(small + ["--param-stop", "inf"]) == 2
+    assert main(["pi-tangle", "--state", "gghz", "--param", "nan", "--r", "0.2"]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 3 and all(line.startswith("error: ") for line in errors)
+
+
+def test_bad_seed_environment_is_usage_error():
+    # a fresh interpreter, as a user runs the command
+    env = dict(os.environ, ACCELBELL_SEED="abc",
+               PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    for args in (["threshold"], ["sweep", "--state", "singlet", "--r-steps", "2", "--columns", "chsh_horodecki"]):
+        proc = subprocess.run([sys.executable, "-m", "accelbell.cli", *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ACCELBELL_SEED")
+        assert "Traceback" not in proc.stderr
+
+
+def test_seed_environment_sets_default(monkeypatch):
+    monkeypatch.setenv("ACCELBELL_SEED", "5")
+    spec = SweepSpec(state="gghz", param_start=0.0, param_stop=0.0, param_steps=1, r_start=0.0,
+                     r_stop=0.0, r_steps=1, mode=3, columns=("pi_tangle",))
+    assert spec.seed == 5
 
 
 def test_main_verify_quick(capsys):

@@ -8,7 +8,7 @@ from accelbell.linalg import density, tensor
 from accelbell.states import gghz, maximal_slice, singlet
 from accelbell.unruh import R_MAX, apply_channel
 
-from helpers import random_density, random_unitary_2
+from helpers import random_density, random_unitary
 
 R_GRID = (0.0, math.pi / 16.0, math.pi / 8.0, 3.0 * math.pi / 16.0, math.pi / 4.0 - 0.01)
 
@@ -51,7 +51,7 @@ def test_negativity_local_unitary_invariant(rng):
     rho = density(gghz(0.6))
     base = negativity(rho, 1)
     for _ in range(5):
-        u = tensor(random_unitary_2(rng), np.eye(2), np.eye(2))
+        u = tensor(random_unitary(rng, 2), np.eye(2), np.eye(2))
         rotated = u @ rho @ u.conj().T
         assert abs(negativity(rotated, 1) - base) < 1e-11
 

@@ -17,7 +17,7 @@ from accelbell.linalg import (
 )
 from accelbell.states import ID2, SIGMA_X, SIGMA_Z
 
-from helpers import random_density, random_hermitian, random_state
+from helpers import random_density, random_hermitian, random_state, random_unitary
 
 
 def bell_phi_plus():
@@ -157,10 +157,13 @@ def test_eigenvalues_damped_singlet_block():
 
 
 def test_eigenvalues_match_numpy(rng):
-    for _ in range(100):
-        dim = int(rng.integers(2, 17))
-        h = random_hermitian(rng, dim)
-        assert_allclose(hermitian_eigenvalues(h), np.linalg.eigvalsh(h), atol=1e-10)
+    # reference spectrum by construction: H = U diag(lam) U^dagger
+    for dim in range(2, 17):
+        for _ in range(6):
+            lam = rng.uniform(-1.0, 1.0, size=dim)
+            u = random_unitary(rng, dim)
+            h = (u * lam) @ u.conj().T
+            assert_allclose(hermitian_eigenvalues(h), np.sort(lam), atol=1e-10)
 
 
 def test_eigenvalue_sum_equals_trace(rng):
@@ -175,6 +178,9 @@ def test_eigenvalues_reject_bad_input():
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         hermitian_eigenvalues(np.eye(32))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            hermitian_eigenvalues(np.diag([1.0, bad]))
 
 
 def test_trace_norm_values(rng):

@@ -73,6 +73,14 @@ def test_chsh_optimal_settings_reach_tsirelson():
     assert abs(value - horodecki_max(density(singlet()))) < 1e-12
 
 
+def test_evaluators_reject_values_above_quantum_maximum():
+    # scaled states are no density operators; the bound check must hold under python -O too
+    with pytest.raises(ValueError, match="quantum maximum"):
+        chsh_value(10.0 * density(singlet()), chsh_tsirelson_settings())
+    with pytest.raises(ValueError, match="algebraic maximum"):
+        svetlichny_value(10.0 * density(gghz(0.0)), np.tile(Z_AXIS, (6, 1)))
+
+
 def test_chsh_degenerate_settings_bounded():
     d = random_direction(np.random.default_rng(3))
     value = chsh_value(density(singlet()), ChshSettings(d, d, d, d))

@@ -16,7 +16,7 @@ from accelbell.optimize import (
 from accelbell.states import gghz, singlet
 from accelbell.unruh import apply_channel
 
-from helpers import random_unitary_2
+from helpers import random_unitary
 
 SQRT2 = math.sqrt(2.0)
 
@@ -41,8 +41,9 @@ def test_grid_oracle_pole_on_lattice():
 
 
 def test_grid_oracle_resolution_must_divide_pi():
-    with pytest.raises(ValueError):
-        grid_oracle(pole_objective, 1, 1.0)
+    for resolution in (1.0, 0.0, -math.pi / 4.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            grid_oracle(pole_objective, 1, resolution)
 
 
 def test_grid_oracle_budget_rejected():
@@ -130,7 +131,7 @@ def test_maximize_chsh_frame_rotation_invariant(rng):
     cfg = OptimizerConfig(restarts=12, seed=9)
     base = maximize_chsh(rho, cfg)
     for _ in range(3):
-        u = tensor(random_unitary_2(rng), random_unitary_2(rng))
+        u = tensor(random_unitary(rng, 2), random_unitary(rng, 2))
         rotated = u @ rho @ u.conj().T
         assert abs(maximize_chsh(rotated, cfg) - base) < 1e-6
 
