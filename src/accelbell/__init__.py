@@ -5,7 +5,7 @@ Library layout:
     linalg        dense complex operators, partial trace/transpose, checked eigvalsh
     states        singlet / generalized GHZ / maximal slice states, spin observables
     unruh         acceleration parameter and the wedge damping channel
-    nonlocality   CHSH and Svetlichny evaluators, closed-form bounds, thresholds
+    nonlocality   correlation tensor, CHSH/Svetlichny evaluators, closed-form bounds, thresholds
     optimize      multistart simplex maximization over spheres + lattice oracle
     entanglement  negativity and the residual tripartite tangle
     checks        cross-module invariant suite (the `verify` command)
@@ -34,6 +34,7 @@ from .nonlocality import (
     chsh_value,
     restricted_settings,
     correlation,
+    correlation_tensor,
     horodecki_max,
     svetlichny_bound_gghz,
     svetlichny_bound_ms_pair,

@@ -1,9 +1,10 @@
 """Cross-module consistency checks behind the ``verify`` command.
 
-Levels: "quick" runs the cheap invariants (channel dual path, CPTP,
-correlation law, restricted-family equivalence, threshold, eigensolver, tangle
-endpoints, optimizer determinism); "full" adds the optimizer-vs-bound
-grids, the oracle cross-check and the tangle monotonicity sweeps.
+Levels: "quick" runs the cheap invariants (channel dual path, Bell
+evaluator dual path, CPTP, correlation law, restricted-family equivalence,
+threshold, eigensolver, tangle endpoints, optimizer determinism); "full" adds
+the optimizer-vs-bound grids, the oracle cross-check and the tangle
+monotonicity sweeps.
 """
 
 from __future__ import annotations
@@ -32,6 +33,17 @@ def _random_state(rng, n):
     return v / np.linalg.norm(v)
 
 
+def _random_mixed(rng, n, rank):
+    g = rng.normal(size=(2**n, rank)) + 1j * rng.normal(size=(2**n, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def _random_directions(rng, shape):
+    v = rng.normal(size=shape + (3,))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
 def _check(name, residual, tolerance, detail=""):
     return CheckResult(name, residual <= tolerance, float(residual), tolerance, detail)
 
@@ -52,6 +64,43 @@ def check_channel_dual_path(cases=50, seed=QUICK_SEED):
         reference = unruh.dilate_and_trace(psi, mode, r)
         worst = max(worst, float(np.max(np.abs(kraus - reference))))
     return _check("channel-dual-path", worst, 1e-12, f"{cases} random states")
+
+
+def operator_bell_value(rho, dirs):
+    """|Tr[rho S]| with S built from explicit Kronecker products of spin observables.
+
+    The independent reference for the correlation-tensor evaluators: dirs
+    holds (a, a', b, b') for CHSH or (a, a', c, c', b, b') for Svetlichny.
+    """
+    obs = [states.spin_observable(d) for d in dirs]
+    if len(obs) == 4:
+        a, ap, b, bp = obs
+        s = linalg.tensor(a, b + bp) + linalg.tensor(ap, b - bp)
+    else:
+        a, ap, c, cp, b, bp = obs
+        k, kp = b + bp, b - bp
+        s = linalg.tensor(a, c, kp) + linalg.tensor(a, cp, k) + linalg.tensor(ap, c, k) - linalg.tensor(ap, cp, kp)
+    return abs(linalg.expectation(rho, s))
+
+
+def check_evaluator_dual_path(cases=20, settings=25, seed=QUICK_SEED + 7):
+    """Correlation-tensor evaluators, scalar and batched, against the operator trace."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(cases):
+        for modes, evaluate in ((2, nonlocality.chsh_value), (3, nonlocality.svetlichny_value)):
+            rho = _random_mixed(rng, modes, int(rng.integers(1, 5)))
+            dirs = _random_directions(rng, (settings, 2 * modes))
+            batched = evaluate(rho, dirs)
+            for k in range(settings):
+                reference = operator_bell_value(rho, dirs[k])
+                worst = max(worst, abs(batched[k] - reference), abs(evaluate(rho, dirs[k]) - reference))
+        rho = _random_mixed(rng, 2, int(rng.integers(1, 5)))
+        a, b = _random_directions(rng, (2,))
+        pair = linalg.tensor(states.spin_observable(a), states.spin_observable(b))
+        worst = max(worst, abs(nonlocality.correlation(rho, a, b) - linalg.expectation(rho, pair)))
+    detail = f"{cases} random mixed states per inequality, {settings} settings each, scalar and batched"
+    return _check("evaluator-dual-path", worst, 1e-12, detail)
 
 
 def check_channel_cptp(cases=50, seed=QUICK_SEED + 1):
@@ -194,6 +243,7 @@ def check_ms_bounds():
 
 QUICK_CHECKS = [
     check_channel_dual_path,
+    check_evaluator_dual_path,
     check_channel_cptp,
     check_channel_identity,
     check_damped_correlation_law,

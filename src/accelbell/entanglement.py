@@ -62,7 +62,9 @@ def pi_tangle(rho) -> PiTangle:
 
     For each mode m the residual is N(m|rest)^2 minus the squared pairwise
     negativities N(m,k)^2 of the two-mode reductions; pi is the average of
-    the three residuals.  Components are reported raw; only the aggregate
+    the three residuals.  N(m,k) = N(k,m), since transposing either mode of
+    a two-mode operator gives spectra related by a full transpose, so each
+    pair is computed once.  Components are reported raw; only the aggregate
     is clamped to zero when it is negative by less than 1e-12.
     """
     import numpy as np
@@ -70,11 +72,10 @@ def pi_tangle(rho) -> PiTangle:
     rho = np.asarray(rho, dtype=complex)
     if mode_count(rho.shape[0]) != 3:
         raise ValueError("pi_tangle needs a three-mode operator")
-    residuals = []
-    for m in (1, 2, 3):
-        one_vs_rest = negativity(rho, m)
-        pair_sq = sum(negativity(rho, (m, k)) ** 2 for k in (1, 2, 3) if k != m)
-        residuals.append(one_vs_rest**2 - pair_sq)
+    pair_sq = {}
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        pair_sq[i, j] = pair_sq[j, i] = negativity(rho, (i, j)) ** 2
+    residuals = [negativity(rho, m) ** 2 - sum(pair_sq[m, k] for k in (1, 2, 3) if k != m) for m in (1, 2, 3)]
     aggregate = sum(residuals) / 3.0
     if -1e-12 < aggregate < 0.0:
         aggregate = 0.0

@@ -12,21 +12,24 @@ whose local-realistic-nonlocal hybrid bound is 4 and whose algebraic
 quantum maximum is 4 sqrt(2) (a flip of b' maps it to the textbook
 sign pattern with +1 on zero- or one-primed terms).
 
-Directions may be given as unit 3-vectors or (theta, phi) pairs, and the
-evaluators accept stacked direction arrays with leading batch axes.
-A value only counts as a violation when it clears the classical bound by
-more than ``VIOLATION_TOL``.
+Each value is |sum beta[x, y(, z)] T(u_x, v_y(, w_z))|: the Pauli correlation
+tensor T (``correlation_tensor``) contracted with the settings u, v(, w) of
+modes 1, 2(, 3) (index 0 unprimed, 1 primed) and weighted by the coefficients
+beta, e.g. CHSH = |a.T(b + b') + a'.T(b - b')|.  No measurement operator is built.
+Directions may be unit 3-vectors or (theta, phi) pairs, with leading batch
+axes.  A value only counts as a violation when it clears the classical bound
+by more than ``VIOLATION_TOL``; non-finite input raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import expectation, hermitian_eigenvalues, tensor
-from .states import as_direction, pauli_dot, spin_observable
+from .linalg import hermitian_eigenvalues
+from .states import PAULI, as_direction
 
 CHSH_CLASSICAL_BOUND = 2.0
 CHSH_QUANTUM_MAX = 2.0 * math.sqrt(2.0)
@@ -36,6 +39,15 @@ VIOLATION_TOL = 1e-9
 
 # maximizer of |sin^2 g + cos g| on [0, pi]: cos g = 1/2
 GAMMA_STAR = math.pi / 3.0
+
+# beta of CHSH and of S above (expanded in B and B')
+_CHSH = np.array([[1.0, 1.0], [1.0, -1.0]])
+_SVETLICHNY = np.array([[[1.0, -1.0], [1.0, 1.0]], [[1.0, 1.0], [-1.0, 1.0]]])
+# _PAULI_PRODUCTS[n] @ rho.ravel() = Tr[rho sigma_i x sigma_j (x sigma_k)] over (i, j(, k)) in C order
+_PAULI_PRODUCTS = {
+    2: np.einsum("ica,jdb->ijabcd", PAULI, PAULI).reshape(9, 16),
+    3: np.einsum("ida,jeb,kfc->ijkabcdef", PAULI, PAULI, PAULI).reshape(27, 64),
+}
 
 __all__ = [
     "CHSH_CLASSICAL_BOUND",
@@ -49,6 +61,7 @@ __all__ = [
     "ChshThreshold",
     "GghzBound",
     "correlation",
+    "correlation_tensor",
     "chsh_value",
     "chsh_restricted",
     "restricted_settings",
@@ -74,7 +87,7 @@ class ChshSettings:
     b_prime: object
 
     def as_array(self) -> np.ndarray:
-        return np.stack([as_direction(d) for d in (self.a, self.a_prime, self.b, self.b_prime)])
+        return np.stack([as_direction(getattr(self, f.name)) for f in fields(self)])
 
 
 @dataclass(frozen=True)
@@ -89,55 +102,47 @@ class SvetlichnySettings:
     b_prime: object
 
     def as_array(self) -> np.ndarray:
-        return np.stack(
-            [as_direction(d) for d in (self.a, self.a_prime, self.c, self.c_prime, self.b, self.b_prime)]
-        )
+        return np.stack([as_direction(getattr(self, f.name)) for f in fields(self)])
 
 
 def _settings_array(settings, count: int) -> np.ndarray:
     """Normalize settings to a float array of unit vectors, shape (..., count, 3)."""
-    if hasattr(settings, "as_array"):
-        arr = settings.as_array()
-    else:
-        arr = np.asarray(settings, dtype=float)
-        if arr.ndim >= 2 and arr.shape[-1] == 2:
-            theta, phi = arr[..., 0], arr[..., 1]
-            st = np.sin(theta)
-            arr = np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+    arr = settings.as_array() if hasattr(settings, "as_array") else np.asarray(settings, dtype=float)
+    if arr.ndim >= 2 and arr.shape[-1] == 2:
+        theta, phi = arr[..., 0], arr[..., 1]
+        st = np.sin(theta)
+        arr = np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
     if arr.ndim < 2 or arr.shape[-2] != count or arr.shape[-1] != 3:
         raise ValueError(f"expected {count} directions of dimension 3, got shape {arr.shape}")
     norms = np.einsum("...i,...i->...", arr, arr)
-    if np.max(np.abs(norms - 1.0)) > 1e-10:
+    if not np.abs(norms - 1.0).max() <= 1e-10:  # also catches NaN and inf
+        if not np.isfinite(arr).all():
+            raise ValueError("measurement directions have non-finite entries")
         raise ValueError("all measurement directions must be unit vectors")
     return arr
 
 
-def _check_rho(rho: np.ndarray, modes: int) -> np.ndarray:
+def _tensor(rho: np.ndarray, modes: int) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
-    d = 2**modes
-    if rho.shape != (d, d):
-        raise ValueError(f"expected a {modes}-mode operator of shape {(d, d)}, got {rho.shape}")
-    return rho
-
-
-def _kron2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.einsum("...ij,...kl->...ikjl", x, y)
-    return out.reshape(out.shape[:-4] + (4, 4))
-
-
-def _kron3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    out = np.einsum("...ij,...kl,...mn->...ikmjln", x, y, z)
-    return out.reshape(out.shape[:-6] + (8, 8))
+    if rho.shape != (2**modes,) * 2:
+        raise ValueError(f"expected a {modes}-mode operator of shape {(2**modes,) * 2}, got {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("operator has non-finite entries")
+    return (_PAULI_PRODUCTS[modes] @ rho.ravel()).real.reshape((3,) * modes)
 
 
 def _maybe_scalar(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
+def correlation_tensor(rho: np.ndarray) -> np.ndarray:
+    """T_ij = Tr[rho sigma_i x sigma_j] of a 4x4 operator, or T_ijk of an 8x8 one, as a real array."""
+    return _tensor(rho, 3 if np.shape(rho) == (8, 8) else 2)
+
+
 def correlation(rho: np.ndarray, a, b) -> float:
-    """Tr[rho (a.sigma x b.sigma)] for a two-mode operator; lies in [-1, 1]."""
-    rho = _check_rho(rho, 2)
-    return expectation(rho, tensor(spin_observable(a), spin_observable(b)))
+    """Tr[rho (a.sigma x b.sigma)] = a.T b for a two-mode operator; lies in [-1, 1]."""
+    return float(as_direction(a) @ _tensor(rho, 2) @ as_direction(b))
 
 
 def chsh_value(rho: np.ndarray, settings) -> float | np.ndarray:
@@ -146,13 +151,12 @@ def chsh_value(rho: np.ndarray, settings) -> float | np.ndarray:
     ``settings`` is a ChshSettings or an (..., 4, 3) direction stack in the
     order (a, a', b, b'); batched stacks return an array of values.
     """
-    rho = _check_rho(rho, 2)
+    t = _tensor(rho, 2)
     dirs = _settings_array(settings, 4)
-    obs = pauli_dot(dirs)
-    a, ap, b, bp = (obs[..., m, :, :] for m in range(4))
-    combo = _kron2(a, b + bp) + _kron2(ap, b - bp)
-    vals = np.abs(np.einsum("...ij,ji->...", combo, rho).real)
-    if not np.all(vals <= CHSH_QUANTUM_MAX + VIOLATION_TOL):
+    w = _CHSH @ dirs[..., 2:, :]  # rows b + b', b - b'
+    tw = (w.reshape(-1, 3) @ t.T).reshape(w.shape)  # one matrix product for the whole batch
+    vals = np.abs(np.sum(dirs[..., :2, :] * tw, axis=(-2, -1)))
+    if not (vals <= CHSH_QUANTUM_MAX + VIOLATION_TOL).all():
         raise ValueError("CHSH value above the quantum maximum; is rho a density operator?")
     return _maybe_scalar(vals)
 
@@ -224,13 +228,10 @@ def horodecki_max(rho: np.ndarray) -> float:
     """Largest CHSH value of a two-qubit state over all projective settings.
 
     Closed form 2 sqrt(t1 + t2) with t1 >= t2 the two largest eigenvalues
-    of T^T T, where T_ij = Tr[rho sigma_i x sigma_j].  Used as the
+    of T^T T, with T the ``correlation_tensor``.  Used as the
     independent oracle for the numerical maximizer.
     """
-    from .states import PAULI
-
-    rho = _check_rho(rho, 2)
-    t = np.array([[expectation(rho, tensor(PAULI[i], PAULI[j])) for j in range(3)] for i in range(3)])
+    t = _tensor(rho, 2)
     evs = hermitian_eigenvalues(t.T @ t)
     return float(2.0 * math.sqrt(max(evs[-1] + evs[-2], 0.0)))
 
@@ -241,15 +242,12 @@ def svetlichny_value(rho: np.ndarray, settings) -> float | np.ndarray:
     ``settings`` is a SvetlichnySettings or an (..., 6, 3) direction stack
     in the order (a, a', c, c', b, b').
     """
-    rho = _check_rho(rho, 3)
+    t = _tensor(rho, 3)
     dirs = _settings_array(settings, 6)
-    obs = pauli_dot(dirs)
-    a, ap, c, cp, b, bp = (obs[..., m, :, :] for m in range(6))
-    k = b + bp
-    kp = b - bp
-    s = _kron3(a, c, kp) + _kron3(a, cp, k) + _kron3(ap, c, k) - _kron3(ap, cp, kp)
-    vals = np.abs(np.einsum("...ij,ji->...", s, rho).real)
-    if not np.all(vals <= SVETLICHNY_QUANTUM_MAX + VIOLATION_TOL):
+    w = _SVETLICHNY @ dirs[..., None, 4:, :]  # w[x, y] = sum_z beta[x, y, z] b_z
+    ta = (dirs[..., :2, :] @ t.reshape(3, 9)).reshape(dirs.shape[:-2] + (2, 3, 3))  # ta[x]_jk = sum_i a_x,i T_ijk
+    vals = np.abs(np.sum((dirs[..., None, 2:4, :] @ ta) * w, axis=(-3, -2, -1)))
+    if not (vals <= SVETLICHNY_QUANTUM_MAX + VIOLATION_TOL).all():
         raise ValueError("Svetlichny value above the algebraic maximum; is rho a density operator?")
     return _maybe_scalar(vals)
 

@@ -54,6 +54,8 @@ def direction(theta: float, phi: float) -> np.ndarray:
 def as_direction(d) -> np.ndarray:
     """Coerce a (theta, phi) pair or unit 3-vector to a unit 3-vector."""
     arr = np.asarray(d, dtype=float).reshape(-1)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"direction {arr!r} has non-finite entries")
     if arr.size == 2:
         return direction(arr[0], arr[1])
     if arr.size == 3:

@@ -32,3 +32,9 @@ def random_direction(rng):
     phi = 2.0 * np.pi * rng.random()
     s = np.sqrt(1.0 - z * z)
     return np.array([s * np.cos(phi), s * np.sin(phi), z])
+
+
+def random_directions(rng, shape):
+    """Unit 3-vectors of the given leading shape, from normalized Gaussians."""
+    v = rng.normal(size=tuple(shape) + (3,))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)

@@ -203,6 +203,7 @@ def test_main_verify_quick(capsys):
     assert main(["verify", "--level", "quick"]) == 0
     report = capsys.readouterr().out
     assert "channel-dual-path" in report
+    assert "evaluator-dual-path" in report
     assert "0 failed" in report
 
 
@@ -230,3 +231,14 @@ def test_verify_fault_injection(monkeypatch, capsys):
     assert code == 1
     failing = [line for line in report.split("\n") if line.startswith("FAIL")]
     assert any("channel-dual-path" in line for line in failing)
+
+
+def test_verify_catches_corrupted_correlation_tensor(monkeypatch):
+    import accelbell.nonlocality as nonlocality_mod
+
+    corrupted = {n: basis.copy() for n, basis in nonlocality_mod._PAULI_PRODUCTS.items()}
+    for basis in corrupted.values():
+        basis[[0, 1]] = basis[[1, 0]]  # T_xx and T_xy (T_xxx and T_xxy) trade places
+    monkeypatch.setattr(nonlocality_mod, "_PAULI_PRODUCTS", corrupted)
+    results = {res.name: res for res in checks.run_checks("quick")}
+    assert not results["evaluator-dual-path"].passed

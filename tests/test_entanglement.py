@@ -110,3 +110,23 @@ def test_damped_ghz_tangle_non_increasing_in_r():
     rho = density(gghz(math.pi / 4.0))
     vals = [pi_tangle(apply_channel(rho, 3, float(r))).pi for r in np.linspace(0.0, R_MAX, 10)]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def test_pair_negativity_symmetric_in_label(rng):
+    for _ in range(20):
+        rho = random_density(rng, 3, int(rng.integers(1, 9)))
+        for i, j in ((1, 2), (1, 3), (2, 3)):
+            assert abs(negativity(rho, (i, j)) - negativity(rho, (j, i))) < 1e-12
+
+
+def test_pi_tangle_matches_nine_negativity_formula(rng):
+    states = [random_density(rng, 3, int(rng.integers(1, 9))) for _ in range(10)]
+    states += [apply_channel(density(maximal_slice(t3)), 3, r) for t3 in (0.4, 1.2) for r in (0.0, 0.3, 0.7)]
+    for rho in states:
+        got = pi_tangle(rho)
+        explicit = [
+            negativity(rho, m) ** 2 - sum(negativity(rho, (m, k)) ** 2 for k in (1, 2, 3) if k != m)
+            for m in (1, 2, 3)
+        ]
+        assert max(abs(c - e) for c, e in zip(got.components(), explicit)) < 1e-12
+        assert abs(got.pi - sum(explicit) / 3.0) < 1e-12  # clamping moves pi by less than 1e-12

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from accelbell.checks import operator_bell_value
 from accelbell.linalg import density, tensor
 from accelbell.nonlocality import (
     CHSH_QUANTUM_MAX,
@@ -17,16 +20,17 @@ from accelbell.nonlocality import (
     chsh_value,
     restricted_settings,
     correlation,
+    correlation_tensor,
     horodecki_max,
     svetlichny_bound_gghz,
     svetlichny_bound_ms_pair,
     svetlichny_bound_ms_slice,
     svetlichny_value,
 )
-from accelbell.states import X_AXIS, Z_AXIS, gghz, singlet
+from accelbell.states import X_AXIS, Z_AXIS, gghz, singlet, spin_observable
 from accelbell.unruh import R_MAX, acceleration_parameter, apply_channel
 
-from helpers import random_density, random_direction
+from helpers import random_density, random_direction, random_directions, random_unitary
 
 SQRT2 = math.sqrt(2.0)
 
@@ -293,3 +297,78 @@ def test_ms_bounds_monotone_and_violating():
         # violation achievable whenever r < pi/4: sin^2 t3 > tan^2 r
         r_edge = R_MAX - 0.01
         assert np.any(bound(thetas, r_edge) > 4.0)
+
+
+def test_correlation_tensor_known_values():
+    assert_allclose(correlation_tensor(density(singlet())), -np.eye(3), atol=1e-15)
+    # GHZ: <XXX> = 1 and <XYY> = <YXY> = <YYX> = -1, every other entry zero
+    want = np.zeros((3, 3, 3))
+    want[0, 0, 0] = 1.0
+    want[0, 1, 1] = want[1, 0, 1] = want[1, 1, 0] = -1.0
+    assert_allclose(correlation_tensor(density(gghz(math.pi / 4.0))), want, atol=1e-15)
+
+
+def test_correlation_tensor_rejects_other_shapes():
+    for bad in (np.eye(2) / 2.0, np.eye(16) / 16.0, np.ones((4, 8))):
+        with pytest.raises(ValueError, match="operator of shape"):
+            correlation_tensor(bad)
+
+
+def test_evaluators_reject_non_finite_input():
+    rho2, rho3 = density(singlet()), density(gghz(0.3))
+    dirs4, dirs6 = chsh_tsirelson_settings().as_array(), np.tile(Z_AXIS, (6, 1))
+    for value in (math.nan, math.inf):
+        bad2, bad3 = rho2.copy(), rho3.copy()
+        bad2[1, 2] = bad3[0, 7] = value
+        bad_dirs4, bad_dirs6 = dirs4.copy(), np.stack([dirs6] * 3)
+        bad_dirs4[2, 0] = bad_dirs6[1, 4, 2] = value
+        calls = [
+            lambda: chsh_value(bad2, dirs4),
+            lambda: chsh_value(rho2, bad_dirs4),
+            lambda: chsh_value(rho2, np.array([[0.0, 0.0], [value, 0.0], [0.0, 0.0], [1.0, 0.0]])),
+            lambda: svetlichny_value(bad3, dirs6),
+            lambda: svetlichny_value(rho3, bad_dirs6),
+            lambda: correlation(bad2, Z_AXIS, Z_AXIS),
+            lambda: correlation(rho2, Z_AXIS, np.array([0.0, value, 1.0])),
+            lambda: correlation(rho2, (value, 0.0), Z_AXIS),
+            lambda: horodecki_max(bad2),
+            lambda: correlation_tensor(bad3),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="non-finite"):
+                call()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4), modes=st.sampled_from([2, 3]))
+def test_tensor_evaluators_equal_operator_trace(seed, rank, modes):
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, modes, rank)
+    dirs = random_directions(rng, (8, 2 * modes))
+    evaluate = chsh_value if modes == 2 else svetlichny_value
+    batched = evaluate(rho, dirs)
+    for k in range(dirs.shape[0]):
+        reference = operator_bell_value(rho, dirs[k])
+        assert abs(evaluate(rho, dirs[k]) - reference) < 1e-12
+        assert abs(batched[k] - reference) < 1e-12
+    if modes == 2:
+        a, b = dirs[0, 0], dirs[0, 2]
+        pair = tensor(spin_observable(a), spin_observable(b))
+        assert abs(correlation(rho, a, b) - np.trace(rho @ pair).real) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+def test_horodecki_local_unitary_invariant(seed, rank):
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, 2, rank)
+    u = tensor(random_unitary(rng, 2), random_unitary(rng, 2))
+    assert abs(horodecki_max(u @ rho @ u.conj().T) - horodecki_max(rho)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+def test_chsh_never_exceeds_horodecki(seed, rank):
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, 2, rank)
+    assert np.all(chsh_value(rho, random_directions(rng, (64, 4))) <= horodecki_max(rho) + 1e-12)
