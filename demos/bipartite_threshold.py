@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from accelbell import (
-    OptimizerConfig,
     acceleration_parameter,
     apply_channel,
     chsh_restricted_max,
@@ -36,13 +35,12 @@ print(f"consistency: r(ln4/2pi) = {acceleration_parameter(math.log(4) / (2 * mat
 print()
 
 rho0 = density(singlet())
-cfg = OptimizerConfig(restarts=10, seed=1)
 print(f"{'r':>8} {'restricted':>11} {'horodecki':>10} {'numeric':>10} {'negativity':>11}")
 for r in np.linspace(0.0, math.pi / 4.0, 9):
     rho = apply_channel(rho0, 2, float(r))
     restricted = chsh_restricted_max(float(r))
     closed = horodecki_max(rho)
-    numeric = maximize_chsh(rho, cfg)
+    numeric = maximize_chsh(rho, restarts=10, seed=1).value
     neg = negativity(rho, 1)
     marker = "violates" if restricted > 2.0 + 1e-9 else "classical"
     print(f"{r:8.4f} {restricted:11.6f} {closed:10.6f} {numeric:10.6f} {neg:11.6f}  {marker}")

@@ -15,7 +15,6 @@ import math
 import numpy as np
 
 from accelbell import (
-    OptimizerConfig,
     apply_channel,
     density,
     gghz,
@@ -29,12 +28,11 @@ print(__doc__)
 
 print("generalized GHZ, accelerated qubit 3 (closed form vs numeric maximum)")
 print(f"{'t1':>8} {'r':>8} {'branch':>11} {'bound':>9} {'numeric':>9}")
-cfg = OptimizerConfig(restarts=12, seed=3)
 for t1 in (math.pi / 16, math.pi / 8, math.pi / 4):
     for r in (0.0, math.pi / 8, math.pi / 4):
         ref = svetlichny_bound_gghz(t1, r)
         rho = apply_channel(density(gghz(t1)), 3, r)
-        numeric = maximize_svetlichny(rho, cfg).value
+        numeric = maximize_svetlichny(rho, restarts=12, seed=3).value
         print(f"{t1:8.4f} {r:8.4f} {ref.branch:>11} {ref.envelope:9.5f} {numeric:9.5f}")
 
 print()

@@ -6,7 +6,7 @@ Library layout:
     states        singlet / generalized GHZ / maximal slice states, spin observables
     unruh         acceleration parameter and the wedge damping channel
     nonlocality   correlation tensor, CHSH/Svetlichny evaluators, closed-form bounds, thresholds
-    optimize      multistart simplex maximization over spheres + lattice oracle
+    optimize      multistart simplex maximization over spheres (restarts, seed) + lattice oracle
     entanglement  negativity and the residual tripartite tangle
     checks        cross-module invariant suite (the `verify` command)
     cli           sweep / threshold / verify / pi-tangle commands
@@ -46,7 +46,6 @@ from .nonlocality import (
 from .optimize import (
     BudgetError,
     OptimizeResult,
-    OptimizerConfig,
     grid_oracle,
     maximize_chsh,
     maximize_over_spheres,

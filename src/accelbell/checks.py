@@ -181,30 +181,28 @@ def check_tangle_endpoints():
 
 def check_optimizer_determinism():
     rho = _damped_singlet(0.2)
-    cfg = optimize.OptimizerConfig(restarts=4, max_iterations=400, seed=11)
-    first = optimize.maximize_over_spheres(lambda d: nonlocality.chsh_value(rho, d), 4, cfg)
-    second = optimize.maximize_over_spheres(lambda d: nonlocality.chsh_value(rho, d), 4, cfg)
-    same = first.value == second.value and np.array_equal(first.angles, second.angles)
+    first = optimize.maximize_chsh(rho, restarts=4, seed=11)
+    second = optimize.maximize_chsh(rho, restarts=4, seed=11)
+    same = first.value == second.value and np.array_equal(first.directions, second.directions)
     return _check("optimizer-determinism", 0.0 if same else 1.0, 0.0, "identical seeds, identical output")
 
 
 def check_horodecki_vs_numeric(points=8, seed=QUICK_SEED + 5):
-    cfg = optimize.OptimizerConfig(restarts=12, seed=seed)
     worst = 0.0
     for r in np.linspace(0.0, unruh.R_MAX, points):
         rho = _damped_singlet(float(r))
-        worst = max(worst, abs(nonlocality.horodecki_max(rho) - optimize.maximize_chsh(rho, cfg)))
+        numeric = optimize.maximize_chsh(rho, restarts=12, seed=seed).value
+        worst = max(worst, abs(nonlocality.horodecki_max(rho) - numeric))
     return _check("horodecki-vs-numeric", worst, 1e-4, f"damped singlet, {points} r values")
 
 
 def check_svetlichny_vs_envelope(seed=QUICK_SEED + 6):
-    cfg = optimize.OptimizerConfig(restarts=12, seed=seed)
     margins = []
     worst = -math.inf
     for t1 in (math.pi / 16, math.pi / 8, math.pi / 4):
         for r in (0.0, math.pi / 8, unruh.R_MAX):
             rho = unruh.apply_channel(linalg.density(states.gghz(t1)), 3, r)
-            numeric = optimize.maximize_svetlichny(rho, cfg).value
+            numeric = optimize.maximize_svetlichny(rho, restarts=12, seed=seed).value
             ref = nonlocality.svetlichny_bound_gghz(t1, r)
             margins.append(f"t1={t1:.4f} r={r:.4f} numeric={numeric:.6f} envelope={ref.envelope:.6f}")
             worst = max(worst, numeric - ref.envelope)

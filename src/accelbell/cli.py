@@ -64,7 +64,6 @@ class SweepSpec:
     columns: tuple
     seed: int = field(default_factory=_default_seed)
     restarts: int = 64
-    max_iterations: int = 2000
     certify_resolution: float | None = None
 
 
@@ -109,7 +108,7 @@ def _svetlichny_bound(spec: SweepSpec, param: float, r: float, envelope: bool) -
 def _row_values(spec: SweepSpec, param: float, r: float) -> list:
     psi = STATE_BUILDERS[spec.state](param)
     damped = unruh.apply_channel(linalg.density(psi), spec.mode, r)
-    cfg = optimize.OptimizerConfig(restarts=spec.restarts, max_iterations=spec.max_iterations, seed=spec.seed)
+    numeric = {"witness_resolution": spec.certify_resolution, "restarts": spec.restarts, "seed": spec.seed}
     out = [param, r]
     for col in spec.columns:
         if col == "chsh_restricted_max":
@@ -117,13 +116,13 @@ def _row_values(spec: SweepSpec, param: float, r: float) -> list:
         elif col == "chsh_horodecki":
             value = nonlocality.horodecki_max(damped)
         elif col == "chsh_numeric":
-            value = optimize.maximize_chsh(damped, cfg, spec.certify_resolution)
+            value = optimize.maximize_chsh(damped, **numeric).value
         elif col == "svetlichny_bound":
             value = _svetlichny_bound(spec, param, r, envelope=False)
         elif col == "svetlichny_envelope":
             value = _svetlichny_bound(spec, param, r, envelope=True)
         elif col == "svetlichny_numeric":
-            value = optimize.maximize_svetlichny(damped, cfg, spec.certify_resolution).value
+            value = optimize.maximize_svetlichny(damped, **numeric).value
         else:
             value = entanglement.pi_tangle(damped).pi
         out.append(value)
@@ -221,7 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--columns", required=True, help="comma-separated list, e.g. svetlichny_bound,pi_tangle")
     sweep.add_argument("--seed", type=int, default=None, help="default: ACCELBELL_SEED, else 0")
     sweep.add_argument("--restarts", type=int, default=64)
-    sweep.add_argument("--max-iterations", type=int, default=2000)
     sweep.add_argument("--certify", type=float, default=None, metavar="RES",
                        help="also run the lattice witness at this resolution for numeric columns")
     sweep.add_argument("--out", default=None)
@@ -261,7 +259,6 @@ def main(argv=None) -> int:
                 columns=tuple(c.strip() for c in args.columns.split(",") if c.strip()),
                 seed=seed if args.seed is None else args.seed,
                 restarts=args.restarts,
-                max_iterations=args.max_iterations,
                 certify_resolution=args.certify,
             )
             _write(run_sweep(spec), args.out)

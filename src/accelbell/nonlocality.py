@@ -16,9 +16,10 @@ Each value is |sum beta[x, y(, z)] T(u_x, v_y(, w_z))|: the Pauli correlation
 tensor T (``correlation_tensor``) contracted with the settings u, v(, w) of
 modes 1, 2(, 3) (index 0 unprimed, 1 primed) and weighted by the coefficients
 beta, e.g. CHSH = |a.T(b + b') + a'.T(b - b')|.  No measurement operator is built.
-Directions may be unit 3-vectors or (theta, phi) pairs, with leading batch
-axes.  A value only counts as a violation when it clears the classical bound
-by more than ``VIOLATION_TOL``; non-finite input raises ``ValueError``.
+Settings are ``ChshSettings``/``SvetlichnySettings``, whose fields take unit
+3-vectors or (theta, phi) pairs, or stacks of unit 3-vectors with leading
+batch axes.  A value only counts as a violation when it clears the classical
+bound by more than ``VIOLATION_TOL``; non-finite input raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -108,10 +109,6 @@ class SvetlichnySettings:
 def _settings_array(settings, count: int) -> np.ndarray:
     """Normalize settings to a float array of unit vectors, shape (..., count, 3)."""
     arr = settings.as_array() if hasattr(settings, "as_array") else np.asarray(settings, dtype=float)
-    if arr.ndim >= 2 and arr.shape[-1] == 2:
-        theta, phi = arr[..., 0], arr[..., 1]
-        st = np.sin(theta)
-        arr = np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
     if arr.ndim < 2 or arr.shape[-2] != count or arr.shape[-1] != 3:
         raise ValueError(f"expected {count} directions of dimension 3, got shape {arr.shape}")
     norms = np.einsum("...i,...i->...", arr, arr)

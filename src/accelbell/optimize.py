@@ -12,7 +12,11 @@ restart index.
 of the full (theta, phi) product lattice.  It is a certified lower bound
 on the true maximum and never shares code with the simplex search.  The
 lattice grows as ((pi/res + 1) * 2 pi/res)^n, so calls whose lattice
-exceeds the evaluation budget are rejected with ``BudgetError``.
+exceeds ``DEFAULT_BUDGET`` evaluations are rejected with ``BudgetError``.
+
+The maximizers take two knobs, ``restarts`` and ``seed``.  Each simplex
+stops when its objective spread falls to ``TOLERANCE`` or after
+``MAX_ITERATIONS`` iterations; ``OptimizeResult.converged`` says which.
 
 Objective protocol: ``f(dirs)`` takes an (n, 3) array of unit rows and
 returns a float; for the grid oracle it must also accept leading batch
@@ -29,11 +33,13 @@ import numpy as np
 from .nonlocality import chsh_value, svetlichny_value
 
 DEFAULT_BUDGET = 10**8
+MAX_ITERATIONS = 2000
+TOLERANCE = 1e-10
+_CHUNK = 16384
 
 __all__ = [
     "DEFAULT_BUDGET",
     "BudgetError",
-    "OptimizerConfig",
     "OptimizeResult",
     "maximize_over_spheres",
     "grid_oracle",
@@ -47,32 +53,21 @@ class BudgetError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
-    restarts: int = 64
-    max_iterations: int = 2000
-    tolerance: float = 1e-10
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.restarts < 1 or self.max_iterations < 1 or self.tolerance <= 0.0:
-            raise ValueError("restarts, max_iterations and tolerance must be positive")
-
-
-@dataclass(frozen=True)
 class OptimizeResult:
     """Best value found, with the settings that achieve it.
 
-    ``angles`` holds (theta, phi) rows matching ``directions``;
     ``start_values`` are the objective values at every restart's initial
     point (the reported value never falls below any of them);
     ``oracle_value`` is the lattice witness when one was requested.
+    ``converged`` is False when the winning restart's simplex or the final
+    polish stopped at ``MAX_ITERATIONS`` rather than at ``TOLERANCE``.
     """
 
     value: float
     directions: np.ndarray
-    angles: np.ndarray
     restart: int
     evaluations: int
+    converged: bool
     start_values: tuple = field(default=())
     oracle_value: float | None = None
 
@@ -92,11 +87,12 @@ def _sample_start(rng: np.random.Generator, n_vectors: int) -> np.ndarray:
 _REFLECT, _EXPAND, _CONTRACT, _SHRINK = 1.0, 2.0, 0.5, 0.5
 
 
-def _nelder_mead(fn, x0: np.ndarray, max_iterations: int, tolerance: float, step: float = 0.35):
-    """Minimize fn from x0; returns (x_best, f_best, evaluations).
+def _nelder_mead(fn, x0: np.ndarray, step: float = 0.35):
+    """Minimize fn from x0; returns (x_best, f_best, evaluations, converged).
 
     Standard reflect/expand/contract/shrink moves; terminates when the
-    simplex objective spread falls below ``tolerance``.
+    simplex objective spread falls below ``TOLERANCE`` (converged) or
+    after ``MAX_ITERATIONS`` iterations (not converged).
     """
     dim = x0.size
     pts = np.tile(np.asarray(x0, dtype=float), (dim + 1, 1))
@@ -104,10 +100,11 @@ def _nelder_mead(fn, x0: np.ndarray, max_iterations: int, tolerance: float, step
         pts[i + 1, i] += step
     vals = np.array([fn(p) for p in pts])
     evals = dim + 1
-    for _ in range(max_iterations):
+    converged = True
+    for _ in range(MAX_ITERATIONS):
         order = np.argsort(vals, kind="stable")
         pts, vals = pts[order], vals[order]
-        if vals[-1] - vals[0] <= tolerance:
+        if vals[-1] - vals[0] <= TOLERANCE:
             break
         centroid = pts[:-1].mean(axis=0)
         reflected = centroid + _REFLECT * (centroid - pts[-1])
@@ -134,25 +131,31 @@ def _nelder_mead(fn, x0: np.ndarray, max_iterations: int, tolerance: float, step
                 pts[1:] = pts[0] + _SHRINK * (pts[1:] - pts[0])
                 vals[1:] = [fn(p) for p in pts[1:]]
                 evals += dim
+    else:
+        converged = False
     best = int(np.argmin(vals))
-    return pts[best], float(vals[best]), evals
+    return pts[best], float(vals[best]), evals, converged
 
 
 def maximize_over_spheres(
     objective,
     n_vectors: int,
-    config: OptimizerConfig | None = None,
     witness_resolution: float | None = None,
-    budget: int = DEFAULT_BUDGET,
+    *,
+    restarts: int = 64,
+    seed: int = 0,
 ) -> OptimizeResult:
     """Multistart simplex maximization of an objective over n unit vectors.
 
-    When ``witness_resolution`` is given, the grid oracle also runs at that
-    resolution and its best lattice point seeds one extra polish, so the
-    reported value is never below the lattice witness.
+    ``restarts`` seeded uniform starts each run a simplex; the best one is
+    polished by a tight simplex.  When ``witness_resolution`` is given, the
+    grid oracle also runs at that resolution and its best lattice point
+    seeds the polish if it beats every restart, so the reported value is
+    never below the lattice witness.
     """
-    cfg = config if config is not None else OptimizerConfig()
-    rng = np.random.default_rng(cfg.seed)
+    if restarts < 1:
+        raise ValueError(f"restarts must be positive, got {restarts!r}")
+    rng = np.random.default_rng(seed)
     total_evals = 0
 
     def scalar_objective(x: np.ndarray) -> float:
@@ -164,25 +167,26 @@ def maximize_over_spheres(
     def negated(x: np.ndarray) -> float:
         return -scalar_objective(x)
 
-    best_value, best_x, best_restart = -math.inf, None, -1
+    best_value, best_x, best_restart, best_converged = -math.inf, None, -1, False
     start_values = []
-    for restart in range(cfg.restarts):
+    for restart in range(restarts):
         x0 = _sample_start(rng, n_vectors)
         start_values.append(scalar_objective(x0))
         total_evals += 1
-        x, neg_val, evals = _nelder_mead(negated, x0, cfg.max_iterations, cfg.tolerance)
+        x, neg_val, evals, converged = _nelder_mead(negated, x0)
         total_evals += evals
         if -neg_val > best_value:
-            best_value, best_x, best_restart = -neg_val, x, restart
+            best_value, best_x, best_restart, best_converged = -neg_val, x, restart, converged
 
     oracle_value = None
     if witness_resolution is not None:
-        oracle_value, oracle_angles = _grid_search(objective, n_vectors, witness_resolution, budget)
+        oracle_value, oracle_angles = _grid_search(objective, n_vectors, witness_resolution)
         if oracle_value > best_value:
-            best_value, best_x = oracle_value, oracle_angles
+            # a lattice point is no simplex result; only the polish below can cap
+            best_value, best_x, best_converged = oracle_value, oracle_angles, True
 
     # polish with a tight simplex around the winner
-    x, neg_val, evals = _nelder_mead(negated, best_x, cfg.max_iterations, cfg.tolerance, step=0.05)
+    x, neg_val, evals, polish_converged = _nelder_mead(negated, best_x, step=0.05)
     total_evals += evals
     if -neg_val > best_value:
         best_value, best_x = -neg_val, x
@@ -190,9 +194,9 @@ def maximize_over_spheres(
     return OptimizeResult(
         value=best_value,
         directions=_angles_to_directions(best_x),
-        angles=np.asarray(best_x, dtype=float).reshape(-1, 2),
         restart=best_restart,
         evaluations=total_evals,
+        converged=best_converged and polish_converged,
         start_values=tuple(start_values),
         oracle_value=oracle_value,
     )
@@ -210,20 +214,20 @@ def _lattice(resolution: float) -> np.ndarray:
     return np.column_stack([tt.ravel(), pp.ravel()])
 
 
-def _grid_search(objective, n_vectors: int, resolution: float, budget: int, chunk: int = 16384):
+def _grid_search(objective, n_vectors: int, resolution: float):
     angles = _lattice(resolution)
     dirs = _angles_to_directions(angles)
     n_points = dirs.shape[0]
     total = n_points**n_vectors
-    if total > budget:
+    if total > DEFAULT_BUDGET:
         raise BudgetError(
             f"lattice scan needs {total} evaluations "
-            f"({n_points} points per vector to the power {n_vectors}), budget is {budget}"
+            f"({n_points} points per vector to the power {n_vectors}), budget is {DEFAULT_BUDGET}"
         )
     best_value, best_multi = -math.inf, None
     shape = (n_points,) * n_vectors
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total))
         multi = np.stack(np.unravel_index(idx, shape), axis=-1)
         values = np.asarray(objective(dirs[multi]), dtype=float).reshape(-1)
         if values.shape != idx.shape:
@@ -237,33 +241,28 @@ def _grid_search(objective, n_vectors: int, resolution: float, budget: int, chun
     return best_value, angles[best_multi].reshape(-1)
 
 
-def grid_oracle(objective, n_vectors: int, resolution: float, budget: int = DEFAULT_BUDGET) -> float:
+def grid_oracle(objective, n_vectors: int, resolution: float) -> float:
     """Brute-force maximum of the objective over the full product lattice.
 
     theta runs over {0, res, ..., pi} and phi over {0, res, ..., 2pi - res}
     for every vector; the result is a certified lower bound on the true
-    maximum.  Raises BudgetError when the lattice exceeds ``budget``.
+    maximum.  Raises BudgetError when the lattice exceeds ``DEFAULT_BUDGET``.
     """
-    value, _ = _grid_search(objective, n_vectors, resolution, budget)
+    value, _ = _grid_search(objective, n_vectors, resolution)
     return value
 
 
 def maximize_chsh(
-    rho: np.ndarray,
-    config: OptimizerConfig | None = None,
-    witness_resolution: float | None = None,
-) -> float:
+    rho: np.ndarray, witness_resolution: float | None = None, *, restarts: int = 64, seed: int = 0
+) -> OptimizeResult:
     """Numerically maximized CHSH value of a two-mode state."""
     rho = np.asarray(rho, dtype=complex)
-    result = maximize_over_spheres(lambda d: chsh_value(rho, d), 4, config, witness_resolution)
-    return result.value
+    return maximize_over_spheres(lambda d: chsh_value(rho, d), 4, witness_resolution, restarts=restarts, seed=seed)
 
 
 def maximize_svetlichny(
-    rho: np.ndarray,
-    config: OptimizerConfig | None = None,
-    witness_resolution: float | None = None,
+    rho: np.ndarray, witness_resolution: float | None = None, *, restarts: int = 64, seed: int = 0
 ) -> OptimizeResult:
     """Numerically maximized Svetlichny value of a three-mode state."""
     rho = np.asarray(rho, dtype=complex)
-    return maximize_over_spheres(lambda d: svetlichny_value(rho, d), 6, config, witness_resolution)
+    return maximize_over_spheres(lambda d: svetlichny_value(rho, d), 6, witness_resolution, restarts=restarts, seed=seed)

@@ -20,7 +20,7 @@ from accelbell.nonlocality import (
     svetlichny_bound_ms_pair,
     svetlichny_bound_ms_slice,
 )
-from accelbell.optimize import OptimizerConfig, maximize_chsh, maximize_svetlichny
+from accelbell.optimize import maximize_chsh, maximize_svetlichny
 from accelbell.states import Z_AXIS, gghz, maximal_slice, singlet
 from accelbell.unruh import R_MAX, apply_channel, dilate_and_trace
 
@@ -110,16 +110,15 @@ def test_criterion_4_ms_surfaces():
 
 def test_criterion_5_optimizer_certification():
     ghz = density(gghz(math.pi / 4.0))
-    ghz_value = maximize_svetlichny(ghz, OptimizerConfig(restarts=24, seed=50)).value
+    ghz_value = maximize_svetlichny(ghz, restarts=24, seed=50).value
     ghz_ok = abs(ghz_value - 4.0 * SQRT2) < 1e-6
 
-    cfg = OptimizerConfig(restarts=16, seed=51)
     envelope_ok, tight_ok = True, True
     details = []
     for t1 in (math.pi / 16.0, math.pi / 8.0, 3.0 * math.pi / 16.0, math.pi / 4.0):
         for r in (0.0, math.pi / 8.0, R_MAX):
             rho = apply_channel(density(gghz(t1)), 3, r)
-            numeric = maximize_svetlichny(rho, cfg).value
+            numeric = maximize_svetlichny(rho, restarts=16, seed=51).value
             ref = svetlichny_bound_gghz(t1, r)
             if numeric > ref.envelope + 1e-6:
                 envelope_ok = False
@@ -177,14 +176,13 @@ def test_criterion_7_entanglement_measures():
 
 def test_criterion_8_oracle_equivalence():
     rng = np.random.default_rng(808)
-    cfg = OptimizerConfig(restarts=14, seed=88)
     worst = 0.0
     for _ in range(50):
         rho = random_density(rng, 2, rank=int(rng.integers(1, 5)))
-        worst = max(worst, abs(horodecki_max(rho) - maximize_chsh(rho, cfg)))
+        worst = max(worst, abs(horodecki_max(rho) - maximize_chsh(rho, restarts=14, seed=88).value))
     for r in np.linspace(0.0, R_MAX, 10):
         rho = apply_channel(density(singlet()), 2, float(r))
-        worst = max(worst, abs(horodecki_max(rho) - maximize_chsh(rho, cfg)))
+        worst = max(worst, abs(horodecki_max(rho) - maximize_chsh(rho, restarts=14, seed=88).value))
     _report(8, "oracle-equivalence", worst <= 1e-4, f"max |closed-form - numeric| = {worst:.2e}")
 
 
@@ -201,7 +199,6 @@ def test_criterion_9_sweep_determinism():
         columns=("svetlichny_bound", "svetlichny_numeric", "pi_tangle"),
         seed=99,
         restarts=6,
-        max_iterations=600,
     )
     first = run_sweep(spec)
     second = run_sweep(spec)

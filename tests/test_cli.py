@@ -167,9 +167,11 @@ def test_main_pi_tangle_omega_precedence(tmp_path):
 def test_main_usage_errors(capsys):
     assert main(["sweep", "--state", "singlet", "--columns", "svetlichny_bound"]) == 2
     assert main(["pi-tangle", "--state", "gghz", "--param", "0.3"]) == 2  # no --r or --omega
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--state", "unknown", "--columns", "pi_tangle"])
-    assert exc.value.code == 2
+    for argv in (["sweep", "--state", "unknown", "--columns", "pi_tangle"],
+                 ["sweep", "--state", "gghz", "--columns", "pi_tangle", "--max-iterations", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     capsys.readouterr()
     small = ["sweep", "--state", "gghz", "--param-steps", "2", "--r-steps", "2",
              "--columns", "svetlichny_bound,pi_tangle"]

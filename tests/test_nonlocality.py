@@ -325,7 +325,6 @@ def test_evaluators_reject_non_finite_input():
         calls = [
             lambda: chsh_value(bad2, dirs4),
             lambda: chsh_value(rho2, bad_dirs4),
-            lambda: chsh_value(rho2, np.array([[0.0, 0.0], [value, 0.0], [0.0, 0.0], [1.0, 0.0]])),
             lambda: svetlichny_value(bad3, dirs6),
             lambda: svetlichny_value(rho3, bad_dirs6),
             lambda: correlation(bad2, Z_AXIS, Z_AXIS),
@@ -337,6 +336,9 @@ def test_evaluators_reject_non_finite_input():
         for call in calls:
             with pytest.raises(ValueError, match="non-finite"):
                 call()
+        # (theta, phi) stacks are not settings; only the fields of ChshSettings take pairs
+        with pytest.raises(ValueError, match="expected 4 directions of dimension 3"):
+            chsh_value(rho2, np.array([[0.0, 0.0], [value, 0.0], [0.0, 0.0], [1.0, 0.0]]))
 
 
 @settings(max_examples=40, deadline=None)
