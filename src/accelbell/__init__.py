@@ -6,7 +6,7 @@ Library layout:
     states        singlet / generalized GHZ / maximal slice states, spin observables
     unruh         acceleration parameter and the wedge damping channel
     nonlocality   correlation tensor, CHSH/Svetlichny evaluators, closed-form bounds, thresholds
-    optimize      multistart simplex maximization over spheres (restarts, seed) + lattice oracle
+    optimize      Bell maximizers: first party in closed form + simplex, separable lattice oracle
     entanglement  negativity and the residual tripartite tangle
     checks        cross-module invariant suite (the `verify` command)
     cli           sweep / threshold / verify / pi-tangle commands

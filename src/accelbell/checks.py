@@ -1,7 +1,7 @@
 """Cross-module consistency checks behind the ``verify`` command.
 
-Levels: "quick" runs the cheap invariants (channel dual path, Bell
-evaluator dual path, CPTP, correlation law, restricted-family equivalence,
+Levels: "quick" runs the cheap invariants (channel, Bell evaluator and
+lattice oracle dual paths, CPTP, correlation law, restricted-family equivalence,
 threshold, eigensolver, tangle endpoints, optimizer determinism); "full" adds
 the optimizer-vs-bound grids, the oracle cross-check and the tangle
 monotonicity sweeps.
@@ -101,6 +101,26 @@ def check_evaluator_dual_path(cases=20, settings=25, seed=QUICK_SEED + 7):
         worst = max(worst, abs(nonlocality.correlation(rho, a, b) - linalg.expectation(rho, pair)))
     detail = f"{cases} random mixed states per inequality, {settings} settings each, scalar and batched"
     return _check("evaluator-dual-path", worst, 1e-12, detail)
+
+
+def check_lattice_dual_path(cases=10, seed=QUICK_SEED + 8):
+    """Lattice oracle against a batched-evaluator scan of every lattice setting.
+
+    CHSH on the pi/2 lattice (12^4 settings), Svetlichny on the pi lattice
+    (4^6).  The oracle's setting must reach the scan maximum: sign-flipped
+    settings tie, so its index may differ from the scan's by rounding.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(cases):
+        for modes, evaluate, resolution in ((2, nonlocality.chsh_value, math.pi / 2),
+                                            (3, nonlocality.svetlichny_value, math.pi)):
+            rho = _random_mixed(rng, modes, int(rng.integers(1, 5)))
+            value, setting = optimize.grid_oracle(rho, resolution)
+            dirs = optimize._angles_to_directions(optimize._lattice(resolution))
+            scan = float(np.max(evaluate(rho, dirs[np.stack(np.indices((len(dirs),) * 2 * modes), axis=-1)])))
+            worst = max(worst, abs(value - scan), abs(evaluate(rho, setting) - scan))
+    return _check("lattice-dual-path", worst, 1e-12, f"{cases} random mixed states per inequality")
 
 
 def check_channel_cptp(cases=50, seed=QUICK_SEED + 1):
@@ -242,6 +262,7 @@ def check_ms_bounds():
 QUICK_CHECKS = [
     check_channel_dual_path,
     check_evaluator_dual_path,
+    check_lattice_dual_path,
     check_channel_cptp,
     check_channel_identity,
     check_damped_correlation_law,

@@ -1,11 +1,12 @@
 """Command line driver: parameter sweeps, threshold report, verification.
 
 Exit codes: 0 success, 1 failed check or exceeded evaluation budget,
-2 usage error.  The default seed comes from the ACCELBELL_SEED environment
-variable when set; a value that is not an integer is a usage error.  Sweep
-output is CSV with a header row, 12 significant digits and "\n" line
-endings; scalar reports are JSON.  Identical specs and seeds give
-byte-identical output.
+2 usage error, including an ``--out`` file that cannot be opened (checked
+before any computation).  The default seed comes from the ACCELBELL_SEED
+environment variable when set; a value that is not an integer is a usage
+error.  Sweep output is CSV with a header row, 12 significant digits and
+"\n" line endings; scalar reports are JSON.  Identical specs and seeds
+give byte-identical output.
 """
 
 from __future__ import annotations
@@ -245,6 +246,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         seed = _default_seed()
+        if getattr(args, "out", None):
+            open(args.out, "a").close()  # a bad path fails before computing, and existing content is kept
         if args.command == "sweep":
             mode = args.mode if args.mode is not None else (3 if args.state == "gghz" else 2)
             spec = SweepSpec(
@@ -284,7 +287,7 @@ def main(argv=None) -> int:
     except optimize.BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,8 +30,6 @@ __all__ = [
     "trace_norm",
     "expectation",
     "purity",
-    "check_state",
-    "check_density",
 ]
 
 
@@ -140,38 +138,3 @@ def purity(rho: np.ndarray) -> float:
     """Tr[rho^2]; equals 1 exactly for pure states."""
     rho = np.asarray(rho, dtype=complex)
     return float(np.einsum("ij,ji->", rho, rho).real)
-
-
-def check_state(psi: np.ndarray, atol: float = 1e-12) -> np.ndarray:
-    """Validate that psi is a normalized state vector; returns it as complex."""
-    v = np.asarray(psi, dtype=complex).reshape(-1)
-    mode_count(v.size)
-    norm_sq = float(np.sum(np.abs(v) ** 2))
-    if abs(norm_sq - 1.0) > atol:
-        raise ValueError(f"state vector is not normalized (|psi|^2 = {norm_sq!r})")
-    return v
-
-
-def check_density(
-    rho: np.ndarray,
-    herm_atol: float = 1e-12,
-    trace_atol: float = 1e-12,
-    eig_floor: float = -1e-10,
-) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of a density operator.
-
-    Raises ValueError with the offending residual; returns rho as complex
-    on success.  Positivity is checked against ``eig_floor`` to allow for
-    roundoff in the smallest eigenvalue.
-    """
-    rho, _ = _square_operator(rho)
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm > herm_atol:
-        raise ValueError(f"density operator not Hermitian (residual {herm:.3e})")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_atol:
-        raise ValueError(f"density operator trace is {tr!r}, expected 1")
-    lowest = float(hermitian_eigenvalues((rho + rho.conj().T) / 2.0)[0])
-    if lowest < eig_floor:
-        raise ValueError(f"density operator has negative eigenvalue {lowest:.3e}")
-    return rho

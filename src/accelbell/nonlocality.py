@@ -255,9 +255,10 @@ class GghzBound:
 
     The closed-form maximum has an axial branch, reached by settings along
     z, and an equatorial branch reached in the x-y plane.  ``bound`` is the
-    branch selected by comparing the squared weights (axial wins ties);
-    ``envelope`` is the larger of the two branch values and is what the
-    numerical maximum is compared against.
+    branch selected by comparing the squared weights (axial wins ties), so
+    it is not the maximum everywhere: at (t1, r) = (0.3, 0.2) it is 3.0132
+    while the maximum is 3.1304.  ``envelope`` is the larger of the two
+    branch values and is what the numerical maximum is compared against.
     """
 
     bound: float
@@ -273,17 +274,19 @@ def svetlichny_bound_gghz(theta1: float, r: float) -> GghzBound:
     """Closed-form Svetlichny maximum of the generalized GHZ state with the
     third qubit damped at angle r.
 
-    Axial branch 4(2 cos^2 t1 cos^2 r - 1), equatorial branch
-    4 sqrt(2) sin(2 t1) cos(r); the axial branch applies when its squared
+    Axial branch 4|2 cos^2 t1 cos^2 r - 1|, equatorial branch
+    4 sqrt(2) |sin(2 t1)| cos(r); the axial branch applies when its squared
     weight (2 cos^2 t1 cos^2 r - 1)^2 is at least sin^2(2 t1) cos^2(r).
+    The moduli keep the form valid for every t1, which ``states.gghz``
+    folds into [0, pi/2]: at t1 = pi/2 (|111>) the axial value is 4.
     """
     t1 = float(theta1)
     r = float(r)
     axial_amp = 2.0 * math.cos(t1) ** 2 * math.cos(r) ** 2 - 1.0
     axial_weight = axial_amp**2
     equatorial_weight = math.sin(2.0 * t1) ** 2 * math.cos(r) ** 2
-    axial_value = 4.0 * axial_amp
-    equatorial_value = 4.0 * math.sqrt(2.0) * math.sin(2.0 * t1) * math.cos(r)
+    axial_value = 4.0 * abs(axial_amp)
+    equatorial_value = 4.0 * math.sqrt(2.0) * abs(math.sin(2.0 * t1)) * math.cos(r)
     if axial_weight >= equatorial_weight:
         branch, bound = "axial", axial_value
     else:

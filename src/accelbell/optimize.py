@@ -1,41 +1,40 @@
-"""Derivative-free maximization over products of unit spheres.
+"""Maximization of the Bell values over products of unit spheres.
 
-Objectives live on n-tuples of unit 3-vectors.  The maximizer runs a
-multistart Nelder-Mead simplex in the 2n-dimensional (theta, phi) angle
-space: angles are left unconstrained since the direction map is periodic.
-Restart points are drawn by a seeded, rejection-free uniform sphere
-sampler (z = 2u - 1, phi = 2 pi v from two uniform variates), so a fixed
-seed gives bit-identical results; ties between restarts go to the lowest
-restart index.
+A Bell value |sum beta T(u_x, v_y(, w_z))| is multilinear in the settings
+(see ``nonlocality``), so both maximizers contract T one party at a time.
 
-``grid_oracle`` is the independent certification path: a brute-force scan
-of the full (theta, phi) product lattice.  It is a certified lower bound
-on the true maximum and never shares code with the simplex search.  The
-lattice grows as ((pi/res + 1) * 2 pi/res)^n, so calls whose lattice
-exceeds ``DEFAULT_BUDGET`` evaluations are rejected with ``BudgetError``.
+``maximize_chsh``/``maximize_svetlichny`` solve the first party in closed
+form: with X_x = sum beta[x, ...] T(., v_y(, w_z)), the maximum of
+|a.X_0 + a'.X_1| over unit a, a' is |X_0| + |X_1| (Horodecki, Horodecki &
+Horodecki, PLA 200, 340 (1995)).  ``maximize_over_spheres``, a multistart
+Nelder-Mead simplex in (theta, phi) angles from seeded uniform starts (ties
+to the lowest restart), searches the other settings; then a, a' = X/|X|
+(z where X = 0) and the evaluator gives the value at the full setting.  A
+simplex stops at objective spread ``TOLERANCE`` or after ``MAX_ITERATIONS``
+iterations; ``OptimizeResult.converged`` says which.
 
-The maximizers take two knobs, ``restarts`` and ``seed``.  Each simplex
-stops when its objective spread falls to ``TOLERANCE`` or after
-``MAX_ITERATIONS`` iterations; ``OptimizeResult.converged`` says which.
-
-Objective protocol: ``f(dirs)`` takes an (n, 3) array of unit rows and
-returns a float; for the grid oracle it must also accept leading batch
-axes, i.e. (..., n, 3) -> (...).  The evaluators in ``nonlocality`` do.
+``grid_oracle``, the independent certification path, scans the lattice
+theta in {0, res, ..., pi} x phi in {0, res, ..., 2 pi - res} for every
+setting, a and a' included: with M_x as X_x above for every lattice tuple
+of the other settings, P = dirs M_0^T and Q = dirs M_1^T, it maximizes
+|P[a] + Q| for each lattice point a; ties go to the lowest C-order index.
+Its value is a certified lower bound.  Scans over ``DEFAULT_BUDGET``
+settings raise ``BudgetError``; the lattice grows as
+((pi/res + 1) * 2 pi/res)^n.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .nonlocality import chsh_value, svetlichny_value
+from .nonlocality import _CHSH, _SVETLICHNY, _tensor, chsh_value, correlation_tensor, svetlichny_value
 
 DEFAULT_BUDGET = 10**8
 MAX_ITERATIONS = 2000
 TOLERANCE = 1e-10
-_CHUNK = 16384
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -140,50 +139,45 @@ def _nelder_mead(fn, x0: np.ndarray, step: float = 0.35):
 def maximize_over_spheres(
     objective,
     n_vectors: int,
-    witness_resolution: float | None = None,
+    witness: np.ndarray | None = None,
     *,
     restarts: int = 64,
     seed: int = 0,
 ) -> OptimizeResult:
-    """Multistart simplex maximization of an objective over n unit vectors.
+    """Multistart simplex maximization of ``objective``, a float of an (n, 3) array of unit rows.
 
     ``restarts`` seeded uniform starts each run a simplex; the best one is
-    polished by a tight simplex.  When ``witness_resolution`` is given, the
-    grid oracle also runs at that resolution and its best lattice point
-    seeds the polish if it beats every restart, so the reported value is
-    never below the lattice witness.
+    polished by a tight simplex.  ``witness``, the (theta, phi) angles of a
+    lattice point, seeds the polish instead if it beats every restart.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be positive, got {restarts!r}")
     rng = np.random.default_rng(seed)
     total_evals = 0
 
-    def scalar_objective(x: np.ndarray) -> float:
+    def negated(x: np.ndarray) -> float:
         value = float(objective(_angles_to_directions(x)))
         if not math.isfinite(value):
             raise ValueError(f"objective returned non-finite value {value!r} at angles {np.round(x, 6)!r}")
-        return value
-
-    def negated(x: np.ndarray) -> float:
-        return -scalar_objective(x)
+        return -value
 
     best_value, best_x, best_restart, best_converged = -math.inf, None, -1, False
     start_values = []
     for restart in range(restarts):
         x0 = _sample_start(rng, n_vectors)
-        start_values.append(scalar_objective(x0))
+        start_values.append(-negated(x0))
         total_evals += 1
         x, neg_val, evals, converged = _nelder_mead(negated, x0)
         total_evals += evals
         if -neg_val > best_value:
             best_value, best_x, best_restart, best_converged = -neg_val, x, restart, converged
 
-    oracle_value = None
-    if witness_resolution is not None:
-        oracle_value, oracle_angles = _grid_search(objective, n_vectors, witness_resolution)
-        if oracle_value > best_value:
-            # a lattice point is no simplex result; only the polish below can cap
-            best_value, best_x, best_converged = oracle_value, oracle_angles, True
+    if witness is not None:
+        witness_value = -negated(witness)
+        total_evals += 1
+        if witness_value > best_value:
+            # a witness is no simplex result; only the polish below can cap
+            best_value, best_x, best_converged = witness_value, np.asarray(witness, dtype=float), True
 
     # polish with a tight simplex around the winner
     x, neg_val, evals, polish_converged = _nelder_mead(negated, best_x, step=0.05)
@@ -198,7 +192,6 @@ def maximize_over_spheres(
         evaluations=total_evals,
         converged=best_converged and polish_converged,
         start_values=tuple(start_values),
-        oracle_value=oracle_value,
     )
 
 
@@ -214,55 +207,60 @@ def _lattice(resolution: float) -> np.ndarray:
     return np.column_stack([tt.ravel(), pp.ravel()])
 
 
-def _grid_search(objective, n_vectors: int, resolution: float):
+def _grid_search(t: np.ndarray, beta: np.ndarray, resolution: float):
+    """Best lattice value of |sum beta T(u_x, v_y(, w_z))| and its angles; ties go to the lowest C-order index."""
     angles = _lattice(resolution)
     dirs = _angles_to_directions(angles)
-    n_points = dirs.shape[0]
-    total = n_points**n_vectors
-    if total > DEFAULT_BUDGET:
-        raise BudgetError(
-            f"lattice scan needs {total} evaluations "
-            f"({n_points} points per vector to the power {n_vectors}), budget is {DEFAULT_BUDGET}"
-        )
-    best_value, best_multi = -math.inf, None
-    shape = (n_points,) * n_vectors
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total))
-        multi = np.stack(np.unravel_index(idx, shape), axis=-1)
-        values = np.asarray(objective(dirs[multi]), dtype=float).reshape(-1)
-        if values.shape != idx.shape:
-            raise ValueError("grid oracle objectives must support batched (..., n, 3) input")
-        if not np.all(np.isfinite(values)):
-            where = int(idx[int(np.argmin(np.isfinite(values)))])
-            raise ValueError(f"objective returned non-finite value at lattice index {where}")
+    n_points, n_vectors = dirs.shape[0], 2 * t.ndim
+    if n_points**n_vectors > DEFAULT_BUDGET:
+        raise BudgetError(f"lattice scan needs {n_points}^{n_vectors} evaluations, budget is {DEFAULT_BUDGET}")
+    pairs = np.stack(np.broadcast_arrays(dirs[:, None], dirs[None, :]), axis=2).reshape(-1, 2, 3)  # (d_p, d_p')
+    # M_x over every lattice tuple of the other settings, in C order: (b, b') or (c, c', b, b')
+    terms = ("xy,ij,ryj->xri", beta, t, pairs) if t.ndim == 2 else ("xyz,ijk,ryj,szk->xrsi", beta, t, pairs, pairs)
+    p, q = dirs @ np.einsum(*terms, optimize=True).reshape(2, -1, 3).transpose(0, 2, 1)
+    best_value, best_index = -math.inf, 0
+    for a in range(n_points):
+        values = np.abs(p[a] + q)  # over (a', other settings) in C order
         local = int(np.argmax(values))
-        if values[local] > best_value:
-            best_value, best_multi = float(values[local]), multi[local]
-    return best_value, angles[best_multi].reshape(-1)
+        if values.flat[local] > best_value:
+            best_value, best_index = float(values.flat[local]), a * values.size + local
+    return best_value, angles[list(np.unravel_index(best_index, (n_points,) * n_vectors))].reshape(-1)
 
 
-def grid_oracle(objective, n_vectors: int, resolution: float) -> float:
-    """Brute-force maximum of the objective over the full product lattice.
+def grid_oracle(rho: np.ndarray, resolution: float) -> tuple[float, np.ndarray]:
+    """Lattice maximum of the CHSH (two modes) or Svetlichny (three modes) value, and an (n, 3) setting at it."""
+    t = correlation_tensor(rho)
+    value, angles = _grid_search(t, _CHSH if t.ndim == 2 else _SVETLICHNY, resolution)
+    return value, _angles_to_directions(angles)
 
-    theta runs over {0, res, ..., pi} and phi over {0, res, ..., 2pi - res}
-    for every vector; the result is a certified lower bound on the true
-    maximum.  Raises BudgetError when the lattice exceeds ``DEFAULT_BUDGET``.
-    """
-    value, _ = _grid_search(objective, n_vectors, resolution)
-    return value
+
+def _maximize_bell(rho, beta, evaluator, fields, witness_resolution, restarts, seed) -> OptimizeResult:
+    """``fields(t, d)`` gives X_x from T and the other settings d."""
+    t = _tensor(rho, beta.ndim)
+    oracle_value, witness = None, None
+    if witness_resolution is not None:
+        oracle_value, angles = _grid_search(t, beta, witness_resolution)
+        witness = angles[4:]  # a and a' dropped
+    objective = lambda d: float(np.linalg.norm(fields(t, d), axis=1).sum())
+    result = maximize_over_spheres(objective, 2 * beta.ndim - 2, witness, restarts=restarts, seed=seed)
+    x = fields(t, result.directions)
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    first = np.divide(x, norms, out=np.tile([0.0, 0.0, 1.0], (2, 1)), where=norms > 0.0)
+    directions = np.vstack([first, result.directions])
+    return replace(result, value=evaluator(rho, directions), directions=directions, oracle_value=oracle_value)
 
 
 def maximize_chsh(
     rho: np.ndarray, witness_resolution: float | None = None, *, restarts: int = 64, seed: int = 0
 ) -> OptimizeResult:
-    """Numerically maximized CHSH value of a two-mode state."""
-    rho = np.asarray(rho, dtype=complex)
-    return maximize_over_spheres(lambda d: chsh_value(rho, d), 4, witness_resolution, restarts=restarts, seed=seed)
+    """Numerically maximized CHSH value of a two-mode state; the simplex searches b and b' only."""
+    fields = lambda t, d: (_CHSH @ d) @ t.T  # T(b + b'), T(b - b')
+    return _maximize_bell(rho, _CHSH, chsh_value, fields, witness_resolution, restarts, seed)
 
 
 def maximize_svetlichny(
     rho: np.ndarray, witness_resolution: float | None = None, *, restarts: int = 64, seed: int = 0
 ) -> OptimizeResult:
-    """Numerically maximized Svetlichny value of a three-mode state."""
-    rho = np.asarray(rho, dtype=complex)
-    return maximize_over_spheres(lambda d: svetlichny_value(rho, d), 6, witness_resolution, restarts=restarts, seed=seed)
+    """Numerically maximized Svetlichny value of a three-mode state; the simplex searches c, c', b and b' only."""
+    fields = lambda t, d: np.einsum("ijk,yj,xyk->xi", t, d[:2], _SVETLICHNY @ d[2:])
+    return _maximize_bell(rho, _SVETLICHNY, svetlichny_value, fields, witness_resolution, restarts, seed)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from accelbell import checks, unruh
+from accelbell import checks, cli, optimize, unruh
 from accelbell.cli import SweepSpec, main, run_sweep, solve_pi_tangle, solve_threshold
 
 SQRT2 = math.sqrt(2.0)
@@ -164,7 +164,7 @@ def test_main_pi_tangle_omega_precedence(tmp_path):
     assert abs(json.loads(out_w.read_text())["r"] - unruh.acceleration_parameter(omega)) < 1e-11
 
 
-def test_main_usage_errors(capsys):
+def test_main_usage_errors(capsys, monkeypatch, tmp_path):
     assert main(["sweep", "--state", "singlet", "--columns", "svetlichny_bound"]) == 2
     assert main(["pi-tangle", "--state", "gghz", "--param", "0.3"]) == 2  # no --r or --omega
     for argv in (["sweep", "--state", "unknown", "--columns", "pi_tangle"],
@@ -178,8 +178,19 @@ def test_main_usage_errors(capsys):
     assert main(small + ["--param-start", "nan", "--param-stop", "0.5"]) == 2
     assert main(small + ["--param-stop", "inf"]) == 2
     assert main(["pi-tangle", "--state", "gghz", "--param", "nan", "--r", "0.2"]) == 2
+    # a rejected command leaves an existing --out file as it was
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier results\n")
+    assert main(["sweep", "--state", "gghz", "--columns", "bogus", "--out", str(kept)]) == 2
+    assert kept.read_text() == "earlier results\n"
+    # an --out in a missing directory fails before the sweep is computed
+    missing = str(tmp_path / "missing" / "out.txt")
+    monkeypatch.setattr(cli, "run_sweep", lambda spec: pytest.fail("sweep computed before opening --out"))
+    assert main(small + ["--out", missing]) == 2
+    assert main(["threshold", "--out", missing]) == 2
+    assert main(["pi-tangle", "--state", "gghz", "--param", "0.3", "--r", "0.2", "--out", missing]) == 2
     errors = capsys.readouterr().err.splitlines()
-    assert len(errors) == 3 and all(line.startswith("error: ") for line in errors)
+    assert len(errors) == 7 and all(line.startswith("error: ") for line in errors)
 
 
 def test_bad_seed_environment_is_usage_error():
@@ -206,6 +217,7 @@ def test_main_verify_quick(capsys):
     report = capsys.readouterr().out
     assert "channel-dual-path" in report
     assert "evaluator-dual-path" in report
+    assert "lattice-dual-path" in report
     assert "0 failed" in report
 
 
@@ -244,3 +256,10 @@ def test_verify_catches_corrupted_correlation_tensor(monkeypatch):
     monkeypatch.setattr(nonlocality_mod, "_PAULI_PRODUCTS", corrupted)
     results = {res.name: res for res in checks.run_checks("quick")}
     assert not results["evaluator-dual-path"].passed
+
+
+def test_verify_catches_corrupted_lattice_oracle(monkeypatch):
+    # a transposed tensor swaps the parties inside the oracle only
+    real = optimize.correlation_tensor
+    monkeypatch.setattr(optimize, "correlation_tensor", lambda rho: real(rho).T)
+    assert not checks.check_lattice_dual_path().passed

@@ -5,8 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from accelbell.linalg import (
-    check_density,
-    check_state,
     density,
     hermitian_eigenvalues,
     mode_count,
@@ -17,7 +15,7 @@ from accelbell.linalg import (
 )
 from accelbell.states import ID2, SIGMA_X, SIGMA_Z
 
-from helpers import random_density, random_hermitian, random_state, random_unitary
+from helpers import random_density, random_hermitian, random_unitary
 
 
 def bell_phi_plus():
@@ -197,11 +195,3 @@ def test_trace_norm_of_partial_transpose_at_least_one(rng):
         product = tensor(random_density(rng, 1), random_density(rng, 1))
         assert abs(trace_norm(partial_transpose(product, 1)) - 1.0) < 1e-12
 
-
-def test_check_state_and_density(rng):
-    check_state(random_state(rng, 2))
-    check_density(random_density(rng, 2))
-    with pytest.raises(ValueError):
-        check_state(np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        check_density(np.diag([1.5, -0.5]).astype(complex))

@@ -247,6 +247,24 @@ def test_gghz_bound_branches():
     assert limit.envelope <= 4.0 + 1e-12
 
 
+def test_gghz_bound_past_quarter_pi():
+    # |111> at t1 = pi/2: all-z settings give 4 at every r
+    for r in np.linspace(0.0, R_MAX, 5):
+        ref = svetlichny_bound_gghz(math.pi / 2.0, float(r))
+        assert abs(ref.bound - 4.0) < 1e-12 and abs(ref.envelope - 4.0) < 1e-12
+    # the axial amplitude is -sin^2(3 pi/8) at (3 pi/8, pi/4); the branch value is its modulus
+    ref = svetlichny_bound_gghz(3.0 * math.pi / 8.0, R_MAX)
+    assert ref.branch == "axial"
+    assert abs(ref.bound - (2.0 + SQRT2)) < 1e-12
+    assert ref.envelope == ref.bound
+    # t1 outside [0, pi/2] names the same state as its fold, so it has the same bounds
+    for t1, folded in ((2.0, math.pi - 2.0), (-0.3, 0.3)):
+        assert abs(svetlichny_bound_gghz(t1, 0.2).envelope - svetlichny_bound_gghz(folded, 0.2).envelope) < 1e-12
+    # the branch rule compares weights, not values, so bound can sit below the maximum
+    ref = svetlichny_bound_gghz(0.3, 0.2)
+    assert ref.branch == "axial" and ref.bound < ref.envelope - 0.1
+
+
 def test_gghz_bound_envelope_dominates():
     for t1 in np.linspace(0.0, math.pi / 4.0, 9):
         for r in np.linspace(0.0, R_MAX, 9):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from accelbell import optimize
 from accelbell.linalg import density, tensor
-from accelbell.nonlocality import chsh_value, horodecki_max, svetlichny_value
+from accelbell.nonlocality import chsh_value, horodecki_max, svetlichny_bound_gghz, svetlichny_value
 from accelbell.optimize import (
     BudgetError,
     grid_oracle,
@@ -27,49 +27,44 @@ def pole_objective(dirs):
     return np.asarray(dirs)[..., 0, 2]
 
 
-def two_vector_objective(dirs):
-    d = np.asarray(dirs)
-    # smooth multimodal function of two directions
-    return d[..., 0, 2] + d[..., 1, 0] + np.einsum("...i,...i->...", d[..., 0, :], d[..., 1, :]) ** 2
-
-
 def test_single_vector_pole():
     result = maximize_over_spheres(pole_objective, 1, restarts=8, seed=1)
     assert abs(result.value - 1.0) < 1e-8
 
 
 def test_grid_oracle_pole_on_lattice():
-    assert abs(grid_oracle(pole_objective, 1, math.pi / 8.0) - 1.0) < 1e-15
+    # the product states' maxima 2 and 4 sit at the pole z, a lattice point
+    assert abs(grid_oracle(density(np.eye(4)[0]), math.pi / 4.0)[0] - 2.0) < 1e-15
+    value, setting = grid_oracle(density(gghz(0.0)), math.pi / 2.0)
+    assert abs(value - 4.0) < 1e-15
+    assert abs(svetlichny_value(density(gghz(0.0)), setting) - value) < 1e-15
 
 
 def test_grid_oracle_resolution_must_divide_pi():
     for resolution in (1.0, 0.0, -math.pi / 4.0, math.nan, math.inf):
         with pytest.raises(ValueError):
-            grid_oracle(pole_objective, 1, resolution)
+            grid_oracle(density(singlet()), resolution)
 
 
 def test_grid_oracle_budget_rejected():
     # a pi/16 lattice for four vectors needs (17*32)^4 ~ 8.8e10 evaluations,
     # and pi/8 for six vectors needs (9*16)^6 ~ 8.9e12; both exceed 1e8
-    objective = lambda d: chsh_value(density(singlet()), d)
     with pytest.raises(BudgetError):
-        grid_oracle(objective, 4, math.pi / 16.0)
-    svet = lambda d: svetlichny_value(density(gghz(0.0)), d)
+        grid_oracle(density(singlet()), math.pi / 16.0)
     with pytest.raises(BudgetError):
-        grid_oracle(svet, 6, math.pi / 8.0)
+        grid_oracle(density(gghz(0.0)), math.pi / 8.0)
 
 
 def test_grid_oracle_chsh_contains_optimum():
     # the pi/4 lattice contains the exact CHSH maximizers of the singlet
-    objective = lambda d: chsh_value(density(singlet()), d)
-    value = grid_oracle(objective, 4, math.pi / 4.0)
+    value, setting = grid_oracle(density(singlet()), math.pi / 4.0)
     assert value >= 2.80
     assert abs(value - 2.0 * SQRT2) < 1e-12
+    assert abs(chsh_value(density(singlet()), setting) - value) < 1e-12
 
 
 def test_grid_oracle_svetlichny_product_bounded():
-    rho = density(gghz(0.0))
-    value = grid_oracle(lambda d: svetlichny_value(rho, d), 6, math.pi / 2.0)
+    value, _ = grid_oracle(density(gghz(0.0)), math.pi / 2.0)
     assert value <= 4.0 + 1e-12
 
 
@@ -88,8 +83,8 @@ def test_value_dominates_restart_starts():
     assert result.value >= max(result.start_values) - 1e-12
 
 
-def test_value_dominates_grid_witness():
-    result = maximize_over_spheres(two_vector_objective, 2, witness_resolution=math.pi / 12.0, restarts=16, seed=7)
+def test_value_dominates_grid_witness(rng):
+    result = maximize_svetlichny(random_density(rng, 3), witness_resolution=math.pi / 2.0, restarts=16, seed=7)
     assert result.oracle_value is not None
     # lattice witness minus a Lipschitz slack for the lattice spacing
     assert result.value >= result.oracle_value - 0.05
@@ -117,6 +112,13 @@ def test_maximize_chsh_product_state():
     result = maximize_chsh(rho, restarts=12, seed=2)
     assert abs(result.value - 2.0) < 1e-6
     assert result.converged
+
+
+def test_maximize_chsh_zero_tensor():
+    # T = 0: both first-party fields vanish, so a and a' fall back to z
+    result = maximize_chsh(np.eye(4) / 4.0, restarts=2)
+    assert result.value == 0.0
+    assert np.array_equal(result.directions[:2], [[0.0, 0.0, 1.0]] * 2)
 
 
 def test_maximize_chsh_witness_included():
@@ -148,17 +150,27 @@ def test_maximize_svetlichny_product():
     assert abs(result.value - 4.0) < 1e-6
 
 
+def test_maximize_svetlichny_gghz_past_quarter_pi():
+    # past pi/4 the closed form needs the moduli |2 cos^2 t1 cos^2 r - 1| and |sin 2 t1|
+    for t1, r in ((3.0 * math.pi / 8.0, math.pi / 4.0), (1.3, 0.1), (math.pi / 2.0, 0.0), (2.0, 0.0)):
+        numeric = maximize_svetlichny(apply_channel(density(gghz(t1)), 3, r), restarts=8, seed=1).value
+        assert abs(numeric - svetlichny_bound_gghz(t1, r).envelope) < 1e-6
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="restarts"):
         maximize_over_spheres(pole_objective, 1, restarts=0)
+    with pytest.raises(ValueError, match="3-mode"):
+        maximize_svetlichny(density(singlet()))
+    with pytest.raises(ValueError, match="2-mode"):
+        maximize_chsh(density(gghz(0.3)))
 
 
 def test_capped_simplex_reports_not_converged(monkeypatch):
-    # five simplex iterations stop well short of the product state's maximum 2
-    rho = density(np.array([1, 0, 0, 0], dtype=complex))
+    # five simplex iterations stop well short of the product state's maximum 4
     monkeypatch.setattr(optimize, "MAX_ITERATIONS", 5)
-    result = maximize_chsh(rho, restarts=12, seed=2)
-    assert result.value < 2.0 - 1e-3
+    result = maximize_svetlichny(density(gghz(0.0)), restarts=12, seed=2)
+    assert result.value < 4.0 - 1e-3
     assert result.converged is False
 
 
@@ -169,3 +181,22 @@ def test_numeric_chsh_below_horodecki(seed, rank):
     result = maximize_chsh(rho, restarts=2)
     assert result.value <= horodecki_max(rho) + 1e-12
     assert abs(chsh_value(rho, result.directions) - result.value) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 8))
+def test_numeric_svetlichny_reproduced_by_directions(seed, rank):
+    rho = random_density(np.random.default_rng(seed), 3, rank)
+    result = maximize_svetlichny(rho, restarts=2)
+    assert abs(svetlichny_value(rho, result.directions) - result.value) <= 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+def test_grid_oracle_below_witnessed_maximum(seed, rank):
+    rng = np.random.default_rng(seed)
+    for modes, maximize, resolution in ((2, maximize_chsh, math.pi / 4.0), (3, maximize_svetlichny, math.pi / 2.0)):
+        rho = random_density(rng, modes, rank)
+        result = maximize(rho, witness_resolution=resolution, restarts=1)
+        assert grid_oracle(rho, resolution)[0] == result.oracle_value
+        assert result.oracle_value <= result.value + 1e-12
