@@ -4,8 +4,9 @@ Library layout:
 
     linalg        dense complex operators, partial trace/transpose, checked eigvalsh
     states        singlet / generalized GHZ / maximal slice states, spin observables
-    unruh         acceleration parameter and the wedge damping channel
-    nonlocality   correlation tensor, CHSH/Svetlichny evaluators, closed-form bounds, thresholds
+    unruh         acceleration parameter, the wedge damping channel as a Kraus array, its dilation
+    nonlocality   correlation tensor, its one Bell contraction (bell_fields), CHSH/Svetlichny
+                  evaluators on unit-vector setting arrays, closed-form bounds, thresholds
     optimize      Bell maximizers: first party in closed form + simplex, separable lattice oracle
     entanglement  negativity and the residual tripartite tangle
     checks        cross-module invariant suite (the `verify` command)
@@ -19,15 +20,13 @@ from .linalg import (
     hermitian_eigenvalues,
     partial_trace,
     partial_transpose,
-    purity,
     tensor,
     trace_norm,
 )
 from .nonlocality import (
-    ChshSettings,
     ChshThreshold,
     GghzBound,
-    SvetlichnySettings,
+    bell_fields,
     chsh_restricted,
     chsh_restricted_max,
     chsh_threshold,
@@ -52,6 +51,6 @@ from .optimize import (
     maximize_svetlichny,
 )
 from .states import direction, gghz, maximal_slice, singlet, spin_observable
-from .unruh import R_MAX, UnruhChannel, acceleration_parameter, apply_channel, build_channel, dilate
+from .unruh import R_MAX, acceleration_parameter, apply_channel, build_channel, dilate
 
 __version__ = "0.1.0"

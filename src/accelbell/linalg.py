@@ -29,7 +29,6 @@ __all__ = [
     "hermitian_eigenvalues",
     "trace_norm",
     "expectation",
-    "purity",
 ]
 
 
@@ -133,8 +132,3 @@ def expectation(rho: np.ndarray, observable: np.ndarray) -> float:
     """Real part of Tr[rho O]."""
     return float(np.einsum("ij,ji->", np.asarray(rho, complex), np.asarray(observable, complex)).real)
 
-
-def purity(rho: np.ndarray) -> float:
-    """Tr[rho^2]; equals 1 exactly for pure states."""
-    rho = np.asarray(rho, dtype=complex)
-    return float(np.einsum("ij,ji->", rho, rho).real)

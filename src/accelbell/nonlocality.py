@@ -16,16 +16,17 @@ Each value is |sum beta[x, y(, z)] T(u_x, v_y(, w_z))|: the Pauli correlation
 tensor T (``correlation_tensor``) contracted with the settings u, v(, w) of
 modes 1, 2(, 3) (index 0 unprimed, 1 primed) and weighted by the coefficients
 beta, e.g. CHSH = |a.T(b + b') + a'.T(b - b')|.  No measurement operator is built.
-Settings are ``ChshSettings``/``SvetlichnySettings``, whose fields take unit
-3-vectors or (theta, phi) pairs, or stacks of unit 3-vectors with leading
-batch axes.  A value only counts as a violation when it clears the classical
-bound by more than ``VIOLATION_TOL``; non-finite input raises ``ValueError``.
+``bell_fields`` is the one contraction of T with the later settings, shared
+by both evaluators and both maximizers.  Settings are unit 3-vector arrays of
+shape (..., 4, 3) (a, a', b, b') or (..., 6, 3) (a, a', c, c', b, b').  A value
+only counts as a violation when it clears the classical bound by more than
+``VIOLATION_TOL``; non-finite input raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,12 +58,11 @@ __all__ = [
     "SVETLICHNY_QUANTUM_MAX",
     "VIOLATION_TOL",
     "GAMMA_STAR",
-    "ChshSettings",
-    "SvetlichnySettings",
     "ChshThreshold",
     "GghzBound",
     "correlation",
     "correlation_tensor",
+    "bell_fields",
     "chsh_value",
     "chsh_restricted",
     "restricted_settings",
@@ -78,37 +78,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChshSettings:
-    """Four measurement directions: a, a' on mode 1 and b, b' on mode 2."""
-
-    a: object
-    a_prime: object
-    b: object
-    b_prime: object
-
-    def as_array(self) -> np.ndarray:
-        return np.stack([as_direction(getattr(self, f.name)) for f in fields(self)])
-
-
-@dataclass(frozen=True)
-class SvetlichnySettings:
-    """Six directions: a/a' on mode 1, c/c' on mode 2, b/b' on mode 3."""
-
-    a: object
-    a_prime: object
-    c: object
-    c_prime: object
-    b: object
-    b_prime: object
-
-    def as_array(self) -> np.ndarray:
-        return np.stack([as_direction(getattr(self, f.name)) for f in fields(self)])
-
-
 def _settings_array(settings, count: int) -> np.ndarray:
     """Normalize settings to a float array of unit vectors, shape (..., count, 3)."""
-    arr = settings.as_array() if hasattr(settings, "as_array") else np.asarray(settings, dtype=float)
+    arr = np.asarray(settings, dtype=float)
     if arr.ndim < 2 or arr.shape[-2] != count or arr.shape[-1] != 3:
         raise ValueError(f"expected {count} directions of dimension 3, got shape {arr.shape}")
     norms = np.einsum("...i,...i->...", arr, arr)
@@ -142,24 +114,40 @@ def correlation(rho: np.ndarray, a, b) -> float:
     return float(as_direction(a) @ _tensor(rho, 2) @ as_direction(b))
 
 
-def chsh_value(rho: np.ndarray, settings) -> float | np.ndarray:
-    """|C(a,b) + C(a',b) + C(a,b') - C(a',b')| for a two-mode operator.
+def bell_fields(t: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """First-party fields X_x = sum beta[x, ...] T(., v_y(, w_z)), shape (..., 2, 3).
 
-    ``settings`` is a ChshSettings or an (..., 4, 3) direction stack in the
-    order (a, a', b, b'); batched stacks return an array of values.
+    ``rest`` holds the later settings, (..., 2, 3) as (b, b') for a 3x3 T
+    or (..., 4, 3) as (c, c', b, b') for a 3x3x3 T; the Bell value of the
+    full setting is |a.X_0 + a'.X_1|.
     """
-    t = _tensor(rho, 2)
-    dirs = _settings_array(settings, 4)
-    w = _CHSH @ dirs[..., 2:, :]  # rows b + b', b - b'
-    tw = (w.reshape(-1, 3) @ t.T).reshape(w.shape)  # one matrix product for the whole batch
-    vals = np.abs(np.sum(dirs[..., :2, :] * tw, axis=(-2, -1)))
-    if not (vals <= CHSH_QUANTUM_MAX + VIOLATION_TOL).all():
-        raise ValueError("CHSH value above the quantum maximum; is rho a density operator?")
+    if t.ndim == 2:
+        return (_CHSH @ rest) @ t.T  # T(b + b'), T(b - b')
+    return np.einsum("ijk,...yj,...xyk->...xi", t, rest[..., :2, :], _SVETLICHNY @ rest[..., None, 2:, :])
+
+
+def _bell_value(rho, settings, modes: int, limit: float, message: str):
+    t = _tensor(rho, modes)
+    dirs = _settings_array(settings, 2 * modes)
+    vals = np.abs(np.sum(dirs[..., :2, :] * bell_fields(t, dirs[..., 2:, :]), axis=(-2, -1)))
+    if not (vals <= limit + VIOLATION_TOL).all():
+        raise ValueError(message)
     return _maybe_scalar(vals)
 
 
-def restricted_settings(gamma: float, r: float = 0.0) -> ChshSettings:
-    """The z-symmetric two-setting family realizing the restricted CHSH form.
+def chsh_value(rho: np.ndarray, settings) -> float | np.ndarray:
+    """|C(a,b) + C(a',b) + C(a,b') - C(a',b')| for a two-mode operator.
+
+    ``settings`` is an (..., 4, 3) direction stack in the order
+    (a, a', b, b'); batched stacks return an array of values.
+    """
+    return _bell_value(rho, settings, 2, CHSH_QUANTUM_MAX,
+                       "CHSH value above the quantum maximum; is rho a density operator?")
+
+
+def restricted_settings(gamma: float, r: float = 0.0) -> np.ndarray:
+    """The z-symmetric two-setting family realizing the restricted CHSH form,
+    as a (4, 3) array (a, a', b, b').
 
     a = b = z, and the primed vectors sit at polar angle gamma.  At r = 0
     they lie in a common plane on opposite sides of z (the coplanar
@@ -172,12 +160,8 @@ def restricted_settings(gamma: float, r: float = 0.0) -> ChshSettings:
     """
     g = float(gamma)
     split = math.pi - float(r)
-    return ChshSettings(
-        a=np.array([0.0, 0.0, 1.0]),
-        a_prime=np.array([math.sin(g) * math.cos(split), math.sin(g) * math.sin(split), math.cos(g)]),
-        b=np.array([0.0, 0.0, 1.0]),
-        b_prime=np.array([math.sin(g), 0.0, math.cos(g)]),
-    )
+    sg, cg = math.sin(g), math.cos(g)
+    return np.array([[0.0, 0.0, 1.0], [sg * math.cos(split), sg * math.sin(split), cg], [0.0, 0.0, 1.0], [sg, 0.0, cg]])
 
 
 def chsh_restricted(r, gamma):
@@ -236,17 +220,11 @@ def horodecki_max(rho: np.ndarray) -> float:
 def svetlichny_value(rho: np.ndarray, settings) -> float | np.ndarray:
     """|Tr[rho S]| for the Svetlichny combination on a three-mode operator.
 
-    ``settings`` is a SvetlichnySettings or an (..., 6, 3) direction stack
-    in the order (a, a', c, c', b, b').
+    ``settings`` is an (..., 6, 3) direction stack in the order
+    (a, a', c, c', b, b').
     """
-    t = _tensor(rho, 3)
-    dirs = _settings_array(settings, 6)
-    w = _SVETLICHNY @ dirs[..., None, 4:, :]  # w[x, y] = sum_z beta[x, y, z] b_z
-    ta = (dirs[..., :2, :] @ t.reshape(3, 9)).reshape(dirs.shape[:-2] + (2, 3, 3))  # ta[x]_jk = sum_i a_x,i T_ijk
-    vals = np.abs(np.sum((dirs[..., None, 2:4, :] @ ta) * w, axis=(-3, -2, -1)))
-    if not (vals <= SVETLICHNY_QUANTUM_MAX + VIOLATION_TOL).all():
-        raise ValueError("Svetlichny value above the algebraic maximum; is rho a density operator?")
-    return _maybe_scalar(vals)
+    return _bell_value(rho, settings, 3, SVETLICHNY_QUANTUM_MAX,
+                       "Svetlichny value above the algebraic maximum; is rho a density operator?")
 
 
 @dataclass(frozen=True)

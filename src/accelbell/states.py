@@ -37,7 +37,6 @@ __all__ = [
     "Z_AXIS",
     "direction",
     "as_direction",
-    "pauli_dot",
     "spin_observable",
     "singlet",
     "gghz",
@@ -65,14 +64,9 @@ def as_direction(d) -> np.ndarray:
     raise ValueError("direction must be a (theta, phi) pair or a 3-vector")
 
 
-def pauli_dot(directions: np.ndarray) -> np.ndarray:
-    """n . sigma for an array of 3-vectors; shape (..., 3) -> (..., 2, 2)."""
-    return np.einsum("...i,ijk->...jk", np.asarray(directions, dtype=float), PAULI)
-
-
 def spin_observable(d) -> np.ndarray:
     """2x2 spin observable along a direction, eigenvalues exactly +-1."""
-    return pauli_dot(as_direction(d))
+    return np.einsum("i,ijk->jk", as_direction(d), PAULI)
 
 
 def _fold(theta: float, period: float, upper: float, label: str) -> float:

@@ -229,22 +229,27 @@ def test_verify_full_level_passes():
     assert "envelope=" in report
 
 
-def test_verify_fault_injection(monkeypatch, capsys):
+def _failed_residual(report, name):
+    """Residual of the named check's FAIL line; a check that raised reports inf."""
+    line = next(line for line in report.split("\n") if line.startswith("FAIL") and name in line)
+    return float(line.split("residual=")[1].split()[0])
+
+
+def test_verify_fault_injection(monkeypatch):
     import accelbell.unruh as unruh_mod
 
     real_build = unruh_mod.build_channel
 
     def corrupted(r):
-        ch = real_build(r)
-        bad = ch.kraus[0].copy()
-        bad[1, 1] = -1.0  # sign flip breaks coherences but not probabilities
-        return unruh_mod.UnruhChannel(r=ch.r, kraus=(bad, ch.kraus[1]))
+        k = real_build(r)
+        k[0, 1, 1] = -k[0, 1, 1]  # sign flip breaks coherences but not probabilities
+        return k
 
     monkeypatch.setattr(unruh_mod, "build_channel", corrupted)
     code, report = checks.verify("quick")
     assert code == 1
-    failing = [line for line in report.split("\n") if line.startswith("FAIL")]
-    assert any("channel-dual-path" in line for line in failing)
+    # a finite residual: the check ran and measured the fault instead of crashing
+    assert math.isfinite(_failed_residual(report, "channel-dual-path"))
 
 
 def test_verify_catches_corrupted_correlation_tensor(monkeypatch):
@@ -256,10 +261,13 @@ def test_verify_catches_corrupted_correlation_tensor(monkeypatch):
     monkeypatch.setattr(nonlocality_mod, "_PAULI_PRODUCTS", corrupted)
     results = {res.name: res for res in checks.run_checks("quick")}
     assert not results["evaluator-dual-path"].passed
+    assert math.isfinite(results["evaluator-dual-path"].residual)
 
 
 def test_verify_catches_corrupted_lattice_oracle(monkeypatch):
     # a transposed tensor swaps the parties inside the oracle only
     real = optimize.correlation_tensor
     monkeypatch.setattr(optimize, "correlation_tensor", lambda rho: real(rho).T)
-    assert not checks.check_lattice_dual_path().passed
+    result = checks.check_lattice_dual_path()
+    assert not result.passed
+    assert math.isfinite(result.residual)

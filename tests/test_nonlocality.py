@@ -12,8 +12,6 @@ from accelbell.nonlocality import (
     CHSH_QUANTUM_MAX,
     GAMMA_STAR,
     SVETLICHNY_QUANTUM_MAX,
-    ChshSettings,
-    SvetlichnySettings,
     chsh_restricted,
     chsh_restricted_max,
     chsh_threshold,
@@ -42,7 +40,7 @@ def damped_singlet(r):
 def chsh_tsirelson_settings():
     minus = -(Z_AXIS + X_AXIS) / SQRT2
     other = (X_AXIS - Z_AXIS) / SQRT2
-    return ChshSettings(a=Z_AXIS, a_prime=X_AXIS, b=minus, b_prime=other)
+    return np.stack([Z_AXIS, X_AXIS, minus, other])
 
 
 def test_correlation_singlet_axes():
@@ -87,7 +85,7 @@ def test_evaluators_reject_values_above_quantum_maximum():
 
 def test_chsh_degenerate_settings_bounded():
     d = random_direction(np.random.default_rng(3))
-    value = chsh_value(density(singlet()), ChshSettings(d, d, d, d))
+    value = chsh_value(density(singlet()), np.tile(d, (4, 1)))
     assert value <= 2.0 + 1e-12
 
 
@@ -119,8 +117,7 @@ def test_restricted_family_reduces_to_coplanar_at_rest():
     # at r = 0 the realizing family is the coplanar one: primed vectors on
     # opposite sides of z in the x-z plane, a'/b' angle 2 gamma
     for gamma in (0.3, 1.0, 2.1):
-        s = restricted_settings(gamma)
-        arr = s.as_array()
+        arr = restricted_settings(gamma)
         assert abs(arr[1] @ arr[3] - math.cos(2.0 * gamma)) < 1e-12
         assert np.max(np.abs(arr[:, 1])) < 1e-12  # x-z plane
 
@@ -201,7 +198,7 @@ def test_svetlichny_degenerate_pairs_bounded(rng):
     for _ in range(20):
         rho = random_density(rng, 3)
         a, c, cp, b = (random_direction(rng) for _ in range(4))
-        value = svetlichny_value(rho, SvetlichnySettings(a, a, c, cp, b, b))
+        value = svetlichny_value(rho, np.stack([a, a, c, cp, b, b]))
         assert value <= 4.0 + 1e-9
 
 
@@ -211,8 +208,8 @@ def test_svetlichny_swap_symmetry(rng):
     rho = random_density(rng, 3)
     for _ in range(20):
         a, ap, c, cp, b, bp = (random_direction(rng) for _ in range(6))
-        v1 = svetlichny_value(rho, SvetlichnySettings(a, ap, c, cp, b, bp))
-        v2 = svetlichny_value(rho, SvetlichnySettings(ap, a, cp, c, bp, b))
+        v1 = svetlichny_value(rho, np.stack([a, ap, c, cp, b, bp]))
+        v2 = svetlichny_value(rho, np.stack([ap, a, cp, c, bp, b]))
         assert abs(v1 - v2) < 1e-12
 
 
@@ -334,7 +331,7 @@ def test_correlation_tensor_rejects_other_shapes():
 
 def test_evaluators_reject_non_finite_input():
     rho2, rho3 = density(singlet()), density(gghz(0.3))
-    dirs4, dirs6 = chsh_tsirelson_settings().as_array(), np.tile(Z_AXIS, (6, 1))
+    dirs4, dirs6 = chsh_tsirelson_settings(), np.tile(Z_AXIS, (6, 1))
     for value in (math.nan, math.inf):
         bad2, bad3 = rho2.copy(), rho3.copy()
         bad2[1, 2] = bad3[0, 7] = value
@@ -354,7 +351,7 @@ def test_evaluators_reject_non_finite_input():
         for call in calls:
             with pytest.raises(ValueError, match="non-finite"):
                 call()
-        # (theta, phi) stacks are not settings; only the fields of ChshSettings take pairs
+        # (theta, phi) stacks are not settings: settings are unit 3-vectors only
         with pytest.raises(ValueError, match="expected 4 directions of dimension 3"):
             chsh_value(rho2, np.array([[0.0, 0.0], [value, 0.0], [0.0, 0.0], [1.0, 0.0]]))
 

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from accelbell.linalg import density, hermitian_eigenvalues, purity
+from accelbell.linalg import density, hermitian_eigenvalues
 from accelbell.states import singlet
 from accelbell.unruh import (
     R_MAX,
@@ -48,20 +50,22 @@ def test_acceleration_parameter_rejects_bad_input():
 
 
 def test_channel_identity_at_rest():
-    ch = build_channel(0.0)
-    assert_allclose(ch.kraus[0], np.eye(2))
-    assert np.all(ch.kraus[1] == 0)
+    k = build_channel(0.0)
+    assert k.shape == (2, 2, 2)
+    assert_allclose(k[0], np.eye(2))
+    assert np.all(k[1] == 0)
 
 
 def test_channel_completeness():
     for r in np.linspace(0.0, R_MAX, 20):
-        assert build_channel(r).completeness_residual() < 1e-12
+        k = build_channel(r)
+        assert np.max(np.abs(np.einsum("kba,kbc->ac", k.conj(), k) - np.eye(2))) < 1e-12  # sum_k K^dag K = 1
 
 
 def test_channel_infinite_acceleration():
-    ch = build_channel(math.pi / 4.0)
-    assert_allclose(ch.kraus[0], np.diag([1.0 / SQRT2, 1.0]))
-    assert abs(ch.kraus[1][1, 0] - 1.0 / SQRT2) < 1e-15
+    k = build_channel(math.pi / 4.0)
+    assert_allclose(k[0], np.diag([1.0 / SQRT2, 1.0]))
+    assert abs(k[1, 1, 0] - 1.0 / SQRT2) < 1e-15
     out = apply_channel(np.diag([1.0, 0.0]).astype(complex), 1, math.pi / 4.0)
     assert_allclose(out, np.eye(2) / 2.0, atol=1e-15)
 
@@ -120,28 +124,33 @@ def test_apply_channel_damped_singlet_spectrum():
     assert_allclose(hermitian_eigenvalues(rho), [0.0, 0.0, 0.25, 0.75], atol=1e-12)
 
 
-def test_dual_path_agreement(rng):
-    for _ in range(60):
-        n = int(rng.integers(1, 4))
-        psi = random_state(rng, n)
-        mode = int(rng.integers(1, n + 1))
-        r = float(rng.uniform(0.0, R_MAX))
-        kraus = apply_channel(density(psi), mode, r)
-        assert np.max(np.abs(kraus - dilate_and_trace(psi, mode, r))) < 1e-12
+# (mode count, damped mode): 1-3 modes and every mode index of each
+PLACEMENTS = st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n)))
 
 
-def test_apply_channel_output_is_density(rng):
-    for _ in range(30):
-        n = int(rng.integers(1, 4))
-        out = apply_channel(density(random_state(rng, n)), int(rng.integers(1, n + 1)), float(rng.uniform(0, R_MAX)))
-        assert np.max(np.abs(out - out.conj().T)) < 1e-12
-        assert abs(np.trace(out).real - 1.0) < 1e-12
-        assert hermitian_eigenvalues((out + out.conj().T) / 2)[0] >= -1e-10
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), placement=PLACEMENTS, r=st.floats(0.0, R_MAX))
+def test_dual_path_agreement(seed, placement, r):
+    modes, mode = placement
+    psi = random_state(np.random.default_rng(seed), modes)
+    out = apply_channel(density(psi), mode, r)
+    assert np.max(np.abs(out - dilate_and_trace(psi, mode, r))) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), placement=PLACEMENTS, r=st.floats(0.0, R_MAX))
+def test_apply_channel_output_is_density(seed, placement, r):
+    modes, mode = placement
+    out = apply_channel(density(random_state(np.random.default_rng(seed), modes)), mode, r)
+    assert np.max(np.abs(out - out.conj().T)) < 1e-12
+    assert abs(np.trace(out) - 1.0) < 1e-12
+    assert hermitian_eigenvalues(out)[0] >= -1e-12
 
 
 def test_purity_non_increasing_in_r():
     rho0 = density(singlet())
-    purities = [purity(apply_channel(rho0, 2, float(r))) for r in np.linspace(0.0, R_MAX, 12)]
+    damped = [apply_channel(rho0, 2, float(r)) for r in np.linspace(0.0, R_MAX, 12)]
+    purities = [np.einsum("ij,ji->", rho, rho).real for rho in damped]  # Tr[rho^2]
     assert all(a >= b - 1e-12 for a, b in zip(purities, purities[1:]))
 
 
