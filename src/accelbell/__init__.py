@@ -9,8 +9,8 @@ Library layout:
                   evaluators on unit-vector setting arrays, closed-form bounds, thresholds
     optimize      Bell maximizers: first party in closed form + simplex, separable lattice oracle
     entanglement  negativity and the residual tripartite tangle
-    checks        cross-module invariant suite (the `verify` command)
-    cli           sweep / threshold / verify / pi-tangle commands
+    checks        cross-module invariant suite (the `verify` command), timed per check
+    cli           sweep / threshold / verify / pi-tangle commands; one COLUMNS entry per sweep column
 """
 
 from .entanglement import PiTangle, negativity, pi_tangle
@@ -42,14 +42,7 @@ from .nonlocality import (
     violates_chsh,
     violates_svetlichny,
 )
-from .optimize import (
-    BudgetError,
-    OptimizeResult,
-    grid_oracle,
-    maximize_chsh,
-    maximize_over_spheres,
-    maximize_svetlichny,
-)
+from .optimize import BudgetError, OptimizeResult, grid_oracle, maximize_chsh, maximize_svetlichny
 from .states import direction, gghz, maximal_slice, singlet, spin_observable
 from .unruh import R_MAX, acceleration_parameter, apply_channel, build_channel, dilate
 

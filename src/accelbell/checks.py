@@ -5,11 +5,16 @@ lattice oracle dual paths, CPTP, correlation law, restricted-family equivalence,
 threshold, eigensolver, tangle endpoints, optimizer determinism); "full" adds
 the optimizer-vs-bound grids, the oracle cross-check and the tangle
 monotonicity sweeps.
+
+Each ``check_*`` function returns (residual, tolerance, detail).
+``run_checks`` times it and reports it under its function name without
+"check_" and with dashes, whether it passes, fails or raises.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +31,7 @@ class CheckResult:
     residual: float
     tolerance: float
     detail: str = ""
+    seconds: float = 0.0
 
 
 def _random_state(rng, n):
@@ -44,10 +50,6 @@ def _random_directions(rng, shape):
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def _check(name, residual, tolerance, detail=""):
-    return CheckResult(name, residual <= tolerance, float(residual), tolerance, detail)
-
-
 def _damped_singlet(r):
     return unruh.apply_channel(linalg.density(states.singlet()), 2, r)
 
@@ -63,7 +65,7 @@ def check_channel_dual_path(cases=50, seed=QUICK_SEED):
         kraus = unruh.apply_channel(linalg.density(psi), mode, r)
         reference = unruh.dilate_and_trace(psi, mode, r)
         worst = max(worst, float(np.max(np.abs(kraus - reference))))
-    return _check("channel-dual-path", worst, 1e-12, f"{cases} random states")
+    return worst, 1e-12, f"{cases} random states"
 
 
 def operator_bell_value(rho, dirs):
@@ -100,7 +102,7 @@ def check_evaluator_dual_path(cases=20, settings=25, seed=QUICK_SEED + 7):
         pair = linalg.tensor(states.spin_observable(a), states.spin_observable(b))
         worst = max(worst, abs(nonlocality.correlation(rho, a, b) - linalg.expectation(rho, pair)))
     detail = f"{cases} random mixed states per inequality, {settings} settings each, scalar and batched"
-    return _check("evaluator-dual-path", worst, 1e-12, detail)
+    return worst, 1e-12, detail
 
 
 def check_lattice_dual_path(cases=10, seed=QUICK_SEED + 8):
@@ -120,7 +122,7 @@ def check_lattice_dual_path(cases=10, seed=QUICK_SEED + 8):
             dirs = optimize._angles_to_directions(optimize._lattice(resolution))
             scan = float(np.max(evaluate(rho, dirs[np.stack(np.indices((len(dirs),) * 2 * modes), axis=-1)])))
             worst = max(worst, abs(value - scan), abs(evaluate(rho, setting) - scan))
-    return _check("lattice-dual-path", worst, 1e-12, f"{cases} random mixed states per inequality")
+    return worst, 1e-12, f"{cases} random mixed states per inequality"
 
 
 def check_channel_cptp(cases=50, seed=QUICK_SEED + 1):
@@ -135,14 +137,14 @@ def check_channel_cptp(cases=50, seed=QUICK_SEED + 1):
         tr = abs(complex(np.trace(out)) - 1.0)
         low = -float(linalg.hermitian_eigenvalues((out + out.conj().T) / 2)[0])
         worst = max(worst, herm, tr, low / 100.0)  # eigenvalue floor 1e-10 vs 1e-12 scale
-    return _check("channel-cptp", worst, 1e-12, "hermiticity, trace, positivity of outputs")
+    return worst, 1e-12, "hermiticity, trace, positivity of outputs"
 
 
-def check_channel_identity():
+def check_channel_identity_at_rest():
     rng = np.random.default_rng(QUICK_SEED + 2)
     rho = linalg.density(_random_state(rng, 2))
     residual = float(np.max(np.abs(unruh.apply_channel(rho, 1, 0.0) - rho)))
-    return _check("channel-identity-at-rest", residual, 0.0, "r = 0 must be the identity map")
+    return residual, 0.0, "r = 0 must be the identity map"
 
 
 def check_damped_correlation_law(grid=12):
@@ -153,10 +155,10 @@ def check_damped_correlation_law(grid=12):
             got = nonlocality.correlation(rho, states.Z_AXIS, (theta, 0.0))
             want = -math.cos(r) ** 2 * math.cos(theta)
             worst = max(worst, abs(got - want))
-    return _check("damped-correlation-law", worst, 1e-12, "C = -cos^2(r) cos(theta) on a grid")
+    return worst, 1e-12, "C = -cos^2(r) cos(theta) on a grid"
 
 
-def check_restricted_equivalence(cases=40, seed=QUICK_SEED + 3):
+def check_restricted_chsh_equivalence(cases=40, seed=QUICK_SEED + 3):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(cases):
@@ -165,7 +167,7 @@ def check_restricted_equivalence(cases=40, seed=QUICK_SEED + 3):
         full = nonlocality.chsh_value(_damped_singlet(r), nonlocality.restricted_settings(gamma, r))
         closed = nonlocality.chsh_restricted(r, gamma)
         worst = max(worst, abs(full - closed))
-    return _check("restricted-chsh-equivalence", worst, 1e-12, f"{cases} random (r, gamma)")
+    return worst, 1e-12, f"{cases} random (r, gamma)"
 
 
 def check_threshold_consistency():
@@ -177,10 +179,10 @@ def check_threshold_consistency():
         abs(math.cos(th.r_t) ** 2 - th.cos2_rt),
         abs(scan_max - 2.0),
     ]
-    return _check("threshold-consistency", max(residuals), 1e-9, "round trip and gamma scan at r_t")
+    return max(residuals), 1e-9, "round trip and gamma scan at r_t"
 
 
-def check_eigensolver(cases=150, seed=QUICK_SEED + 4):
+def check_eigensolver_trace_sum(cases=150, seed=QUICK_SEED + 4):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(cases):
@@ -189,14 +191,14 @@ def check_eigensolver(cases=150, seed=QUICK_SEED + 4):
         h = (g + g.conj().T) / 2
         evs = linalg.hermitian_eigenvalues(h)
         worst = max(worst, abs(float(np.sum(evs)) - float(np.trace(h).real)))
-    return _check("eigensolver-trace-sum", worst, 1e-10, f"{cases} random Hermitian matrices")
+    return worst, 1e-10, f"{cases} random Hermitian matrices"
 
 
-def check_tangle_endpoints():
+def check_pi_tangle_endpoints():
     ground = linalg.density(states.gghz(0.0))
     ghz = linalg.density(states.gghz(math.pi / 4))
     residual = max(abs(entanglement.pi_tangle(ground).pi), abs(entanglement.pi_tangle(ghz).pi - 1.0))
-    return _check("pi-tangle-endpoints", residual, 1e-10, "product state 0, GHZ 1")
+    return residual, 1e-10, "product state 0, GHZ 1"
 
 
 def check_optimizer_determinism():
@@ -204,7 +206,7 @@ def check_optimizer_determinism():
     first = optimize.maximize_chsh(rho, restarts=4, seed=11)
     second = optimize.maximize_chsh(rho, restarts=4, seed=11)
     same = first.value == second.value and np.array_equal(first.directions, second.directions)
-    return _check("optimizer-determinism", 0.0 if same else 1.0, 0.0, "identical seeds, identical output")
+    return 0.0 if same else 1.0, 0.0, "identical seeds, identical output"
 
 
 def check_horodecki_vs_numeric(points=8, seed=QUICK_SEED + 5):
@@ -213,10 +215,10 @@ def check_horodecki_vs_numeric(points=8, seed=QUICK_SEED + 5):
         rho = _damped_singlet(float(r))
         numeric = optimize.maximize_chsh(rho, restarts=12, seed=seed).value
         worst = max(worst, abs(nonlocality.horodecki_max(rho) - numeric))
-    return _check("horodecki-vs-numeric", worst, 1e-4, f"damped singlet, {points} r values")
+    return worst, 1e-4, f"damped singlet, {points} r values"
 
 
-def check_svetlichny_vs_envelope(seed=QUICK_SEED + 6):
+def check_svetlichny_numeric_vs_envelope(seed=QUICK_SEED + 6):
     margins = []
     worst = -math.inf
     for t1 in (math.pi / 16, math.pi / 8, math.pi / 4):
@@ -226,10 +228,10 @@ def check_svetlichny_vs_envelope(seed=QUICK_SEED + 6):
             ref = nonlocality.svetlichny_bound_gghz(t1, r)
             margins.append(f"t1={t1:.4f} r={r:.4f} numeric={numeric:.6f} envelope={ref.envelope:.6f}")
             worst = max(worst, numeric - ref.envelope)
-    return _check("svetlichny-numeric-vs-envelope", max(worst, 0.0), 1e-6, "; ".join(margins))
+    return max(worst, 0.0), 1e-6, "; ".join(margins)
 
 
-def check_tangle_monotonicity():
+def check_pi_tangle_monotonicity():
     thetas = np.linspace(math.pi / 24, math.pi / 4, 8)
     worst = -math.inf
     for r in (0.0, math.pi / 8, unruh.R_MAX - 0.01):
@@ -243,10 +245,10 @@ def check_tangle_monotonicity():
         for r in np.linspace(0.0, unruh.R_MAX, 8)
     ]
     worst = max(worst, float(np.max(np.diff(ghz_vals))))
-    return _check("pi-tangle-monotonicity", max(worst, 0.0), 1e-12, "increasing in theta1, decreasing in r")
+    return max(worst, 0.0), 1e-12, "increasing in theta1, decreasing in r"
 
 
-def check_ms_bounds():
+def check_ms_bounds_structure():
     thetas = np.linspace(0.0, math.pi / 2, 33)
     rs = np.linspace(0.0, unruh.R_MAX, 17)
     worst = 0.0
@@ -256,7 +258,7 @@ def check_ms_bounds():
         near_limit = bound(thetas, unruh.R_MAX - 0.01)
         if not np.any(near_limit > 4.0):
             worst = max(worst, 1.0)
-    return _check("ms-bounds-structure", max(worst, 0.0), 1e-12, "non-increasing in r, violation exists below r_max")
+    return max(worst, 0.0), 1e-12, "non-increasing in r, violation exists below r_max"
 
 
 QUICK_CHECKS = [
@@ -264,32 +266,37 @@ QUICK_CHECKS = [
     check_evaluator_dual_path,
     check_lattice_dual_path,
     check_channel_cptp,
-    check_channel_identity,
+    check_channel_identity_at_rest,
     check_damped_correlation_law,
-    check_restricted_equivalence,
+    check_restricted_chsh_equivalence,
     check_threshold_consistency,
-    check_eigensolver,
-    check_tangle_endpoints,
+    check_eigensolver_trace_sum,
+    check_pi_tangle_endpoints,
     check_optimizer_determinism,
 ]
 
 FULL_CHECKS = QUICK_CHECKS + [
     check_horodecki_vs_numeric,
-    check_svetlichny_vs_envelope,
-    check_tangle_monotonicity,
-    check_ms_bounds,
+    check_svetlichny_numeric_vs_envelope,
+    check_pi_tangle_monotonicity,
+    check_ms_bounds_structure,
 ]
 
 
 def run_checks(level: str = "quick") -> list[CheckResult]:
+    """Run and time each check; it passes when residual <= tolerance, and a check that raises fails."""
     if level not in ("quick", "full"):
         raise ValueError(f"unknown verify level {level!r} (use 'quick' or 'full')")
     results = []
     for fn in FULL_CHECKS if level == "full" else QUICK_CHECKS:
+        name = fn.__name__.removeprefix("check_").replace("_", "-")
+        start = time.perf_counter()
         try:
-            results.append(fn())
-        except Exception as exc:  # a crashed check is a failed check
-            results.append(CheckResult(fn.__name__.replace("check_", "").replace("_", "-"), False, math.inf, 0.0, f"raised {exc!r}"))
+            residual, tolerance, detail = fn()
+            passed = residual <= tolerance
+        except Exception as exc:
+            residual, tolerance, detail, passed = math.inf, 0.0, f"raised {exc!r}", False
+        results.append(CheckResult(name, passed, float(residual), tolerance, detail, time.perf_counter() - start))
     return results
 
 
@@ -299,7 +306,7 @@ def verify(level: str = "quick") -> tuple[int, str]:
     lines = []
     for res in results:
         status = "PASS" if res.passed else "FAIL"
-        lines.append(f"{status}  {res.name:<32} residual={res.residual:.3e}  tol={res.tolerance:.0e}")
+        lines.append(f"{status}  {res.name:<32} residual={res.residual:.3e}  tol={res.tolerance:.0e}  time={res.seconds:.3f}s")
         if res.detail and (not res.passed or res.name == "svetlichny-numeric-vs-envelope"):
             lines.append(f"      {res.detail}")
     failed = sum(not r.passed for r in results)

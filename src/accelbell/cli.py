@@ -37,19 +37,7 @@ STATE_BUILDERS = {
     "gghz": states.gghz,
     "ms": states.maximal_slice,
 }
-STATE_MODES = {"singlet": 2, "gghz": 3, "ms": 3}
-
-TWO_MODE_COLUMNS = ("chsh_restricted_max", "chsh_horodecki", "chsh_numeric")
-THREE_MODE_COLUMNS = ("svetlichny_bound", "svetlichny_envelope", "svetlichny_numeric", "pi_tangle")
-ALL_COLUMNS = TWO_MODE_COLUMNS + THREE_MODE_COLUMNS
-FLAGGED = {
-    "chsh_restricted_max": nonlocality.violates_chsh,
-    "chsh_horodecki": nonlocality.violates_chsh,
-    "chsh_numeric": nonlocality.violates_chsh,
-    "svetlichny_bound": nonlocality.violates_svetlichny,
-    "svetlichny_envelope": nonlocality.violates_svetlichny,
-    "svetlichny_numeric": nonlocality.violates_svetlichny,
-}
+STATE_MODES = {"singlet": (2, 2), "gghz": (3, 3), "ms": (3, 2)}  # state: (modes, default accelerated mode)
 
 
 @dataclass(frozen=True)
@@ -68,12 +56,51 @@ class SweepSpec:
     certify_resolution: float | None = None
 
 
+def _check_state(state: str, mode: int) -> int:
+    """Mode count of ``state``; raises ValueError for an unknown state or a mode it does not have."""
+    if state not in STATE_MODES:
+        raise ValueError(f"unknown state {state!r}; choose from {sorted(STATE_MODES)}")
+    n = STATE_MODES[state][0]
+    if not 1 <= mode <= n:
+        raise ValueError(f"mode {mode} out of range 1..{n} for state {state!r}")
+    return n
+
+
+def _damped(state: str, param: float, mode: int, r: float) -> np.ndarray:
+    return unruh.apply_channel(linalg.density(STATE_BUILDERS[state](param)), mode, r)
+
+
+def _numeric(spec: SweepSpec) -> dict:
+    return {"witness_resolution": spec.certify_resolution, "restarts": spec.restarts, "seed": spec.seed}
+
+
+def _svetlichny_bound(spec: SweepSpec, param: float, r: float, envelope: bool) -> float:
+    if spec.state == "gghz":
+        ref = nonlocality.svetlichny_bound_gghz(param, r)
+        return ref.envelope if envelope else ref.bound
+    if spec.mode in (1, 2):
+        return nonlocality.svetlichny_bound_ms_pair(param, r)
+    return nonlocality.svetlichny_bound_ms_slice(param, r)
+
+
+# column: (modes, evaluator(spec, param, r, damped state), violation test or None)
+COLUMNS = {
+    "chsh_restricted_max": (2, lambda spec, p, r, rho: nonlocality.chsh_restricted_max(r), nonlocality.violates_chsh),
+    "chsh_horodecki": (2, lambda spec, p, r, rho: nonlocality.horodecki_max(rho), nonlocality.violates_chsh),
+    "chsh_numeric": (2, lambda spec, p, r, rho: optimize.maximize_chsh(rho, **_numeric(spec)).value,
+                     nonlocality.violates_chsh),
+    "svetlichny_bound": (3, lambda spec, p, r, rho: _svetlichny_bound(spec, p, r, envelope=False),
+                         nonlocality.violates_svetlichny),
+    "svetlichny_envelope": (3, lambda spec, p, r, rho: _svetlichny_bound(spec, p, r, envelope=True),
+                            nonlocality.violates_svetlichny),
+    "svetlichny_numeric": (3, lambda spec, p, r, rho: optimize.maximize_svetlichny(rho, **_numeric(spec)).value,
+                           nonlocality.violates_svetlichny),
+    "pi_tangle": (3, lambda spec, p, r, rho: entanglement.pi_tangle(rho).pi, None),
+}
+
+
 def _validate_spec(spec: SweepSpec) -> None:
-    if spec.state not in STATE_BUILDERS:
-        raise ValueError(f"unknown state {spec.state!r}; choose from {sorted(STATE_BUILDERS)}")
-    n = STATE_MODES[spec.state]
-    if not 1 <= spec.mode <= n:
-        raise ValueError(f"mode {spec.mode} out of range 1..{n} for state {spec.state!r}")
+    n = _check_state(spec.state, spec.mode)
     for label, start, stop, steps in (
         ("param", spec.param_start, spec.param_stop, spec.param_steps),
         ("r", spec.r_start, spec.r_stop, spec.r_steps),
@@ -89,46 +116,20 @@ def _validate_spec(spec: SweepSpec) -> None:
     if not spec.columns:
         raise ValueError("no output columns requested")
     for col in spec.columns:
-        if col not in ALL_COLUMNS:
-            raise ValueError(f"unknown column {col!r}; choose from {ALL_COLUMNS}")
-        if n == 2 and col in THREE_MODE_COLUMNS:
-            raise ValueError(f"column {col!r} needs a three-mode state, not {spec.state!r}")
-        if n == 3 and col in TWO_MODE_COLUMNS:
-            raise ValueError(f"column {col!r} needs a two-mode state, not {spec.state!r}")
-
-
-def _svetlichny_bound(spec: SweepSpec, param: float, r: float, envelope: bool) -> float:
-    if spec.state == "gghz":
-        ref = nonlocality.svetlichny_bound_gghz(param, r)
-        return ref.envelope if envelope else ref.bound
-    if spec.mode in (1, 2):
-        return nonlocality.svetlichny_bound_ms_pair(param, r)
-    return nonlocality.svetlichny_bound_ms_slice(param, r)
+        if col not in COLUMNS:
+            raise ValueError(f"unknown column {col!r}; choose from {tuple(COLUMNS)}")
+        modes = COLUMNS[col][0]
+        if modes != n:
+            raise ValueError(f"column {col!r} needs a {'two' if modes == 2 else 'three'}-mode state, not {spec.state!r}")
 
 
 def _row_values(spec: SweepSpec, param: float, r: float) -> list:
-    psi = STATE_BUILDERS[spec.state](param)
-    damped = unruh.apply_channel(linalg.density(psi), spec.mode, r)
-    numeric = {"witness_resolution": spec.certify_resolution, "restarts": spec.restarts, "seed": spec.seed}
+    damped = _damped(spec.state, param, spec.mode, r)
     out = [param, r]
     for col in spec.columns:
-        if col == "chsh_restricted_max":
-            value = nonlocality.chsh_restricted_max(r)
-        elif col == "chsh_horodecki":
-            value = nonlocality.horodecki_max(damped)
-        elif col == "chsh_numeric":
-            value = optimize.maximize_chsh(damped, **numeric).value
-        elif col == "svetlichny_bound":
-            value = _svetlichny_bound(spec, param, r, envelope=False)
-        elif col == "svetlichny_envelope":
-            value = _svetlichny_bound(spec, param, r, envelope=True)
-        elif col == "svetlichny_numeric":
-            value = optimize.maximize_svetlichny(damped, **numeric).value
-        else:
-            value = entanglement.pi_tangle(damped).pi
-        out.append(value)
-        if col in FLAGGED:
-            out.append(FLAGGED[col](value))
+        _, evaluate, violates = COLUMNS[col]
+        value = evaluate(spec, param, r, damped)
+        out += [value] if violates is None else [value, violates(value)]
     return out
 
 
@@ -151,9 +152,7 @@ def run_sweep(spec: SweepSpec) -> str:
     rows = [_row_values(spec, float(p), float(r)) for p in params for r in rs]
     header = ["param", "r"]
     for col in spec.columns:
-        header.append(col)
-        if col in FLAGGED:
-            header.append(col + "_violation")
+        header += [col] if COLUMNS[col][2] is None else [col, col + "_violation"]
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
@@ -175,16 +174,11 @@ def solve_threshold() -> dict:
 
 
 def solve_pi_tangle(state: str, param: float, r: float, mode: int) -> dict:
-    if state not in STATE_BUILDERS:
-        raise ValueError(f"unknown state {state!r}")
-    if not 1 <= mode <= STATE_MODES[state]:
-        raise ValueError(f"mode {mode} out of range for state {state!r}")
-    if STATE_MODES[state] != 3:
+    if _check_state(state, mode) != 3:
         raise ValueError("pi-tangle needs a three-mode state")
     if not math.isfinite(param):
         raise ValueError(f"state parameter must be finite, got {param!r}")
-    damped = unruh.apply_channel(linalg.density(STATE_BUILDERS[state](param)), mode, r)
-    tangle = entanglement.pi_tangle(damped)
+    tangle = entanglement.pi_tangle(_damped(state, param, mode, r))
     return {
         "state": state,
         "param": _sig(param),
@@ -232,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--level", choices=("quick", "full"), default="quick")
 
     pt = sub.add_parser("pi-tangle", help="residual tangle of a damped state, JSON output")
-    pt.add_argument("--state", required=True, choices=("gghz", "ms"))
+    pt.add_argument("--state", required=True, choices=[s for s, (n, _) in STATE_MODES.items() if n == 3])
     pt.add_argument("--param", type=float, required=True)
     pt.add_argument("--r", type=float, default=None)
     pt.add_argument("--omega", type=float, default=None, help="frequency-to-acceleration ratio; --r wins if both given")
@@ -248,8 +242,9 @@ def main(argv=None) -> int:
         seed = _default_seed()
         if getattr(args, "out", None):
             open(args.out, "a").close()  # a bad path fails before computing, and existing content is kept
+        if "state" in vars(args) and args.mode is None:
+            args.mode = STATE_MODES[args.state][1]
         if args.command == "sweep":
-            mode = args.mode if args.mode is not None else (3 if args.state == "gghz" else 2)
             spec = SweepSpec(
                 state=args.state,
                 param_start=args.param_start,
@@ -258,7 +253,7 @@ def main(argv=None) -> int:
                 r_start=args.r_start,
                 r_stop=args.r_stop,
                 r_steps=args.r_steps,
-                mode=mode,
+                mode=args.mode,
                 columns=tuple(c.strip() for c in args.columns.split(",") if c.strip()),
                 seed=seed if args.seed is None else args.seed,
                 restarts=args.restarts,
@@ -280,8 +275,7 @@ def main(argv=None) -> int:
                 r = unruh.acceleration_parameter(args.omega)
             else:
                 raise ValueError("pi-tangle needs --r or --omega")
-            mode = args.mode if args.mode is not None else (3 if args.state == "gghz" else 2)
-            _write(json.dumps(solve_pi_tangle(args.state, args.param, r, mode), indent=2) + "\n", args.out)
+            _write(json.dumps(solve_pi_tangle(args.state, args.param, r, args.mode), indent=2) + "\n", args.out)
             return 0
         raise ValueError(f"unknown command {args.command!r}")
     except optimize.BudgetError as exc:

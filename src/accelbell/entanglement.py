@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .linalg import mode_count, partial_trace, partial_transpose, trace_norm
 
 __all__ = ["PiTangle", "negativity", "pi_tangle"]
@@ -23,8 +25,6 @@ def negativity(rho, pivot) -> float:
     and the transpose acts on mode i.  Always >= 0; zero iff the partial
     transpose stays positive semidefinite.
     """
-    import numpy as np
-
     rho = np.asarray(rho, dtype=complex)
     n = mode_count(rho.shape[0])
     if isinstance(pivot, (tuple, list)):
@@ -67,8 +67,6 @@ def pi_tangle(rho) -> PiTangle:
     pair is computed once.  Components are reported raw; only the aggregate
     is clamped to zero when it is negative by less than 1e-12.
     """
-    import numpy as np
-
     rho = np.asarray(rho, dtype=complex)
     if mode_count(rho.shape[0]) != 3:
         raise ValueError("pi_tangle needs a three-mode operator")

@@ -6,12 +6,14 @@ A Bell value |sum beta T(u_x, v_y(, w_z))| is multilinear in the settings
 ``maximize_chsh``/``maximize_svetlichny`` solve the first party in closed
 form: with X_x = sum beta[x, ...] T(., v_y(, w_z)) (``bell_fields``), the
 maximum of |a.X_0 + a'.X_1| over unit a, a' is |X_0| + |X_1| (Horodecki,
-Horodecki & Horodecki, PLA 200, 340 (1995)).  ``maximize_over_spheres``, a
-multistart Nelder-Mead simplex in (theta, phi) angles from seeded uniform
-starts (ties to the lowest restart), searches the other settings; then
-a, a' = X/|X| (z where X = 0) and the evaluator gives the value at the full
-setting.  A simplex stops at objective spread ``TOLERANCE`` or after
-``MAX_ITERATIONS`` iterations; ``OptimizeResult.converged`` says which.
+Horodecki & Horodecki, PLA 200, 340 (1995)).  A multistart Nelder-Mead
+simplex in (theta, phi) angles maximizes |X_0| + |X_1| over the other
+settings from ``restarts`` seeded uniform starts; the best start (ties to
+the lowest restart), or the lattice witness's other settings when they
+are better, seeds a tight polish.  Then a, a' = X/|X| (z where X = 0) and
+the evaluator gives the value at the full setting.  A simplex stops at
+objective spread ``TOLERANCE`` or after ``MAX_ITERATIONS`` iterations;
+``OptimizeResult.converged`` says which.
 
 ``grid_oracle``, the independent certification path, scans the lattice
 theta in {0, res, ..., pi} x phi in {0, res, ..., 2 pi - res} for every
@@ -26,7 +28,7 @@ settings raise ``BudgetError``; the lattice grows as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +42,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "BudgetError",
     "OptimizeResult",
-    "maximize_over_spheres",
     "grid_oracle",
     "maximize_chsh",
     "maximize_svetlichny",
@@ -55,9 +56,10 @@ class BudgetError(RuntimeError):
 class OptimizeResult:
     """Best value found, with the settings that achieve it.
 
-    ``start_values`` are the objective values at every restart's initial
-    point (the reported value never falls below any of them);
-    ``oracle_value`` is the lattice witness when one was requested.
+    ``evaluations`` counts the calls of the reduced objective |X_0| + |X_1|:
+    every simplex move of the restarts and the polish, plus one for the
+    witness; the final evaluator call is not counted.  ``oracle_value`` is
+    the lattice witness's value when one was requested.
     ``converged`` is False when the winning restart's simplex or the final
     polish stopped at ``MAX_ITERATIONS`` rather than at ``TOLERANCE``: it
     reports the stopping rule on the spread of the simplex's values, not
@@ -67,10 +69,8 @@ class OptimizeResult:
 
     value: float
     directions: np.ndarray
-    restart: int
     evaluations: int
     converged: bool
-    start_values: tuple = field(default=())
     oracle_value: float | None = None
 
 
@@ -139,65 +139,6 @@ def _nelder_mead(fn, x0: np.ndarray, step: float = 0.35):
     return pts[best], float(vals[best]), evals, converged
 
 
-def maximize_over_spheres(
-    objective,
-    n_vectors: int,
-    witness: np.ndarray | None = None,
-    *,
-    restarts: int = 64,
-    seed: int = 0,
-) -> OptimizeResult:
-    """Multistart simplex maximization of ``objective``, a float of an (n, 3) array of unit rows.
-
-    ``restarts`` seeded uniform starts each run a simplex; the best one is
-    polished by a tight simplex.  ``witness``, the (theta, phi) angles of a
-    lattice point, seeds the polish instead if it beats every restart.
-    """
-    if restarts < 1:
-        raise ValueError(f"restarts must be positive, got {restarts!r}")
-    rng = np.random.default_rng(seed)
-    total_evals = 0
-
-    def negated(x: np.ndarray) -> float:
-        value = float(objective(_angles_to_directions(x)))
-        if not math.isfinite(value):
-            raise ValueError(f"objective returned non-finite value {value!r} at angles {np.round(x, 6)!r}")
-        return -value
-
-    best_value, best_x, best_restart, best_converged = -math.inf, None, -1, False
-    start_values = []
-    for restart in range(restarts):
-        x0 = _sample_start(rng, n_vectors)
-        start_values.append(-negated(x0))
-        total_evals += 1
-        x, neg_val, evals, converged = _nelder_mead(negated, x0)
-        total_evals += evals
-        if -neg_val > best_value:
-            best_value, best_x, best_restart, best_converged = -neg_val, x, restart, converged
-
-    if witness is not None:
-        witness_value = -negated(witness)
-        total_evals += 1
-        if witness_value > best_value:
-            # a witness is no simplex result; only the polish below can cap
-            best_value, best_x, best_converged = witness_value, np.asarray(witness, dtype=float), True
-
-    # polish with a tight simplex around the winner
-    x, neg_val, evals, polish_converged = _nelder_mead(negated, best_x, step=0.05)
-    total_evals += evals
-    if -neg_val > best_value:
-        best_value, best_x = -neg_val, x
-
-    return OptimizeResult(
-        value=best_value,
-        directions=_angles_to_directions(best_x),
-        restart=best_restart,
-        evaluations=total_evals,
-        converged=best_converged and polish_converged,
-        start_values=tuple(start_values),
-    )
-
-
 def _lattice(resolution: float) -> np.ndarray:
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise ValueError(f"resolution {resolution!r} must be a positive angle")
@@ -241,14 +182,44 @@ def _maximize_bell(rho, modes, witness_resolution, restarts, seed) -> OptimizeRe
     if witness_resolution is not None:
         oracle_value, angles = _grid_search(t, witness_resolution)
         witness = angles[4:]  # a and a' dropped
-    objective = lambda d: float(np.linalg.norm(bell_fields(t, d), axis=1).sum())
-    result = maximize_over_spheres(objective, 2 * modes - 2, witness, restarts=restarts, seed=seed)
-    x = bell_fields(t, result.directions)
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    first = np.divide(x, norms, out=np.tile([0.0, 0.0, 1.0], (2, 1)), where=norms > 0.0)
-    directions = np.vstack([first, result.directions])
-    value = (chsh_value if modes == 2 else svetlichny_value)(rho, directions)
-    return replace(result, value=value, directions=directions, oracle_value=oracle_value)
+    if restarts < 1:
+        raise ValueError(f"restarts must be positive, got {restarts!r}")
+    rng = np.random.default_rng(seed)
+
+    def negated(x: np.ndarray) -> float:
+        value = float(np.linalg.norm(bell_fields(t, _angles_to_directions(x)), axis=1).sum())
+        if not math.isfinite(value):
+            raise ValueError(f"objective returned non-finite value {value!r} at angles {np.round(x, 6)!r}")
+        return -value
+
+    best_value, best_x, best_converged, evaluations = -math.inf, None, False, 0
+    for _ in range(restarts):
+        x, neg_val, evals, converged = _nelder_mead(negated, _sample_start(rng, 2 * modes - 2))
+        evaluations += evals
+        if -neg_val > best_value:
+            best_value, best_x, best_converged = -neg_val, x, converged
+    if witness is not None:
+        witness_value = -negated(witness)
+        evaluations += 1
+        if witness_value > best_value:
+            # a witness is no simplex result; only the polish below can cap
+            best_value, best_x, best_converged = witness_value, witness, True
+    x, neg_val, evals, polish_converged = _nelder_mead(negated, best_x, step=0.05)
+    evaluations += evals
+    if -neg_val > best_value:
+        best_x = x
+    later = _angles_to_directions(best_x)
+    fields = bell_fields(t, later)
+    norms = np.linalg.norm(fields, axis=1, keepdims=True)
+    first = np.divide(fields, norms, out=np.tile([0.0, 0.0, 1.0], (2, 1)), where=norms > 0.0)
+    directions = np.vstack([first, later])
+    return OptimizeResult(
+        value=(chsh_value if modes == 2 else svetlichny_value)(rho, directions),
+        directions=directions,
+        evaluations=evaluations,
+        converged=best_converged and polish_converged,
+        oracle_value=oracle_value,
+    )
 
 
 def maximize_chsh(

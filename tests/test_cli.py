@@ -13,6 +13,12 @@ from accelbell.cli import SweepSpec, main, run_sweep, solve_pi_tangle, solve_thr
 
 SQRT2 = math.sqrt(2.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
+FULL_CHECK_NAMES = [
+    "channel-dual-path", "evaluator-dual-path", "lattice-dual-path", "channel-cptp", "channel-identity-at-rest",
+    "damped-correlation-law", "restricted-chsh-equivalence", "threshold-consistency", "eigensolver-trace-sum",
+    "pi-tangle-endpoints", "optimizer-determinism", "horodecki-vs-numeric", "svetlichny-numeric-vs-envelope",
+    "pi-tangle-monotonicity", "ms-bounds-structure",
+]
 
 
 def bound_spec(**overrides):
@@ -227,6 +233,23 @@ def test_verify_full_level_passes():
     # the optimizer-vs-envelope margins are part of the full report
     assert "svetlichny-numeric-vs-envelope" in report
     assert "envelope=" in report
+    passes = [line.split() for line in report.split("\n") if line.startswith("PASS")]
+    assert [fields[1] for fields in passes] == FULL_CHECK_NAMES
+    assert all(fields[4].startswith("time=") and fields[4].endswith("s") for fields in passes)
+
+
+class _Raising:
+    def __getattr__(self, name):
+        raise RuntimeError(f"forced failure at {name}")
+
+
+def test_verify_raising_checks_keep_their_names(monkeypatch):
+    # every check reaches one of these modules before doing any work
+    for module in ("np", "linalg", "states", "unruh", "nonlocality", "optimize", "entanglement"):
+        monkeypatch.setattr(checks, module, _Raising())
+    results = checks.run_checks("full")
+    assert [res.name for res in results] == FULL_CHECK_NAMES
+    assert all(not res.passed and res.residual == math.inf and "forced failure" in res.detail for res in results)
 
 
 def _failed_residual(report, name):
@@ -268,6 +291,6 @@ def test_verify_catches_corrupted_lattice_oracle(monkeypatch):
     # a transposed tensor swaps the parties inside the oracle only
     real = optimize.correlation_tensor
     monkeypatch.setattr(optimize, "correlation_tensor", lambda rho: real(rho).T)
-    result = checks.check_lattice_dual_path()
-    assert not result.passed
-    assert math.isfinite(result.residual)
+    residual, tolerance, _ = checks.check_lattice_dual_path()
+    assert not residual <= tolerance
+    assert math.isfinite(residual)
