@@ -121,6 +121,7 @@ def _validate_spec(spec: SweepSpec) -> None:
         modes = COLUMNS[col][0]
         if modes != n:
             raise ValueError(f"column {col!r} needs a {'two' if modes == 2 else 'three'}-mode state, not {spec.state!r}")
+    optimize._check_search(spec.restarts, spec.certify_resolution)
 
 
 def _row_values(spec: SweepSpec, param: float, r: float) -> list:
@@ -176,8 +177,6 @@ def solve_threshold() -> dict:
 def solve_pi_tangle(state: str, param: float, r: float, mode: int) -> dict:
     if _check_state(state, mode) != 3:
         raise ValueError("pi-tangle needs a three-mode state")
-    if not math.isfinite(param):
-        raise ValueError(f"state parameter must be finite, got {param!r}")
     tangle = entanglement.pi_tangle(_damped(state, param, mode, r))
     return {
         "state": state,

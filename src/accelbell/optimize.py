@@ -6,14 +6,14 @@ A Bell value |sum beta T(u_x, v_y(, w_z))| is multilinear in the settings
 ``maximize_chsh``/``maximize_svetlichny`` solve the first party in closed
 form: with X_x = sum beta[x, ...] T(., v_y(, w_z)) (``bell_fields``), the
 maximum of |a.X_0 + a'.X_1| over unit a, a' is |X_0| + |X_1| (Horodecki,
-Horodecki & Horodecki, PLA 200, 340 (1995)).  A multistart Nelder-Mead
-simplex in (theta, phi) angles maximizes |X_0| + |X_1| over the other
-settings from ``restarts`` seeded uniform starts; the best start (ties to
-the lowest restart), or the lattice witness's other settings when they
-are better, seeds a tight polish.  Then a, a' = X/|X| (z where X = 0) and
-the evaluator gives the value at the full setting.  A simplex stops at
-objective spread ``TOLERANCE`` or after ``MAX_ITERATIONS`` iterations;
-``OptimizeResult.converged`` says which.
+Horodecki & Horodecki, PLA 200, 340 (1995)).  A Nelder-Mead simplex in
+(theta, phi) angles maximizes it over the other settings once per start:
+``restarts`` seeded uniform starts, then the lattice witness's other
+settings (small initial step) when ``witness_resolution`` is given.  The
+best run wins, ties to the earliest start.  Then a, a' = X/|X| (z where
+X = 0) and the evaluator gives the value at the full setting.  A simplex
+stops at objective spread ``TOLERANCE`` or after ``MAX_ITERATIONS``
+iterations; ``OptimizeResult.converged`` says which.
 
 ``grid_oracle``, the independent certification path, scans the lattice
 theta in {0, res, ..., pi} x phi in {0, res, ..., 2 pi - res} for every
@@ -56,12 +56,10 @@ class BudgetError(RuntimeError):
 class OptimizeResult:
     """Best value found, with the settings that achieve it.
 
-    ``evaluations`` counts the calls of the reduced objective |X_0| + |X_1|:
-    every simplex move of the restarts and the polish, plus one for the
-    witness; the final evaluator call is not counted.  ``oracle_value`` is
-    the lattice witness's value when one was requested.
-    ``converged`` is False when the winning restart's simplex or the final
-    polish stopped at ``MAX_ITERATIONS`` rather than at ``TOLERANCE``: it
+    ``evaluations`` counts the calls of the reduced objective |X_0| + |X_1|
+    over every simplex run, the witness's included; the final evaluator
+    call is not counted.  ``converged`` is False when the winning run's
+    simplex stopped at ``MAX_ITERATIONS`` rather than at ``TOLERANCE``: it
     reports the stopping rule on the spread of the simplex's values, not
     the distance to the maximum.  The damped singlet at r = 1.06e-4 (16
     restarts, seed 1) converges 2.5e-9 below ``horodecki_max``.
@@ -71,7 +69,6 @@ class OptimizeResult:
     directions: np.ndarray
     evaluations: int
     converged: bool
-    oracle_value: float | None = None
 
 
 def _angles_to_directions(x: np.ndarray) -> np.ndarray:
@@ -139,12 +136,17 @@ def _nelder_mead(fn, x0: np.ndarray, step: float = 0.35):
     return pts[best], float(vals[best]), evals, converged
 
 
-def _lattice(resolution: float) -> np.ndarray:
+def _lattice_steps(resolution: float) -> int:
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise ValueError(f"resolution {resolution!r} must be a positive angle")
     k = round(math.pi / resolution)
     if k < 1 or abs(math.pi / resolution - k) > 1e-9:
         raise ValueError(f"resolution {resolution!r} must divide pi")
+    return k
+
+
+def _lattice(resolution: float) -> np.ndarray:
+    k = _lattice_steps(resolution)
     thetas = np.arange(k + 1) * resolution
     phis = np.arange(2 * k) * resolution
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
@@ -176,15 +178,17 @@ def grid_oracle(rho: np.ndarray, resolution: float) -> tuple[float, np.ndarray]:
     return value, _angles_to_directions(angles)
 
 
-def _maximize_bell(rho, modes, witness_resolution, restarts, seed) -> OptimizeResult:
-    t = _tensor(rho, modes)
-    oracle_value, witness = None, None
-    if witness_resolution is not None:
-        oracle_value, angles = _grid_search(t, witness_resolution)
-        witness = angles[4:]  # a and a' dropped
+def _check_search(restarts: int, witness_resolution: float | None) -> None:
+    """Raise ValueError for restarts < 1 or a witness resolution that is not a positive angle dividing pi."""
     if restarts < 1:
         raise ValueError(f"restarts must be positive, got {restarts!r}")
-    rng = np.random.default_rng(seed)
+    if witness_resolution is not None:
+        _lattice_steps(witness_resolution)
+
+
+def _maximize_bell(rho, modes, witness_resolution, restarts, seed) -> OptimizeResult:
+    _check_search(restarts, witness_resolution)
+    t = _tensor(rho, modes)
 
     def negated(x: np.ndarray) -> float:
         value = float(np.linalg.norm(bell_fields(t, _angles_to_directions(x)), axis=1).sum())
@@ -192,34 +196,20 @@ def _maximize_bell(rho, modes, witness_resolution, restarts, seed) -> OptimizeRe
             raise ValueError(f"objective returned non-finite value {value!r} at angles {np.round(x, 6)!r}")
         return -value
 
-    best_value, best_x, best_converged, evaluations = -math.inf, None, False, 0
-    for _ in range(restarts):
-        x, neg_val, evals, converged = _nelder_mead(negated, _sample_start(rng, 2 * modes - 2))
-        evaluations += evals
-        if -neg_val > best_value:
-            best_value, best_x, best_converged = -neg_val, x, converged
-    if witness is not None:
-        witness_value = -negated(witness)
-        evaluations += 1
-        if witness_value > best_value:
-            # a witness is no simplex result; only the polish below can cap
-            best_value, best_x, best_converged = witness_value, witness, True
-    x, neg_val, evals, polish_converged = _nelder_mead(negated, best_x, step=0.05)
-    evaluations += evals
-    if -neg_val > best_value:
-        best_x = x
+    rng = np.random.default_rng(seed)
+    starts = [(_sample_start(rng, 2 * modes - 2), 0.35) for _ in range(restarts)]
+    if witness_resolution is not None:
+        # a and a' dropped; the witness lies within one lattice cell of a maximum, so its simplex starts small
+        starts.append((_grid_search(t, witness_resolution)[1][4:], 0.05))
+    runs = [_nelder_mead(negated, x0, step) for x0, step in starts]
+    best_x, _, _, converged = min(runs, key=lambda run: run[1])  # the earliest start wins a tie
     later = _angles_to_directions(best_x)
     fields = bell_fields(t, later)
     norms = np.linalg.norm(fields, axis=1, keepdims=True)
     first = np.divide(fields, norms, out=np.tile([0.0, 0.0, 1.0], (2, 1)), where=norms > 0.0)
     directions = np.vstack([first, later])
-    return OptimizeResult(
-        value=(chsh_value if modes == 2 else svetlichny_value)(rho, directions),
-        directions=directions,
-        evaluations=evaluations,
-        converged=best_converged and polish_converged,
-        oracle_value=oracle_value,
-    )
+    value = (chsh_value if modes == 2 else svetlichny_value)(rho, directions)
+    return OptimizeResult(value, directions, sum(run[2] for run in runs), converged)
 
 
 def maximize_chsh(

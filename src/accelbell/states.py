@@ -4,7 +4,7 @@ Kets follow the linalg convention (mode 1 = most significant bit), and all
 hbar factors are absorbed so that correlations are dimensionless Pauli
 expectations.  Control angles outside the canonical parameter range are
 folded back in by the relabeling symmetry of the state family and the fold
-is reported on this module's logger.
+is reported on this module's logger; a non-finite angle raises ValueError.
 """
 
 from __future__ import annotations
@@ -70,7 +70,9 @@ def spin_observable(d) -> np.ndarray:
 
 
 def _fold(theta: float, period: float, upper: float, label: str) -> float:
-    """Fold an angle into [0, upper] by the family's relabeling symmetry."""
+    """Fold an angle into [0, upper] by the family's relabeling symmetry; a non-finite angle raises ValueError."""
+    if not math.isfinite(theta):
+        raise ValueError(f"{label}: non-finite control angle {theta!r}")
     t = float(theta) % period
     if t > upper:
         t = period - t

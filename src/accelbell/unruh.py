@@ -45,11 +45,11 @@ def acceleration_parameter(omega_ratio: float) -> float:
 
     Monotone decreasing in W: the boundary W = 0 (infinite acceleration)
     gives r = pi/4, and W -> infinity (inertial) gives r -> 0.  Negative or
-    NaN input is rejected.
+    non-finite input is rejected.
     """
     w = float(omega_ratio)
-    if math.isnan(w) or w < 0.0:
-        raise ValueError(f"frequency-to-acceleration ratio must be >= 0, got {omega_ratio!r}")
+    if not (math.isfinite(w) and w >= 0.0):
+        raise ValueError(f"frequency-to-acceleration ratio must be finite and >= 0, got {omega_ratio!r}")
     # exp underflows to 0 for large w, giving r = 0 exactly
     return math.acos(1.0 / math.sqrt(1.0 + math.exp(-2.0 * math.pi * w)))
 

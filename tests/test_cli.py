@@ -184,6 +184,12 @@ def test_main_usage_errors(capsys, monkeypatch, tmp_path):
     assert main(small + ["--param-start", "nan", "--param-stop", "0.5"]) == 2
     assert main(small + ["--param-stop", "inf"]) == 2
     assert main(["pi-tangle", "--state", "gghz", "--param", "nan", "--r", "0.2"]) == 2
+    assert main(["pi-tangle", "--state", "gghz", "--param", "0.5", "--omega", "inf"]) == 2
+    # --restarts and --certify are checked for every column set, before any row and before the lattice budget
+    singlet = ["sweep", "--state", "singlet", "--r-steps", "2"]
+    assert main(singlet + ["--columns", "chsh_horodecki", "--restarts", "0"]) == 2
+    assert main(singlet + ["--columns", "chsh_horodecki", "--certify", "-1"]) == 2
+    assert main(singlet + ["--columns", "chsh_numeric", "--restarts", "0", "--certify", "0.19634954084936207"]) == 2
     # a rejected command leaves an existing --out file as it was
     kept = tmp_path / "kept.csv"
     kept.write_text("earlier results\n")
@@ -196,7 +202,7 @@ def test_main_usage_errors(capsys, monkeypatch, tmp_path):
     assert main(["threshold", "--out", missing]) == 2
     assert main(["pi-tangle", "--state", "gghz", "--param", "0.3", "--r", "0.2", "--out", missing]) == 2
     errors = capsys.readouterr().err.splitlines()
-    assert len(errors) == 7 and all(line.startswith("error: ") for line in errors)
+    assert len(errors) == 11 and all(line.startswith("error: ") for line in errors)
 
 
 def test_bad_seed_environment_is_usage_error():

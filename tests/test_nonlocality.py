@@ -25,7 +25,7 @@ from accelbell.nonlocality import (
     svetlichny_bound_ms_slice,
     svetlichny_value,
 )
-from accelbell.states import X_AXIS, Z_AXIS, gghz, singlet, spin_observable
+from accelbell.states import X_AXIS, Z_AXIS, gghz, maximal_slice, singlet, spin_observable
 from accelbell.unruh import R_MAX, acceleration_parameter, apply_channel
 
 from helpers import random_density, random_direction, random_directions, random_unitary
@@ -347,6 +347,8 @@ def test_evaluators_reject_non_finite_input():
             lambda: correlation(rho2, (value, 0.0), Z_AXIS),
             lambda: horodecki_max(bad2),
             lambda: correlation_tensor(bad3),
+            lambda: gghz(value),
+            lambda: maximal_slice(value),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="non-finite"):

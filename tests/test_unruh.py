@@ -23,7 +23,6 @@ SQRT2 = math.sqrt(2.0)
 
 
 def test_acceleration_parameter_boundaries():
-    assert acceleration_parameter(float("inf")) == 0.0
     assert abs(acceleration_parameter(0.0) - math.pi / 4.0) < 1e-15
     assert acceleration_parameter(1e6) == 0.0  # exponent underflows cleanly
 
@@ -45,8 +44,9 @@ def test_acceleration_parameter_monotone():
 def test_acceleration_parameter_rejects_bad_input():
     with pytest.raises(ValueError):
         acceleration_parameter(-0.1)
-    with pytest.raises(ValueError):
-        acceleration_parameter(float("nan"))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            acceleration_parameter(bad)
 
 
 def test_channel_identity_at_rest():
