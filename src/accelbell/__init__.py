@@ -3,12 +3,12 @@
 Library layout:
 
     linalg        dense complex operators, partial trace/transpose, checked eigvalsh
-    states        singlet / generalized GHZ / maximal slice states, spin observables
+    states        singlet / generalized GHZ / maximal slice states, spin observables along unit 3-vectors
     unruh         acceleration parameter, the wedge damping channel as a Kraus array, its dilation
     nonlocality   correlation tensor, its one Bell contraction (bell_fields), CHSH/Svetlichny
                   evaluators on unit-vector setting arrays, closed-form bounds, thresholds
     optimize      Bell maximizers: first party in closed form + simplex, separable lattice oracle
-    entanglement  negativity and the residual tripartite tangle
+    entanglement  negativity across one mode (pairs via linalg.partial_trace), residual tripartite tangle
     checks        cross-module invariant suite (the `verify` command), timed per check
     cli           sweep / threshold / verify / pi-tangle commands; one COLUMNS entry per sweep column
 """
@@ -43,7 +43,7 @@ from .nonlocality import (
     violates_svetlichny,
 )
 from .optimize import BudgetError, OptimizeResult, grid_oracle, maximize_chsh, maximize_svetlichny
-from .states import direction, gghz, maximal_slice, singlet, spin_observable
+from .states import gghz, maximal_slice, singlet, spin_observable
 from .unruh import R_MAX, acceleration_parameter, apply_channel, build_channel, dilate
 
 __version__ = "0.1.0"

@@ -152,7 +152,7 @@ def check_damped_correlation_law(grid=12):
     for r in np.linspace(0.0, unruh.R_MAX, grid):
         rho = _damped_singlet(r)
         for theta in np.linspace(0.0, math.pi, grid):
-            got = nonlocality.correlation(rho, states.Z_AXIS, (theta, 0.0))
+            got = nonlocality.correlation(rho, states.Z_AXIS, [math.sin(theta), 0.0, math.cos(theta)])
             want = -math.cos(r) ** 2 * math.cos(theta)
             worst = max(worst, abs(got - want))
     return worst, 1e-12, "C = -cos^2(r) cos(theta) on a grid"

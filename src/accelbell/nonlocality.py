@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import hermitian_eigenvalues
-from .states import PAULI, as_direction
+from .states import PAULI, _unit_vectors
+from .unruh import R_MAX
 
 CHSH_CLASSICAL_BOUND = 2.0
 CHSH_QUANTUM_MAX = 2.0 * math.sqrt(2.0)
@@ -78,17 +79,20 @@ __all__ = [
 ]
 
 
-def _settings_array(settings, count: int) -> np.ndarray:
-    """Normalize settings to a float array of unit vectors, shape (..., count, 3)."""
-    arr = np.asarray(settings, dtype=float)
-    if arr.ndim < 2 or arr.shape[-2] != count or arr.shape[-1] != 3:
-        raise ValueError(f"expected {count} directions of dimension 3, got shape {arr.shape}")
-    norms = np.einsum("...i,...i->...", arr, arr)
-    if not np.abs(norms - 1.0).max() <= 1e-10:  # also catches NaN and inf
-        if not np.isfinite(arr).all():
-            raise ValueError("measurement directions have non-finite entries")
-        raise ValueError("all measurement directions must be unit vectors")
-    return arr
+def _check_closed_form(r, *angles) -> None:
+    """Raise ValueError for a non-finite angle or for r outside [0, pi/4], the range ``unruh`` accepts.
+
+    Python scalars skip numpy: ``svetlichny_bound_gghz`` runs once per sweep point.
+    """
+    values = (r, *angles)
+    if all(isinstance(v, (int, float)) for v in values):
+        finite, low, high = all(map(math.isfinite, values)), r, r
+    else:
+        finite, low, high = all(np.isfinite(v).all() for v in values), np.min(r), np.max(r)
+    if not finite:
+        raise ValueError(f"closed form needs finite angles, got non-finite input {values!r}")
+    if not (0.0 <= low and high <= R_MAX + 1e-12):
+        raise ValueError(f"acceleration parameter r={r!r} outside [0, pi/4]")
 
 
 def _tensor(rho: np.ndarray, modes: int) -> np.ndarray:
@@ -110,8 +114,8 @@ def correlation_tensor(rho: np.ndarray) -> np.ndarray:
 
 
 def correlation(rho: np.ndarray, a, b) -> float:
-    """Tr[rho (a.sigma x b.sigma)] = a.T b for a two-mode operator; lies in [-1, 1]."""
-    return float(as_direction(a) @ _tensor(rho, 2) @ as_direction(b))
+    """Tr[rho (a.sigma x b.sigma)] = a.T b for a two-mode operator and unit 3-vectors a, b; lies in [-1, 1]."""
+    return float(_unit_vectors([a], 1)[0] @ _tensor(rho, 2) @ _unit_vectors([b], 1)[0])
 
 
 def bell_fields(t: np.ndarray, rest: np.ndarray) -> np.ndarray:
@@ -128,7 +132,7 @@ def bell_fields(t: np.ndarray, rest: np.ndarray) -> np.ndarray:
 
 def _bell_value(rho, settings, modes: int, limit: float, message: str):
     t = _tensor(rho, modes)
-    dirs = _settings_array(settings, 2 * modes)
+    dirs = _unit_vectors(settings, 2 * modes)
     vals = np.abs(np.sum(dirs[..., :2, :] * bell_fields(t, dirs[..., 2:, :]), axis=(-2, -1)))
     if not (vals <= limit + VIOLATION_TOL).all():
         raise ValueError(message)
@@ -158,8 +162,9 @@ def restricted_settings(gamma: float, r: float = 0.0) -> np.ndarray:
     their transverse correlation equal to -cos^2(r) cos(2 gamma) and makes
     the closed form of ``chsh_restricted`` exact for every r.
     """
-    g = float(gamma)
-    split = math.pi - float(r)
+    g, r = float(gamma), float(r)
+    _check_closed_form(r, g)
+    split = math.pi - r
     sg, cg = math.sin(g), math.cos(g)
     return np.array([[0.0, 0.0, 1.0], [sg * math.cos(split), sg * math.sin(split), cg], [0.0, 0.0, 1.0], [sg, 0.0, cg]])
 
@@ -167,6 +172,7 @@ def restricted_settings(gamma: float, r: float = 0.0) -> np.ndarray:
 def chsh_restricted(r, gamma):
     """CHSH value of the damped singlet on the restricted family:
     2 cos^2(r) |sin^2(gamma) + cos(gamma)|.  Values above 2 are violations."""
+    _check_closed_form(r, gamma)
     r = np.asarray(r, dtype=float)
     g = np.asarray(gamma, dtype=float)
     vals = 2.0 * np.cos(r) ** 2 * np.abs(np.sin(g) ** 2 + np.cos(g))
@@ -260,6 +266,7 @@ def svetlichny_bound_gghz(theta1: float, r: float) -> GghzBound:
     """
     t1 = float(theta1)
     r = float(r)
+    _check_closed_form(r, t1)
     axial_amp = 2.0 * math.cos(t1) ** 2 * math.cos(r) ** 2 - 1.0
     axial_weight = axial_amp**2
     equatorial_weight = math.sin(2.0 * t1) ** 2 * math.cos(r) ** 2
@@ -284,6 +291,7 @@ def svetlichny_bound_ms_pair(theta3, r):
     """Svetlichny maximum of the maximal slice state when the accelerated
     observer holds one of the paired qubits (1 or 2):
     4 cos(r) sqrt(cos^2 t3 + 2 sin^2 t3).  Exceeds 4 iff sin^2 t3 > tan^2 r."""
+    _check_closed_form(r, theta3)
     t3 = np.asarray(theta3, dtype=float)
     r = np.asarray(r, dtype=float)
     vals = 4.0 * np.cos(r) * np.sqrt(np.cos(t3) ** 2 + 2.0 * np.sin(t3) ** 2)
@@ -294,6 +302,7 @@ def svetlichny_bound_ms_slice(theta3, r):
     """Svetlichny maximum of the maximal slice state when the accelerated
     observer holds the slice qubit (3):
     4 sqrt(cos^2 t3 cos^2 2r + 2 sin^2 t3 cos^2 r)."""
+    _check_closed_form(r, theta3)
     t3 = np.asarray(theta3, dtype=float)
     r = np.asarray(r, dtype=float)
     vals = 4.0 * np.sqrt(np.cos(t3) ** 2 * np.cos(2.0 * r) ** 2 + 2.0 * np.sin(t3) ** 2 * np.cos(r) ** 2)

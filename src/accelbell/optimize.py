@@ -155,11 +155,12 @@ def _lattice(resolution: float) -> np.ndarray:
 
 def _grid_search(t: np.ndarray, resolution: float):
     """Best lattice value of |sum beta T(u_x, v_y(, w_z))| and its angles; ties go to the lowest C-order index."""
+    k = _lattice_steps(resolution)
+    n_points, n_vectors = (k + 1) * 2 * k, 2 * t.ndim
+    if n_points**n_vectors > DEFAULT_BUDGET:  # checked before any lattice array is built
+        raise BudgetError(f"lattice scan needs {n_points}^{n_vectors} evaluations, budget is {DEFAULT_BUDGET}")
     angles = _lattice(resolution)
     dirs = _angles_to_directions(angles)
-    n_points, n_vectors = dirs.shape[0], 2 * t.ndim
-    if n_points**n_vectors > DEFAULT_BUDGET:
-        raise BudgetError(f"lattice scan needs {n_points}^{n_vectors} evaluations, budget is {DEFAULT_BUDGET}")
     # every lattice tuple of the later settings, (b, b') or (c, c', b, b'), in C order
     later = dirs[np.indices((n_points,) * (n_vectors - 2)).reshape(n_vectors - 2, -1).T]
     p, q = dirs @ bell_fields(t, later).transpose(1, 2, 0)

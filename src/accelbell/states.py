@@ -5,6 +5,8 @@ hbar factors are absorbed so that correlations are dimensionless Pauli
 expectations.  Control angles outside the canonical parameter range are
 folded back in by the relabeling symmetry of the state family and the fold
 is reported on this module's logger; a non-finite angle raises ValueError.
+A measurement direction is a unit 3-vector, never an angle pair;
+``_unit_vectors`` checks directions here and in ``nonlocality``.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ __all__ = [
     "X_AXIS",
     "Y_AXIS",
     "Z_AXIS",
-    "direction",
-    "as_direction",
     "spin_observable",
     "singlet",
     "gghz",
@@ -44,29 +44,22 @@ __all__ = [
 ]
 
 
-def direction(theta: float, phi: float) -> np.ndarray:
-    """Unit vector (sin t cos p, sin t sin p, cos t) from polar angles."""
-    st = math.sin(theta)
-    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
-
-
-def as_direction(d) -> np.ndarray:
-    """Coerce a (theta, phi) pair or unit 3-vector to a unit 3-vector."""
-    arr = np.asarray(d, dtype=float).reshape(-1)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"direction {arr!r} has non-finite entries")
-    if arr.size == 2:
-        return direction(arr[0], arr[1])
-    if arr.size == 3:
-        if abs(float(arr @ arr) - 1.0) > 1e-10:
-            raise ValueError(f"direction {arr!r} is not unit length")
-        return arr
-    raise ValueError("direction must be a (theta, phi) pair or a 3-vector")
+def _unit_vectors(settings, count: int) -> np.ndarray:
+    """Normalize settings to a float array of unit vectors, shape (..., count, 3)."""
+    arr = np.asarray(settings, dtype=float)
+    if arr.ndim < 2 or arr.shape[-2] != count or arr.shape[-1] != 3:
+        raise ValueError(f"expected {count} directions of dimension 3, got shape {arr.shape}")
+    norms = np.einsum("...i,...i->...", arr, arr)
+    if not np.abs(norms - 1.0).max() <= 1e-10:  # also catches NaN and inf
+        if not np.isfinite(arr).all():
+            raise ValueError("measurement directions have non-finite entries")
+        raise ValueError("all measurement directions must be unit vectors")
+    return arr
 
 
 def spin_observable(d) -> np.ndarray:
-    """2x2 spin observable along a direction, eigenvalues exactly +-1."""
-    return np.einsum("i,ijk->jk", as_direction(d), PAULI)
+    """2x2 spin observable along a unit 3-vector, eigenvalues exactly +-1."""
+    return np.einsum("i,ijk->jk", _unit_vectors([d], 1)[0], PAULI)
 
 
 def _fold(theta: float, period: float, upper: float, label: str) -> float:

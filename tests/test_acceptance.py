@@ -68,7 +68,7 @@ def test_criterion_2_damped_correlation_law():
     for r in np.linspace(0.0, R_MAX, 20):
         rho = apply_channel(density(singlet()), 2, float(r))
         for theta in np.linspace(0.0, math.pi, 20):
-            got = correlation(rho, Z_AXIS, (float(theta), 0.0))
+            got = correlation(rho, Z_AXIS, [math.sin(theta), 0.0, math.cos(theta)])
             worst = max(worst, abs(got + math.cos(r) ** 2 * math.cos(theta)))
     _report(2, "damped-correlation-law", worst <= 1e-12, f"max residual {worst:.2e} on 20x20 grid")
 

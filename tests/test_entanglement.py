@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accelbell.entanglement import negativity, pi_tangle
-from accelbell.linalg import density, tensor
+from accelbell.linalg import density, partial_trace, tensor
 from accelbell.states import gghz, maximal_slice, singlet
 from accelbell.unruh import R_MAX, apply_channel
 
@@ -35,16 +37,16 @@ def test_negativity_ghz_one_vs_rest():
 
 def test_negativity_ghz_pairwise_zero():
     rho = density(gghz(math.pi / 4.0))
-    for pair in ((1, 2), (1, 3), (2, 3)):
-        assert negativity(rho, pair) < 1e-12
+    for traced in (1, 2, 3):
+        assert negativity(partial_trace(rho, traced), 1) < 1e-12
 
 
 def test_negativity_pair_label_reduces_first():
     # maximal_slice(0) = Bell pair on modes 1,2 times |0>
     rho = density(maximal_slice(0.0))
-    assert abs(negativity(rho, (1, 2)) - 1.0) < 1e-12
-    assert negativity(rho, (1, 3)) < 1e-12
-    assert abs(negativity(rho, (2, 1)) - 1.0) < 1e-12
+    assert abs(negativity(partial_trace(rho, 3), 1) - 1.0) < 1e-12  # pair (1, 2)
+    assert negativity(partial_trace(rho, 2), 1) < 1e-12  # pair (1, 3)
+    assert abs(negativity(partial_trace(rho, 3), 2) - 1.0) < 1e-12  # pair (1, 2), transposing mode 2
 
 
 def test_negativity_local_unitary_invariant(rng):
@@ -58,12 +60,12 @@ def test_negativity_local_unitary_invariant(rng):
 
 def test_negativity_rejects_bad_labels():
     rho = density(gghz(0.3))
-    with pytest.raises(ValueError):
-        negativity(rho, 4)
-    with pytest.raises(ValueError):
-        negativity(rho, (1, 1))
-    with pytest.raises(ValueError):
-        negativity(rho, (1, 2, 3))
+    for mode in (0, 4):
+        with pytest.raises(ValueError, match="out of range"):
+            negativity(rho, mode)
+    # a pair of modes is not a mode: reduce to the pair with partial_trace first
+    with pytest.raises(TypeError):
+        negativity(rho, (1, 2))
 
 
 def test_pi_tangle_product_zero():
@@ -115,18 +117,21 @@ def test_damped_ghz_tangle_non_increasing_in_r():
 def test_pair_negativity_symmetric_in_label(rng):
     for _ in range(20):
         rho = random_density(rng, 3, int(rng.integers(1, 9)))
-        for i, j in ((1, 2), (1, 3), (2, 3)):
-            assert abs(negativity(rho, (i, j)) - negativity(rho, (j, i))) < 1e-12
+        for traced in (1, 2, 3):
+            pair = partial_trace(rho, traced)
+            assert abs(negativity(pair, 1) - negativity(pair, 2)) < 1e-12
 
 
-def test_pi_tangle_matches_nine_negativity_formula(rng):
-    states = [random_density(rng, 3, int(rng.integers(1, 9))) for _ in range(10)]
-    states += [apply_channel(density(maximal_slice(t3)), 3, r) for t3 in (0.4, 1.2) for r in (0.0, 0.3, 0.7)]
-    for rho in states:
-        got = pi_tangle(rho)
-        explicit = [
-            negativity(rho, m) ** 2 - sum(negativity(rho, (m, k)) ** 2 for k in (1, 2, 3) if k != m)
-            for m in (1, 2, 3)
-        ]
-        assert max(abs(c - e) for c, e in zip(got.components(), explicit)) < 1e-12
-        assert abs(got.pi - sum(explicit) / 3.0) < 1e-12  # clamping moves pi by less than 1e-12
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 8), mode=st.integers(1, 3), r=st.floats(0.0, R_MAX))
+def test_pi_tangle_matches_nine_negativity_formula(seed, rank, mode, r):
+    # the reference transposes mode 2 of each pair reduction, pi_tangle mode 1
+    rho = apply_channel(random_density(np.random.default_rng(seed), 3, rank), mode, r)
+    got = pi_tangle(rho)
+    explicit = [
+        negativity(rho, m) ** 2 - sum(negativity(partial_trace(rho, 6 - m - k), 2) ** 2 for k in (1, 2, 3) if k != m)
+        for m in (1, 2, 3)
+    ]
+    assert all(math.isfinite(c) for c in (got.pi, *got.components()))
+    assert max(abs(c - e) for c, e in zip(got.components(), explicit)) < 1e-12
+    assert abs(got.pi - sum(explicit) / 3.0) < 1e-12  # clamping moves pi by less than 1e-12

@@ -61,7 +61,7 @@ def test_correlation_damped_law_general_angle():
         rho = damped_singlet(float(r))
         for theta in np.linspace(0.0, math.pi, 8):
             want = -math.cos(r) ** 2 * math.cos(theta)
-            assert abs(correlation(rho, Z_AXIS, (theta, 0.0)) - want) < 1e-12
+            assert abs(correlation(rho, Z_AXIS, [math.sin(theta), 0.0, math.cos(theta)]) - want) < 1e-12
 
 
 def test_correlation_requires_two_modes():
@@ -270,6 +270,23 @@ def test_gghz_bound_envelope_dominates():
             assert ref.envelope == max(ref.axial_value, ref.equatorial_value)
 
 
+def test_closed_forms_reject_r_outside_quarter_pi():
+    # r lives in [0, pi/4]; past it the forms return numbers for no state (a negative
+    # equatorial value at r = 2), so they raise like the channel does
+    for r in (-0.1, 2.0):
+        for call in (
+            lambda: chsh_restricted(r, GAMMA_STAR),
+            lambda: chsh_restricted_max(r),
+            lambda: restricted_settings(GAMMA_STAR, r),
+            lambda: svetlichny_bound_gghz(0.3, r),
+            lambda: svetlichny_bound_ms_pair(0.3, r),
+            lambda: svetlichny_bound_ms_slice(0.3, np.array([0.0, r])),
+        ):
+            with pytest.raises(ValueError, match="outside"):
+                call()
+    assert svetlichny_bound_gghz(0.3, R_MAX + 1e-13).envelope > 0.0  # the channel's 1e-12 slack
+
+
 def test_ms_pair_bound_values():
     assert abs(svetlichny_bound_ms_pair(math.pi / 2.0, 0.0) - 4.0 * SQRT2) < 1e-12
     for r in np.linspace(0.0, R_MAX, 7):
@@ -344,18 +361,31 @@ def test_evaluators_reject_non_finite_input():
             lambda: svetlichny_value(rho3, bad_dirs6),
             lambda: correlation(bad2, Z_AXIS, Z_AXIS),
             lambda: correlation(rho2, Z_AXIS, np.array([0.0, value, 1.0])),
-            lambda: correlation(rho2, (value, 0.0), Z_AXIS),
+            lambda: correlation(rho2, np.array([value, 0.0, 0.0]), Z_AXIS),
             lambda: horodecki_max(bad2),
             lambda: correlation_tensor(bad3),
             lambda: gghz(value),
             lambda: maximal_slice(value),
+            lambda: chsh_restricted(value, 0.3),
+            lambda: chsh_restricted(0.3, np.array([0.1, value])),
+            lambda: chsh_restricted_max(value),
+            lambda: restricted_settings(value),
+            lambda: restricted_settings(0.3, value),
+            lambda: svetlichny_bound_gghz(value, 0.1),
+            lambda: svetlichny_bound_gghz(0.3, value),
+            lambda: svetlichny_bound_ms_pair(value, 0.1),
+            lambda: svetlichny_bound_ms_slice(np.array([0.2, value]), 0.1),
+            lambda: svetlichny_bound_ms_slice(0.2, np.array([0.1, value])),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="non-finite"):
                 call()
-        # (theta, phi) stacks are not settings: settings are unit 3-vectors only
+        # (theta, phi) pairs are not settings or directions: both are unit 3-vectors only
         with pytest.raises(ValueError, match="expected 4 directions of dimension 3"):
             chsh_value(rho2, np.array([[0.0, 0.0], [value, 0.0], [0.0, 0.0], [1.0, 0.0]]))
+        for pair in ((value, 0.0), (0.3, 0.0)):
+            with pytest.raises(ValueError, match="dimension 3"):
+                correlation(rho2, Z_AXIS, pair)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,15 @@ def test_grid_oracle_budget_rejected():
         grid_oracle(density(singlet()), math.pi / 16.0)
     with pytest.raises(BudgetError):
         grid_oracle(density(gghz(0.0)), math.pi / 8.0)
+    # the budget is checked before the lattice is built: pi/500 would need a 501000-point lattice
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            grid_oracle(density(singlet()), math.pi / 500.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_grid_oracle_chsh_contains_optimum():

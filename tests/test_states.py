@@ -8,7 +8,6 @@ from accelbell.linalg import density, expectation, hermitian_eigenvalues, tensor
 from accelbell.states import (
     SIGMA_X,
     SIGMA_Z,
-    direction,
     gghz,
     maximal_slice,
     singlet,
@@ -74,11 +73,11 @@ def test_parameter_folding_preserves_family():
 def test_spin_observable_axes():
     assert_allclose(spin_observable([0, 0, 1.0]), SIGMA_Z)
     assert_allclose(spin_observable([1.0, 0, 0]), SIGMA_X)
-    assert_allclose(spin_observable((0.0, 0.0)), SIGMA_Z, atol=1e-16)
+    assert_allclose(spin_observable([0.0, 0.0, 1.0]), SIGMA_Z, atol=1e-16)
 
 
 def test_spin_observable_tilted_eigenvalues():
-    obs = spin_observable((math.pi / 3.0, 0.0))
+    obs = spin_observable([math.sin(math.pi / 3.0), 0.0, math.cos(math.pi / 3.0)])
     assert_allclose(obs, math.sqrt(3.0) / 2.0 * SIGMA_X + 0.5 * SIGMA_Z, atol=1e-15)
     assert_allclose(hermitian_eigenvalues(obs), [-1.0, 1.0], atol=1e-12)
 
@@ -92,9 +91,7 @@ def test_spin_observable_squares_to_identity(rng):
 def test_spin_observable_rejects_non_unit():
     with pytest.raises(ValueError):
         spin_observable([1.0, 1.0, 0.0])
+    # a direction is a unit 3-vector; a (theta, phi) pair is not one
+    with pytest.raises(ValueError, match="dimension 3"):
+        spin_observable((0.0, 0.0))
 
-
-def test_direction_unit_norm(rng):
-    for _ in range(50):
-        d = direction(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        assert abs(d @ d - 1.0) < 1e-12
