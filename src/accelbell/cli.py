@@ -38,6 +38,7 @@ STATE_BUILDERS = {
     "ms": states.maximal_slice,
 }
 STATE_MODES = {"singlet": (2, 2), "gghz": (3, 3), "ms": (3, 2)}  # state: (modes, default accelerated mode)
+BLOCK = 64  # grid points evaluated together: bounds the damped states and simplex rows held at once
 
 
 @dataclass(frozen=True)
@@ -70,10 +71,6 @@ def _damped(state: str, param: float, mode: int, r: float) -> np.ndarray:
     return unruh.apply_channel(linalg.density(STATE_BUILDERS[state](param)), mode, r)
 
 
-def _numeric(spec: SweepSpec) -> dict:
-    return {"witness_resolution": spec.certify_resolution, "restarts": spec.restarts, "seed": spec.seed}
-
-
 def _svetlichny_bound(spec: SweepSpec, param: float, r: float, envelope: bool) -> float:
     if spec.state == "gghz":
         ref = nonlocality.svetlichny_bound_gghz(param, r)
@@ -83,19 +80,29 @@ def _svetlichny_bound(spec: SweepSpec, param: float, r: float, envelope: bool) -
     return nonlocality.svetlichny_bound_ms_slice(param, r)
 
 
-# column: (modes, evaluator(spec, param, r, damped state), violation test or None)
+def _each(evaluate):
+    """A block evaluator that calls evaluate(spec, param, r, damped state) at each point of the block."""
+    return lambda spec, params, rs, rhos: [evaluate(spec, p, r, rho) for p, r, rho in zip(params, rs, rhos)]
+
+
+def _numeric(modes: int):
+    """A block evaluator that maximizes every damped state of the block in one lockstep simplex."""
+    return lambda spec, params, rs, rhos: [result.value for result in optimize._maximize_bell(
+        rhos, modes, spec.certify_resolution, spec.restarts, spec.seed)]
+
+
+# column: (modes, evaluator(spec, params, rs, damped states) -> one value per point, violation test or None)
 COLUMNS = {
-    "chsh_restricted_max": (2, lambda spec, p, r, rho: nonlocality.chsh_restricted_max(r), nonlocality.violates_chsh),
-    "chsh_horodecki": (2, lambda spec, p, r, rho: nonlocality.horodecki_max(rho), nonlocality.violates_chsh),
-    "chsh_numeric": (2, lambda spec, p, r, rho: optimize.maximize_chsh(rho, **_numeric(spec)).value,
-                     nonlocality.violates_chsh),
-    "svetlichny_bound": (3, lambda spec, p, r, rho: _svetlichny_bound(spec, p, r, envelope=False),
+    "chsh_restricted_max": (2, _each(lambda spec, p, r, rho: nonlocality.chsh_restricted_max(r)),
+                            nonlocality.violates_chsh),
+    "chsh_horodecki": (2, _each(lambda spec, p, r, rho: nonlocality.horodecki_max(rho)), nonlocality.violates_chsh),
+    "chsh_numeric": (2, _numeric(2), nonlocality.violates_chsh),
+    "svetlichny_bound": (3, _each(lambda spec, p, r, rho: _svetlichny_bound(spec, p, r, envelope=False)),
                          nonlocality.violates_svetlichny),
-    "svetlichny_envelope": (3, lambda spec, p, r, rho: _svetlichny_bound(spec, p, r, envelope=True),
+    "svetlichny_envelope": (3, _each(lambda spec, p, r, rho: _svetlichny_bound(spec, p, r, envelope=True)),
                             nonlocality.violates_svetlichny),
-    "svetlichny_numeric": (3, lambda spec, p, r, rho: optimize.maximize_svetlichny(rho, **_numeric(spec)).value,
-                           nonlocality.violates_svetlichny),
-    "pi_tangle": (3, lambda spec, p, r, rho: entanglement.pi_tangle(rho).pi, None),
+    "svetlichny_numeric": (3, _numeric(3), nonlocality.violates_svetlichny),
+    "pi_tangle": (3, _each(lambda spec, p, r, rho: entanglement.pi_tangle(rho).pi), None),
 }
 
 
@@ -124,16 +131,6 @@ def _validate_spec(spec: SweepSpec) -> None:
     optimize._check_search(spec.restarts, spec.certify_resolution)
 
 
-def _row_values(spec: SweepSpec, param: float, r: float) -> list:
-    damped = _damped(spec.state, param, spec.mode, r)
-    out = [param, r]
-    for col in spec.columns:
-        _, evaluate, violates = COLUMNS[col]
-        value = evaluate(spec, param, r, damped)
-        out += [value] if violates is None else [value, violates(value)]
-    return out
-
-
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
@@ -150,12 +147,20 @@ def run_sweep(spec: SweepSpec) -> str:
     _validate_spec(spec)
     params = np.linspace(spec.param_start, spec.param_stop, spec.param_steps)
     rs = np.linspace(spec.r_start, spec.r_stop, spec.r_steps)
-    rows = [_row_values(spec, float(p), float(r)) for p in params for r in rs]
+    grid = [(float(p), float(r)) for p in params for r in rs]
     header = ["param", "r"]
     for col in spec.columns:
         header += [col] if COLUMNS[col][2] is None else [col, col + "_violation"]
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    for start in range(0, len(grid), BLOCK):
+        block_params, block_rs = zip(*grid[start:start + BLOCK])
+        rhos = [_damped(spec.state, p, spec.mode, r) for p, r in zip(block_params, block_rs)]
+        cells = [[_fmt(v) for v in block_params], [_fmt(v) for v in block_rs]]
+        for col in spec.columns:
+            _, evaluate, violates = COLUMNS[col]
+            values = evaluate(spec, block_params, block_rs, rhos)
+            cells.append([_fmt(v) if violates is None else f"{_fmt(v)},{_fmt(violates(v))}" for v in values])
+        lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 

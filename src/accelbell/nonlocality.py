@@ -20,7 +20,8 @@ beta, e.g. CHSH = |a.T(b + b') + a'.T(b - b')|.  No measurement operator is buil
 by both evaluators and both maximizers.  Settings are unit 3-vector arrays of
 shape (..., 4, 3) (a, a', b, b') or (..., 6, 3) (a, a', c, c', b, b').  A value
 only counts as a violation when it clears the classical bound by more than
-``VIOLATION_TOL``; non-finite input raises ``ValueError``.
+``VIOLATION_TOL``; non-finite input and a non-Hermitian operator raise
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues
+from .linalg import _require_hermitian, hermitian_eigenvalues
 from .states import PAULI, _unit_vectors
 from .unruh import R_MAX
 
@@ -99,8 +100,7 @@ def _tensor(rho: np.ndarray, modes: int) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2**modes,) * 2:
         raise ValueError(f"expected a {modes}-mode operator of shape {(2**modes,) * 2}, got {rho.shape}")
-    if not np.isfinite(rho).all():
-        raise ValueError("operator has non-finite entries")
+    _require_hermitian(rho)  # non-finite or non-Hermitian entries raise ValueError
     return (_PAULI_PRODUCTS[modes] @ rho.ravel()).real.reshape((3,) * modes)
 
 
@@ -121,13 +121,15 @@ def correlation(rho: np.ndarray, a, b) -> float:
 def bell_fields(t: np.ndarray, rest: np.ndarray) -> np.ndarray:
     """First-party fields X_x = sum beta[x, ...] T(., v_y(, w_z)), shape (..., 2, 3).
 
-    ``rest`` holds the later settings, (..., 2, 3) as (b, b') for a 3x3 T
-    or (..., 4, 3) as (c, c', b, b') for a 3x3x3 T; the Bell value of the
-    full setting is |a.X_0 + a'.X_1|.
+    ``rest`` holds the later settings, (..., 2, 3) as (b, b') for CHSH or
+    (..., 4, 3) as (c, c', b, b') for Svetlichny; its second-last axis picks
+    the inequality.  T is one tensor, 3x3 or 3x3x3, or a stack of them of
+    shape (..., 3, 3(, 3)) whose leading axes broadcast against those of
+    ``rest``.  The Bell value of the full setting is |a.X_0 + a'.X_1|.
     """
-    if t.ndim == 2:
-        return (_CHSH @ rest) @ t.T  # T(b + b'), T(b - b')
-    return np.einsum("ijk,...yj,...xyk->...xi", t, rest[..., :2, :], _SVETLICHNY @ rest[..., None, 2:, :])
+    if rest.shape[-2] == 2:
+        return (_CHSH @ rest) @ np.swapaxes(t, -1, -2)  # T(b + b'), T(b - b')
+    return np.einsum("...ijk,...yj,...xyk->...xi", t, rest[..., :2, :], _SVETLICHNY @ rest[..., None, 2:, :])
 
 
 def _bell_value(rho, settings, modes: int, limit: float, message: str):

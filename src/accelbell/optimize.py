@@ -8,12 +8,17 @@ form: with X_x = sum beta[x, ...] T(., v_y(, w_z)) (``bell_fields``), the
 maximum of |a.X_0 + a'.X_1| over unit a, a' is |X_0| + |X_1| (Horodecki,
 Horodecki & Horodecki, PLA 200, 340 (1995)).  A Nelder-Mead simplex in
 (theta, phi) angles maximizes it over the other settings once per start:
-``restarts`` seeded uniform starts, then the lattice witness's other
-settings (small initial step) when ``witness_resolution`` is given.  The
-best run wins, ties to the earliest start.  Then a, a' = X/|X| (z where
-X = 0) and the evaluator gives the value at the full setting.  A simplex
-stops at objective spread ``TOLERANCE`` or after ``MAX_ITERATIONS``
-iterations; ``OptimizeResult.converged`` says which.
+``restarts`` seeded uniform starts, the same for every state, then the
+lattice witness's other settings (small initial step) when
+``witness_resolution`` is given.  The runs of a stack of states step in
+lockstep, one (dim + 1, dim) simplex row per (state, start) pair: each
+move is a masked update whose rows share one batched objective call, and
+each row stops on its own at objective spread ``TOLERANCE`` or after
+``MAX_ITERATIONS`` iterations (``OptimizeResult.converged`` says which).
+A row sees only its own values, so a state's result does not depend on
+the rest of the stack.  Per state the best run wins, ties to the earliest
+start.  Then a, a' = X/|X| (z where X = 0) and the evaluator gives the
+value at the full setting.
 
 ``grid_oracle``, the independent certification path, scans the lattice
 theta in {0, res, ..., pi} x phi in {0, res, ..., 2 pi - res} for every
@@ -56,13 +61,14 @@ class BudgetError(RuntimeError):
 class OptimizeResult:
     """Best value found, with the settings that achieve it.
 
-    ``evaluations`` counts the calls of the reduced objective |X_0| + |X_1|
-    over every simplex run, the witness's included; the final evaluator
-    call is not counted.  ``converged`` is False when the winning run's
-    simplex stopped at ``MAX_ITERATIONS`` rather than at ``TOLERANCE``: it
-    reports the stopping rule on the spread of the simplex's values, not
-    the distance to the maximum.  The damped singlet at r = 1.06e-4 (16
-    restarts, seed 1) converges 2.5e-9 below ``horodecki_max``.
+    ``evaluations`` counts the points at which the reduced objective
+    |X_0| + |X_1| was evaluated over the state's simplex runs, the
+    witness's included; the final evaluator call is not counted.
+    ``converged`` is False when the winning run's simplex stopped at
+    ``MAX_ITERATIONS`` rather than at ``TOLERANCE``: it reports the stopping
+    rule on the spread of the simplex's values, not the distance to the
+    maximum.  The damped singlet at r = 1.06e-4 (16 restarts, seed 1)
+    converges 2.5e-9 below ``horodecki_max``.
     """
 
     value: float
@@ -73,8 +79,8 @@ class OptimizeResult:
 
 def _angles_to_directions(x: np.ndarray) -> np.ndarray:
     ang = np.asarray(x, dtype=float).reshape(-1, 2)
-    st = np.sin(ang[:, 0])
-    return np.stack([st * np.cos(ang[:, 1]), st * np.sin(ang[:, 1]), np.cos(ang[:, 0])], axis=1)
+    sin, cos = np.sin(ang), np.cos(ang)
+    return np.concatenate([sin[:, :1] * cos[:, 1:], sin[:, :1] * sin[:, 1:], cos[:, :1]], axis=1)
 
 
 def _sample_start(rng: np.random.Generator, n_vectors: int) -> np.ndarray:
@@ -86,54 +92,58 @@ def _sample_start(rng: np.random.Generator, n_vectors: int) -> np.ndarray:
 _REFLECT, _EXPAND, _CONTRACT, _SHRINK = 1.0, 2.0, 0.5, 0.5
 
 
-def _nelder_mead(fn, x0: np.ndarray, step: float = 0.35):
-    """Minimize fn from x0; returns (x_best, f_best, evaluations, converged).
+def _nelder_mead(fn, x0: np.ndarray, step: np.ndarray):
+    """Minimize fn from each row of x0 in lockstep; returns (x_best, f_best, evaluations, converged) per row.
 
-    Standard reflect/expand/contract/shrink moves; terminates when the
-    simplex objective spread falls below ``TOLERANCE`` (converged) or
-    after ``MAX_ITERATIONS`` iterations (not converged).
+    ``fn(rows, x)`` gives the values at the points x (k, dim) of the rows
+    ``rows`` (k,).  Row s starts from the simplex x0[s] + step[s] e_i and
+    makes the standard reflect/expand/contract/shrink moves on its own.
     """
-    dim = x0.size
-    pts = np.tile(np.asarray(x0, dtype=float), (dim + 1, 1))
-    for i in range(dim):
-        pts[i + 1, i] += step
-    vals = np.array([fn(p) for p in pts])
-    evals = dim + 1
-    converged = True
-    for _ in range(MAX_ITERATIONS):
-        order = np.argsort(vals, kind="stable")
-        pts, vals = pts[order], vals[order]
-        if vals[-1] - vals[0] <= TOLERANCE:
-            break
-        centroid = pts[:-1].mean(axis=0)
-        reflected = centroid + _REFLECT * (centroid - pts[-1])
-        f_r = fn(reflected)
-        evals += 1
-        if f_r < vals[0]:
-            expanded = centroid + _EXPAND * (reflected - centroid)
-            f_e = fn(expanded)
-            evals += 1
-            if f_e < f_r:
-                pts[-1], vals[-1] = expanded, f_e
-            else:
-                pts[-1], vals[-1] = reflected, f_r
-        elif f_r < vals[-2]:
-            pts[-1], vals[-1] = reflected, f_r
-        else:
-            toward = reflected if f_r < vals[-1] else pts[-1]
-            contracted = centroid + _CONTRACT * (toward - centroid)
-            f_c = fn(contracted)
-            evals += 1
-            if f_c < min(f_r, vals[-1]):
-                pts[-1], vals[-1] = contracted, f_c
-            else:
-                pts[1:] = pts[0] + _SHRINK * (pts[1:] - pts[0])
-                vals[1:] = [fn(p) for p in pts[1:]]
-                evals += dim
-    else:
-        converged = False
-    best = int(np.argmin(vals))
-    return pts[best], float(vals[best]), evals, converged
+    n, dim = x0.shape
+    rows, diag = np.arange(n), np.arange(dim)
+    pts = np.repeat(x0[:, None, :], dim + 1, axis=1)
+    pts[:, diag + 1, diag] += step[:, None]
+    vals = fn(np.repeat(rows, dim + 1), pts.reshape(-1, dim)).reshape(n, dim + 1)
+    evals = np.full(n, dim + 1)
+    x_best, f_best, n_evals, converged = pts[:, 0].copy(), vals[:, 0].copy(), evals.copy(), np.zeros(n, dtype=bool)
+    live = rows[:, None]  # row positions as a column, to index each row's vertex order
+    for iteration in range(MAX_ITERATIONS):  # each iteration evaluates every live row's reflection once
+        order = vals.argsort(axis=1, kind="stable")
+        pts, vals = pts[live, order], vals[live, order]
+        done = vals[:, -1] - vals[:, 0] <= TOLERANCE
+        if done.any():
+            out = rows[done]
+            x_best[out], f_best[out], converged[out] = pts[done, 0], vals[done, 0], True
+            n_evals[out] = evals[done] + iteration
+            rows, pts, vals, evals, live = rows[~done], pts[~done], vals[~done], evals[~done], live[: (~done).sum()]
+            if not rows.size:
+                return x_best, f_best, n_evals, converged
+        centroid = np.add.reduce(pts[:, :-1], axis=1) / dim
+        reflected = centroid + _REFLECT * (centroid - pts[:, -1])
+        f_r = fn(rows, reflected)
+        worst = vals[:, -1]
+        expand, contract = f_r < vals[:, 0], f_r >= vals[:, -2]  # an expansion has f_r < every vertex value
+        second = expand | contract
+        # the expansion or contraction point is fixed by f_r, so both kinds share one call
+        toward = np.where((f_r < worst)[:, None], reflected, pts[:, -1])
+        trial = centroid + np.where(expand, _EXPAND, _CONTRACT)[:, None] * (toward - centroid)
+        f_t = f_r.copy()
+        if second.any():
+            f_t[second] = fn(rows[second], trial[second])
+        accept = f_t < np.minimum(f_r, worst)  # an expansion has f_r < worst, so this is f_e < f_r there
+        shrink = contract & ~accept
+        new_x, new_f = np.where(accept[:, None], trial, reflected), np.where(accept, f_t, f_r)
+        if shrink.any():
+            best = pts[shrink, :1]
+            pts[shrink, 1:] = best + _SHRINK * (pts[shrink, 1:] - best)
+            vals[shrink, 1:] = fn(np.repeat(rows[shrink], dim), pts[shrink, 1:].reshape(-1, dim)).reshape(-1, dim)
+            new_x[shrink], new_f[shrink] = pts[shrink, -1], vals[shrink, -1]
+            evals[shrink] += dim
+        pts[:, -1], vals[:, -1] = new_x, new_f
+        evals += second
+    best = np.argmin(vals, axis=1)
+    x_best[rows], f_best[rows], n_evals[rows] = pts[live[:, 0], best], vals[live[:, 0], best], evals + MAX_ITERATIONS
+    return x_best, f_best, n_evals, converged
 
 
 def _lattice_steps(resolution: float) -> int:
@@ -187,41 +197,52 @@ def _check_search(restarts: int, witness_resolution: float | None) -> None:
         _lattice_steps(witness_resolution)
 
 
-def _maximize_bell(rho, modes, witness_resolution, restarts, seed) -> OptimizeResult:
+def _maximize_bell(rhos, modes, witness_resolution, restarts, seed) -> list[OptimizeResult]:
+    """One result per state of ``rhos``; the simplex rows are (state, start) pairs, stepped in lockstep."""
     _check_search(restarts, witness_resolution)
-    t = _tensor(rho, modes)
-
-    def negated(x: np.ndarray) -> float:
-        value = float(np.linalg.norm(bell_fields(t, _angles_to_directions(x)), axis=1).sum())
-        if not math.isfinite(value):
-            raise ValueError(f"objective returned non-finite value {value!r} at angles {np.round(x, 6)!r}")
-        return -value
-
+    t = np.stack([_tensor(rho, modes) for rho in rhos])
     rng = np.random.default_rng(seed)
-    starts = [(_sample_start(rng, 2 * modes - 2), 0.35) for _ in range(restarts)]
+    x0 = np.tile([_sample_start(rng, 2 * modes - 2) for _ in range(restarts)], (len(t), 1, 1))  # (state, start, dim)
+    steps = [0.35] * restarts
     if witness_resolution is not None:
         # a and a' dropped; the witness lies within one lattice cell of a maximum, so its simplex starts small
-        starts.append((_grid_search(t, witness_resolution)[1][4:], 0.05))
-    runs = [_nelder_mead(negated, x0, step) for x0, step in starts]
-    best_x, _, _, converged = min(runs, key=lambda run: run[1])  # the earliest start wins a tie
-    later = _angles_to_directions(best_x)
+        witness = [_grid_search(tp, witness_resolution)[1][4:] for tp in t]
+        x0 = np.concatenate([x0, np.array(witness)[:, None]], axis=1)
+        steps.append(0.05)
+    n_starts = len(steps)
+    point = np.repeat(np.arange(len(t)), n_starts)
+
+    def negated(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        fields = bell_fields(t[point[rows]], _angles_to_directions(x).reshape(len(x), x.shape[1] // 2, 3))
+        values = np.sqrt(np.add.reduce(fields * fields, axis=-1)).sum(axis=-1)  # |X_0| + |X_1|
+        if not np.isfinite(values).all():
+            bad = np.flatnonzero(~np.isfinite(values))[0]
+            value, angles = float(values[bad]), np.round(x[bad], 6)
+            raise ValueError(f"objective returned non-finite value {value!r} at angles {angles!r}")
+        return -values
+
+    x_best, f_best, evals, converged = _nelder_mead(negated, x0.reshape(len(point), -1), np.tile(steps, len(t)))
+    # per state the earliest start wins a tie
+    best = np.argmin(f_best.reshape(len(t), n_starts), axis=1) + n_starts * np.arange(len(t))
+    later = _angles_to_directions(x_best[best]).reshape(len(t), -1, 3)
     fields = bell_fields(t, later)
-    norms = np.linalg.norm(fields, axis=1, keepdims=True)
-    first = np.divide(fields, norms, out=np.tile([0.0, 0.0, 1.0], (2, 1)), where=norms > 0.0)
-    directions = np.vstack([first, later])
-    value = (chsh_value if modes == 2 else svetlichny_value)(rho, directions)
-    return OptimizeResult(value, directions, sum(run[2] for run in runs), converged)
+    norms = np.linalg.norm(fields, axis=-1, keepdims=True)
+    first = np.divide(fields, norms, out=np.tile([0.0, 0.0, 1.0], (len(t), 2, 1)), where=norms > 0.0)
+    directions = np.concatenate([first, later], axis=1)
+    evaluate, totals = chsh_value if modes == 2 else svetlichny_value, evals.reshape(len(t), n_starts).sum(axis=1)
+    return [OptimizeResult(evaluate(rho, d), d, int(e), bool(c))
+            for rho, d, e, c in zip(rhos, directions, totals, converged[best])]
 
 
 def maximize_chsh(
     rho: np.ndarray, witness_resolution: float | None = None, *, restarts: int = 64, seed: int = 0
 ) -> OptimizeResult:
     """Numerically maximized CHSH value of a two-mode state; the simplex searches b and b' only."""
-    return _maximize_bell(rho, 2, witness_resolution, restarts, seed)
+    return _maximize_bell([rho], 2, witness_resolution, restarts, seed)[0]
 
 
 def maximize_svetlichny(
     rho: np.ndarray, witness_resolution: float | None = None, *, restarts: int = 64, seed: int = 0
 ) -> OptimizeResult:
     """Numerically maximized Svetlichny value of a three-mode state; the simplex searches c, c', b and b' only."""
-    return _maximize_bell(rho, 3, witness_resolution, restarts, seed)
+    return _maximize_bell([rho], 3, witness_resolution, restarts, seed)[0]

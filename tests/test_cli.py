@@ -10,6 +10,9 @@ import pytest
 
 from accelbell import checks, cli, optimize, unruh
 from accelbell.cli import SweepSpec, main, run_sweep, solve_pi_tangle, solve_threshold
+from accelbell.linalg import density
+from accelbell.nonlocality import horodecki_max, violates_chsh
+from accelbell.states import singlet
 
 SQRT2 = math.sqrt(2.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -106,6 +109,21 @@ def test_sweep_singlet_restricted_crossing():
     assert np.all(values[rs > r_t + 1e-9] < 2.0)
     flags = np.array([row[3] == "1" for row in rows])
     assert np.array_equal(flags, values > 2.0 + 1e-9)
+
+
+def test_sweep_numeric_across_blocks_matches_per_point_calls():
+    # 3 x 30 points span two blocks of the stacked simplex, the second one partial
+    spec = SweepSpec(state="singlet", param_start=0.0, param_stop=1.0, param_steps=3, r_start=0.0,
+                     r_stop=math.pi / 4.0, r_steps=30, mode=2, columns=("chsh_numeric", "chsh_horodecki"),
+                     seed=3, restarts=2)
+    rows = [line.split(",") for line in run_sweep(spec).strip().split("\n")[1:]]
+    grid = [(p, r) for p in np.linspace(0.0, 1.0, 3) for r in np.linspace(0.0, math.pi / 4.0, 30)]
+    assert len(rows) == len(grid) > cli.BLOCK
+    for row, (p, r) in zip(rows, grid):
+        rho = unruh.apply_channel(density(singlet()), 2, r)
+        numeric, closed = optimize.maximize_chsh(rho, restarts=2, seed=3).value, horodecki_max(rho)
+        assert row == [f"{p:.12g}", f"{r:.12g}", f"{numeric:.12g}", "1" if violates_chsh(numeric) else "0",
+                       f"{closed:.12g}", "1" if violates_chsh(closed) else "0"]
 
 
 def test_sweep_validation_errors():

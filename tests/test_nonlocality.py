@@ -25,6 +25,7 @@ from accelbell.nonlocality import (
     svetlichny_bound_ms_slice,
     svetlichny_value,
 )
+from accelbell.optimize import maximize_chsh, maximize_svetlichny
 from accelbell.states import X_AXIS, Z_AXIS, gghz, maximal_slice, singlet, spin_observable
 from accelbell.unruh import R_MAX, acceleration_parameter, apply_channel
 
@@ -386,6 +387,24 @@ def test_evaluators_reject_non_finite_input():
         for pair in ((value, 0.0), (0.3, 0.0)):
             with pytest.raises(ValueError, match="dimension 3"):
                 correlation(rho2, Z_AXIS, pair)
+
+
+def test_evaluators_reject_non_hermitian_input():
+    # the real part of Tr[rho sigma x sigma] alone would read 1j * ones as T = 0
+    bad2, bad3 = 1j * np.ones((4, 4)), 1j * np.ones((8, 8))
+    calls = [
+        lambda: correlation_tensor(bad2),
+        lambda: correlation_tensor(bad3),
+        lambda: correlation(bad2, Z_AXIS, Z_AXIS),
+        lambda: chsh_value(bad2, chsh_tsirelson_settings()),
+        lambda: svetlichny_value(bad3, np.tile(Z_AXIS, (6, 1))),
+        lambda: horodecki_max(bad2),
+        lambda: maximize_chsh(bad2, restarts=1),
+        lambda: maximize_svetlichny(bad3, restarts=1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="not Hermitian"):
+            call()
 
 
 @settings(max_examples=40, deadline=None)

@@ -75,12 +75,29 @@ def test_determinism_bit_identical():
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
 def test_value_dominates_restart_starts(seed, rank):
-    # each restart's simplex minimizes the negated objective, so it never ends above its start
+    # each row's simplex minimizes the negated objective, so it never ends above its start
     rng = np.random.default_rng(seed)
     rho = random_density(rng, 2, rank)
-    fn = lambda x: -chsh_value(rho, optimize._angles_to_directions(x))
-    x0 = optimize._sample_start(rng, 4)
-    assert optimize._nelder_mead(fn, x0)[1] <= fn(x0)
+    fn = lambda rows, x: -chsh_value(rho, optimize._angles_to_directions(x).reshape(len(x), 4, 3))
+    x0 = np.array([optimize._sample_start(rng, 4) for _ in range(3)])
+    assert (optimize._nelder_mead(fn, x0, np.full(3, 0.35))[1] <= fn(None, x0)).all()
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ranks=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       restarts=st.integers(1, 6), witness=st.booleans(), modes=st.sampled_from([2, 3]))
+def test_stacked_maximizer_matches_per_point_calls(seed, ranks, restarts, witness, modes):
+    # a point's (point, start) rows step in lockstep with other points' rows and must not feel them
+    rng = np.random.default_rng(seed)
+    rhos = [random_density(rng, modes, rank) for rank in ranks]
+    resolution = (math.pi / 4.0 if modes == 2 else math.pi / 2.0) if witness else None
+    maximize = maximize_chsh if modes == 2 else maximize_svetlichny
+    for rho, stacked in zip(rhos, optimize._maximize_bell(rhos, modes, resolution, restarts, seed)):
+        single = maximize(rho, resolution, restarts=restarts, seed=seed)
+        assert stacked.value == single.value
+        assert np.array_equal(stacked.directions, single.directions)
+        assert stacked.evaluations == single.evaluations
+        assert stacked.converged == single.converged
 
 
 def test_value_dominates_grid_witness(rng):
@@ -175,6 +192,17 @@ def test_capped_simplex_reports_not_converged(monkeypatch):
     result = maximize_svetlichny(density(gghz(0.0)), restarts=12, seed=2)
     assert result.value < 4.0 - 1e-3
     assert result.converged is False
+
+
+def test_capped_row_beside_converged_row(monkeypatch):
+    # the capped product state's rows run out of iterations; the constant objective of T = 0 converges at once
+    monkeypatch.setattr(optimize, "MAX_ITERATIONS", 5)
+    capped, flat = optimize._maximize_bell([density(gghz(0.0)), np.eye(8) / 8.0], 3, None, 12, 2)
+    assert capped.converged is False
+    assert capped.value == maximize_svetlichny(density(gghz(0.0)), restarts=12, seed=2).value < 4.0 - 1e-3
+    assert flat.converged is True
+    assert flat.value == 0.0
+    assert flat.evaluations == 12 * 9  # each row's initial simplex only
 
 
 @settings(max_examples=40, deadline=None)
