@@ -20,7 +20,7 @@ from accelbell import (
     chsh_threshold,
     density,
     horodecki_max,
-    maximize_chsh,
+    maximize_bell,
     negativity,
     singlet,
 )
@@ -35,15 +35,15 @@ print(f"consistency: r(ln4/2pi) = {acceleration_parameter(math.log(4) / (2 * mat
 print()
 
 rho0 = density(singlet())
+rs = np.linspace(0.0, math.pi / 4.0, 9)
+rhos = [apply_channel(rho0, 2, float(r)) for r in rs]
 print(f"{'r':>8} {'restricted':>11} {'horodecki':>10} {'numeric':>10} {'negativity':>11}")
-for r in np.linspace(0.0, math.pi / 4.0, 9):
-    rho = apply_channel(rho0, 2, float(r))
+for r, rho, result in zip(rs, rhos, maximize_bell(rhos, restarts=10, seed=1)):
     restricted = chsh_restricted_max(float(r))
     closed = horodecki_max(rho)
-    numeric = maximize_chsh(rho, restarts=10, seed=1).value
     neg = negativity(rho, 1)
     marker = "violates" if restricted > 2.0 + 1e-9 else "classical"
-    print(f"{r:8.4f} {restricted:11.6f} {closed:10.6f} {numeric:10.6f} {neg:11.6f}  {marker}")
+    print(f"{r:8.4f} {restricted:11.6f} {closed:10.6f} {result.value:10.6f} {neg:11.6f}  {marker}")
 
 print()
 print("The restricted value crosses 2 at r_t; the unrestricted maximum stays")

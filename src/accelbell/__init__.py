@@ -7,7 +7,8 @@ Library layout:
     unruh         acceleration parameter, the wedge damping channel as a Kraus array, its dilation
     nonlocality   correlation tensor, its one Bell contraction (bell_fields), CHSH/Svetlichny
                   evaluators on unit-vector setting arrays, closed-form bounds, thresholds
-    optimize      Bell maximizers: first party in closed form + simplex, separable lattice oracle
+    optimize      maximize_bell over a stack of 4x4 (CHSH) or 8x8 (Svetlichny) states: first party in
+                  closed form + lockstep simplex; separable lattice oracle
     entanglement  negativity across one mode (pairs via linalg.partial_trace), residual tripartite tangle
     checks        cross-module invariant suite (the `verify` command), timed per check
     cli           sweep / threshold / verify / pi-tangle commands; one COLUMNS entry per sweep column
@@ -42,7 +43,7 @@ from .nonlocality import (
     violates_chsh,
     violates_svetlichny,
 )
-from .optimize import BudgetError, OptimizeResult, grid_oracle, maximize_chsh, maximize_svetlichny
+from .optimize import BudgetError, OptimizeResult, grid_oracle, maximize_bell
 from .states import gghz, maximal_slice, singlet, spin_observable
 from .unruh import R_MAX, acceleration_parameter, apply_channel, build_channel, dilate
 

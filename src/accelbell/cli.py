@@ -3,10 +3,10 @@
 Exit codes: 0 success, 1 failed check or exceeded evaluation budget,
 2 usage error, including an ``--out`` file that cannot be opened (checked
 before any computation).  The default seed comes from the ACCELBELL_SEED
-environment variable when set; a value that is not an integer is a usage
-error.  Sweep output is CSV with a header row, 12 significant digits and
-"\n" line endings; scalar reports are JSON.  Identical specs and seeds
-give byte-identical output.
+environment variable when set; a seed that is not a non-negative integer
+is a usage error.  Sweep output is CSV with a header row, 12 significant
+digits and "\n" line endings; scalar reports are JSON.  Identical specs
+and seeds give byte-identical output.
 """
 
 from __future__ import annotations
@@ -85,10 +85,10 @@ def _each(evaluate):
     return lambda spec, params, rs, rhos: [evaluate(spec, p, r, rho) for p, r, rho in zip(params, rs, rhos)]
 
 
-def _numeric(modes: int):
-    """A block evaluator that maximizes every damped state of the block in one lockstep simplex."""
-    return lambda spec, params, rs, rhos: [result.value for result in optimize._maximize_bell(
-        rhos, modes, spec.certify_resolution, spec.restarts, spec.seed)]
+def _numeric(spec: SweepSpec, params, rs, rhos) -> list:
+    """Maximize every damped state of the block in one lockstep simplex."""
+    results = optimize.maximize_bell(rhos, spec.certify_resolution, restarts=spec.restarts, seed=spec.seed)
+    return [result.value for result in results]
 
 
 # column: (modes, evaluator(spec, params, rs, damped states) -> one value per point, violation test or None)
@@ -96,12 +96,12 @@ COLUMNS = {
     "chsh_restricted_max": (2, _each(lambda spec, p, r, rho: nonlocality.chsh_restricted_max(r)),
                             nonlocality.violates_chsh),
     "chsh_horodecki": (2, _each(lambda spec, p, r, rho: nonlocality.horodecki_max(rho)), nonlocality.violates_chsh),
-    "chsh_numeric": (2, _numeric(2), nonlocality.violates_chsh),
+    "chsh_numeric": (2, _numeric, nonlocality.violates_chsh),
     "svetlichny_bound": (3, _each(lambda spec, p, r, rho: _svetlichny_bound(spec, p, r, envelope=False)),
                          nonlocality.violates_svetlichny),
     "svetlichny_envelope": (3, _each(lambda spec, p, r, rho: _svetlichny_bound(spec, p, r, envelope=True)),
                             nonlocality.violates_svetlichny),
-    "svetlichny_numeric": (3, _numeric(3), nonlocality.violates_svetlichny),
+    "svetlichny_numeric": (3, _numeric, nonlocality.violates_svetlichny),
     "pi_tangle": (3, _each(lambda spec, p, r, rho: entanglement.pi_tangle(rho).pi), None),
 }
 
@@ -128,7 +128,7 @@ def _validate_spec(spec: SweepSpec) -> None:
         modes = COLUMNS[col][0]
         if modes != n:
             raise ValueError(f"column {col!r} needs a {'two' if modes == 2 else 'three'}-mode state, not {spec.state!r}")
-    optimize._check_search(spec.restarts, spec.certify_resolution)
+    optimize._check_search(spec.restarts, spec.certify_resolution, spec.seed)
 
 
 def _fmt(value) -> str:

@@ -17,7 +17,7 @@ tensor T (``correlation_tensor``) contracted with the settings u, v(, w) of
 modes 1, 2(, 3) (index 0 unprimed, 1 primed) and weighted by the coefficients
 beta, e.g. CHSH = |a.T(b + b') + a'.T(b - b')|.  No measurement operator is built.
 ``bell_fields`` is the one contraction of T with the later settings, shared
-by both evaluators and both maximizers.  Settings are unit 3-vector arrays of
+by both evaluators and the maximizer.  Settings are unit 3-vector arrays of
 shape (..., 4, 3) (a, a', b, b') or (..., 6, 3) (a, a', c, c', b, b').  A value
 only counts as a violation when it clears the classical bound by more than
 ``VIOLATION_TOL``; non-finite input and a non-Hermitian operator raise

@@ -1,9 +1,11 @@
 """Maximization of the Bell values over products of unit spheres.
 
 A Bell value |sum beta T(u_x, v_y(, w_z))| is multilinear in the settings
-(see ``nonlocality``), so both maximizers contract T one party at a time.
+(see ``nonlocality``), so the maximizer contracts T one party at a time.
 
-``maximize_chsh``/``maximize_svetlichny`` solve the first party in closed
+``maximize_bell`` is the one maximizer.  It takes a stack of states and
+maximizes CHSH for 4x4 operators and Svetlichny for 8x8 ones; a single
+state is a stack of one.  It solves the first party in closed
 form: with X_x = sum beta[x, ...] T(., v_y(, w_z)) (``bell_fields``), the
 maximum of |a.X_0 + a'.X_1| over unit a, a' is |X_0| + |X_1| (Horodecki,
 Horodecki & Horodecki, PLA 200, 340 (1995)).  A Nelder-Mead simplex in
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nonlocality import _tensor, bell_fields, chsh_value, correlation_tensor, svetlichny_value
+from .nonlocality import bell_fields, chsh_value, correlation_tensor, svetlichny_value
 
 DEFAULT_BUDGET = 10**8
 MAX_ITERATIONS = 2000
@@ -48,8 +50,7 @@ __all__ = [
     "BudgetError",
     "OptimizeResult",
     "grid_oracle",
-    "maximize_chsh",
-    "maximize_svetlichny",
+    "maximize_bell",
 ]
 
 
@@ -189,18 +190,30 @@ def grid_oracle(rho: np.ndarray, resolution: float) -> tuple[float, np.ndarray]:
     return value, _angles_to_directions(angles)
 
 
-def _check_search(restarts: int, witness_resolution: float | None) -> None:
-    """Raise ValueError for restarts < 1 or a witness resolution that is not a positive angle dividing pi."""
-    if restarts < 1:
-        raise ValueError(f"restarts must be positive, got {restarts!r}")
+def _check_search(restarts: int, witness_resolution: float | None, seed: int) -> None:
+    """Raise ValueError for restarts < 1, a seed < 0, either not an integer, or a bad witness resolution."""
+    for name, value, low in (("restarts", restarts, 1), ("seed", seed, 0)):
+        if not isinstance(value, (int, np.integer)) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     if witness_resolution is not None:
         _lattice_steps(witness_resolution)
 
 
-def _maximize_bell(rhos, modes, witness_resolution, restarts, seed) -> list[OptimizeResult]:
-    """One result per state of ``rhos``; the simplex rows are (state, start) pairs, stepped in lockstep."""
-    _check_search(restarts, witness_resolution)
-    t = np.stack([_tensor(rho, modes) for rho in rhos])
+def maximize_bell(
+    rhos, witness_resolution: float | None = None, *, restarts: int = 64, seed: int = 0
+) -> list[OptimizeResult]:
+    """Numerically maximized CHSH (4x4 operators) or Svetlichny (8x8 operators) value of each state of ``rhos``.
+
+    The simplex searches the later settings only; its rows are (state, start) pairs, stepped in lockstep.
+    """
+    _check_search(restarts, witness_resolution, seed)
+    rhos = list(rhos)  # read twice: for T here and by the evaluator at the end
+    tensors = [correlation_tensor(rho) for rho in rhos]
+    if len({tp.shape for tp in tensors}) != 1:
+        shapes = sorted({np.shape(rho) for rho in rhos})
+        raise ValueError(f"expected a non-empty stack of 4x4 or of 8x8 operators, got shapes {shapes}")
+    t = np.stack(tensors)
+    modes = t.ndim - 1
     rng = np.random.default_rng(seed)
     x0 = np.tile([_sample_start(rng, 2 * modes - 2) for _ in range(restarts)], (len(t), 1, 1))  # (state, start, dim)
     steps = [0.35] * restarts
@@ -232,17 +245,3 @@ def _maximize_bell(rhos, modes, witness_resolution, restarts, seed) -> list[Opti
     evaluate, totals = chsh_value if modes == 2 else svetlichny_value, evals.reshape(len(t), n_starts).sum(axis=1)
     return [OptimizeResult(evaluate(rho, d), d, int(e), bool(c))
             for rho, d, e, c in zip(rhos, directions, totals, converged[best])]
-
-
-def maximize_chsh(
-    rho: np.ndarray, witness_resolution: float | None = None, *, restarts: int = 64, seed: int = 0
-) -> OptimizeResult:
-    """Numerically maximized CHSH value of a two-mode state; the simplex searches b and b' only."""
-    return _maximize_bell([rho], 2, witness_resolution, restarts, seed)[0]
-
-
-def maximize_svetlichny(
-    rho: np.ndarray, witness_resolution: float | None = None, *, restarts: int = 64, seed: int = 0
-) -> OptimizeResult:
-    """Numerically maximized Svetlichny value of a three-mode state; the simplex searches c, c', b and b' only."""
-    return _maximize_bell([rho], 3, witness_resolution, restarts, seed)[0]

@@ -121,9 +121,20 @@ def test_sweep_numeric_across_blocks_matches_per_point_calls():
     assert len(rows) == len(grid) > cli.BLOCK
     for row, (p, r) in zip(rows, grid):
         rho = unruh.apply_channel(density(singlet()), 2, r)
-        numeric, closed = optimize.maximize_chsh(rho, restarts=2, seed=3).value, horodecki_max(rho)
+        numeric, closed = optimize.maximize_bell([rho], restarts=2, seed=3)[0].value, horodecki_max(rho)
         assert row == [f"{p:.12g}", f"{r:.12g}", f"{numeric:.12g}", "1" if violates_chsh(numeric) else "0",
                        f"{closed:.12g}", "1" if violates_chsh(closed) else "0"]
+
+
+def test_sweep_calls_public_maximizer_once_per_block(monkeypatch):
+    # the numeric columns look up optimize.maximize_bell at call time, so a rebinding of it sees every block
+    spec = SweepSpec(state="singlet", param_start=0.0, param_stop=1.0, param_steps=3, r_start=0.0,
+                     r_stop=math.pi / 4.0, r_steps=30, mode=2, columns=("chsh_numeric",), seed=3, restarts=2)
+    plain = run_sweep(spec)
+    real, calls = optimize.maximize_bell, []
+    monkeypatch.setattr(optimize, "maximize_bell", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    assert run_sweep(spec) == plain
+    assert len(calls) == 2
 
 
 def test_sweep_validation_errors():
@@ -208,6 +219,13 @@ def test_main_usage_errors(capsys, monkeypatch, tmp_path):
     assert main(singlet + ["--columns", "chsh_horodecki", "--restarts", "0"]) == 2
     assert main(singlet + ["--columns", "chsh_horodecki", "--certify", "-1"]) == 2
     assert main(singlet + ["--columns", "chsh_numeric", "--restarts", "0", "--certify", "0.19634954084936207"]) == 2
+    # so is --seed, and a negative ACCELBELL_SEED, before the first block's states are built
+    monkeypatch.setattr(cli, "_damped", lambda *args: pytest.fail("state built before the seed was checked"))
+    assert main(singlet + ["--columns", "chsh_horodecki", "--seed", "-1"]) == 2
+    assert main(singlet + ["--columns", "chsh_numeric", "--seed", "-1"]) == 2
+    monkeypatch.setenv("ACCELBELL_SEED", "-3")
+    assert main(singlet + ["--columns", "chsh_numeric"]) == 2
+    monkeypatch.delenv("ACCELBELL_SEED")
     # a rejected command leaves an existing --out file as it was
     kept = tmp_path / "kept.csv"
     kept.write_text("earlier results\n")
@@ -220,7 +238,7 @@ def test_main_usage_errors(capsys, monkeypatch, tmp_path):
     assert main(["threshold", "--out", missing]) == 2
     assert main(["pi-tangle", "--state", "gghz", "--param", "0.3", "--r", "0.2", "--out", missing]) == 2
     errors = capsys.readouterr().err.splitlines()
-    assert len(errors) == 11 and all(line.startswith("error: ") for line in errors)
+    assert len(errors) == 14 and all(line.startswith("error: ") for line in errors)
 
 
 def test_bad_seed_environment_is_usage_error():
@@ -299,6 +317,14 @@ def test_verify_fault_injection(monkeypatch):
     assert math.isfinite(_failed_residual(report, "channel-dual-path"))
 
 
+def test_verify_catches_stalled_simplex(monkeypatch):
+    # five simplex iterations leave the Svetlichny maxima up to 1.0 below the envelope
+    monkeypatch.setattr(optimize, "MAX_ITERATIONS", 5)
+    results = {res.name: res for res in checks.run_checks("full")}
+    assert not results["svetlichny-numeric-vs-envelope"].passed
+    assert math.isfinite(results["svetlichny-numeric-vs-envelope"].residual)
+
+
 def test_verify_catches_corrupted_correlation_tensor(monkeypatch):
     import accelbell.nonlocality as nonlocality_mod
 
@@ -312,7 +338,7 @@ def test_verify_catches_corrupted_correlation_tensor(monkeypatch):
 
 
 def test_verify_catches_corrupted_lattice_oracle(monkeypatch):
-    # a transposed tensor swaps the parties inside the oracle only
+    # a transposed tensor swaps the parties inside `optimize` only
     real = optimize.correlation_tensor
     monkeypatch.setattr(optimize, "correlation_tensor", lambda rho: real(rho).T)
     residual, tolerance, _ = checks.check_lattice_dual_path()

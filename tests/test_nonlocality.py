@@ -25,7 +25,7 @@ from accelbell.nonlocality import (
     svetlichny_bound_ms_slice,
     svetlichny_value,
 )
-from accelbell.optimize import maximize_chsh, maximize_svetlichny
+from accelbell.optimize import maximize_bell
 from accelbell.states import X_AXIS, Z_AXIS, gghz, maximal_slice, singlet, spin_observable
 from accelbell.unruh import R_MAX, acceleration_parameter, apply_channel
 
@@ -399,8 +399,8 @@ def test_evaluators_reject_non_hermitian_input():
         lambda: chsh_value(bad2, chsh_tsirelson_settings()),
         lambda: svetlichny_value(bad3, np.tile(Z_AXIS, (6, 1))),
         lambda: horodecki_max(bad2),
-        lambda: maximize_chsh(bad2, restarts=1),
-        lambda: maximize_svetlichny(bad3, restarts=1),
+        lambda: maximize_bell([bad2], restarts=1),
+        lambda: maximize_bell([bad3], restarts=1),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="not Hermitian"):

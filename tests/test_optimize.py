@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from accelbell import optimize
 from accelbell.linalg import density, tensor
 from accelbell.nonlocality import chsh_value, horodecki_max, svetlichny_bound_gghz, svetlichny_value
-from accelbell.optimize import BudgetError, grid_oracle, maximize_chsh, maximize_svetlichny
+from accelbell.optimize import BudgetError, grid_oracle, maximize_bell
 from accelbell.states import gghz, singlet
 from accelbell.unruh import apply_channel
 
@@ -65,8 +65,8 @@ def test_grid_oracle_svetlichny_product_bounded():
 
 def test_determinism_bit_identical():
     rho = apply_channel(density(singlet()), 2, 0.3)
-    first = maximize_chsh(rho, restarts=6, seed=42)
-    second = maximize_chsh(rho, restarts=6, seed=42)
+    first = maximize_bell([rho], restarts=6, seed=42)[0]
+    second = maximize_bell(iter([rho]), restarts=6, seed=42)[0]  # any iterable of states is a stack
     assert first.value == second.value
     assert np.array_equal(first.directions, second.directions)
     assert first.evaluations == second.evaluations
@@ -91,9 +91,8 @@ def test_stacked_maximizer_matches_per_point_calls(seed, ranks, restarts, witnes
     rng = np.random.default_rng(seed)
     rhos = [random_density(rng, modes, rank) for rank in ranks]
     resolution = (math.pi / 4.0 if modes == 2 else math.pi / 2.0) if witness else None
-    maximize = maximize_chsh if modes == 2 else maximize_svetlichny
-    for rho, stacked in zip(rhos, optimize._maximize_bell(rhos, modes, resolution, restarts, seed)):
-        single = maximize(rho, resolution, restarts=restarts, seed=seed)
+    for rho, stacked in zip(rhos, maximize_bell(rhos, resolution, restarts=restarts, seed=seed)):
+        single = maximize_bell([rho], resolution, restarts=restarts, seed=seed)[0]
         assert stacked.value == single.value
         assert np.array_equal(stacked.directions, single.directions)
         assert stacked.evaluations == single.evaluations
@@ -102,7 +101,7 @@ def test_stacked_maximizer_matches_per_point_calls(seed, ranks, restarts, witnes
 
 def test_value_dominates_grid_witness(rng):
     rho = random_density(rng, 3)
-    result = maximize_svetlichny(rho, witness_resolution=math.pi / 2.0, restarts=16, seed=7)
+    result = maximize_bell([rho], witness_resolution=math.pi / 2.0, restarts=16, seed=7)[0]
     oracle_value = grid_oracle(rho, math.pi / 2.0)[0]
     # lattice witness minus a Lipschitz slack for the lattice spacing
     assert result.value >= oracle_value - 0.05
@@ -111,7 +110,7 @@ def test_value_dominates_grid_witness(rng):
 
 def test_constant_objective_tie_break():
     # T = 0 makes |X_0| + |X_1| constant: every restart ties and the first one wins
-    result = maximize_chsh(np.eye(4) / 4.0, restarts=5, seed=3)
+    result = maximize_bell([np.eye(4) / 4.0], restarts=5, seed=3)[0]
     first_start = optimize._angles_to_directions(optimize._sample_start(np.random.default_rng(3), 2))
     assert result.value == 0.0
     assert np.array_equal(result.directions[2:], first_start)
@@ -119,46 +118,46 @@ def test_constant_objective_tie_break():
 
 def test_non_finite_objective_rejected():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-        maximize_chsh(np.full((4, 4), 1e308), restarts=1)
+        maximize_bell([np.full((4, 4), 1e308)], restarts=1)
 
 
 def test_maximize_chsh_singlet():
-    value = maximize_chsh(density(singlet()), restarts=12, seed=2).value
+    value = maximize_bell([density(singlet())], restarts=12, seed=2)[0].value
     assert abs(value - 2.0 * SQRT2) < 1e-6
 
 
 def test_maximize_chsh_product_state():
     rho = density(np.array([1, 0, 0, 0], dtype=complex))
-    result = maximize_chsh(rho, restarts=12, seed=2)
+    result = maximize_bell([rho], restarts=12, seed=2)[0]
     assert abs(result.value - 2.0) < 1e-6
     assert result.converged
 
 
 def test_maximize_chsh_zero_tensor():
     # T = 0: both first-party fields vanish, so a and a' fall back to z
-    result = maximize_chsh(np.eye(4) / 4.0, restarts=2)
+    result = maximize_bell([np.eye(4) / 4.0], restarts=2)[0]
     assert result.value == 0.0
     assert np.array_equal(result.directions[:2], [[0.0, 0.0, 1.0]] * 2)
 
 
 def test_maximize_chsh_witness_included():
     rho = density(singlet())
-    value = maximize_chsh(rho, witness_resolution=math.pi / 4.0, restarts=6, seed=2).value
+    value = maximize_bell([rho], witness_resolution=math.pi / 4.0, restarts=6, seed=2)[0].value
     assert abs(value - 2.0 * SQRT2) < 1e-9
 
 
 def test_maximize_chsh_frame_rotation_invariant(rng):
     rho = density(singlet())
-    base = maximize_chsh(rho, restarts=12, seed=9).value
+    base = maximize_bell([rho], restarts=12, seed=9)[0].value
     for _ in range(3):
         u = tensor(random_unitary(rng, 2), random_unitary(rng, 2))
         rotated = u @ rho @ u.conj().T
-        assert abs(maximize_chsh(rotated, restarts=12, seed=9).value - base) < 1e-6
+        assert abs(maximize_bell([rotated], restarts=12, seed=9)[0].value - base) < 1e-6
 
 
 def test_maximize_svetlichny_ghz():
     rho = density(gghz(math.pi / 4.0))
-    result = maximize_svetlichny(rho, restarts=20, seed=4)
+    result = maximize_bell([rho], restarts=20, seed=4)[0]
     assert abs(result.value - 4.0 * SQRT2) < 1e-6
     # the returned settings reproduce the reported value
     assert abs(svetlichny_value(rho, result.directions) - result.value) < 1e-12
@@ -166,30 +165,35 @@ def test_maximize_svetlichny_ghz():
 
 def test_maximize_svetlichny_product():
     rho = density(gghz(0.0))
-    result = maximize_svetlichny(rho, restarts=12, seed=4)
+    result = maximize_bell([rho], restarts=12, seed=4)[0]
     assert abs(result.value - 4.0) < 1e-6
 
 
 def test_maximize_svetlichny_gghz_past_quarter_pi():
     # past pi/4 the closed form needs the moduli |2 cos^2 t1 cos^2 r - 1| and |sin 2 t1|
     for t1, r in ((3.0 * math.pi / 8.0, math.pi / 4.0), (1.3, 0.1), (math.pi / 2.0, 0.0), (2.0, 0.0)):
-        numeric = maximize_svetlichny(apply_channel(density(gghz(t1)), 3, r), restarts=8, seed=1).value
+        numeric = maximize_bell([apply_channel(density(gghz(t1)), 3, r)], restarts=8, seed=1)[0].value
         assert abs(numeric - svetlichny_bound_gghz(t1, r).envelope) < 1e-6
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="restarts"):
-        maximize_chsh(density(singlet()), restarts=0)
-    with pytest.raises(ValueError, match="3-mode"):
-        maximize_svetlichny(density(singlet()))
-    with pytest.raises(ValueError, match="2-mode"):
-        maximize_chsh(density(gghz(0.3)))
+    rho = density(singlet())
+    for restarts in (0, -1, 2.5, "4"):
+        with pytest.raises(ValueError, match="restarts"):
+            maximize_bell([rho], restarts=restarts)
+    for seed in (-1, 1.5, None):
+        with pytest.raises(ValueError, match="seed"):
+            maximize_bell([rho], restarts=1, seed=seed)
+    # the matrix size picks the inequality: one size per stack, 4x4 or 8x8 only
+    for rhos in ([rho, density(gghz(0.3))], [np.eye(2) / 2.0], [np.eye(16) / 16.0], []):
+        with pytest.raises(ValueError, match="operator"):
+            maximize_bell(rhos, restarts=1)
 
 
 def test_capped_simplex_reports_not_converged(monkeypatch):
     # five simplex iterations stop well short of the product state's maximum 4
     monkeypatch.setattr(optimize, "MAX_ITERATIONS", 5)
-    result = maximize_svetlichny(density(gghz(0.0)), restarts=12, seed=2)
+    result = maximize_bell([density(gghz(0.0))], restarts=12, seed=2)[0]
     assert result.value < 4.0 - 1e-3
     assert result.converged is False
 
@@ -197,9 +201,9 @@ def test_capped_simplex_reports_not_converged(monkeypatch):
 def test_capped_row_beside_converged_row(monkeypatch):
     # the capped product state's rows run out of iterations; the constant objective of T = 0 converges at once
     monkeypatch.setattr(optimize, "MAX_ITERATIONS", 5)
-    capped, flat = optimize._maximize_bell([density(gghz(0.0)), np.eye(8) / 8.0], 3, None, 12, 2)
+    capped, flat = maximize_bell([density(gghz(0.0)), np.eye(8) / 8.0], restarts=12, seed=2)
     assert capped.converged is False
-    assert capped.value == maximize_svetlichny(density(gghz(0.0)), restarts=12, seed=2).value < 4.0 - 1e-3
+    assert capped.value == maximize_bell([density(gghz(0.0))], restarts=12, seed=2)[0].value < 4.0 - 1e-3
     assert flat.converged is True
     assert flat.value == 0.0
     assert flat.evaluations == 12 * 9  # each row's initial simplex only
@@ -209,7 +213,7 @@ def test_capped_row_beside_converged_row(monkeypatch):
 @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
 def test_numeric_chsh_below_horodecki(seed, rank):
     rho = random_density(np.random.default_rng(seed), 2, rank)
-    result = maximize_chsh(rho, restarts=2)
+    result = maximize_bell([rho], restarts=2)[0]
     assert result.value <= horodecki_max(rho) + 1e-12
     assert abs(chsh_value(rho, result.directions) - result.value) <= 1e-12
 
@@ -218,7 +222,7 @@ def test_numeric_chsh_below_horodecki(seed, rank):
 @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 8))
 def test_numeric_svetlichny_reproduced_by_directions(seed, rank):
     rho = random_density(np.random.default_rng(seed), 3, rank)
-    result = maximize_svetlichny(rho, restarts=2)
+    result = maximize_bell([rho], restarts=2)[0]
     assert abs(svetlichny_value(rho, result.directions) - result.value) <= 1e-12
 
 
@@ -226,9 +230,9 @@ def test_numeric_svetlichny_reproduced_by_directions(seed, rank):
 @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
 def test_grid_oracle_below_witnessed_maximum(seed, rank):
     rng = np.random.default_rng(seed)
-    for modes, maximize, resolution in ((2, maximize_chsh, math.pi / 4.0), (3, maximize_svetlichny, math.pi / 2.0)):
+    for modes, resolution in ((2, math.pi / 4.0), (3, math.pi / 2.0)):
         rho = random_density(rng, modes, rank)
-        result = maximize(rho, witness_resolution=resolution, restarts=1)
+        result = maximize_bell([rho], witness_resolution=resolution, restarts=1)[0]
         assert grid_oracle(rho, resolution)[0] <= result.value + 1e-12
 
 
@@ -239,4 +243,4 @@ def test_svetlichny_maximum_local_unitary_invariant(t1, r, seed):
     rng = np.random.default_rng(seed)
     u = tensor(*(random_unitary(rng, 2) for _ in range(3)))
     rho = u @ apply_channel(density(gghz(t1)), 3, r) @ u.conj().T
-    assert abs(maximize_svetlichny(rho, restarts=12).value - svetlichny_bound_gghz(t1, r).envelope) < 1e-6
+    assert abs(maximize_bell([rho], restarts=12)[0].value - svetlichny_bound_gghz(t1, r).envelope) < 1e-6
