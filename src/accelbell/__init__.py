@@ -2,7 +2,7 @@
 
 Library layout:
 
-    linalg        dense complex operators, partial trace/transpose, checked eigvalsh
+    linalg        dense complex operators, the one state check, partial trace/transpose, checked eigvalsh
     states        singlet / generalized GHZ / maximal slice states, spin observables along unit 3-vectors
     unruh         acceleration parameter, the wedge damping channel as a Kraus array, its dilation
     nonlocality   correlation tensor, its one Bell contraction (bell_fields), CHSH/Svetlichny
@@ -22,7 +22,6 @@ from .linalg import (
     partial_trace,
     partial_transpose,
     tensor,
-    trace_norm,
 )
 from .nonlocality import (
     ChshThreshold,

@@ -4,6 +4,8 @@ Convention: N(rho) = ||rho^{T_mode}||_1 - 1, not halved, so a Bell pair
 has N = 1 and the GHZ state has tangle 1.  The negativity of a pair of
 modes is that of their two-mode reduction: trace the third mode out with
 ``linalg.partial_trace`` first.
+
+Each call checks its state once; the partial transposes go straight to ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import mode_count, partial_trace, partial_transpose, trace_norm
+from .linalg import _state, partial_trace, partial_transpose
 
 __all__ = ["PiTangle", "negativity", "pi_tangle"]
 
@@ -22,7 +24,11 @@ def negativity(rho, mode: int) -> float:
 
     Always >= 0; zero iff the partial transpose stays positive semidefinite.
     """
-    return max(trace_norm(partial_transpose(rho, mode)) - 1.0, 0.0)
+    return _negativity(_state(rho)[0], mode)
+
+
+def _negativity(rho: np.ndarray, mode: int) -> float:  # rho already checked
+    return max(float(np.sum(np.abs(np.linalg.eigvalsh(partial_transpose(rho, mode))))) - 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -49,11 +55,9 @@ def pi_tangle(rho) -> PiTangle:
     Components are reported raw; only the aggregate is clamped to zero when
     it is negative by less than 1e-12.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if mode_count(rho.shape[0]) != 3:
-        raise ValueError("pi_tangle needs a three-mode operator")
-    pair_sq = {k: negativity(partial_trace(rho, k), 1) ** 2 for k in (1, 2, 3)}  # the pair without mode k
-    residuals = [negativity(rho, m) ** 2 - sum(pair_sq[6 - m - j] for j in (1, 2, 3) if j != m) for m in (1, 2, 3)]
+    rho, _ = _state(rho, 3)
+    pair_sq = {k: _negativity(partial_trace(rho, k), 1) ** 2 for k in (1, 2, 3)}  # the pair without mode k
+    residuals = [_negativity(rho, m) ** 2 - sum(pair_sq[6 - m - j] for j in (1, 2, 3) if j != m) for m in (1, 2, 3)]
     aggregate = sum(residuals) / 3.0
     if -1e-12 < aggregate < 0.0:
         aggregate = 0.0

@@ -6,10 +6,11 @@ significant bit of the basis index, so the product ket |abc> sits at index
 4a + 2b + c.  Mode indices are 1-based throughout.  The sign convention is
 sigma_z |0> = +|0>.
 
-Operators never exceed dimension 16: three modes plus the hidden partner
-mode of the channel's dilation.  The eigensolver refuses anything larger,
-so a misshaped operator fails loudly instead of being diagonalized.  All
-functions are pure and never mutate their inputs.
+Operators never exceed ``MAX_DIM`` = 16, and all functions are pure.  A
+state is 2^n x 2^n (n >= 1), finite, Hermitian and of unit trace within
+``HERMITICITY_ATOL``; positivity is not checked.  ``_state`` checks this once
+at each entry point (``density``, ``unruh``, ``entanglement``, ``_tensor``).
+The other functions also take non-states, such as T^T T, and check less.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "partial_trace",
     "partial_transpose",
     "hermitian_eigenvalues",
-    "trace_norm",
     "expectation",
 ]
 
@@ -55,9 +55,9 @@ def tensor(*factors: np.ndarray) -> np.ndarray:
 
 
 def density(psi: np.ndarray) -> np.ndarray:
-    """Rank-one density operator |psi><psi| from a state vector."""
+    """Rank-one density operator |psi><psi| from a state vector; a non-finite or non-unit ket raises ValueError."""
     v = np.asarray(psi, dtype=complex).reshape(-1)
-    return np.outer(v, v.conj())
+    return _state(np.outer(v, v.conj()))[0]
 
 
 def _square_operator(rho: np.ndarray) -> tuple[np.ndarray, int]:
@@ -110,22 +110,26 @@ def _require_hermitian(matrix: np.ndarray, atol: float = HERMITICITY_ATOL) -> np
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] > MAX_DIM:
         raise ValueError(f"dimension {m.shape[0]} exceeds the supported maximum {MAX_DIM}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
-    residual = float(np.max(np.abs(m - m.conj().T)))
+    residual = float(np.abs(m - m.conj().T).max())
     if residual > atol:
         raise ValueError(f"matrix is not Hermitian (residual {residual:.3e} > {atol:.0e})")
     return m
 
 
+def _state(rho: np.ndarray, modes: int | None = None) -> tuple[np.ndarray, int]:
+    """Check the state contract of the module docstring; return rho as a complex array and its mode count."""
+    rho, n = _square_operator(_require_hermitian(rho))
+    if n < 1 or n != (modes or n) or not abs(np.trace(rho) - 1.0) <= HERMITICITY_ATOL:
+        want = f"{modes}-mode state" if modes else "state of one or more modes"
+        raise ValueError(f"expected a unit-trace {want}, got shape {rho.shape} and trace {np.trace(rho).real:.6g}")
+    return rho, n
+
+
 def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, in ascending order."""
     return np.linalg.eigvalsh(_require_hermitian(matrix))
-
-
-def trace_norm(matrix: np.ndarray) -> float:
-    """Trace norm of a Hermitian matrix: the sum of absolute eigenvalues."""
-    return float(np.sum(np.abs(hermitian_eigenvalues(matrix))))
 
 
 def expectation(rho: np.ndarray, observable: np.ndarray) -> float:

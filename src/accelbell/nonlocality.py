@@ -20,8 +20,8 @@ beta, e.g. CHSH = |a.T(b + b') + a'.T(b - b')|.  No measurement operator is buil
 by both evaluators and the maximizer.  Settings are unit 3-vector arrays of
 shape (..., 4, 3) (a, a', b, b') or (..., 6, 3) (a, a', c, c', b, b').  A value
 only counts as a violation when it clears the classical bound by more than
-``VIOLATION_TOL``; non-finite input and a non-Hermitian operator raise
-``ValueError``.
+``VIOLATION_TOL``.  ``ValueError`` is raised for a non-state (``_tensor`` checks each operator
+with ``linalg._state``), non-finite settings and a value above the quantum maximum.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _require_hermitian, hermitian_eigenvalues
+from .linalg import _state, hermitian_eigenvalues
 from .states import PAULI, _unit_vectors
 from .unruh import R_MAX
 
@@ -96,12 +96,11 @@ def _check_closed_form(r, *angles) -> None:
         raise ValueError(f"acceleration parameter r={r!r} outside [0, pi/4]")
 
 
-def _tensor(rho: np.ndarray, modes: int) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2**modes,) * 2:
-        raise ValueError(f"expected a {modes}-mode operator of shape {(2**modes,) * 2}, got {rho.shape}")
-    _require_hermitian(rho)  # non-finite or non-Hermitian entries raise ValueError
-    return (_PAULI_PRODUCTS[modes] @ rho.ravel()).real.reshape((3,) * modes)
+def _tensor(rho: np.ndarray, modes: int | None = None) -> np.ndarray:
+    rho, n = _state(rho, modes)
+    if n not in _PAULI_PRODUCTS:
+        raise ValueError(f"expected a 4x4 or 8x8 operator, got shape {rho.shape}")
+    return (_PAULI_PRODUCTS[n] @ rho.ravel()).real.reshape((3,) * n)
 
 
 def _maybe_scalar(values: np.ndarray):
@@ -110,7 +109,7 @@ def _maybe_scalar(values: np.ndarray):
 
 def correlation_tensor(rho: np.ndarray) -> np.ndarray:
     """T_ij = Tr[rho sigma_i x sigma_j] of a 4x4 operator, or T_ijk of an 8x8 one, as a real array."""
-    return _tensor(rho, 3 if np.shape(rho) == (8, 8) else 2)
+    return _tensor(rho)
 
 
 def correlation(rho: np.ndarray, a, b) -> float:

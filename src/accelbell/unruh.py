@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .linalg import mode_count, partial_trace
+from .linalg import _state, density, mode_count, partial_trace
 
 R_MAX = math.pi / 4.0
 
@@ -75,11 +75,10 @@ def dilate(psi: np.ndarray, mode: int, r: float) -> np.ndarray:
     mode, per the two state maps above.  Norm is preserved exactly.
     """
     r = _check_r(r)
-    v = np.asarray(psi, dtype=complex).reshape(-1)
-    n = mode_count(v.size)
+    n = mode_count(len(density(psi)))  # density's check rejects a non-finite or non-unit ket
     if not 1 <= mode <= n:
         raise ValueError(f"mode {mode} out of range 1..{n}")
-    t = np.moveaxis(v.reshape((2,) * n), mode - 1, 0)
+    t = np.moveaxis(np.asarray(psi, dtype=complex).reshape((2,) * n), mode - 1, 0)
     out = np.zeros((2,) + t.shape[1:] + (2,), dtype=complex)
     out[0, ..., 0] = math.cos(r) * t[0]
     out[1, ..., 1] = math.sin(r) * t[0]
@@ -93,8 +92,7 @@ def apply_channel(rho: np.ndarray, mode: int, r: float) -> np.ndarray:
     Must equal ``partial_trace(density(dilate(psi, mode, r)), n + 1)`` for
     every pure state psi; that dual-path contract is enforced by the tests.
     """
-    rho = np.asarray(rho, dtype=complex)
-    n = mode_count(rho.shape[0])
+    rho, n = _state(rho)
     if not 1 <= mode <= n:
         raise ValueError(f"mode {mode} out of range 1..{n}")
     k = build_channel(r)
@@ -106,6 +104,5 @@ def apply_channel(rho: np.ndarray, mode: int, r: float) -> np.ndarray:
 def dilate_and_trace(psi: np.ndarray, mode: int, r: float) -> np.ndarray:
     """Reference path for the channel: dilate, project to a density operator,
     trace out the trailing hidden mode."""
-    big = dilate(psi, mode, r)
-    n_big = mode_count(big.size)
-    return partial_trace(np.outer(big, big.conj()), n_big)
+    big = density(dilate(psi, mode, r))
+    return partial_trace(big, mode_count(len(big)))

@@ -11,7 +11,6 @@ from accelbell.linalg import (
     partial_trace,
     partial_transpose,
     tensor,
-    trace_norm,
 )
 from accelbell.states import ID2, SIGMA_X, SIGMA_Z
 
@@ -20,6 +19,11 @@ from helpers import random_density, random_hermitian, random_unitary
 
 def bell_phi_plus():
     return np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
+
+
+def trace_norm(matrix):
+    """Trace norm of a Hermitian matrix: the sum of its absolute eigenvalues."""
+    return float(np.sum(np.abs(hermitian_eigenvalues(matrix))))
 
 
 def loop_partial_trace(rho, n, mode):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from accelbell.checks import operator_bell_value
+from accelbell.entanglement import negativity, pi_tangle
 from accelbell.linalg import density, tensor
 from accelbell.nonlocality import (
     CHSH_QUANTUM_MAX,
@@ -77,11 +78,11 @@ def test_chsh_optimal_settings_reach_tsirelson():
 
 
 def test_evaluators_reject_values_above_quantum_maximum():
-    # scaled states are no density operators; the bound check must hold under python -O too
+    # unit-trace and Hermitian but not positive, so only the bound check stops them; it must hold under python -O too
     with pytest.raises(ValueError, match="quantum maximum"):
-        chsh_value(10.0 * density(singlet()), chsh_tsirelson_settings())
+        chsh_value(10.0 * density(singlet()) - 9.0 * np.eye(4) / 4.0, chsh_tsirelson_settings())
     with pytest.raises(ValueError, match="algebraic maximum"):
-        svetlichny_value(10.0 * density(gghz(0.0)), np.tile(Z_AXIS, (6, 1)))
+        svetlichny_value(10.0 * density(gghz(0.0)) - 9.0 * np.eye(8) / 8.0, np.tile(Z_AXIS, (6, 1)))
 
 
 def test_chsh_degenerate_settings_bounded():
@@ -343,7 +344,7 @@ def test_correlation_tensor_known_values():
 
 def test_correlation_tensor_rejects_other_shapes():
     for bad in (np.eye(2) / 2.0, np.eye(16) / 16.0, np.ones((4, 8))):
-        with pytest.raises(ValueError, match="operator of shape"):
+        with pytest.raises(ValueError, match="4x4 or 8x8 operator|square matrix"):
             correlation_tensor(bad)
 
 
@@ -387,6 +388,46 @@ def test_evaluators_reject_non_finite_input():
         for pair in ((value, 0.0), (0.3, 0.0)):
             with pytest.raises(ValueError, match="dimension 3"):
                 correlation(rho2, Z_AXIS, pair)
+
+
+def test_state_entry_points_reject_non_states():
+    # every state entry point checks shape, finiteness, Hermiticity and unit trace (not positivity)
+    calls = {
+        "and trace 20$": [lambda: horodecki_max(5.0 * np.eye(4)), lambda: maximize_bell([5.0 * np.eye(4)], restarts=1)],
+        "and trace 12$": [lambda: negativity(3.0 * np.eye(4), 1)],
+        "and trace 16$": [lambda: pi_tangle(2.0 * np.eye(8))],
+        "and trace 2$": [lambda: density([1.0, 1.0])],
+        "non-finite": [lambda: apply_channel(np.full((4, 4), math.nan), 1, 0.1), lambda: density([math.nan, 0.0])],
+        "not Hermitian": [lambda: apply_channel(np.triu(np.ones((4, 4))) / 4.0, 1, 0.1)],
+        "exceeds the supported maximum": [lambda: apply_channel(np.eye(32) / 32.0, 1, 0.1)],
+        "state of one or more modes": [
+            lambda: apply_channel(np.eye(1), 1, 0.1),
+            lambda: negativity(np.eye(1), 1),
+            lambda: correlation_tensor(np.eye(1)),
+            lambda: density([1.0]),
+        ],
+        "3-mode state": [lambda: pi_tangle(density(singlet()))],
+    }
+    for message, group in calls.items():
+        for call in group:
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), modes=st.sampled_from([2, 3]), data=st.data())
+def test_valid_states_give_finite_values(seed, modes, data):
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, modes, data.draw(st.integers(1, 2**modes), label="rank"))
+    evaluate = chsh_value if modes == 2 else svetlichny_value
+    values = [evaluate(rho, random_directions(rng, (2 * modes,))), maximize_bell([rho], restarts=1)[0].value]
+    values += [negativity(rho, mode) for mode in range(1, modes + 1)]
+    if modes == 2:
+        values.append(horodecki_max(rho))
+    else:
+        tangle = pi_tangle(rho)
+        values += [tangle.pi, *tangle.components()]
+    assert np.isfinite(values).all()
 
 
 def test_evaluators_reject_non_hermitian_input():

@@ -117,8 +117,9 @@ def test_constant_objective_tie_break():
 
 
 def test_non_finite_objective_rejected():
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-        maximize_bell([np.full((4, 4), 1e308)], restarts=1)
+    # a unit-trace Hermitian operator whose correlation tensor overflows
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="objective returned non-finite"):
+        maximize_bell([np.diag([1e308, -1e308, 0.5, 0.5])], restarts=1)
 
 
 def test_maximize_chsh_singlet():

@@ -159,3 +159,11 @@ def test_apply_channel_mode_out_of_range():
         apply_channel(density(singlet()), 3, 0.1)
     with pytest.raises(ValueError):
         dilate(singlet(), 0, 0.1)
+
+
+def test_dilate_rejects_non_state_ket():
+    # density's check covers the ket: non-finite entries, then a norm of sqrt(2)
+    with pytest.raises(ValueError, match="non-finite"):
+        dilate(np.array([math.nan, 0.0]), 1, 0.1)
+    with pytest.raises(ValueError, match="and trace 2$"):
+        dilate([1.0, 1.0], 1, 0.1)
