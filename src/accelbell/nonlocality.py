@@ -47,6 +47,11 @@ GAMMA_STAR = math.pi / 3.0
 # beta of CHSH and of S above (expanded in B and B')
 _CHSH = np.array([[1.0, 1.0], [1.0, -1.0]])
 _SVETLICHNY = np.array([[[1.0, -1.0], [1.0, 1.0]], [[1.0, 1.0], [-1.0, 1.0]]])
+# by mode count: the value no state can exceed, and the error raised above it
+_QUANTUM_LIMIT = {
+    2: (CHSH_QUANTUM_MAX, "CHSH value above the quantum maximum; is rho a density operator?"),
+    3: (SVETLICHNY_QUANTUM_MAX, "Svetlichny value above the algebraic maximum; is rho a density operator?"),
+}
 # _PAULI_PRODUCTS[n] @ rho.ravel() = Tr[rho sigma_i x sigma_j (x sigma_k)] over (i, j(, k)) in C order
 _PAULI_PRODUCTS = {
     2: np.einsum("ica,jdb->ijabcd", PAULI, PAULI).reshape(9, 16),
@@ -131,9 +136,10 @@ def bell_fields(t: np.ndarray, rest: np.ndarray) -> np.ndarray:
     return np.einsum("...ijk,...yj,...xyk->...xi", t, rest[..., :2, :], _SVETLICHNY @ rest[..., None, 2:, :])
 
 
-def _bell_value(rho, settings, modes: int, limit: float, message: str):
-    t = _tensor(rho, modes)
-    dirs = _unit_vectors(settings, 2 * modes)
+def _bell_value(t: np.ndarray, settings):
+    """Bell value of one correlation tensor at ``settings``; the tensor's mode count picks the inequality."""
+    limit, message = _QUANTUM_LIMIT[t.ndim]
+    dirs = _unit_vectors(settings, 2 * t.ndim)
     vals = np.abs(np.sum(dirs[..., :2, :] * bell_fields(t, dirs[..., 2:, :]), axis=(-2, -1)))
     if not (vals <= limit + VIOLATION_TOL).all():
         raise ValueError(message)
@@ -146,8 +152,7 @@ def chsh_value(rho: np.ndarray, settings) -> float | np.ndarray:
     ``settings`` is an (..., 4, 3) direction stack in the order
     (a, a', b, b'); batched stacks return an array of values.
     """
-    return _bell_value(rho, settings, 2, CHSH_QUANTUM_MAX,
-                       "CHSH value above the quantum maximum; is rho a density operator?")
+    return _bell_value(_tensor(rho, 2), settings)
 
 
 def restricted_settings(gamma: float, r: float = 0.0) -> np.ndarray:
@@ -230,8 +235,7 @@ def svetlichny_value(rho: np.ndarray, settings) -> float | np.ndarray:
     ``settings`` is an (..., 6, 3) direction stack in the order
     (a, a', c, c', b, b').
     """
-    return _bell_value(rho, settings, 3, SVETLICHNY_QUANTUM_MAX,
-                       "Svetlichny value above the algebraic maximum; is rho a density operator?")
+    return _bell_value(_tensor(rho, 3), settings)
 
 
 @dataclass(frozen=True)

@@ -19,16 +19,21 @@ each row stops on its own at objective spread ``TOLERANCE`` or after
 ``MAX_ITERATIONS`` iterations (``OptimizeResult.converged`` says which).
 A row sees only its own values, so a state's result does not depend on
 the rest of the stack.  Per state the best run wins, ties to the earliest
-start.  Then a, a' = X/|X| (z where X = 0) and the evaluator gives the
-value at the full setting.
+start.  Then a, a' = X/|X| (z where X = 0), and the evaluator's body gives
+the value at the full setting from the T already built, so each state is
+checked once.
 
 ``grid_oracle``, the independent certification path, scans the lattice
 theta in {0, res, ..., pi} x phi in {0, res, ..., 2 pi - res} for every
 setting, a and a' included: with M_x the fields X_x of every lattice tuple
-of the other settings, P = dirs M_0^T and Q = dirs M_1^T, it maximizes
-|P[a] + Q| for each lattice point a; ties go to the lowest C-order index.
-Its value is a certified lower bound.  Scans over ``DEFAULT_BUDGET``
-settings raise ``BudgetError``; the lattice grows as
+j of the other settings, P = dirs M_0^T and Q = dirs M_1^T, the value at
+(a, a', j) is |P[a, j] + Q[a', j]|.  Floating-point addition is monotone in
+each argument, so over a' it peaks at the largest or the smallest Q[., j]:
+max(|P[a, j] + max Q[., j]|, |P[a, j] + min Q[., j]|) is exactly the best
+value for (a, j), and two passes over P give every a's best.  The first a
+at the lattice maximum then has its |P[a] + Q| scanned in full, so ties go
+to the lowest C-order index.  Its value is a certified lower bound.  Scans
+over ``DEFAULT_BUDGET`` settings raise ``BudgetError``; the lattice grows as
 ((pi/res + 1) * 2 pi/res)^n.
 """
 
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nonlocality import bell_fields, chsh_value, correlation_tensor, svetlichny_value
+from .nonlocality import _bell_value, bell_fields, correlation_tensor
 
 DEFAULT_BUDGET = 10**8
 MAX_ITERATIONS = 2000
@@ -175,13 +180,13 @@ def _grid_search(t: np.ndarray, resolution: float):
     # every lattice tuple of the later settings, (b, b') or (c, c', b, b'), in C order
     later = dirs[np.indices((n_points,) * (n_vectors - 2)).reshape(n_vectors - 2, -1).T]
     p, q = dirs @ bell_fields(t, later).transpose(1, 2, 0)
-    best_value, best_index = -math.inf, 0
-    for a in range(n_points):
-        values = np.abs(p[a] + q)  # over (a', later settings) in C order
-        local = int(np.argmax(values))
-        if values.flat[local] > best_value:
-            best_value, best_index = float(values.flat[local]), a * values.size + local
-    return best_value, angles[list(np.unravel_index(best_index, (n_points,) * n_vectors))].reshape(-1)
+    # fl(x + y) is monotone in y, so over a' the largest |p[a] + q[a']| sits at q's max or min over a'
+    best = np.maximum(np.abs(p + q.max(axis=0)), np.abs(p + q.min(axis=0))).max(axis=1)  # per a, exactly
+    a = int(np.argmax(best))  # the first a at the lattice maximum
+    values = np.abs(p[a] + q).ravel()  # over (a', later settings) in C order
+    local = int(np.argmax(values))
+    index = np.unravel_index(a * values.size + local, (n_points,) * n_vectors)
+    return float(values[local]), angles[list(index)].reshape(-1)
 
 
 def grid_oracle(rho: np.ndarray, resolution: float) -> tuple[float, np.ndarray]:
@@ -191,9 +196,9 @@ def grid_oracle(rho: np.ndarray, resolution: float) -> tuple[float, np.ndarray]:
 
 
 def _check_search(restarts: int, witness_resolution: float | None, seed: int) -> None:
-    """Raise ValueError for restarts < 1, a seed < 0, either not an integer, or a bad witness resolution."""
+    """Raise ValueError for restarts < 1, a seed < 0, either not a non-bool integer, or a bad witness resolution."""
     for name, value, low in (("restarts", restarts, 1), ("seed", seed, 0)):
-        if not isinstance(value, (int, np.integer)) or value < low:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     if witness_resolution is not None:
         _lattice_steps(witness_resolution)
@@ -207,15 +212,14 @@ def maximize_bell(
     The simplex searches the later settings only; its rows are (state, start) pairs, stepped in lockstep.
     """
     _check_search(restarts, witness_resolution, seed)
-    rhos = list(rhos)  # read twice: for T here and by the evaluator at the end
-    tensors = [correlation_tensor(rho) for rho in rhos]
+    tensors = [correlation_tensor(rho) for rho in rhos]  # each state checked here, once
     if len({tp.shape for tp in tensors}) != 1:
-        shapes = sorted({np.shape(rho) for rho in rhos})
+        shapes = sorted({(2**tp.ndim,) * 2 for tp in tensors})
         raise ValueError(f"expected a non-empty stack of 4x4 or of 8x8 operators, got shapes {shapes}")
     t = np.stack(tensors)
-    modes = t.ndim - 1
     rng = np.random.default_rng(seed)
-    x0 = np.tile([_sample_start(rng, 2 * modes - 2) for _ in range(restarts)], (len(t), 1, 1))  # (state, start, dim)
+    # (state, start, dim): angles of the 2 * modes - 2 later settings, where modes = t.ndim - 1
+    x0 = np.tile([_sample_start(rng, 2 * t.ndim - 4) for _ in range(restarts)], (len(t), 1, 1))
     steps = [0.35] * restarts
     if witness_resolution is not None:
         # a and a' dropped; the witness lies within one lattice cell of a maximum, so its simplex starts small
@@ -242,6 +246,7 @@ def maximize_bell(
     norms = np.linalg.norm(fields, axis=-1, keepdims=True)
     first = np.divide(fields, norms, out=np.tile([0.0, 0.0, 1.0], (len(t), 2, 1)), where=norms > 0.0)
     directions = np.concatenate([first, later], axis=1)
-    evaluate, totals = chsh_value if modes == 2 else svetlichny_value, evals.reshape(len(t), n_starts).sum(axis=1)
-    return [OptimizeResult(evaluate(rho, d), d, int(e), bool(c))
-            for rho, d, e, c in zip(rhos, directions, totals, converged[best])]
+    totals = evals.reshape(len(t), n_starts).sum(axis=1)
+    # the evaluator's unit-vector check and quantum-maximum guard, on the T built above
+    return [OptimizeResult(_bell_value(tp, d), d, int(e), bool(c))
+            for tp, d, e, c in zip(t, directions, totals, converged[best])]

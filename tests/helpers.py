@@ -1,6 +1,11 @@
-"""Shared generators for randomized tests."""
+"""Shared generators for randomized tests, and reference implementations."""
+
+import math
 
 import numpy as np
+
+from accelbell import optimize
+from accelbell.nonlocality import bell_fields
 
 
 def random_state(rng, n_modes):
@@ -38,3 +43,23 @@ def random_directions(rng, shape):
     """Unit 3-vectors of the given leading shape, from normalized Gaussians."""
     v = rng.normal(size=tuple(shape) + (3,))
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def grid_search_reference(t, resolution):
+    """``optimize._grid_search`` as a loop over the first party's lattice point a, scanning |P[a] + Q| in full.
+
+    A later a replaces the best only when strictly better, so ties go to the lowest C-order index.
+    """
+    k = optimize._lattice_steps(resolution)
+    n_points, n_vectors = (k + 1) * 2 * k, 2 * t.ndim
+    angles = optimize._lattice(resolution)
+    dirs = optimize._angles_to_directions(angles)
+    later = dirs[np.indices((n_points,) * (n_vectors - 2)).reshape(n_vectors - 2, -1).T]
+    p, q = dirs @ bell_fields(t, later).transpose(1, 2, 0)
+    best_value, best_index = -math.inf, 0
+    for a in range(n_points):
+        values = np.abs(p[a] + q)  # over (a', later settings) in C order
+        local = int(np.argmax(values))
+        if values.flat[local] > best_value:
+            best_value, best_index = float(values.flat[local]), a * values.size + local
+    return best_value, angles[list(np.unravel_index(best_index, (n_points,) * n_vectors))].reshape(-1)

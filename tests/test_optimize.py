@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accelbell import optimize
+from accelbell import nonlocality, optimize
 from accelbell.linalg import density, tensor
-from accelbell.nonlocality import chsh_value, horodecki_max, svetlichny_bound_gghz, svetlichny_value
+from accelbell.nonlocality import chsh_value, correlation_tensor, horodecki_max, svetlichny_bound_gghz, svetlichny_value
 from accelbell.optimize import BudgetError, grid_oracle, maximize_bell
 from accelbell.states import gghz, singlet
 from accelbell.unruh import apply_channel
 
-from helpers import random_density, random_unitary
+from helpers import grid_search_reference, random_density, random_unitary
 
 SQRT2 = math.sqrt(2.0)
 
@@ -48,6 +48,40 @@ def test_grid_oracle_budget_rejected():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# (modes, resolution) of each lattice the scan is checked on
+_SCAN_LATTICES = ((2, math.pi / 4.0), (2, math.pi / 2.0), (3, math.pi), (3, math.pi / 2.0))
+
+
+def _assert_scan_matches_reference(rho, resolution):
+    t = correlation_tensor(rho)
+    value, angles = optimize._grid_search(t, resolution)
+    ref_value, ref_angles = grid_search_reference(t, resolution)
+    assert value == ref_value
+    assert np.array_equal(angles, ref_angles)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+def test_grid_search_matches_per_point_scan(seed, rank):
+    # the max/min scan over a' gives the reference loop's value and angles bit for bit
+    rng = np.random.default_rng(seed)
+    for modes, resolution in _SCAN_LATTICES:
+        _assert_scan_matches_reference(random_density(rng, modes, rank), resolution)
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [density(singlet()), density(np.eye(4)[0]), density(gghz(math.pi / 4.0)), density(gghz(0.0)),
+     apply_channel(density(gghz(math.pi / 8.0)), 3, 0.0), apply_channel(density(gghz(math.pi / 8.0)), 3, math.pi / 4.0)],
+    ids=["singlet", "00", "ghz", "000", "gghz-r0", "gghz-r-quarter-pi"],
+)
+def test_grid_search_ties_match_per_point_scan(rho):
+    # symmetric states reach their lattice maximum at many lattice points: the lowest C-order one must win
+    for modes, resolution in _SCAN_LATTICES:
+        if 2**modes == len(rho):
+            _assert_scan_matches_reference(rho, resolution)
 
 
 def test_grid_oracle_chsh_contains_optimum():
@@ -179,16 +213,29 @@ def test_maximize_svetlichny_gghz_past_quarter_pi():
 
 def test_config_validation():
     rho = density(singlet())
-    for restarts in (0, -1, 2.5, "4"):
+    # a bool is an int to Python, but not a count or a seed
+    for restarts in (0, -1, 2.5, "4", True, False, np.True_):
         with pytest.raises(ValueError, match="restarts"):
             maximize_bell([rho], restarts=restarts)
-    for seed in (-1, 1.5, None):
+    for seed in (-1, 1.5, None, True, False, np.False_):
         with pytest.raises(ValueError, match="seed"):
             maximize_bell([rho], restarts=1, seed=seed)
     # the matrix size picks the inequality: one size per stack, 4x4 or 8x8 only
     for rhos in ([rho, density(gghz(0.3))], [np.eye(2) / 2.0], [np.eye(16) / 16.0], []):
         with pytest.raises(ValueError, match="operator"):
             maximize_bell(rhos, restarts=1)
+
+
+def test_each_state_checked_once(monkeypatch, rng):
+    # the final value comes from the stack's T: one state check per state, not a second in the evaluator
+    calls = []
+    checked = nonlocality._state
+    monkeypatch.setattr(nonlocality, "_state", lambda *args: calls.append(1) or checked(*args))
+    rhos = [random_density(rng, 2, 2) for _ in range(64)]
+    results = maximize_bell(rhos, restarts=1, seed=3)
+    assert len(calls) == 64
+    monkeypatch.undo()
+    assert [chsh_value(rho, result.directions) for rho, result in zip(rhos, results)] == [r.value for r in results]
 
 
 def test_capped_simplex_reports_not_converged(monkeypatch):
