@@ -31,16 +31,19 @@ print(__doc__)
 
 print("generalized GHZ, accelerated qubit 3 (closed form vs numeric maximum)")
 print(f"{'t1':>8} {'r':>8} {'branch':>11} {'bound':>9} {'envelope':>9} {'numeric':>9}")
-grid = [(t1, r) for t1 in (math.pi / 16, math.pi / 8, math.pi / 4) for r in (0.0, math.pi / 8, math.pi / 4)]
-rhos = [apply_channel(density(gghz(t1)), 3, r) for t1, r in grid]
-for (t1, r), result in zip(grid, maximize_bell(rhos, restarts=12, seed=3)):
-    ref = svetlichny_bound_gghz(t1, r)
-    print(f"{t1:8.4f} {r:8.4f} {ref.branch:>11} {ref.bound:9.5f} {ref.envelope:9.5f} {result.value:9.5f}")
+t1s, rs = (axis.ravel() for axis in np.meshgrid(
+    (math.pi / 16, math.pi / 8, math.pi / 4), (0.0, math.pi / 8, math.pi / 4), indexing="ij"))
+rhos = [apply_channel(density(gghz(t1)), 3, r) for t1, r in zip(t1s, rs)]
+refs = svetlichny_bound_gghz(t1s, rs)
+results = maximize_bell(rhos, restarts=12, seed=3)
+for t1, r, branch, bound, envelope, result in zip(t1s, rs, refs.branch, refs.bound, refs.envelope, results):
+    print(f"{t1:8.4f} {r:8.4f} {branch:>11} {bound:9.5f} {envelope:9.5f} {result.value:9.5f}")
 
 print()
 print("violation boundary: largest envelope over t1 in [0, pi/4], per r")
+t_grid = np.linspace(0, math.pi / 4, 129)
 for r in np.linspace(0.0, math.pi / 4.0, 6):
-    best = max(svetlichny_bound_gghz(float(t), float(r)).envelope for t in np.linspace(0, math.pi / 4, 129))
+    best = svetlichny_bound_gghz(t_grid, r).envelope.max()
     status = "violates" if best > 4.0 + 1e-9 else "no violation"
     print(f"  r = {r:6.4f}   max envelope = {best:8.5f}   {status}")
 

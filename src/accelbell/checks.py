@@ -217,12 +217,13 @@ def check_horodecki_vs_numeric(points=8, seed=QUICK_SEED + 5):
 
 def check_svetlichny_numeric_vs_envelope(seed=QUICK_SEED + 6):
     """The envelope is the closed-form maximum on this family, so the numeric value must meet it from both sides."""
-    grid = [(t1, r) for t1 in (math.pi / 16, math.pi / 8, math.pi / 4) for r in (0.0, math.pi / 8, unruh.R_MAX)]
-    rhos = [unruh.apply_channel(linalg.density(states.gghz(t1)), 3, r) for t1, r in grid]
+    t1s, rs = (axis.ravel() for axis in np.meshgrid(
+        (math.pi / 16, math.pi / 8, math.pi / 4), (0.0, math.pi / 8, unruh.R_MAX), indexing="ij"))
+    rhos = [unruh.apply_channel(linalg.density(states.gghz(t1)), 3, r) for t1, r in zip(t1s, rs)]
     numeric = [res.value for res in optimize.maximize_bell(rhos, restarts=12, seed=seed)]
-    envelope = [nonlocality.svetlichny_bound_gghz(t1, r).envelope for t1, r in grid]
+    envelope = nonlocality.svetlichny_bound_gghz(t1s, rs).envelope
     margins = [f"t1={t1:.4f} r={r:.4f} numeric={n:.6f} envelope={e:.6f}"
-               for (t1, r), n, e in zip(grid, numeric, envelope)]
+               for t1, r, n, e in zip(t1s, rs, numeric, envelope)]
     return max(abs(n - e) for n, e in zip(numeric, envelope)), 1e-6, "; ".join(margins)
 
 

@@ -2,11 +2,11 @@
 
 Exit codes: 0 success, 1 failed check or exceeded evaluation budget,
 2 usage error, including an ``--out`` file that cannot be opened (checked
-before any computation).  The default seed comes from the ACCELBELL_SEED
-environment variable when set; a seed that is not a non-negative integer
-is a usage error.  Sweep output is CSV with a header row, 12 significant
-digits and "\n" line endings; scalar reports are JSON.  Identical specs
-and seeds give byte-identical output.
+before any computation).  The seed comes from ``--seed`` only (default
+0), never from the environment; a negative seed is a usage error.  Sweep
+output is CSV with a header row, 12 significant digits and "\n" line
+endings; scalar reports are JSON.  Identical specs and seeds give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -14,22 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import checks, entanglement, linalg, nonlocality, optimize, states, unruh
-
-
-def _default_seed() -> int:
-    """The seed named by ACCELBELL_SEED, or 0 when it is unset."""
-    text = os.environ.get("ACCELBELL_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"ACCELBELL_SEED must be an integer, got {text!r}") from None
 
 
 STATE_BUILDERS = {
@@ -52,7 +42,7 @@ class SweepSpec:
     r_steps: int
     mode: int
     columns: tuple
-    seed: int = field(default_factory=_default_seed)
+    seed: int = 0
     restarts: int = 64
     certify_resolution: float | None = None
 
@@ -71,18 +61,13 @@ def _damped(state: str, param: float, mode: int, r: float) -> np.ndarray:
     return unruh.apply_channel(linalg.density(STATE_BUILDERS[state](param)), mode, r)
 
 
-def _svetlichny_bound(spec: SweepSpec, param: float, r: float, envelope: bool) -> float:
+def _svetlichny_bound(spec: SweepSpec, params: np.ndarray, rs: np.ndarray, envelope: bool) -> np.ndarray:
     if spec.state == "gghz":
-        ref = nonlocality.svetlichny_bound_gghz(param, r)
+        ref = nonlocality.svetlichny_bound_gghz(params, rs)
         return ref.envelope if envelope else ref.bound
     if spec.mode in (1, 2):
-        return nonlocality.svetlichny_bound_ms_pair(param, r)
-    return nonlocality.svetlichny_bound_ms_slice(param, r)
-
-
-def _each(evaluate):
-    """A block evaluator that calls evaluate(spec, param, r, damped state) at each point of the block."""
-    return lambda spec, params, rs, rhos: [evaluate(spec, p, r, rho) for p, r, rho in zip(params, rs, rhos)]
+        return nonlocality.svetlichny_bound_ms_pair(params, rs)
+    return nonlocality.svetlichny_bound_ms_slice(params, rs)
 
 
 def _numeric(spec: SweepSpec, params, rs, rhos) -> list:
@@ -91,18 +76,20 @@ def _numeric(spec: SweepSpec, params, rs, rhos) -> list:
     return [result.value for result in results]
 
 
-# column: (modes, evaluator(spec, params, rs, damped states) -> one value per point, violation test or None)
+# column: (modes, evaluator(spec, params, rs, damped states) -> one value per point, violation test or None);
+# params and rs are the block's (k,) arrays, and the closed forms take them in one call
 COLUMNS = {
-    "chsh_restricted_max": (2, _each(lambda spec, p, r, rho: nonlocality.chsh_restricted_max(r)),
+    "chsh_restricted_max": (2, lambda spec, params, rs, rhos: nonlocality.chsh_restricted_max(rs),
                             nonlocality.violates_chsh),
-    "chsh_horodecki": (2, _each(lambda spec, p, r, rho: nonlocality.horodecki_max(rho)), nonlocality.violates_chsh),
+    "chsh_horodecki": (2, lambda spec, params, rs, rhos: [nonlocality.horodecki_max(rho) for rho in rhos],
+                       nonlocality.violates_chsh),
     "chsh_numeric": (2, _numeric, nonlocality.violates_chsh),
-    "svetlichny_bound": (3, _each(lambda spec, p, r, rho: _svetlichny_bound(spec, p, r, envelope=False)),
+    "svetlichny_bound": (3, lambda spec, params, rs, rhos: _svetlichny_bound(spec, params, rs, envelope=False),
                          nonlocality.violates_svetlichny),
-    "svetlichny_envelope": (3, _each(lambda spec, p, r, rho: _svetlichny_bound(spec, p, r, envelope=True)),
+    "svetlichny_envelope": (3, lambda spec, params, rs, rhos: _svetlichny_bound(spec, params, rs, envelope=True),
                             nonlocality.violates_svetlichny),
     "svetlichny_numeric": (3, _numeric, nonlocality.violates_svetlichny),
-    "pi_tangle": (3, _each(lambda spec, p, r, rho: entanglement.pi_tangle(rho).pi), None),
+    "pi_tangle": (3, lambda spec, params, rs, rhos: [entanglement.pi_tangle(rho).pi for rho in rhos], None),
 }
 
 
@@ -145,15 +132,14 @@ def run_sweep(spec: SweepSpec) -> str:
     where one applies (1 = clears the classical bound beyond 1e-9).
     """
     _validate_spec(spec)
-    params = np.linspace(spec.param_start, spec.param_stop, spec.param_steps)
-    rs = np.linspace(spec.r_start, spec.r_stop, spec.r_steps)
-    grid = [(float(p), float(r)) for p in params for r in rs]
+    params, rs = (axis.ravel() for axis in np.meshgrid(np.linspace(spec.param_start, spec.param_stop, spec.param_steps),
+                                                       np.linspace(spec.r_start, spec.r_stop, spec.r_steps), indexing="ij"))
     header = ["param", "r"]
     for col in spec.columns:
         header += [col] if COLUMNS[col][2] is None else [col, col + "_violation"]
     lines = [",".join(header)]
-    for start in range(0, len(grid), BLOCK):
-        block_params, block_rs = zip(*grid[start:start + BLOCK])
+    for start in range(0, params.size, BLOCK):
+        block_params, block_rs = params[start:start + BLOCK], rs[start:start + BLOCK]
         rhos = [_damped(spec.state, p, spec.mode, r) for p, r in zip(block_params, block_rs)]
         cells = [[_fmt(v) for v in block_params], [_fmt(v) for v in block_rs]]
         for col in spec.columns:
@@ -217,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--r-steps", type=int, default=33)
     sweep.add_argument("--mode", type=int, default=None, help="accelerated mode (default 2 for singlet/ms, 3 for gghz)")
     sweep.add_argument("--columns", required=True, help="comma-separated list, e.g. svetlichny_bound,pi_tangle")
-    sweep.add_argument("--seed", type=int, default=None, help="default: ACCELBELL_SEED, else 0")
+    sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--restarts", type=int, default=64)
     sweep.add_argument("--certify", type=float, default=None, metavar="RES",
                        help="also run the lattice witness at this resolution for numeric columns")
@@ -232,8 +218,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("pi-tangle", help="residual tangle of a damped state, JSON output")
     pt.add_argument("--state", required=True, choices=[s for s, (n, _) in STATE_MODES.items() if n == 3])
     pt.add_argument("--param", type=float, required=True)
-    pt.add_argument("--r", type=float, default=None)
-    pt.add_argument("--omega", type=float, default=None, help="frequency-to-acceleration ratio; --r wins if both given")
+    damping = pt.add_mutually_exclusive_group(required=True)
+    damping.add_argument("--r", type=float, help="damping angle in [0, pi/4]")
+    damping.add_argument("--omega", type=float, help="frequency-to-acceleration ratio omega c / a")
     pt.add_argument("--mode", type=int, default=None)
     pt.add_argument("--out", default=None)
     return parser
@@ -243,7 +230,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        seed = _default_seed()
         if getattr(args, "out", None):
             open(args.out, "a").close()  # a bad path fails before computing, and existing content is kept
         if "state" in vars(args) and args.mode is None:
@@ -259,7 +245,7 @@ def main(argv=None) -> int:
                 r_steps=args.r_steps,
                 mode=args.mode,
                 columns=tuple(c.strip() for c in args.columns.split(",") if c.strip()),
-                seed=seed if args.seed is None else args.seed,
+                seed=args.seed,
                 restarts=args.restarts,
                 certify_resolution=args.certify,
             )
@@ -273,12 +259,7 @@ def main(argv=None) -> int:
             print(report)
             return code
         if args.command == "pi-tangle":
-            if args.r is not None:
-                r = args.r
-            elif args.omega is not None:
-                r = unruh.acceleration_parameter(args.omega)
-            else:
-                raise ValueError("pi-tangle needs --r or --omega")
+            r = args.r if args.omega is None else unruh.acceleration_parameter(args.omega)
             _write(json.dumps(solve_pi_tangle(args.state, args.param, r, args.mode), indent=2) + "\n", args.out)
             return 0
         raise ValueError(f"unknown command {args.command!r}")

@@ -86,18 +86,11 @@ __all__ = [
 
 
 def _check_closed_form(r, *angles) -> None:
-    """Raise ValueError for a non-finite angle or for r outside [0, pi/4], the range ``unruh`` accepts.
-
-    Python scalars skip numpy: ``svetlichny_bound_gghz`` runs once per sweep point.
-    """
+    """Raise ValueError for a non-finite angle or for r outside [0, pi/4], the range ``unruh`` accepts."""
     values = (r, *angles)
-    if all(isinstance(v, (int, float)) for v in values):
-        finite, low, high = all(map(math.isfinite, values)), r, r
-    else:
-        finite, low, high = all(np.isfinite(v).all() for v in values), np.min(r), np.max(r)
-    if not finite:
+    if not all(np.isfinite(v).all() for v in values):
         raise ValueError(f"closed form needs finite angles, got non-finite input {values!r}")
-    if not (0.0 <= low and high <= R_MAX + 1e-12):
+    if not (0.0 <= np.min(r) and np.max(r) <= R_MAX + 1e-12):
         raise ValueError(f"acceleration parameter r={r!r} outside [0, pi/4]")
 
 
@@ -248,20 +241,19 @@ class GghzBound:
     it is not the maximum everywhere: at (t1, r) = (0.3, 0.2) it is 3.0132
     while the maximum is 3.1304.  ``envelope`` is the larger of the two
     branch values and is what the numerical maximum is compared against.
+    Each field is a float for scalar input and an array for array input.
     """
 
-    bound: float
-    branch: str
-    axial_weight: float
-    equatorial_weight: float
-    axial_value: float
-    equatorial_value: float
-    envelope: float
+    bound: float | np.ndarray
+    branch: str | np.ndarray
+    axial_value: float | np.ndarray
+    equatorial_value: float | np.ndarray
+    envelope: float | np.ndarray
 
 
-def svetlichny_bound_gghz(theta1: float, r: float) -> GghzBound:
+def svetlichny_bound_gghz(theta1, r) -> GghzBound:
     """Closed-form Svetlichny maximum of the generalized GHZ state with the
-    third qubit damped at angle r.
+    third qubit damped at angle r; ``theta1`` and ``r`` broadcast.
 
     Axial branch 4|2 cos^2 t1 cos^2 r - 1|, equatorial branch
     4 sqrt(2) |sin(2 t1)| cos(r); the axial branch applies when its squared
@@ -269,26 +261,19 @@ def svetlichny_bound_gghz(theta1: float, r: float) -> GghzBound:
     The moduli keep the form valid for every t1, which ``states.gghz``
     folds into [0, pi/2]: at t1 = pi/2 (|111>) the axial value is 4.
     """
-    t1 = float(theta1)
-    r = float(r)
-    _check_closed_form(r, t1)
-    axial_amp = 2.0 * math.cos(t1) ** 2 * math.cos(r) ** 2 - 1.0
-    axial_weight = axial_amp**2
-    equatorial_weight = math.sin(2.0 * t1) ** 2 * math.cos(r) ** 2
-    axial_value = 4.0 * abs(axial_amp)
-    equatorial_value = 4.0 * math.sqrt(2.0) * abs(math.sin(2.0 * t1)) * math.cos(r)
-    if axial_weight >= equatorial_weight:
-        branch, bound = "axial", axial_value
-    else:
-        branch, bound = "equatorial", equatorial_value
+    _check_closed_form(r, theta1)
+    t1 = np.asarray(theta1, dtype=float)
+    r = np.asarray(r, dtype=float)
+    axial_amp = 2.0 * np.cos(t1) ** 2 * np.cos(r) ** 2 - 1.0
+    axial_value = 4.0 * np.abs(axial_amp)
+    equatorial_value = 4.0 * math.sqrt(2.0) * np.abs(np.sin(2.0 * t1)) * np.cos(r)
+    axial = axial_amp**2 >= np.sin(2.0 * t1) ** 2 * np.cos(r) ** 2
     return GghzBound(
-        bound=bound,
-        branch=branch,
-        axial_weight=axial_weight,
-        equatorial_weight=equatorial_weight,
-        axial_value=axial_value,
-        equatorial_value=equatorial_value,
-        envelope=max(axial_value, equatorial_value),
+        bound=_maybe_scalar(np.where(axial, axial_value, equatorial_value)),
+        branch=np.where(axial, "axial", "equatorial")[()],
+        axial_value=_maybe_scalar(axial_value),
+        equatorial_value=_maybe_scalar(equatorial_value),
+        envelope=_maybe_scalar(np.maximum(axial_value, equatorial_value)),
     )
 
 

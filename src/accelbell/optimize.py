@@ -169,30 +169,38 @@ def _lattice(resolution: float) -> np.ndarray:
     return np.column_stack([tt.ravel(), pp.ravel()])
 
 
-def _grid_search(t: np.ndarray, resolution: float):
-    """Best lattice value of |sum beta T(u_x, v_y(, w_z))| and its angles; ties go to the lowest C-order index."""
+def _grid_search(ts: np.ndarray, resolution: float) -> tuple[np.ndarray, np.ndarray]:
+    """Best lattice value of |sum beta T(u_x, v_y(, w_z))| and its angles for each tensor of the stack ``ts``.
+
+    Returns values (n,) and angles (n, 2 * vectors); ties go to the lowest
+    C-order index.  The lattice and its later-setting tuples are built once
+    for the whole stack.
+    """
     k = _lattice_steps(resolution)
-    n_points, n_vectors = (k + 1) * 2 * k, 2 * t.ndim
+    n_points, n_vectors = (k + 1) * 2 * k, 2 * (ts.ndim - 1)
     if n_points**n_vectors > DEFAULT_BUDGET:  # checked before any lattice array is built
         raise BudgetError(f"lattice scan needs {n_points}^{n_vectors} evaluations, budget is {DEFAULT_BUDGET}")
     angles = _lattice(resolution)
     dirs = _angles_to_directions(angles)
     # every lattice tuple of the later settings, (b, b') or (c, c', b, b'), in C order
     later = dirs[np.indices((n_points,) * (n_vectors - 2)).reshape(n_vectors - 2, -1).T]
-    p, q = dirs @ bell_fields(t, later).transpose(1, 2, 0)
-    # fl(x + y) is monotone in y, so over a' the largest |p[a] + q[a']| sits at q's max or min over a'
-    best = np.maximum(np.abs(p + q.max(axis=0)), np.abs(p + q.min(axis=0))).max(axis=1)  # per a, exactly
-    a = int(np.argmax(best))  # the first a at the lattice maximum
-    values = np.abs(p[a] + q).ravel()  # over (a', later settings) in C order
-    local = int(np.argmax(values))
-    index = np.unravel_index(a * values.size + local, (n_points,) * n_vectors)
-    return float(values[local]), angles[list(index)].reshape(-1)
+    values, best_angles = np.empty(len(ts)), np.empty((len(ts), 2 * n_vectors))
+    for s, t in enumerate(ts):  # one state at a time bounds the (n_points, tuples) arrays held at once
+        p, q = dirs @ bell_fields(t, later).transpose(1, 2, 0)
+        # fl(x + y) is monotone in y, so over a' the largest |p[a] + q[a']| sits at q's max or min over a'
+        best = np.maximum(np.abs(p + q.max(axis=0)), np.abs(p + q.min(axis=0))).max(axis=1)  # per a, exactly
+        a = int(np.argmax(best))  # the first a at the lattice maximum
+        scan = np.abs(p[a] + q).ravel()  # over (a', later settings) in C order
+        local = int(np.argmax(scan))
+        index = np.unravel_index(a * scan.size + local, (n_points,) * n_vectors)
+        values[s], best_angles[s] = scan[local], angles[list(index)].reshape(-1)
+    return values, best_angles
 
 
 def grid_oracle(rho: np.ndarray, resolution: float) -> tuple[float, np.ndarray]:
     """Lattice maximum of the CHSH (two modes) or Svetlichny (three modes) value, and an (n, 3) setting at it."""
-    value, angles = _grid_search(correlation_tensor(rho), resolution)
-    return value, _angles_to_directions(angles)
+    values, angles = _grid_search(correlation_tensor(rho)[None], resolution)
+    return float(values[0]), _angles_to_directions(angles[0])
 
 
 def _check_search(restarts: int, witness_resolution: float | None, seed: int) -> None:
@@ -223,8 +231,8 @@ def maximize_bell(
     steps = [0.35] * restarts
     if witness_resolution is not None:
         # a and a' dropped; the witness lies within one lattice cell of a maximum, so its simplex starts small
-        witness = [_grid_search(tp, witness_resolution)[1][4:] for tp in t]
-        x0 = np.concatenate([x0, np.array(witness)[:, None]], axis=1)
+        witness = _grid_search(t, witness_resolution)[1][:, 4:]
+        x0 = np.concatenate([x0, witness[:, None]], axis=1)
         steps.append(0.05)
     n_starts = len(steps)
     point = np.repeat(np.arange(len(t)), n_starts)

@@ -76,8 +76,8 @@ def test_criterion_2_damped_correlation_law():
 def test_criterion_3_gghz_surface():
     thetas = np.linspace(0.0, math.pi / 4.0, 64)
     rs = np.linspace(0.0, R_MAX, 64)
-    surface = np.array([[svetlichny_bound_gghz(float(t), float(r)).bound for r in rs] for t in thetas])
-    envelope = np.array([[svetlichny_bound_gghz(float(t), float(r)).envelope for r in rs] for t in thetas])
+    ref = svetlichny_bound_gghz(thetas[:, None], rs[None, :])
+    surface, envelope = ref.bound, ref.envelope
     corner_ok = abs(surface[-1, 0] - 4.0 * SQRT2) < 1e-12 and abs(surface[-1, -1] - 4.0) < 1e-12
     limit_ok = bool(np.all(surface[:, -1] <= 4.0 + 1e-12) and np.all(envelope[:, -1] <= 4.0 + 1e-12))
     per_r_ok = bool(np.all(surface[:, :-1].max(axis=0) > 4.0))

@@ -1,21 +1,16 @@
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from accelbell import checks, cli, optimize, unruh
-from accelbell.cli import SweepSpec, main, run_sweep, solve_pi_tangle, solve_threshold
+from accelbell import checks, cli, nonlocality, optimize, unruh
+from accelbell.cli import COLUMNS, SweepSpec, main, run_sweep, solve_pi_tangle, solve_threshold
 from accelbell.linalg import density
 from accelbell.nonlocality import horodecki_max, violates_chsh
 from accelbell.states import singlet
 
 SQRT2 = math.sqrt(2.0)
-SRC = Path(__file__).resolve().parents[1] / "src"
 FULL_CHECK_NAMES = [
     "channel-dual-path", "evaluator-dual-path", "lattice-dual-path", "channel-cptp", "channel-identity-at-rest",
     "damped-correlation-law", "restricted-chsh-equivalence", "threshold-consistency", "eigensolver-trace-sum",
@@ -186,12 +181,16 @@ def test_main_sweep_byte_identical_files(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_main_pi_tangle_omega_precedence(tmp_path):
+def test_main_pi_tangle_omega_precedence(tmp_path, capsys):
     out_r = tmp_path / "r.json"
     out_w = tmp_path / "w.json"
-    # --r wins when both are given
-    assert main(["pi-tangle", "--state", "gghz", "--param", "0.5", "--r", "0.2",
-                 "--omega", "9.9", "--out", str(out_r)]) == 0
+    # --r and --omega exclude each other: giving both is a usage error, not a silent choice
+    with pytest.raises(SystemExit) as exc:
+        main(["pi-tangle", "--state", "gghz", "--param", "0.5", "--r", "0.2", "--omega", "9.9", "--out", str(out_r)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out_r.exists()
+    assert main(["pi-tangle", "--state", "gghz", "--param", "0.5", "--r", "0.2", "--out", str(out_r)]) == 0
     assert json.loads(out_r.read_text())["r"] == 0.2
     omega = math.log(4.0) / (2.0 * math.pi)
     assert main(["pi-tangle", "--state", "gghz", "--param", "0.5", "--omega", str(omega),
@@ -201,9 +200,9 @@ def test_main_pi_tangle_omega_precedence(tmp_path):
 
 def test_main_usage_errors(capsys, monkeypatch, tmp_path):
     assert main(["sweep", "--state", "singlet", "--columns", "svetlichny_bound"]) == 2
-    assert main(["pi-tangle", "--state", "gghz", "--param", "0.3"]) == 2  # no --r or --omega
     for argv in (["sweep", "--state", "unknown", "--columns", "pi_tangle"],
-                 ["sweep", "--state", "gghz", "--columns", "pi_tangle", "--max-iterations", "5"]):
+                 ["sweep", "--state", "gghz", "--columns", "pi_tangle", "--max-iterations", "5"],
+                 ["pi-tangle", "--state", "gghz", "--param", "0.3"]):  # no --r or --omega
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -219,13 +218,10 @@ def test_main_usage_errors(capsys, monkeypatch, tmp_path):
     assert main(singlet + ["--columns", "chsh_horodecki", "--restarts", "0"]) == 2
     assert main(singlet + ["--columns", "chsh_horodecki", "--certify", "-1"]) == 2
     assert main(singlet + ["--columns", "chsh_numeric", "--restarts", "0", "--certify", "0.19634954084936207"]) == 2
-    # so is --seed, and a negative ACCELBELL_SEED, before the first block's states are built
+    # so is --seed, before the first block's states are built
     monkeypatch.setattr(cli, "_damped", lambda *args: pytest.fail("state built before the seed was checked"))
     assert main(singlet + ["--columns", "chsh_horodecki", "--seed", "-1"]) == 2
     assert main(singlet + ["--columns", "chsh_numeric", "--seed", "-1"]) == 2
-    monkeypatch.setenv("ACCELBELL_SEED", "-3")
-    assert main(singlet + ["--columns", "chsh_numeric"]) == 2
-    monkeypatch.delenv("ACCELBELL_SEED")
     # a rejected command leaves an existing --out file as it was
     kept = tmp_path / "kept.csv"
     kept.write_text("earlier results\n")
@@ -238,26 +234,47 @@ def test_main_usage_errors(capsys, monkeypatch, tmp_path):
     assert main(["threshold", "--out", missing]) == 2
     assert main(["pi-tangle", "--state", "gghz", "--param", "0.3", "--r", "0.2", "--out", missing]) == 2
     errors = capsys.readouterr().err.splitlines()
-    assert len(errors) == 14 and all(line.startswith("error: ") for line in errors)
+    assert len(errors) == 13 and all(line.startswith("error: ") for line in errors)
 
 
-def test_bad_seed_environment_is_usage_error():
-    # a fresh interpreter, as a user runs the command
-    env = dict(os.environ, ACCELBELL_SEED="abc",
-               PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-    for args in (["threshold"], ["sweep", "--state", "singlet", "--r-steps", "2", "--columns", "chsh_horodecki"]):
-        proc = subprocess.run([sys.executable, "-m", "accelbell.cli", *args],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("error: ACCELBELL_SEED")
-        assert "Traceback" not in proc.stderr
-
-
-def test_seed_environment_sets_default(monkeypatch):
+def test_seed_comes_from_the_command_line_only(monkeypatch):
+    # the environment does not set the seed: the same command line gives the same spec
     monkeypatch.setenv("ACCELBELL_SEED", "5")
-    spec = SweepSpec(state="gghz", param_start=0.0, param_stop=0.0, param_steps=1, r_start=0.0,
-                     r_stop=0.0, r_steps=1, mode=3, columns=("pi_tangle",))
-    assert spec.seed == 5
+    specs = []
+    monkeypatch.setattr(cli, "run_sweep", lambda spec: specs.append(spec) or "")
+    assert main(["sweep", "--state", "gghz", "--columns", "pi_tangle"]) == 0
+    assert main(["sweep", "--state", "gghz", "--columns", "pi_tangle", "--seed", "3"]) == 0
+    assert [spec.seed for spec in specs] == [0, 3]
+    assert SweepSpec(state="gghz", param_start=0.0, param_stop=0.0, param_steps=1, r_start=0.0,
+                     r_stop=0.0, r_steps=1, mode=3, columns=("pi_tangle",)).seed == 0
+
+
+@pytest.mark.parametrize(
+    "state, mode, columns",
+    [("gghz", 3, ("svetlichny_bound", "svetlichny_envelope")), ("ms", 1, ("svetlichny_bound",)),
+     ("ms", 3, ("svetlichny_envelope",)), ("singlet", 2, ("chsh_restricted_max",))],
+)
+def test_closed_form_columns_equal_per_point_calls(state, mode, columns):
+    # a 3 x 30 grid crosses a block boundary; each column is one closed-form call per block
+    spec = SweepSpec(state=state, param_start=0.1, param_stop=1.4, param_steps=3, r_start=0.0,
+                     r_stop=math.pi / 4.0, r_steps=30, mode=mode, columns=columns)
+    assert spec.param_steps * spec.r_steps > cli.BLOCK
+    rows = run_sweep(spec).splitlines()[1:]
+    grid = [(float(p), float(r)) for p in np.linspace(0.1, 1.4, 3) for r in np.linspace(0.0, math.pi / 4.0, 30)]
+    assert len(rows) == len(grid)
+    for row, (p, r) in zip(rows, grid):
+        cells = []
+        for col in columns:
+            if col == "chsh_restricted_max":
+                value = nonlocality.chsh_restricted_max(r)
+            elif state == "gghz":
+                ref = nonlocality.svetlichny_bound_gghz(p, r)
+                value = ref.bound if col == "svetlichny_bound" else ref.envelope
+            else:
+                form = nonlocality.svetlichny_bound_ms_pair if mode in (1, 2) else nonlocality.svetlichny_bound_ms_slice
+                value = form(p, r)
+            cells += [cli._fmt(value), cli._fmt(COLUMNS[col][2](value))]
+        assert row.split(",")[2:] == cells
 
 
 def test_main_verify_quick(capsys):

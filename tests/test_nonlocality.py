@@ -234,12 +234,12 @@ def test_gghz_bound_branches():
     ghz_inertial = svetlichny_bound_gghz(math.pi / 4.0, 0.0)
     assert ghz_inertial.branch == "equatorial"
     assert abs(ghz_inertial.bound - 4.0 * SQRT2) < 1e-12
-    assert abs(ghz_inertial.axial_weight) < 1e-15
+    assert (ghz_inertial.axial_value / 4.0) ** 2 < 1e-15  # the axial weight
 
     separable = svetlichny_bound_gghz(0.0, 0.3)
     assert separable.branch == "axial"
     assert abs(separable.bound - 4.0 * math.cos(2.0 * 0.3)) < 1e-12
-    assert abs(separable.equatorial_weight) < 1e-15
+    assert abs(separable.equatorial_value) < 1e-15
 
     limit = svetlichny_bound_gghz(math.pi / 4.0, math.pi / 4.0)
     assert abs(limit.bound - 4.0) < 1e-12
@@ -265,11 +265,30 @@ def test_gghz_bound_past_quarter_pi():
 
 
 def test_gghz_bound_envelope_dominates():
-    for t1 in np.linspace(0.0, math.pi / 4.0, 9):
-        for r in np.linspace(0.0, R_MAX, 9):
-            ref = svetlichny_bound_gghz(float(t1), float(r))
-            assert ref.envelope >= ref.bound - 1e-15
-            assert ref.envelope == max(ref.axial_value, ref.equatorial_value)
+    ref = svetlichny_bound_gghz(np.linspace(0.0, math.pi / 4.0, 9)[:, None], np.linspace(0.0, R_MAX, 9)[None, :])
+    assert ref.envelope.shape == ref.branch.shape == (9, 9)
+    assert np.all(ref.envelope >= ref.bound - 1e-15)
+    assert np.array_equal(ref.envelope, np.maximum(ref.axial_value, ref.equatorial_value))
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=st.lists(st.tuples(st.floats(-math.pi, 2.0 * math.pi), st.floats(0.0, R_MAX)), min_size=1, max_size=40))
+def test_closed_forms_on_arrays_equal_scalar_calls(points):
+    # one input form: an array call is its elementwise scalar calls, bit for bit
+    t, r = (np.array(axis) for axis in zip(*points))
+    for form in (chsh_restricted, svetlichny_bound_ms_pair, svetlichny_bound_ms_slice):
+        args = (r, t) if form is chsh_restricted else (t, r)
+        values = form(*args)
+        assert values.shape == t.shape
+        assert all(v == form(*(float(a[i]) for a in args)) for i, v in enumerate(values))
+    assert all(v == chsh_restricted_max(float(x)) for v, x in zip(chsh_restricted_max(r), r))
+    ref = svetlichny_bound_gghz(t, r)
+    for i, (ti, ri) in enumerate(points):
+        one = svetlichny_bound_gghz(ti, ri)
+        assert isinstance(one.bound, float) and one.branch in ("axial", "equatorial")
+        assert ref.branch[i] == one.branch
+        for name in ("bound", "axial_value", "equatorial_value", "envelope"):
+            assert getattr(ref, name)[i] == getattr(one, name)
 
 
 def test_closed_forms_reject_r_outside_quarter_pi():

@@ -56,10 +56,10 @@ _SCAN_LATTICES = ((2, math.pi / 4.0), (2, math.pi / 2.0), (3, math.pi), (3, math
 
 def _assert_scan_matches_reference(rho, resolution):
     t = correlation_tensor(rho)
-    value, angles = optimize._grid_search(t, resolution)
+    values, angles = optimize._grid_search(t[None], resolution)  # a stack of one
     ref_value, ref_angles = grid_search_reference(t, resolution)
-    assert value == ref_value
-    assert np.array_equal(angles, ref_angles)
+    assert values[0] == ref_value
+    assert np.array_equal(angles[0], ref_angles)
 
 
 @settings(max_examples=20, deadline=None)
@@ -82,6 +82,18 @@ def test_grid_search_ties_match_per_point_scan(rho):
     for modes, resolution in _SCAN_LATTICES:
         if 2**modes == len(rho):
             _assert_scan_matches_reference(rho, resolution)
+
+
+def test_grid_search_stack_matches_per_state_calls(rng):
+    # the lattice is built once per call; each state of the stack still gets its own scan, bit for bit
+    for modes, resolution in _SCAN_LATTICES:
+        ts = np.stack([correlation_tensor(random_density(rng, modes, rank)) for rank in (1, 2, 4)])
+        values, angles = optimize._grid_search(ts, resolution)
+        assert values.shape == (3,) and angles.shape == (3, 4 * modes)
+        for t, value, row in zip(ts, values, angles):
+            one_value, one_angles = optimize._grid_search(t[None], resolution)
+            assert value == one_value[0]
+            assert np.array_equal(row, one_angles[0])
 
 
 def test_grid_oracle_chsh_contains_optimum():
