@@ -36,11 +36,10 @@ print()
 
 rho0 = density(singlet())
 rs = np.linspace(0.0, math.pi / 4.0, 9)
-rhos = [apply_channel(rho0, 2, float(r)) for r in rs]
+rhos = apply_channel(rho0, 2, rs)
+results = maximize_bell(rhos, restarts=10, seed=1)
 print(f"{'r':>8} {'restricted':>11} {'horodecki':>10} {'numeric':>10} {'negativity':>11}")
-for r, rho, result in zip(rs, rhos, maximize_bell(rhos, restarts=10, seed=1)):
-    restricted = chsh_restricted_max(float(r))
-    closed = horodecki_max(rho)
+for r, rho, restricted, closed, result in zip(rs, rhos, chsh_restricted_max(rs), horodecki_max(rhos), results):
     neg = negativity(rho, 1)
     marker = "violates" if restricted > 2.0 + 1e-9 else "classical"
     print(f"{r:8.4f} {restricted:11.6f} {closed:10.6f} {result.value:10.6f} {neg:11.6f}  {marker}")

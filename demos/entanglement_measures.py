@@ -19,22 +19,24 @@ from accelbell import apply_channel, density, gghz, maximal_slice, pi_tangle
 print(__doc__)
 
 print("pure generalized GHZ family: tangle vs sin^2(2 t1)")
-for t1 in np.linspace(0.0, math.pi / 4.0, 6):
-    got = pi_tangle(density(gghz(float(t1)))).pi
+t1s = np.linspace(0.0, math.pi / 4.0, 6)
+for t1, rho in zip(t1s, density(gghz(t1s))):
+    got = pi_tangle(rho).pi
     print(f"  t1 = {t1:6.4f}   pi = {got:10.8f}   sin^2(2 t1) = {math.sin(2 * t1) ** 2:10.8f}")
 
 print()
 print("damped GHZ (qubit 3): tangle vs r, with components")
-for r in np.linspace(0.0, math.pi / 4.0, 6):
-    t = pi_tangle(apply_channel(density(gghz(math.pi / 4.0)), 3, float(r)))
+rs = np.linspace(0.0, math.pi / 4.0, 6)
+for r, rho in zip(rs, apply_channel(density(gghz(math.pi / 4.0)), 3, rs)):
+    t = pi_tangle(rho)
     print(f"  r = {r:6.4f}   pi = {t.pi:10.8f}   components = ({t.pi_1:+.6f}, {t.pi_2:+.6f}, {t.pi_3:+.6f})")
 
 print()
 print("monotone in the control angle at fixed r (damped GGHZ and MS)")
 thetas = np.linspace(math.pi / 24.0, math.pi / 4.0, 6)
 for r in (0.0, math.pi / 8.0, math.pi / 4.0 - 0.01):
-    row = [pi_tangle(apply_channel(density(gghz(float(t))), 3, r)).pi for t in thetas]
+    row = [pi_tangle(rho).pi for rho in apply_channel(density(gghz(thetas)), 3, r)]
     print(f"  gghz r = {r:6.4f}:  " + "  ".join(f"{v:8.6f}" for v in row))
 for r in (0.0, math.pi / 8.0, math.pi / 4.0 - 0.01):
-    row = [pi_tangle(apply_channel(density(maximal_slice(float(t))), 2, r)).pi for t in np.linspace(0.2, math.pi / 2, 6)]
+    row = [pi_tangle(rho).pi for rho in apply_channel(density(maximal_slice(np.linspace(0.2, math.pi / 2, 6))), 2, r)]
     print(f"  ms   r = {r:6.4f}:  " + "  ".join(f"{v:8.6f}" for v in row))

@@ -33,7 +33,7 @@ print("generalized GHZ, accelerated qubit 3 (closed form vs numeric maximum)")
 print(f"{'t1':>8} {'r':>8} {'branch':>11} {'bound':>9} {'envelope':>9} {'numeric':>9}")
 t1s, rs = (axis.ravel() for axis in np.meshgrid(
     (math.pi / 16, math.pi / 8, math.pi / 4), (0.0, math.pi / 8, math.pi / 4), indexing="ij"))
-rhos = [apply_channel(density(gghz(t1)), 3, r) for t1, r in zip(t1s, rs)]
+rhos = apply_channel(density(gghz(t1s)), 3, rs)
 refs = svetlichny_bound_gghz(t1s, rs)
 results = maximize_bell(rhos, restarts=12, seed=3)
 for t1, r, branch, bound, envelope, result in zip(t1s, rs, refs.branch, refs.bound, refs.envelope, results):

@@ -2,10 +2,10 @@
 
 Library layout:
 
-    linalg        dense complex operators, the one state check, partial trace/transpose, checked eigvalsh
-    states        singlet / generalized GHZ / maximal slice states, spin observables along unit 3-vectors
-    unruh         acceleration parameter, the wedge damping channel as a Kraus array, its dilation
-    nonlocality   correlation tensor, its one Bell contraction (bell_fields), CHSH/Svetlichny
+    linalg        the one state form (..., d, d) and its one check, the mode check, partial trace/transpose
+    states        singlet / generalized GHZ / maximal slice kets (..., 8), spin observables along unit 3-vectors
+    unruh         acceleration parameter, the wedge damping channel on state stacks, the one r check, dilation
+    nonlocality   correlation tensors of state stacks, their one Bell contraction (bell_fields), CHSH/Svetlichny
                   evaluators on unit-vector setting arrays, closed-form bounds, thresholds
     optimize      maximize_bell over a stack of 4x4 (CHSH) or 8x8 (Svetlichny) states: first party in
                   closed form + lockstep simplex; separable lattice oracle

@@ -149,8 +149,8 @@ def check_channel_identity_at_rest():
 
 def check_damped_correlation_law(grid=12):
     worst = 0.0
-    for r in np.linspace(0.0, unruh.R_MAX, grid):
-        rho = _damped_singlet(r)
+    rs = np.linspace(0.0, unruh.R_MAX, grid)
+    for r, rho in zip(rs, _damped_singlet(rs)):
         for theta in np.linspace(0.0, math.pi, grid):
             got = nonlocality.correlation(rho, states.Z_AXIS, [math.sin(theta), 0.0, math.cos(theta)])
             want = -math.cos(r) ** 2 * math.cos(theta)
@@ -159,14 +159,10 @@ def check_damped_correlation_law(grid=12):
 
 
 def check_restricted_chsh_equivalence(cases=40, seed=QUICK_SEED + 3):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(cases):
-        r = float(rng.uniform(0.0, unruh.R_MAX))
-        gamma = float(rng.uniform(0.0, math.pi))
-        full = nonlocality.chsh_value(_damped_singlet(r), nonlocality.restricted_settings(gamma, r))
-        closed = nonlocality.chsh_restricted(r, gamma)
-        worst = max(worst, abs(full - closed))
+    # one (r, gamma) draw per case, in the order of the scalar draws
+    rs, gammas = np.random.default_rng(seed).uniform((0.0, 0.0), (unruh.R_MAX, math.pi), size=(cases, 2)).T
+    full = nonlocality.chsh_value(_damped_singlet(rs), nonlocality.restricted_settings(gammas, rs))
+    worst = float(np.max(np.abs(full - nonlocality.chsh_restricted(rs, gammas))))
     return worst, 1e-12, f"{cases} random (r, gamma)"
 
 
@@ -195,8 +191,7 @@ def check_eigensolver_trace_sum(cases=150, seed=QUICK_SEED + 4):
 
 
 def check_pi_tangle_endpoints():
-    ground = linalg.density(states.gghz(0.0))
-    ghz = linalg.density(states.gghz(math.pi / 4))
+    ground, ghz = linalg.density(states.gghz([0.0, math.pi / 4]))
     residual = max(abs(entanglement.pi_tangle(ground).pi), abs(entanglement.pi_tangle(ghz).pi - 1.0))
     return residual, 1e-10, "product state 0, GHZ 1"
 
@@ -209,9 +204,9 @@ def check_optimizer_determinism():
 
 
 def check_horodecki_vs_numeric(points=8, seed=QUICK_SEED + 5):
-    rhos = [_damped_singlet(float(r)) for r in np.linspace(0.0, unruh.R_MAX, points)]
-    numeric = optimize.maximize_bell(rhos, restarts=12, seed=seed)
-    worst = max(abs(nonlocality.horodecki_max(rho) - res.value) for rho, res in zip(rhos, numeric))
+    rhos = _damped_singlet(np.linspace(0.0, unruh.R_MAX, points))
+    numeric = [res.value for res in optimize.maximize_bell(rhos, restarts=12, seed=seed)]
+    worst = float(np.max(np.abs(nonlocality.horodecki_max(rhos) - numeric)))
     return worst, 1e-4, f"damped singlet, {points} r values"
 
 
@@ -219,7 +214,7 @@ def check_svetlichny_numeric_vs_envelope(seed=QUICK_SEED + 6):
     """The envelope is the closed-form maximum on this family, so the numeric value must meet it from both sides."""
     t1s, rs = (axis.ravel() for axis in np.meshgrid(
         (math.pi / 16, math.pi / 8, math.pi / 4), (0.0, math.pi / 8, unruh.R_MAX), indexing="ij"))
-    rhos = [unruh.apply_channel(linalg.density(states.gghz(t1)), 3, r) for t1, r in zip(t1s, rs)]
+    rhos = unruh.apply_channel(linalg.density(states.gghz(t1s)), 3, rs)
     numeric = [res.value for res in optimize.maximize_bell(rhos, restarts=12, seed=seed)]
     envelope = nonlocality.svetlichny_bound_gghz(t1s, rs).envelope
     margins = [f"t1={t1:.4f} r={r:.4f} numeric={n:.6f} envelope={e:.6f}"
@@ -228,19 +223,12 @@ def check_svetlichny_numeric_vs_envelope(seed=QUICK_SEED + 6):
 
 
 def check_pi_tangle_monotonicity():
-    thetas = np.linspace(math.pi / 24, math.pi / 4, 8)
-    worst = -math.inf
-    for r in (0.0, math.pi / 8, unruh.R_MAX - 0.01):
-        vals = [
-            entanglement.pi_tangle(unruh.apply_channel(linalg.density(states.gghz(float(t))), 3, r)).pi
-            for t in thetas
-        ]
-        worst = max(worst, float(np.max(-np.diff(vals))))
-    ghz_vals = [
-        entanglement.pi_tangle(unruh.apply_channel(linalg.density(states.gghz(math.pi / 4)), 3, float(r))).pi
-        for r in np.linspace(0.0, unruh.R_MAX, 8)
-    ]
-    worst = max(worst, float(np.max(np.diff(ghz_vals))))
+    rs = np.array([[0.0], [math.pi / 8], [unruh.R_MAX - 0.01]])  # rows of the (r, theta1) stack
+    by_theta = unruh.apply_channel(linalg.density(states.gghz(np.linspace(math.pi / 24, math.pi / 4, 8))), 3, rs)
+    by_r = unruh.apply_channel(linalg.density(states.gghz(math.pi / 4)), 3, np.linspace(0.0, unruh.R_MAX, 8))
+    theta_vals = [[entanglement.pi_tangle(rho).pi for rho in row] for row in by_theta]
+    r_vals = [entanglement.pi_tangle(rho).pi for rho in by_r]
+    worst = max(float(np.max(-np.diff(theta_vals, axis=1))), float(np.max(np.diff(r_vals))))
     return max(worst, 0.0), 1e-12, "increasing in theta1, decreasing in r"
 
 

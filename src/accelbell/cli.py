@@ -1,8 +1,8 @@
 """Command line driver: parameter sweeps, threshold report, verification.
 
-Exit codes: 0 success, 1 failed check or exceeded evaluation budget,
-2 usage error, including an ``--out`` file that cannot be opened (checked
-before any computation).  The seed comes from ``--seed`` only (default
+Exit codes: 0 success, 1 failed check, exceeded evaluation budget or out
+of memory, 2 usage error, including an ``--out`` file that cannot be
+opened (checked before any computation).  The seed comes from ``--seed`` only (default
 0), never from the environment; a negative seed is a usage error.  Sweep
 output is CSV with a header row, 12 significant digits and "\n" line
 endings; scalar reports are JSON.  Identical specs and seeds give
@@ -57,8 +57,9 @@ def _check_state(state: str, mode: int) -> int:
     return n
 
 
-def _damped(state: str, param: float, mode: int, r: float) -> np.ndarray:
-    return unruh.apply_channel(linalg.density(STATE_BUILDERS[state](param)), mode, r)
+def _damped(state: str, params, mode: int, rs) -> np.ndarray:
+    """The damped states (..., d, d) of ``state`` at broadcast parameters and r, built in one call per step."""
+    return unruh.apply_channel(linalg.density(STATE_BUILDERS[state](params)), mode, rs)
 
 
 def _svetlichny_bound(spec: SweepSpec, params: np.ndarray, rs: np.ndarray, envelope: bool) -> np.ndarray:
@@ -77,11 +78,11 @@ def _numeric(spec: SweepSpec, params, rs, rhos) -> list:
 
 
 # column: (modes, evaluator(spec, params, rs, damped states) -> one value per point, violation test or None);
-# params and rs are the block's (k,) arrays, and the closed forms take them in one call
+# params and rs are the block's (k,) arrays and the damped states its (k, d, d) stack, each taken in one call
 COLUMNS = {
     "chsh_restricted_max": (2, lambda spec, params, rs, rhos: nonlocality.chsh_restricted_max(rs),
                             nonlocality.violates_chsh),
-    "chsh_horodecki": (2, lambda spec, params, rs, rhos: [nonlocality.horodecki_max(rho) for rho in rhos],
+    "chsh_horodecki": (2, lambda spec, params, rs, rhos: nonlocality.horodecki_max(rhos),
                        nonlocality.violates_chsh),
     "chsh_numeric": (2, _numeric, nonlocality.violates_chsh),
     "svetlichny_bound": (3, lambda spec, params, rs, rhos: _svetlichny_bound(spec, params, rs, envelope=False),
@@ -109,6 +110,8 @@ def _validate_spec(spec: SweepSpec) -> None:
         raise ValueError("r grid must live inside [0, pi/4]")
     if not spec.columns:
         raise ValueError("no output columns requested")
+    if len(set(spec.columns)) != len(spec.columns):
+        raise ValueError(f"duplicate column in {','.join(spec.columns)!r}")
     for col in spec.columns:
         if col not in COLUMNS:
             raise ValueError(f"unknown column {col!r}; choose from {tuple(COLUMNS)}")
@@ -140,7 +143,7 @@ def run_sweep(spec: SweepSpec) -> str:
     lines = [",".join(header)]
     for start in range(0, params.size, BLOCK):
         block_params, block_rs = params[start:start + BLOCK], rs[start:start + BLOCK]
-        rhos = [_damped(spec.state, p, spec.mode, r) for p, r in zip(block_params, block_rs)]
+        rhos = _damped(spec.state, block_params, spec.mode, block_rs)
         cells = [[_fmt(v) for v in block_params], [_fmt(v) for v in block_rs]]
         for col in spec.columns:
             _, evaluate, violates = COLUMNS[col]
@@ -263,8 +266,8 @@ def main(argv=None) -> int:
             _write(json.dumps(solve_pi_tangle(args.state, args.param, r, args.mode), indent=2) + "\n", args.out)
             return 0
         raise ValueError(f"unknown command {args.command!r}")
-    except optimize.BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (optimize.BudgetError, MemoryError) as exc:  # a lattice or a grid too large to evaluate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,9 +8,11 @@ sigma_z |0> = +|0>.
 
 Operators never exceed ``MAX_DIM`` = 16, and all functions are pure.  A
 state is 2^n x 2^n (n >= 1), finite, Hermitian and of unit trace within
-``HERMITICITY_ATOL``; positivity is not checked.  ``_state`` checks this once
-at each entry point (``density``, ``unruh``, ``entanglement``, ``_tensor``).
-The other functions also take non-states, such as T^T T, and check less.
+``HERMITICITY_ATOL``; positivity is not checked.  States are one array (..., d, d),
+so a stack is checked whole by one ``_state`` call at each entry point (``density``,
+``unruh``, ``entanglement``, ``_tensor``); ``partial_trace`` and ``partial_transpose``
+take one operator.  The other functions also take non-states, such as T^T T, and
+check less.  A mode is an integer in 1..n, never a bool (``_check_mode``).
 """
 
 from __future__ import annotations
@@ -55,16 +57,25 @@ def tensor(*factors: np.ndarray) -> np.ndarray:
 
 
 def density(psi: np.ndarray) -> np.ndarray:
-    """Rank-one density operator |psi><psi| from a state vector; a non-finite or non-unit ket raises ValueError."""
-    v = np.asarray(psi, dtype=complex).reshape(-1)
-    return _state(np.outer(v, v.conj()))[0]
+    """Rank-one density operators |psi><psi| of kets (..., d); a non-finite or non-unit ket raises ValueError."""
+    v = np.atleast_1d(np.asarray(psi, dtype=complex))
+    return _state(v[..., :, None] * v[..., None, :].conj())[0]
 
 
-def _square_operator(rho: np.ndarray) -> tuple[np.ndarray, int]:
+def _operator(rho: np.ndarray, mode) -> tuple[np.ndarray, int]:
+    """One square operator as a complex array, and its mode count; ``mode`` must be one of its modes."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-    return rho, mode_count(rho.shape[0])
+    n = mode_count(rho.shape[0])
+    _check_mode(mode, n)
+    return rho, n
+
+
+def _check_mode(mode, n: int) -> None:
+    """Raise ValueError unless ``mode`` is an integer in 1..n; a bool is not one."""
+    if isinstance(mode, bool) or not isinstance(mode, (int, np.integer)) or not 1 <= mode <= n:
+        raise ValueError(f"mode {mode!r} out of range: expected an integer in 1..{n}")
 
 
 def partial_trace(rho: np.ndarray, mode: int) -> np.ndarray:
@@ -78,13 +89,10 @@ def partial_trace(rho: np.ndarray, mode: int) -> np.ndarray:
     Returns the reduced operator on the remaining modes, in their original
     order.  The trace is preserved exactly.
     """
-    rho, n = _square_operator(rho)
+    rho, n = _operator(rho, mode)
     if n < 2:
         raise ValueError("cannot trace out the only mode")
-    if not 1 <= mode <= n:
-        raise ValueError(f"mode {mode} out of range 1..{n}")
-    t = rho.reshape((2,) * (2 * n))
-    t = np.trace(t, axis1=mode - 1, axis2=mode - 1 + n)
+    t = np.trace(rho.reshape((2,) * (2 * n)), axis1=mode - 1, axis2=mode - 1 + n)
     d = 2 ** (n - 1)
     return t.reshape(d, d)
 
@@ -96,39 +104,38 @@ def partial_transpose(rho: np.ndarray, mode: int) -> np.ndarray:
     is an involution: applying it twice on the same mode gives the input
     back exactly.
     """
-    rho, n = _square_operator(rho)
-    if not 1 <= mode <= n:
-        raise ValueError(f"mode {mode} out of range 1..{n}")
-    t = rho.reshape((2,) * (2 * n))
-    t = np.swapaxes(t, mode - 1, mode - 1 + n)
-    return t.reshape(rho.shape)
+    rho, n = _operator(rho, mode)
+    return np.swapaxes(rho.reshape((2,) * (2 * n)), mode - 1, mode - 1 + n).reshape(rho.shape)
 
 
 def _require_hermitian(matrix: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] > MAX_DIM:
-        raise ValueError(f"dimension {m.shape[0]} exceeds the supported maximum {MAX_DIM}")
+    if m.shape[-1] > MAX_DIM:
+        raise ValueError(f"dimension {m.shape[-1]} exceeds the supported maximum {MAX_DIM}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
-    residual = float(np.abs(m - m.conj().T).max())
+    residual = float(np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(initial=0.0))
     if residual > atol:
         raise ValueError(f"matrix is not Hermitian (residual {residual:.3e} > {atol:.0e})")
     return m
 
 
 def _state(rho: np.ndarray, modes: int | None = None) -> tuple[np.ndarray, int]:
-    """Check the state contract of the module docstring; return rho as a complex array and its mode count."""
-    rho, n = _square_operator(_require_hermitian(rho))
-    if n < 1 or n != (modes or n) or not abs(np.trace(rho) - 1.0) <= HERMITICITY_ATOL:
+    """Check every state of ``rho`` (..., d, d) in one pass; return it as a complex array and its mode count."""
+    rho = _require_hermitian(rho)
+    n = mode_count(rho.shape[-1])
+    traces = np.trace(rho, axis1=-2, axis2=-1).ravel()
+    worst = traces[np.argmax(np.abs(traces - 1.0))] if traces.size else 1.0
+    if n < 1 or n != (modes or n) or not abs(worst - 1.0) <= HERMITICITY_ATOL:
         want = f"{modes}-mode state" if modes else "state of one or more modes"
-        raise ValueError(f"expected a unit-trace {want}, got shape {rho.shape} and trace {np.trace(rho).real:.6g}")
+        raise ValueError(f"expected a unit-trace {want}, got shape {rho.shape} and trace {worst.real:.6g}")
     return rho, n
 
 
 def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, in ascending order."""
+    """All eigenvalues of a Hermitian matrix, or of each of a stack (..., d, d), in ascending order."""
     return np.linalg.eigvalsh(_require_hermitian(matrix))
 
 

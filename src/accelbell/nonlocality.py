@@ -18,10 +18,12 @@ modes 1, 2(, 3) (index 0 unprimed, 1 primed) and weighted by the coefficients
 beta, e.g. CHSH = |a.T(b + b') + a'.T(b - b')|.  No measurement operator is built.
 ``bell_fields`` is the one contraction of T with the later settings, shared
 by both evaluators and the maximizer.  Settings are unit 3-vector arrays of
-shape (..., 4, 3) (a, a', b, b') or (..., 6, 3) (a, a', c, c', b, b').  A value
-only counts as a violation when it clears the classical bound by more than
-``VIOLATION_TOL``.  ``ValueError`` is raised for a non-state (``_tensor`` checks each operator
-with ``linalg._state``), non-finite settings and a value above the quantum maximum.
+shape (..., 4, 3) (a, a', b, b') or (..., 6, 3) (a, a', c, c', b, b').  The
+state quantities take a stack of states (..., d, d), checked in one ``_state``
+call, whose leading axes broadcast against the settings'; one state and one
+setting give a float.  A value only counts as a violation when it clears the
+classical bound by more than ``VIOLATION_TOL``.  ``ValueError`` is raised for a
+non-state, non-finite settings and a value above the quantum maximum.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .linalg import _state, hermitian_eigenvalues
 from .states import PAULI, _unit_vectors
-from .unruh import R_MAX
+from .unruh import _check_r
 
 CHSH_CLASSICAL_BOUND = 2.0
 CHSH_QUANTUM_MAX = 2.0 * math.sqrt(2.0)
@@ -85,28 +87,36 @@ __all__ = [
 ]
 
 
-def _check_closed_form(r, *angles) -> None:
-    """Raise ValueError for a non-finite angle or for r outside [0, pi/4], the range ``unruh`` accepts."""
+def _check_closed_form(r, *angles) -> np.ndarray:
+    """r as a float array; ValueError for a non-finite angle or for r outside [0, pi/4] (``unruh._check_r``)."""
     values = (r, *angles)
     if not all(np.isfinite(v).all() for v in values):
         raise ValueError(f"closed form needs finite angles, got non-finite input {values!r}")
-    if not (0.0 <= np.min(r) and np.max(r) <= R_MAX + 1e-12):
-        raise ValueError(f"acceleration parameter r={r!r} outside [0, pi/4]")
+    return _check_r(r)
 
 
 def _tensor(rho: np.ndarray, modes: int | None = None) -> np.ndarray:
     rho, n = _state(rho, modes)
     if n not in _PAULI_PRODUCTS:
         raise ValueError(f"expected a 4x4 or 8x8 operator, got shape {rho.shape}")
-    return (_PAULI_PRODUCTS[n] @ rho.ravel()).real.reshape((3,) * n)
+    lead = rho.shape[:-2]  # one matrix-vector product per state, so a row of a stack equals its lone call
+    return np.matmul(_PAULI_PRODUCTS[n], rho.reshape(lead + (-1, 1))).real.reshape(lead + (3,) * n)
 
 
 def _maybe_scalar(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
+def _guarded(values: np.ndarray, modes: int):
+    """``values``, or ValueError if one is above the quantum maximum of the ``modes``-mode inequality."""
+    limit, message = _QUANTUM_LIMIT[modes]
+    if not (values <= limit + VIOLATION_TOL).all():
+        raise ValueError(message)
+    return _maybe_scalar(values)
+
+
 def correlation_tensor(rho: np.ndarray) -> np.ndarray:
-    """T_ij = Tr[rho sigma_i x sigma_j] of a 4x4 operator, or T_ijk of an 8x8 one, as a real array."""
+    """T_ij = Tr[rho sigma_i x sigma_j] of a 4x4 operator, or T_ijk of an 8x8 one, as a real array (..., 3, 3(, 3))."""
     return _tensor(rho)
 
 
@@ -129,28 +139,24 @@ def bell_fields(t: np.ndarray, rest: np.ndarray) -> np.ndarray:
     return np.einsum("...ijk,...yj,...xyk->...xi", t, rest[..., :2, :], _SVETLICHNY @ rest[..., None, 2:, :])
 
 
-def _bell_value(t: np.ndarray, settings):
-    """Bell value of one correlation tensor at ``settings``; the tensor's mode count picks the inequality."""
-    limit, message = _QUANTUM_LIMIT[t.ndim]
-    dirs = _unit_vectors(settings, 2 * t.ndim)
-    vals = np.abs(np.sum(dirs[..., :2, :] * bell_fields(t, dirs[..., 2:, :]), axis=(-2, -1)))
-    if not (vals <= limit + VIOLATION_TOL).all():
-        raise ValueError(message)
-    return _maybe_scalar(vals)
+def _bell_value(t: np.ndarray, settings, modes: int):
+    """Bell values of a correlation tensor or a stack of them at ``settings``; ``modes`` picks the inequality."""
+    dirs = _unit_vectors(settings, 2 * modes)
+    return _guarded(np.abs(np.sum(dirs[..., :2, :] * bell_fields(t, dirs[..., 2:, :]), axis=(-2, -1))), modes)
 
 
 def chsh_value(rho: np.ndarray, settings) -> float | np.ndarray:
-    """|C(a,b) + C(a',b) + C(a,b') - C(a',b')| for a two-mode operator.
+    """|C(a,b) + C(a',b) + C(a,b') - C(a',b')| for a two-mode operator or a stack of them.
 
     ``settings`` is an (..., 4, 3) direction stack in the order
     (a, a', b, b'); batched stacks return an array of values.
     """
-    return _bell_value(_tensor(rho, 2), settings)
+    return _bell_value(_tensor(rho, 2), settings, 2)
 
 
-def restricted_settings(gamma: float, r: float = 0.0) -> np.ndarray:
+def restricted_settings(gamma, r=0.0) -> np.ndarray:
     """The z-symmetric two-setting family realizing the restricted CHSH form,
-    as a (4, 3) array (a, a', b, b').
+    as a (..., 4, 3) array (a, a', b, b'); ``gamma`` and ``r`` broadcast.
 
     a = b = z, and the primed vectors sit at polar angle gamma.  At r = 0
     they lie in a common plane on opposite sides of z (the coplanar
@@ -161,18 +167,17 @@ def restricted_settings(gamma: float, r: float = 0.0) -> np.ndarray:
     their transverse correlation equal to -cos^2(r) cos(2 gamma) and makes
     the closed form of ``chsh_restricted`` exact for every r.
     """
-    g, r = float(gamma), float(r)
-    _check_closed_form(r, g)
-    split = math.pi - r
-    sg, cg = math.sin(g), math.cos(g)
-    return np.array([[0.0, 0.0, 1.0], [sg * math.cos(split), sg * math.sin(split), cg], [0.0, 0.0, 1.0], [sg, 0.0, cg]])
+    r = _check_closed_form(r, gamma)
+    g, split = np.broadcast_arrays(np.asarray(gamma, dtype=float), math.pi - r)
+    s, c, zero = np.sin(g), np.cos(g), np.zeros(g.shape)
+    z = np.stack([zero, zero, zero + 1.0], axis=-1)
+    return np.stack([z, np.stack([s * np.cos(split), s * np.sin(split), c], -1), z, np.stack([s, zero, c], -1)], -2)
 
 
 def chsh_restricted(r, gamma):
     """CHSH value of the damped singlet on the restricted family:
     2 cos^2(r) |sin^2(gamma) + cos(gamma)|.  Values above 2 are violations."""
-    _check_closed_form(r, gamma)
-    r = np.asarray(r, dtype=float)
+    r = _check_closed_form(r, gamma)
     g = np.asarray(gamma, dtype=float)
     vals = 2.0 * np.cos(r) ** 2 * np.abs(np.sin(g) ** 2 + np.cos(g))
     return _maybe_scalar(vals)
@@ -210,25 +215,25 @@ def chsh_threshold() -> ChshThreshold:
     )
 
 
-def horodecki_max(rho: np.ndarray) -> float:
-    """Largest CHSH value of a two-qubit state over all projective settings.
+def horodecki_max(rho: np.ndarray) -> float | np.ndarray:
+    """Largest CHSH value of a two-qubit state, or of each of a stack, over all projective settings.
 
     Closed form 2 sqrt(t1 + t2) with t1 >= t2 the two largest eigenvalues
     of T^T T, with T the ``correlation_tensor``.  Used as the
     independent oracle for the numerical maximizer.
     """
     t = _tensor(rho, 2)
-    evs = hermitian_eigenvalues(t.T @ t)
-    return float(2.0 * math.sqrt(max(evs[-1] + evs[-2], 0.0)))
+    evs = hermitian_eigenvalues(np.swapaxes(t, -1, -2) @ t)
+    return _guarded(2.0 * np.sqrt(np.maximum(evs[..., -1] + evs[..., -2], 0.0)), 2)
 
 
 def svetlichny_value(rho: np.ndarray, settings) -> float | np.ndarray:
-    """|Tr[rho S]| for the Svetlichny combination on a three-mode operator.
+    """|Tr[rho S]| for the Svetlichny combination on a three-mode operator or a stack of them.
 
     ``settings`` is an (..., 6, 3) direction stack in the order
     (a, a', c, c', b, b').
     """
-    return _bell_value(_tensor(rho, 3), settings)
+    return _bell_value(_tensor(rho, 3), settings, 3)
 
 
 @dataclass(frozen=True)
@@ -261,9 +266,8 @@ def svetlichny_bound_gghz(theta1, r) -> GghzBound:
     The moduli keep the form valid for every t1, which ``states.gghz``
     folds into [0, pi/2]: at t1 = pi/2 (|111>) the axial value is 4.
     """
-    _check_closed_form(r, theta1)
+    r = _check_closed_form(r, theta1)
     t1 = np.asarray(theta1, dtype=float)
-    r = np.asarray(r, dtype=float)
     axial_amp = 2.0 * np.cos(t1) ** 2 * np.cos(r) ** 2 - 1.0
     axial_value = 4.0 * np.abs(axial_amp)
     equatorial_value = 4.0 * math.sqrt(2.0) * np.abs(np.sin(2.0 * t1)) * np.cos(r)
@@ -281,9 +285,8 @@ def svetlichny_bound_ms_pair(theta3, r):
     """Svetlichny maximum of the maximal slice state when the accelerated
     observer holds one of the paired qubits (1 or 2):
     4 cos(r) sqrt(cos^2 t3 + 2 sin^2 t3).  Exceeds 4 iff sin^2 t3 > tan^2 r."""
-    _check_closed_form(r, theta3)
+    r = _check_closed_form(r, theta3)
     t3 = np.asarray(theta3, dtype=float)
-    r = np.asarray(r, dtype=float)
     vals = 4.0 * np.cos(r) * np.sqrt(np.cos(t3) ** 2 + 2.0 * np.sin(t3) ** 2)
     return _maybe_scalar(vals)
 
@@ -292,9 +295,8 @@ def svetlichny_bound_ms_slice(theta3, r):
     """Svetlichny maximum of the maximal slice state when the accelerated
     observer holds the slice qubit (3):
     4 sqrt(cos^2 t3 cos^2 2r + 2 sin^2 t3 cos^2 r)."""
-    _check_closed_form(r, theta3)
+    r = _check_closed_form(r, theta3)
     t3 = np.asarray(theta3, dtype=float)
-    r = np.asarray(r, dtype=float)
     vals = 4.0 * np.sqrt(np.cos(t3) ** 2 * np.cos(2.0 * r) ** 2 + 2.0 * np.sin(t3) ** 2 * np.cos(r) ** 2)
     return _maybe_scalar(vals)
 

@@ -3,9 +3,9 @@
 A Bell value |sum beta T(u_x, v_y(, w_z))| is multilinear in the settings
 (see ``nonlocality``), so the maximizer contracts T one party at a time.
 
-``maximize_bell`` is the one maximizer.  It takes a stack of states and
-maximizes CHSH for 4x4 operators and Svetlichny for 8x8 ones; a single
-state is a stack of one.  It solves the first party in closed
+``maximize_bell`` is the one maximizer.  It takes a stack of states, checked
+in one call, and maximizes CHSH for 4x4 operators and Svetlichny for 8x8
+ones; a single state is a stack of one, [rho].  It solves the first party in closed
 form: with X_x = sum beta[x, ...] T(., v_y(, w_z)) (``bell_fields``), the
 maximum of |a.X_0 + a'.X_1| over unit a, a' is |X_0| + |X_1| (Horodecki,
 Horodecki & Horodecki, PLA 200, 340 (1995)).  A Nelder-Mead simplex in
@@ -19,9 +19,8 @@ each row stops on its own at objective spread ``TOLERANCE`` or after
 ``MAX_ITERATIONS`` iterations (``OptimizeResult.converged`` says which).
 A row sees only its own values, so a state's result does not depend on
 the rest of the stack.  Per state the best run wins, ties to the earliest
-start.  Then a, a' = X/|X| (z where X = 0), and the evaluator's body gives
-the value at the full setting from the T already built, so each state is
-checked once.
+start.  Then a, a' = X/|X| (z where X = 0), and one call of the evaluators'
+body gives the values at the full settings from the T already built.
 
 ``grid_oracle``, the independent certification path, scans the lattice
 theta in {0, res, ..., pi} x phi in {0, res, ..., 2 pi - res} for every
@@ -220,11 +219,10 @@ def maximize_bell(
     The simplex searches the later settings only; its rows are (state, start) pairs, stepped in lockstep.
     """
     _check_search(restarts, witness_resolution, seed)
-    tensors = [correlation_tensor(rho) for rho in rhos]  # each state checked here, once
-    if len({tp.shape for tp in tensors}) != 1:
-        shapes = sorted({(2**tp.ndim,) * 2 for tp in tensors})
-        raise ValueError(f"expected a non-empty stack of 4x4 or of 8x8 operators, got shapes {shapes}")
-    t = np.stack(tensors)
+    rhos = list(rhos)  # a generator is read once; an array gives its rows
+    if len(rhos) == 0 or np.ndim(rhos[0]) != 2:  # a lone (d, d) array would read as d / 2 states
+        raise ValueError("expected a non-empty stack of 4x4 or of 8x8 operators; wrap a single state as [rho]")
+    t = correlation_tensor(np.stack(rhos))  # the whole stack checked in one call
     rng = np.random.default_rng(seed)
     # (state, start, dim): angles of the 2 * modes - 2 later settings, where modes = t.ndim - 1
     x0 = np.tile([_sample_start(rng, 2 * t.ndim - 4) for _ in range(restarts)], (len(t), 1, 1))
@@ -254,7 +252,7 @@ def maximize_bell(
     norms = np.linalg.norm(fields, axis=-1, keepdims=True)
     first = np.divide(fields, norms, out=np.tile([0.0, 0.0, 1.0], (len(t), 2, 1)), where=norms > 0.0)
     directions = np.concatenate([first, later], axis=1)
-    totals = evals.reshape(len(t), n_starts).sum(axis=1)
-    # the evaluator's unit-vector check and quantum-maximum guard, on the T built above
-    return [OptimizeResult(_bell_value(tp, d), d, int(e), bool(c))
-            for tp, d, e, c in zip(t, directions, totals, converged[best])]
+    totals, converged = evals.reshape(len(t), n_starts).sum(axis=1), converged[best]
+    # the evaluators' unit-vector check and quantum-maximum guard, on the T built above
+    values = _bell_value(t, directions, t.ndim - 1)
+    return [OptimizeResult(float(v), d, int(e), bool(c)) for v, d, e, c in zip(values, directions, totals, converged)]

@@ -2,9 +2,10 @@
 
 Kets follow the linalg convention (mode 1 = most significant bit), and all
 hbar factors are absorbed so that correlations are dimensionless Pauli
-expectations.  Control angles outside the canonical parameter range are
-folded back in by the relabeling symmetry of the state family and the fold
-is reported on this module's logger; a non-finite angle raises ValueError.
+expectations.  The families map angles (...) to kets (..., 8).  Angles outside
+the canonical range are folded back in by the family's relabeling symmetry,
+and each call reports its fold count on this module's logger; a non-finite
+angle raises ValueError.
 A measurement direction is a unit 3-vector, never an angle pair;
 ``_unit_vectors`` checks directions here and in ``nonlocality``.
 """
@@ -62,15 +63,15 @@ def spin_observable(d) -> np.ndarray:
     return np.einsum("i,ijk->jk", _unit_vectors([d], 1)[0], PAULI)
 
 
-def _fold(theta: float, period: float, upper: float, label: str) -> float:
-    """Fold an angle into [0, upper] by the family's relabeling symmetry; a non-finite angle raises ValueError."""
-    if not math.isfinite(theta):
-        raise ValueError(f"{label}: non-finite control angle {theta!r}")
-    t = float(theta) % period
-    if t > upper:
-        t = period - t
-    if not math.isclose(t, float(theta), rel_tol=0.0, abs_tol=1e-15):
-        logger.info("%s: control angle %.6g folded to %.6g", label, theta, t)
+def _fold(theta, period: float, label: str) -> np.ndarray:
+    """Fold angles into [0, period / 2] by the family's relabeling symmetry; a non-finite angle raises ValueError."""
+    theta = np.asarray(theta, dtype=float)
+    if not np.isfinite(theta).all():
+        raise ValueError(f"{label}: non-finite control angle in {theta!r}")
+    t = np.minimum(theta % period, period - theta % period)  # period - t is exact for t >= period / 2
+    folded = int(np.count_nonzero(np.abs(t - theta) > 1e-15))
+    if folded:
+        logger.info("%s: %d control angle(s) folded into [0, %.6g]", label, folded, period / 2.0)
     return t
 
 
@@ -79,28 +80,28 @@ def singlet() -> np.ndarray:
     return np.array([0.0, -1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 
 
-def gghz(theta1: float) -> np.ndarray:
-    """Generalized GHZ state cos(t1)|000> + sin(t1)|111>.
+def gghz(theta1) -> np.ndarray:
+    """Generalized GHZ state cos(t1)|000> + sin(t1)|111>, shape (..., 8) for angles of shape (...).
 
     theta1 = pi/4 gives the standard GHZ state; the canonical range is
     [0, pi/2].
     """
-    t = _fold(theta1, math.pi, math.pi / 2.0, "gghz")
-    v = np.zeros(8, dtype=complex)
-    v[0] = math.cos(t)
-    v[7] = math.sin(t)
+    t = _fold(theta1, math.pi, "gghz")
+    v = np.zeros(t.shape + (8,), dtype=complex)
+    v[..., 0] = np.cos(t)
+    v[..., 7] = np.sin(t)
     return v
 
 
-def maximal_slice(theta3: float) -> np.ndarray:
-    """Maximal slice state (|000> + |11>(cos(t3)|0> + sin(t3)|1>))/sqrt(2).
+def maximal_slice(theta3) -> np.ndarray:
+    """Maximal slice state (|000> + |11>(cos(t3)|0> + sin(t3)|1>))/sqrt(2), shape (..., 8).
 
     theta3 = pi/2 gives the standard GHZ state; theta3 = 0 is biseparable
     (a Bell pair on modes 1,2 times |0>).  Canonical range [0, pi].
     """
-    t = _fold(theta3, 2.0 * math.pi, math.pi, "maximal_slice")
-    v = np.zeros(8, dtype=complex)
-    v[0] = 1.0
-    v[6] = math.cos(t)
-    v[7] = math.sin(t)
+    t = _fold(theta3, 2.0 * math.pi, "maximal_slice")
+    v = np.zeros(t.shape + (8,), dtype=complex)
+    v[..., 0] = 1.0
+    v[..., 6] = np.cos(t)
+    v[..., 7] = np.sin(t)
     return v / math.sqrt(2.0)

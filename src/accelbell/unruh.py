@@ -19,12 +19,13 @@ The damping strength is set by the dimensionless ratio W = omega * c / a
 cos(r) = 1/sqrt(1 + exp(-2 pi W)); r runs from 0 (inertial observer) to
 pi/4 (infinite acceleration).
 
-``build_channel`` gives the Kraus pair as a (2, 2, 2) array k[term, out, in].
-``apply_channel`` contracts it with the damped mode's two axes of the
-reshaped density operator, so no Kronecker operator is built.  It and
-``dilate`` followed by a partial trace (``dilate_and_trace``) are two
-independent implementations of the same map and must agree to 1e-12; the
-cross-check lives in the test suite and in ``checks.verify``.
+``build_channel`` gives the Kraus pairs as a (..., 2, 2, 2) array k[..., term, out, in].
+``apply_channel`` contracts them with the damped mode's two axes of the
+reshaped density operators, so no Kronecker operator is built; the leading
+axes of the state stack and of r broadcast.  It and ``dilate`` followed by a
+partial trace (``dilate_and_trace``, one ket) are two independent implementations
+of the same map and must agree to 1e-12; the cross-check lives in the test suite
+and in ``checks.verify``.  ``_check_r`` is the package's one r-domain check.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 
 import numpy as np
 
-from .linalg import _state, density, mode_count, partial_trace
+from .linalg import _check_mode, _state, density, mode_count, partial_trace
 
 R_MAX = math.pi / 4.0
 
@@ -54,17 +55,21 @@ def acceleration_parameter(omega_ratio: float) -> float:
     return math.acos(1.0 / math.sqrt(1.0 + math.exp(-2.0 * math.pi * w)))
 
 
-def _check_r(r: float) -> float:
-    r = float(r)
-    if not 0.0 <= r <= R_MAX + 1e-12:
-        raise ValueError(f"acceleration parameter r={r!r} outside [0, pi/4]")
+def _check_r(r) -> np.ndarray:
+    """r as a float array; ValueError unless every entry lies in [0, pi/4] (NaN does not)."""
+    r = np.asarray(r, dtype=float)
+    outside = ~((r >= 0.0) & (r <= R_MAX + 1e-12))
+    if outside.any():
+        raise ValueError(f"acceleration parameter r={float(r[outside][0])!r} outside [0, pi/4]")
     return r
 
 
-def build_channel(r: float) -> np.ndarray:
-    """Kraus pair for damping angle r as a (2, 2, 2) array k[term, out, in]; the identity channel at r = 0."""
+def build_channel(r) -> np.ndarray:
+    """Kraus pairs for damping angles r (...) as a (..., 2, 2, 2) array k[..., term, out, in]; the identity at r = 0."""
     r = _check_r(r)
-    return np.array([[[math.cos(r), 0.0], [0.0, 1.0]], [[0.0, 0.0], [math.sin(r), 0.0]]], dtype=complex)
+    k = np.zeros(r.shape + (2, 2, 2), dtype=complex)
+    k[..., 0, 0, 0], k[..., 0, 1, 1], k[..., 1, 1, 0] = np.cos(r), 1.0, np.sin(r)
+    return k
 
 
 def dilate(psi: np.ndarray, mode: int, r: float) -> np.ndarray:
@@ -74,10 +79,9 @@ def dilate(psi: np.ndarray, mode: int, r: float) -> np.ndarray:
     new hidden-wedge mode is appended as the trailing (least significant)
     mode, per the two state maps above.  Norm is preserved exactly.
     """
-    r = _check_r(r)
+    r = float(_check_r(r))
     n = mode_count(len(density(psi)))  # density's check rejects a non-finite or non-unit ket
-    if not 1 <= mode <= n:
-        raise ValueError(f"mode {mode} out of range 1..{n}")
+    _check_mode(mode, n)
     t = np.moveaxis(np.asarray(psi, dtype=complex).reshape((2,) * n), mode - 1, 0)
     out = np.zeros((2,) + t.shape[1:] + (2,), dtype=complex)
     out[0, ..., 0] = math.cos(r) * t[0]
@@ -86,19 +90,19 @@ def dilate(psi: np.ndarray, mode: int, r: float) -> np.ndarray:
     return np.moveaxis(out, 0, mode - 1).reshape(-1)
 
 
-def apply_channel(rho: np.ndarray, mode: int, r: float) -> np.ndarray:
-    """Kraus action of the damping channel on one mode of a density operator.
+def apply_channel(rho: np.ndarray, mode: int, r) -> np.ndarray:
+    """Damping channel on one mode of each state of ``rho`` (..., d, d); the leading axes of rho and r broadcast.
 
     Must equal ``partial_trace(density(dilate(psi, mode, r)), n + 1)`` for
     every pure state psi; that dual-path contract is enforced by the tests.
     """
     rho, n = _state(rho)
-    if not 1 <= mode <= n:
-        raise ValueError(f"mode {mode} out of range 1..{n}")
+    _check_mode(mode, n)
     k = build_channel(r)
     left, right = 2 ** (mode - 1), 2 ** (n - mode)
-    t = rho.reshape(left, 2, right, left, 2, right)
-    return np.einsum("kab,xbyudv,ked->xayuev", k, t, k.conj()).reshape(rho.shape)
+    t = rho.reshape(rho.shape[:-2] + (left, 2, right, left, 2, right))
+    out = np.einsum("...kab,...xbyudv,...ked->...xayuev", k, t, k.conj())
+    return out.reshape(out.shape[:-6] + rho.shape[-2:])
 
 
 def dilate_and_trace(psi: np.ndarray, mode: int, r: float) -> np.ndarray:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from accelbell.nonlocality import horodecki_max, violates_chsh
 from accelbell.states import singlet
 
 SQRT2 = math.sqrt(2.0)
+SRC = Path(__file__).resolve().parent.parent / "src"
 FULL_CHECK_NAMES = [
     "channel-dual-path", "evaluator-dual-path", "lattice-dual-path", "channel-cptp", "channel-identity-at-rest",
     "damped-correlation-law", "restricted-chsh-equivalence", "threshold-consistency", "eigensolver-trace-sum",
@@ -218,6 +223,8 @@ def test_main_usage_errors(capsys, monkeypatch, tmp_path):
     assert main(singlet + ["--columns", "chsh_horodecki", "--restarts", "0"]) == 2
     assert main(singlet + ["--columns", "chsh_horodecki", "--certify", "-1"]) == 2
     assert main(singlet + ["--columns", "chsh_numeric", "--restarts", "0", "--certify", "0.19634954084936207"]) == 2
+    # a column named twice would write a duplicate CSV header
+    assert main(singlet + ["--columns", "chsh_horodecki,chsh_horodecki"]) == 2
     # so is --seed, before the first block's states are built
     monkeypatch.setattr(cli, "_damped", lambda *args: pytest.fail("state built before the seed was checked"))
     assert main(singlet + ["--columns", "chsh_horodecki", "--seed", "-1"]) == 2
@@ -234,7 +241,20 @@ def test_main_usage_errors(capsys, monkeypatch, tmp_path):
     assert main(["threshold", "--out", missing]) == 2
     assert main(["pi-tangle", "--state", "gghz", "--param", "0.3", "--r", "0.2", "--out", missing]) == 2
     errors = capsys.readouterr().err.splitlines()
-    assert len(errors) == 13 and all(line.startswith("error: ") for line in errors)
+    assert len(errors) == 14 and all(line.startswith("error: ") for line in errors)
+
+
+def test_main_out_of_memory_is_a_one_line_error():
+    # a 1e10-point grid cannot be allocated under a 1.5 GB address-space limit, set in the child process only
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000)); "
+            "from accelbell.cli import main; sys.exit(main(sys.argv[1:]))")
+    argv = ["sweep", "--state", "singlet", "--param-steps", "100000", "--r-steps", "100000",
+            "--columns", "chsh_restricted_max"]
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
 
 
 def test_seed_comes_from_the_command_line_only(monkeypatch):

@@ -64,7 +64,7 @@ def test_negativity_rejects_bad_labels():
         with pytest.raises(ValueError, match="out of range"):
             negativity(rho, mode)
     # a pair of modes is not a mode: reduce to the pair with partial_trace first
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="expected an integer"):
         negativity(rho, (1, 2))
 
 

@@ -282,6 +282,9 @@ def test_closed_forms_on_arrays_equal_scalar_calls(points):
         assert values.shape == t.shape
         assert all(v == form(*(float(a[i]) for a in args)) for i, v in enumerate(values))
     assert all(v == chsh_restricted_max(float(x)) for v, x in zip(chsh_restricted_max(r), r))
+    family = restricted_settings(t, r)
+    assert family.shape == t.shape + (4, 3)
+    assert all(np.array_equal(family[i], restricted_settings(float(t[i]), float(r[i]))) for i in range(len(t)))
     ref = svetlichny_bound_gghz(t, r)
     for i, (ti, ri) in enumerate(points):
         one = svetlichny_bound_gghz(ti, ri)

@@ -233,19 +233,24 @@ def test_config_validation():
         with pytest.raises(ValueError, match="seed"):
             maximize_bell([rho], restarts=1, seed=seed)
     # the matrix size picks the inequality: one size per stack, 4x4 or 8x8 only
-    for rhos in ([rho, density(gghz(0.3))], [np.eye(2) / 2.0], [np.eye(16) / 16.0], []):
+    with pytest.raises(ValueError, match="same shape"):
+        maximize_bell([rho, density(gghz(0.3))], restarts=1)
+    for rhos in ([np.eye(2) / 2.0], [np.eye(16) / 16.0], [], np.empty((0, 4, 4))):
         with pytest.raises(ValueError, match="operator"):
             maximize_bell(rhos, restarts=1)
+    # a lone (d, d) array is not a stack of d / 2 states
+    with pytest.raises(ValueError, match=r"wrap a single state as \[rho\]"):
+        maximize_bell(rho, restarts=1)
 
 
 def test_each_state_checked_once(monkeypatch, rng):
-    # the final value comes from the stack's T: one state check per state, not a second in the evaluator
+    # the stack is checked in one call, and the final values come from its T, not from a second check
     calls = []
     checked = nonlocality._state
     monkeypatch.setattr(nonlocality, "_state", lambda *args: calls.append(1) or checked(*args))
     rhos = [random_density(rng, 2, 2) for _ in range(64)]
     results = maximize_bell(rhos, restarts=1, seed=3)
-    assert len(calls) == 64
+    assert len(calls) == 1
     monkeypatch.undo()
     assert [chsh_value(rho, result.directions) for rho, result in zip(rhos, results)] == [r.value for r in results]
 
