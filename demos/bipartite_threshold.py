@@ -23,6 +23,7 @@ from accelbell import (
     maximize_bell,
     negativity,
     singlet,
+    violates,
 )
 
 print(__doc__)
@@ -41,7 +42,7 @@ results = maximize_bell(rhos, restarts=10, seed=1)
 print(f"{'r':>8} {'restricted':>11} {'horodecki':>10} {'numeric':>10} {'negativity':>11}")
 for r, rho, restricted, closed, result in zip(rs, rhos, chsh_restricted_max(rs), horodecki_max(rhos), results):
     neg = negativity(rho, 1)
-    marker = "violates" if restricted > 2.0 + 1e-9 else "classical"
+    marker = "violates" if violates(restricted, 2) else "classical"
     print(f"{r:8.4f} {restricted:11.6f} {closed:10.6f} {result.value:10.6f} {neg:11.6f}  {marker}")
 
 print()

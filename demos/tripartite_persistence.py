@@ -25,6 +25,7 @@ from accelbell import (
     svetlichny_bound_gghz,
     svetlichny_bound_ms_pair,
     svetlichny_bound_ms_slice,
+    violates,
 )
 
 print(__doc__)
@@ -44,7 +45,7 @@ print("violation boundary: largest envelope over t1 in [0, pi/4], per r")
 t_grid = np.linspace(0, math.pi / 4, 129)
 for r in np.linspace(0.0, math.pi / 4.0, 6):
     best = svetlichny_bound_gghz(t_grid, r).envelope.max()
-    status = "violates" if best > 4.0 + 1e-9 else "no violation"
+    status = "violates" if violates(best, 3) else "no violation"
     print(f"  r = {r:6.4f}   max envelope = {best:8.5f}   {status}")
 
 print()
@@ -56,7 +57,7 @@ for r in (0.2, 0.5, math.pi / 4 - 0.01, math.pi / 4):
     print(
         f"  r = {r:6.4f}   pair max = {float(pair.max()):8.5f}   "
         f"slice max = {float(slc.max()):8.5f}   "
-        f"{'both violate' if pair.max() > 4 and slc.max() > 4 else 'limit reached'}"
+        f"{'both violate' if violates(pair.max(), 3) and violates(slc.max(), 3) else 'limit reached'}"
     )
 
 print()

@@ -5,13 +5,13 @@ Library layout:
     linalg        the one state form (..., d, d) and its one check, the mode check, partial trace/transpose
     states        singlet / generalized GHZ / maximal slice kets (..., 8), spin observables along unit 3-vectors
     unruh         acceleration parameter, the wedge damping channel on state stacks, the one r check, dilation
-    nonlocality   correlation tensors of state stacks, their one Bell contraction (bell_fields), CHSH/Svetlichny
-                  evaluators on unit-vector setting arrays, closed-form bounds, thresholds
+    nonlocality   INEQUALITIES (CHSH, Svetlichny) by mode count and violates; correlation tensors of state stacks,
+                  their one Bell contraction (bell_fields), evaluators on unit-vector setting arrays, closed forms
     optimize      maximize_bell over a stack of 4x4 (CHSH) or 8x8 (Svetlichny) states: first party in
-                  closed form + lockstep simplex; separable lattice oracle
+                  closed form + lockstep simplex; separable lattice oracle grid_oracle on the same stack form
     entanglement  negativity across one mode (pairs via linalg.partial_trace), residual tripartite tangle
     checks        cross-module invariant suite (the `verify` command), timed per check
-    cli           sweep / threshold / verify / pi-tangle commands; one COLUMNS entry per sweep column
+    cli           sweep / threshold / verify / pi-tangle commands; one COLUMNS entry per sweep column, flagged or not
 """
 
 from .entanglement import PiTangle, negativity, pi_tangle
@@ -24,6 +24,7 @@ from .linalg import (
     tensor,
 )
 from .nonlocality import (
+    INEQUALITIES,
     ChshThreshold,
     GghzBound,
     bell_fields,
@@ -39,8 +40,7 @@ from .nonlocality import (
     svetlichny_bound_ms_pair,
     svetlichny_bound_ms_slice,
     svetlichny_value,
-    violates_chsh,
-    violates_svetlichny,
+    violates,
 )
 from .optimize import BudgetError, OptimizeResult, grid_oracle, maximize_bell
 from .states import gghz, maximal_slice, singlet, spin_observable

@@ -118,7 +118,7 @@ def check_lattice_dual_path(cases=10, seed=QUICK_SEED + 8):
         for modes, evaluate, resolution in ((2, nonlocality.chsh_value, math.pi / 2),
                                             (3, nonlocality.svetlichny_value, math.pi)):
             rho = _random_mixed(rng, modes, int(rng.integers(1, 5)))
-            value, setting = optimize.grid_oracle(rho, resolution)
+            (value,), (setting,) = optimize.grid_oracle([rho], resolution)
             dirs = optimize._angles_to_directions(optimize._lattice(resolution))
             scan = float(np.max(evaluate(rho, dirs[np.stack(np.indices((len(dirs),) * 2 * modes), axis=-1)])))
             worst = max(worst, abs(value - scan), abs(evaluate(rho, setting) - scan))

@@ -52,8 +52,7 @@ def _check_state(state: str, mode: int) -> int:
     if state not in STATE_MODES:
         raise ValueError(f"unknown state {state!r}; choose from {sorted(STATE_MODES)}")
     n = STATE_MODES[state][0]
-    if not 1 <= mode <= n:
-        raise ValueError(f"mode {mode} out of range 1..{n} for state {state!r}")
+    linalg._check_mode(mode, n)
     return n
 
 
@@ -77,20 +76,17 @@ def _numeric(spec: SweepSpec, params, rs, rhos) -> list:
     return [result.value for result in results]
 
 
-# column: (modes, evaluator(spec, params, rs, damped states) -> one value per point, violation test or None);
+# column: (modes, evaluator(spec, params, rs, damped states) -> one value per point, flagged); a flagged column
+# is followed by its violation flag, nonlocality.violates of its value under the inequality of its mode count;
 # params and rs are the block's (k,) arrays and the damped states its (k, d, d) stack, each taken in one call
 COLUMNS = {
-    "chsh_restricted_max": (2, lambda spec, params, rs, rhos: nonlocality.chsh_restricted_max(rs),
-                            nonlocality.violates_chsh),
-    "chsh_horodecki": (2, lambda spec, params, rs, rhos: nonlocality.horodecki_max(rhos),
-                       nonlocality.violates_chsh),
-    "chsh_numeric": (2, _numeric, nonlocality.violates_chsh),
-    "svetlichny_bound": (3, lambda spec, params, rs, rhos: _svetlichny_bound(spec, params, rs, envelope=False),
-                         nonlocality.violates_svetlichny),
-    "svetlichny_envelope": (3, lambda spec, params, rs, rhos: _svetlichny_bound(spec, params, rs, envelope=True),
-                            nonlocality.violates_svetlichny),
-    "svetlichny_numeric": (3, _numeric, nonlocality.violates_svetlichny),
-    "pi_tangle": (3, lambda spec, params, rs, rhos: [entanglement.pi_tangle(rho).pi for rho in rhos], None),
+    "chsh_restricted_max": (2, lambda spec, params, rs, rhos: nonlocality.chsh_restricted_max(rs), True),
+    "chsh_horodecki": (2, lambda spec, params, rs, rhos: nonlocality.horodecki_max(rhos), True),
+    "chsh_numeric": (2, _numeric, True),
+    "svetlichny_bound": (3, lambda spec, params, rs, rhos: _svetlichny_bound(spec, params, rs, envelope=False), True),
+    "svetlichny_envelope": (3, lambda spec, params, rs, rhos: _svetlichny_bound(spec, params, rs, envelope=True), True),
+    "svetlichny_numeric": (3, _numeric, True),
+    "pi_tangle": (3, lambda spec, params, rs, rhos: [entanglement.pi_tangle(rho).pi for rho in rhos], False),
 }
 
 
@@ -122,8 +118,6 @@ def _validate_spec(spec: SweepSpec) -> None:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
     return f"{value:.12g}"
 
 
@@ -139,16 +133,18 @@ def run_sweep(spec: SweepSpec) -> str:
                                                        np.linspace(spec.r_start, spec.r_stop, spec.r_steps), indexing="ij"))
     header = ["param", "r"]
     for col in spec.columns:
-        header += [col] if COLUMNS[col][2] is None else [col, col + "_violation"]
+        header += [col, col + "_violation"] if COLUMNS[col][2] else [col]
     lines = [",".join(header)]
     for start in range(0, params.size, BLOCK):
         block_params, block_rs = params[start:start + BLOCK], rs[start:start + BLOCK]
         rhos = _damped(spec.state, block_params, spec.mode, block_rs)
         cells = [[_fmt(v) for v in block_params], [_fmt(v) for v in block_rs]]
         for col in spec.columns:
-            _, evaluate, violates = COLUMNS[col]
+            modes, evaluate, flagged = COLUMNS[col]
             values = evaluate(spec, block_params, block_rs, rhos)
-            cells.append([_fmt(v) if violates is None else f"{_fmt(v)},{_fmt(violates(v))}" for v in values])
+            cells.append([_fmt(v) for v in values])
+            if flagged:
+                cells.append(["1" if flag else "0" for flag in nonlocality.violates(values, modes)])
         lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 

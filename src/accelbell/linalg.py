@@ -59,6 +59,8 @@ def tensor(*factors: np.ndarray) -> np.ndarray:
 def density(psi: np.ndarray) -> np.ndarray:
     """Rank-one density operators |psi><psi| of kets (..., d); a non-finite or non-unit ket raises ValueError."""
     v = np.atleast_1d(np.asarray(psi, dtype=complex))
+    if not (np.abs(v) <= 1.0 + HERMITICITY_ATOL).all():  # before the product, which would overflow or make NaN
+        raise ValueError("ket has a non-finite entry or one of modulus above 1, so it is not a unit ket")
     return _state(v[..., :, None] * v[..., None, :].conj())[0]
 
 

@@ -21,15 +21,17 @@ by both evaluators and the maximizer.  Settings are unit 3-vector arrays of
 shape (..., 4, 3) (a, a', b, b') or (..., 6, 3) (a, a', c, c', b, b').  The
 state quantities take a stack of states (..., d, d), checked in one ``_state``
 call, whose leading axes broadcast against the settings'; one state and one
-setting give a float.  A value only counts as a violation when it clears the
-classical bound by more than ``VIOLATION_TOL``.  ``ValueError`` is raised for a
-non-state, non-finite settings and a value above the quantum maximum.
+setting give a float.  ``INEQUALITIES`` holds each inequality by mode count
+(2: CHSH, 3: Svetlichny); ``violates`` reads its classical bound, with margin
+``VIOLATION_TOL``.  ``ValueError`` is raised for a non-state, non-finite
+settings and a value above the quantum maximum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,28 +39,30 @@ from .linalg import _state, hermitian_eigenvalues
 from .states import PAULI, _unit_vectors
 from .unruh import _check_r
 
-CHSH_CLASSICAL_BOUND = 2.0
-CHSH_QUANTUM_MAX = 2.0 * math.sqrt(2.0)
-SVETLICHNY_CLASSICAL_BOUND = 4.0
-SVETLICHNY_QUANTUM_MAX = 4.0 * math.sqrt(2.0)
+
+class Inequality(NamedTuple):
+    """One Bell inequality: its beta, its two bounds, and the Pauli products with T = paulis @ rho.ravel()."""
+
+    name: str
+    beta: np.ndarray
+    classical_bound: float
+    quantum_max: float
+    paulis: np.ndarray
+
+
+# by mode count; beta of CHSH and of S above (expanded in B and B'), Pauli products over (i, j(, k)) in C order
+INEQUALITIES = {
+    2: Inequality("CHSH", np.array([[1.0, 1.0], [1.0, -1.0]]), 2.0, 2.0 * math.sqrt(2.0),
+                  np.einsum("ica,jdb->ijabcd", PAULI, PAULI).reshape(9, 16)),
+    3: Inequality("Svetlichny", np.array([[[1.0, -1.0], [1.0, 1.0]], [[1.0, 1.0], [-1.0, 1.0]]]), 4.0,
+                  4.0 * math.sqrt(2.0), np.einsum("ida,jeb,kfc->ijkabcdef", PAULI, PAULI, PAULI).reshape(27, 64)),
+}
+CHSH_CLASSICAL_BOUND, CHSH_QUANTUM_MAX = INEQUALITIES[2].classical_bound, INEQUALITIES[2].quantum_max
+SVETLICHNY_CLASSICAL_BOUND, SVETLICHNY_QUANTUM_MAX = INEQUALITIES[3].classical_bound, INEQUALITIES[3].quantum_max
 VIOLATION_TOL = 1e-9
 
 # maximizer of |sin^2 g + cos g| on [0, pi]: cos g = 1/2
 GAMMA_STAR = math.pi / 3.0
-
-# beta of CHSH and of S above (expanded in B and B')
-_CHSH = np.array([[1.0, 1.0], [1.0, -1.0]])
-_SVETLICHNY = np.array([[[1.0, -1.0], [1.0, 1.0]], [[1.0, 1.0], [-1.0, 1.0]]])
-# by mode count: the value no state can exceed, and the error raised above it
-_QUANTUM_LIMIT = {
-    2: (CHSH_QUANTUM_MAX, "CHSH value above the quantum maximum; is rho a density operator?"),
-    3: (SVETLICHNY_QUANTUM_MAX, "Svetlichny value above the algebraic maximum; is rho a density operator?"),
-}
-# _PAULI_PRODUCTS[n] @ rho.ravel() = Tr[rho sigma_i x sigma_j (x sigma_k)] over (i, j(, k)) in C order
-_PAULI_PRODUCTS = {
-    2: np.einsum("ica,jdb->ijabcd", PAULI, PAULI).reshape(9, 16),
-    3: np.einsum("ida,jeb,kfc->ijkabcdef", PAULI, PAULI, PAULI).reshape(27, 64),
-}
 
 __all__ = [
     "CHSH_CLASSICAL_BOUND",
@@ -67,6 +71,8 @@ __all__ = [
     "SVETLICHNY_QUANTUM_MAX",
     "VIOLATION_TOL",
     "GAMMA_STAR",
+    "INEQUALITIES",
+    "Inequality",
     "ChshThreshold",
     "GghzBound",
     "correlation",
@@ -82,8 +88,7 @@ __all__ = [
     "svetlichny_bound_gghz",
     "svetlichny_bound_ms_pair",
     "svetlichny_bound_ms_slice",
-    "violates_chsh",
-    "violates_svetlichny",
+    "violates",
 ]
 
 
@@ -97,21 +102,21 @@ def _check_closed_form(r, *angles) -> np.ndarray:
 
 def _tensor(rho: np.ndarray, modes: int | None = None) -> np.ndarray:
     rho, n = _state(rho, modes)
-    if n not in _PAULI_PRODUCTS:
+    if n not in INEQUALITIES:
         raise ValueError(f"expected a 4x4 or 8x8 operator, got shape {rho.shape}")
     lead = rho.shape[:-2]  # one matrix-vector product per state, so a row of a stack equals its lone call
-    return np.matmul(_PAULI_PRODUCTS[n], rho.reshape(lead + (-1, 1))).real.reshape(lead + (3,) * n)
+    return np.matmul(INEQUALITIES[n].paulis, rho.reshape(lead + (-1, 1))).real.reshape(lead + (3,) * n)
 
 
 def _maybe_scalar(values: np.ndarray):
-    return float(values) if values.ndim == 0 else values
+    return values.item() if values.ndim == 0 else values  # a Python float or bool for one value
 
 
 def _guarded(values: np.ndarray, modes: int):
     """``values``, or ValueError if one is above the quantum maximum of the ``modes``-mode inequality."""
-    limit, message = _QUANTUM_LIMIT[modes]
-    if not (values <= limit + VIOLATION_TOL).all():
-        raise ValueError(message)
+    inequality = INEQUALITIES[modes]
+    if not (values <= inequality.quantum_max + VIOLATION_TOL).all():
+        raise ValueError(f"{inequality.name} value above the quantum maximum; is rho a density operator?")
     return _maybe_scalar(values)
 
 
@@ -120,9 +125,10 @@ def correlation_tensor(rho: np.ndarray) -> np.ndarray:
     return _tensor(rho)
 
 
-def correlation(rho: np.ndarray, a, b) -> float:
-    """Tr[rho (a.sigma x b.sigma)] = a.T b for a two-mode operator and unit 3-vectors a, b; lies in [-1, 1]."""
-    return float(_unit_vectors([a], 1)[0] @ _tensor(rho, 2) @ _unit_vectors([b], 1)[0])
+def correlation(rho: np.ndarray, a, b) -> float | np.ndarray:
+    """Tr[rho (a.sigma x b.sigma)] = a.T b in [-1, 1] of a two-mode state or each of a stack; a, b unit 3-vectors."""
+    a_t = _unit_vectors([a], 1)[0] @ _tensor(rho, 2)  # then one (1, 3) @ (3,) product per state, as a lone call makes
+    return _maybe_scalar((a_t[..., None, :] @ _unit_vectors([b], 1)[0])[..., 0])
 
 
 def bell_fields(t: np.ndarray, rest: np.ndarray) -> np.ndarray:
@@ -135,8 +141,8 @@ def bell_fields(t: np.ndarray, rest: np.ndarray) -> np.ndarray:
     ``rest``.  The Bell value of the full setting is |a.X_0 + a'.X_1|.
     """
     if rest.shape[-2] == 2:
-        return (_CHSH @ rest) @ np.swapaxes(t, -1, -2)  # T(b + b'), T(b - b')
-    return np.einsum("...ijk,...yj,...xyk->...xi", t, rest[..., :2, :], _SVETLICHNY @ rest[..., None, 2:, :])
+        return (INEQUALITIES[2].beta @ rest) @ np.swapaxes(t, -1, -2)  # T(b + b'), T(b - b')
+    return np.einsum("...ijk,...yj,...xyk->...xi", t, rest[..., :2, :], INEQUALITIES[3].beta @ rest[..., None, 2:, :])
 
 
 def _bell_value(t: np.ndarray, settings, modes: int):
@@ -179,7 +185,7 @@ def chsh_restricted(r, gamma):
     2 cos^2(r) |sin^2(gamma) + cos(gamma)|.  Values above 2 are violations."""
     r = _check_closed_form(r, gamma)
     g = np.asarray(gamma, dtype=float)
-    vals = 2.0 * np.cos(r) ** 2 * np.abs(np.sin(g) ** 2 + np.cos(g))
+    vals = 2.0 * np.square(np.cos(r)) * np.abs(np.square(np.sin(g)) + np.cos(g))
     return _maybe_scalar(vals)
 
 
@@ -268,10 +274,10 @@ def svetlichny_bound_gghz(theta1, r) -> GghzBound:
     """
     r = _check_closed_form(r, theta1)
     t1 = np.asarray(theta1, dtype=float)
-    axial_amp = 2.0 * np.cos(t1) ** 2 * np.cos(r) ** 2 - 1.0
+    axial_amp = 2.0 * np.square(np.cos(t1)) * np.square(np.cos(r)) - 1.0
     axial_value = 4.0 * np.abs(axial_amp)
     equatorial_value = 4.0 * math.sqrt(2.0) * np.abs(np.sin(2.0 * t1)) * np.cos(r)
-    axial = axial_amp**2 >= np.sin(2.0 * t1) ** 2 * np.cos(r) ** 2
+    axial = np.square(axial_amp) >= np.square(np.sin(2.0 * t1)) * np.square(np.cos(r))
     return GghzBound(
         bound=_maybe_scalar(np.where(axial, axial_value, equatorial_value)),
         branch=np.where(axial, "axial", "equatorial")[()],
@@ -287,7 +293,7 @@ def svetlichny_bound_ms_pair(theta3, r):
     4 cos(r) sqrt(cos^2 t3 + 2 sin^2 t3).  Exceeds 4 iff sin^2 t3 > tan^2 r."""
     r = _check_closed_form(r, theta3)
     t3 = np.asarray(theta3, dtype=float)
-    vals = 4.0 * np.cos(r) * np.sqrt(np.cos(t3) ** 2 + 2.0 * np.sin(t3) ** 2)
+    vals = 4.0 * np.cos(r) * np.sqrt(np.square(np.cos(t3)) + 2.0 * np.square(np.sin(t3)))
     return _maybe_scalar(vals)
 
 
@@ -297,15 +303,13 @@ def svetlichny_bound_ms_slice(theta3, r):
     4 sqrt(cos^2 t3 cos^2 2r + 2 sin^2 t3 cos^2 r)."""
     r = _check_closed_form(r, theta3)
     t3 = np.asarray(theta3, dtype=float)
-    vals = 4.0 * np.sqrt(np.cos(t3) ** 2 * np.cos(2.0 * r) ** 2 + 2.0 * np.sin(t3) ** 2 * np.cos(r) ** 2)
+    cos2, sin2 = np.square(np.cos(t3)), np.square(np.sin(t3))
+    vals = 4.0 * np.sqrt(cos2 * np.square(np.cos(2.0 * r)) + 2.0 * sin2 * np.square(np.cos(r)))
     return _maybe_scalar(vals)
 
 
-def violates_chsh(value: float) -> bool:
-    """True when a CHSH value clears the classical bound 2 beyond tolerance."""
-    return bool(value > CHSH_CLASSICAL_BOUND + VIOLATION_TOL)
-
-
-def violates_svetlichny(value: float) -> bool:
-    """True when a Svetlichny value clears the hybrid bound 4 beyond tolerance."""
-    return bool(value > SVETLICHNY_CLASSICAL_BOUND + VIOLATION_TOL)
+def violates(values, modes: int):
+    """Where values of the ``modes``-mode inequality clear its classical bound beyond ``VIOLATION_TOL``, elementwise."""
+    if modes not in INEQUALITIES:
+        raise ValueError(f"no inequality for {modes!r} modes; the table has {sorted(INEQUALITIES)}")
+    return _maybe_scalar(np.asarray(values) > INEQUALITIES[modes].classical_bound + VIOLATION_TOL)

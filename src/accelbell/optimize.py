@@ -22,15 +22,15 @@ the rest of the stack.  Per state the best run wins, ties to the earliest
 start.  Then a, a' = X/|X| (z where X = 0), and one call of the evaluators'
 body gives the values at the full settings from the T already built.
 
-``grid_oracle``, the independent certification path, scans the lattice
-theta in {0, res, ..., pi} x phi in {0, res, ..., 2 pi - res} for every
-setting, a and a' included: with M_x the fields X_x of every lattice tuple
-j of the other settings, P = dirs M_0^T and Q = dirs M_1^T, the value at
-(a, a', j) is |P[a, j] + Q[a', j]|.  Floating-point addition is monotone in
-each argument, so over a' it peaks at the largest or the smallest Q[., j]:
-max(|P[a, j] + max Q[., j]|, |P[a, j] + min Q[., j]|) is exactly the best
-value for (a, j), and two passes over P give every a's best.  The first a
-at the lattice maximum then has its |P[a] + Q| scanned in full, so ties go
+``grid_oracle``, the independent certification path, takes the same stack
+and scans the lattice theta in {0, res, ..., pi} x phi in {0, res, ...,
+2 pi - res} for every setting, a and a' included: with M_x the fields X_x of
+every lattice tuple j of the other settings, P = dirs M_0^T, Q = dirs M_1^T,
+the value at (a, a', j) is |P[a, j] + Q[a', j]|.  Floating-point addition is
+monotone in each argument, so over a' it peaks at the largest or the smallest
+Q[., j]: max(|P[a, j] + max Q[., j]|, |P[a, j] + min Q[., j]|) is exactly the
+best value for (a, j), and two passes over P give every a's best.  The first
+a at the lattice maximum then has its |P[a] + Q| scanned in full, so ties go
 to the lowest C-order index.  Its value is a certified lower bound.  Scans
 over ``DEFAULT_BUDGET`` settings raise ``BudgetError``; the lattice grows as
 ((pi/res + 1) * 2 pi/res)^n.
@@ -196,10 +196,18 @@ def _grid_search(ts: np.ndarray, resolution: float) -> tuple[np.ndarray, np.ndar
     return values, best_angles
 
 
-def grid_oracle(rho: np.ndarray, resolution: float) -> tuple[float, np.ndarray]:
-    """Lattice maximum of the CHSH (two modes) or Svetlichny (three modes) value, and an (n, 3) setting at it."""
-    values, angles = _grid_search(correlation_tensor(rho)[None], resolution)
-    return float(values[0]), _angles_to_directions(angles[0])
+def _tensors(rhos) -> np.ndarray:
+    """Correlation tensors (k, 3, 3(, 3)) of a non-empty stack of equal-shape states, checked in one call."""
+    rhos = list(rhos)  # a generator is read once; an array gives its rows
+    if len(rhos) == 0 or np.ndim(rhos[0]) != 2:  # a lone (d, d) array would read as d / 2 states
+        raise ValueError("expected a non-empty stack of 4x4 or of 8x8 operators; wrap a single state as [rho]")
+    return correlation_tensor(np.stack(rhos))
+
+
+def grid_oracle(rhos, resolution: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice maxima (k,) of the CHSH (4x4) or Svetlichny (8x8) value of k states, and settings (k, 2n, 3) at them."""
+    values, angles = _grid_search(_tensors(rhos), resolution)
+    return values, _angles_to_directions(angles).reshape(len(values), -1, 3)
 
 
 def _check_search(restarts: int, witness_resolution: float | None, seed: int) -> None:
@@ -219,10 +227,7 @@ def maximize_bell(
     The simplex searches the later settings only; its rows are (state, start) pairs, stepped in lockstep.
     """
     _check_search(restarts, witness_resolution, seed)
-    rhos = list(rhos)  # a generator is read once; an array gives its rows
-    if len(rhos) == 0 or np.ndim(rhos[0]) != 2:  # a lone (d, d) array would read as d / 2 states
-        raise ValueError("expected a non-empty stack of 4x4 or of 8x8 operators; wrap a single state as [rho]")
-    t = correlation_tensor(np.stack(rhos))  # the whole stack checked in one call
+    t = _tensors(rhos)
     rng = np.random.default_rng(seed)
     # (state, start, dim): angles of the 2 * modes - 2 later settings, where modes = t.ndim - 1
     x0 = np.tile([_sample_start(rng, 2 * t.ndim - 4) for _ in range(restarts)], (len(t), 1, 1))

@@ -11,7 +11,7 @@ import pytest
 from accelbell import checks, cli, nonlocality, optimize, unruh
 from accelbell.cli import COLUMNS, SweepSpec, main, run_sweep, solve_pi_tangle, solve_threshold
 from accelbell.linalg import density
-from accelbell.nonlocality import horodecki_max, violates_chsh
+from accelbell.nonlocality import horodecki_max, violates
 from accelbell.states import singlet
 
 SQRT2 = math.sqrt(2.0)
@@ -122,8 +122,8 @@ def test_sweep_numeric_across_blocks_matches_per_point_calls():
     for row, (p, r) in zip(rows, grid):
         rho = unruh.apply_channel(density(singlet()), 2, r)
         numeric, closed = optimize.maximize_bell([rho], restarts=2, seed=3)[0].value, horodecki_max(rho)
-        assert row == [f"{p:.12g}", f"{r:.12g}", f"{numeric:.12g}", "1" if violates_chsh(numeric) else "0",
-                       f"{closed:.12g}", "1" if violates_chsh(closed) else "0"]
+        assert row == [f"{p:.12g}", f"{r:.12g}", f"{numeric:.12g}", "1" if violates(numeric, 2) else "0",
+                       f"{closed:.12g}", "1" if violates(closed, 2) else "0"]
 
 
 def test_sweep_calls_public_maximizer_once_per_block(monkeypatch):
@@ -150,6 +150,16 @@ def test_sweep_validation_errors():
         run_sweep(bound_spec(mode=4))
     with pytest.raises(ValueError):
         run_sweep(bound_spec(columns=("nonsense",)))
+
+
+def test_sweep_spec_validation_rejects_bool_and_out_of_range_modes(monkeypatch):
+    # the one mode check (linalg._check_mode) runs in _validate_spec, before any state is built
+    monkeypatch.setattr(cli, "_damped", lambda *args: pytest.fail("state built before the mode was checked"))
+    for mode in (True, 0, 4, 2.0):
+        with pytest.raises(ValueError, match="expected an integer in 1..3"):
+            run_sweep(bound_spec(mode=mode))
+    with pytest.raises(ValueError, match="expected an integer in 1..2"):
+        run_sweep(bound_spec(state="singlet", mode=np.True_, columns=("chsh_horodecki",)))
 
 
 def test_threshold_json_values():
@@ -293,7 +303,7 @@ def test_closed_form_columns_equal_per_point_calls(state, mode, columns):
             else:
                 form = nonlocality.svetlichny_bound_ms_pair if mode in (1, 2) else nonlocality.svetlichny_bound_ms_slice
                 value = form(p, r)
-            cells += [cli._fmt(value), cli._fmt(COLUMNS[col][2](value))]
+            cells += [cli._fmt(value), "1" if violates(value, COLUMNS[col][0]) else "0"]
         assert row.split(",")[2:] == cells
 
 
@@ -365,10 +375,10 @@ def test_verify_catches_stalled_simplex(monkeypatch):
 def test_verify_catches_corrupted_correlation_tensor(monkeypatch):
     import accelbell.nonlocality as nonlocality_mod
 
-    corrupted = {n: basis.copy() for n, basis in nonlocality_mod._PAULI_PRODUCTS.items()}
-    for basis in corrupted.values():
-        basis[[0, 1]] = basis[[1, 0]]  # T_xx and T_xy (T_xxx and T_xxy) trade places
-    monkeypatch.setattr(nonlocality_mod, "_PAULI_PRODUCTS", corrupted)
+    corrupted = {n: ineq._replace(paulis=ineq.paulis.copy()) for n, ineq in nonlocality_mod.INEQUALITIES.items()}
+    for ineq in corrupted.values():
+        ineq.paulis[[0, 1]] = ineq.paulis[[1, 0]]  # T_xx and T_xy (T_xxx and T_xxy) trade places
+    monkeypatch.setattr(nonlocality_mod, "INEQUALITIES", corrupted)
     results = {res.name: res for res in checks.run_checks("quick")}
     assert not results["evaluator-dual-path"].passed
     assert math.isfinite(results["evaluator-dual-path"].residual)
@@ -377,7 +387,7 @@ def test_verify_catches_corrupted_correlation_tensor(monkeypatch):
 def test_verify_catches_corrupted_lattice_oracle(monkeypatch):
     # a transposed tensor swaps the parties inside `optimize` only
     real = optimize.correlation_tensor
-    monkeypatch.setattr(optimize, "correlation_tensor", lambda rho: real(rho).T)
+    monkeypatch.setattr(optimize, "correlation_tensor", lambda rho: np.swapaxes(real(rho), -1, -2))
     residual, tolerance, _ = checks.check_lattice_dual_path()
     assert not residual <= tolerance
     assert math.isfinite(residual)

@@ -67,6 +67,15 @@ def test_tensor_associative_exact(rng):
     assert np.array_equal(tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
 
 
+def test_density_rejects_non_finite_ket():
+    # checked before the outer product: under -W error its overflow or inf * 0 warning would escape as the error
+    for ket in ([1.0, math.inf], [math.nan, 0.0], [complex(math.inf, 1.0), 0.0], [1e200, 0.0],
+                [[1.0, 0.0], [0.0, math.inf]]):
+        with pytest.raises(ValueError, match="non-finite entry or one of modulus above 1"):
+            density(ket)
+    assert np.array_equal(density([0.0, 1.0]), np.diag([0.0, 1.0]))
+
+
 def test_partial_trace_bell_marginal():
     rho = density(bell_phi_plus())
     assert_allclose(partial_trace(rho, 2), np.eye(2) / 2.0, atol=1e-15)

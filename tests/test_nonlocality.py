@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -10,7 +10,11 @@ from accelbell.checks import operator_bell_value
 from accelbell.entanglement import negativity, pi_tangle
 from accelbell.linalg import density, tensor
 from accelbell.nonlocality import (
+    CHSH_CLASSICAL_BOUND,
     CHSH_QUANTUM_MAX,
+    INEQUALITIES,
+    SVETLICHNY_CLASSICAL_BOUND,
+    VIOLATION_TOL,
     GAMMA_STAR,
     SVETLICHNY_QUANTUM_MAX,
     chsh_restricted,
@@ -25,6 +29,7 @@ from accelbell.nonlocality import (
     svetlichny_bound_ms_pair,
     svetlichny_bound_ms_slice,
     svetlichny_value,
+    violates,
 )
 from accelbell.optimize import maximize_bell
 from accelbell.states import X_AXIS, Z_AXIS, gghz, maximal_slice, singlet, spin_observable
@@ -66,6 +71,41 @@ def test_correlation_damped_law_general_angle():
             assert abs(correlation(rho, Z_AXIS, [math.sin(theta), 0.0, math.cos(theta)]) - want) < 1e-12
 
 
+def test_correlation_of_a_stack_equals_single_state_calls(rng):
+    rhos = np.stack([random_density(rng, 2, rank) for rank in (1, 2, 3, 4)] + [damped_singlet(0.3)])
+    a, b = random_direction(rng), random_direction(rng)
+    values = correlation(rhos, a, b)
+    assert values.shape == (5,)
+    assert isinstance(correlation(rhos[0], a, b), float)
+    assert [correlation(rho, a, b) for rho in rhos] == list(values)
+    assert correlation(rhos.reshape(5, 1, 4, 4), a, b).shape == (5, 1)
+
+
+def test_inequality_table_by_mode_count():
+    chsh, svetlichny = INEQUALITIES[2], INEQUALITIES[3]
+    assert (chsh.name, svetlichny.name) == ("CHSH", "Svetlichny")
+    assert (chsh.classical_bound, svetlichny.classical_bound) == (CHSH_CLASSICAL_BOUND, SVETLICHNY_CLASSICAL_BOUND)
+    assert (chsh.quantum_max, svetlichny.quantum_max) == (CHSH_QUANTUM_MAX, SVETLICHNY_QUANTUM_MAX)
+    assert chsh.beta.shape == (2, 2) and svetlichny.beta.shape == (2, 2, 2)
+    assert chsh.paulis.shape == (9, 16) and svetlichny.paulis.shape == (27, 64)
+    # CHSH's beta weighs the singlet's Tsirelson settings to the table's quantum maximum
+    assert abs(chsh_value(density(singlet()), chsh_tsirelson_settings()) - chsh.quantum_max) < 1e-12
+
+
+def test_violates_broadcasts_and_rejects_unknown_mode_counts():
+    for modes, bound in ((2, 2.0), (3, 4.0)):
+        assert violates(bound + 2.0 * VIOLATION_TOL, modes) is True
+        assert violates(bound + 0.5 * VIOLATION_TOL, modes) is False
+        assert violates(np.float64(bound), modes) is False
+        flags = violates(np.array([[bound - 1.0, bound], [bound + 1e-8, math.nan]]), modes)
+        assert flags.dtype == bool and flags.tolist() == [[False, False], [True, False]]
+    assert violates(2.5, 2) and not violates(2.5, 3)
+    assert violates([], 2).shape == (0,)
+    for modes in (1, 4, True):
+        with pytest.raises(ValueError, match="no inequality"):
+            violates(3.0, modes)
+
+
 def test_correlation_requires_two_modes():
     with pytest.raises(ValueError):
         correlation(np.eye(8) / 8.0, Z_AXIS, Z_AXIS)
@@ -81,7 +121,7 @@ def test_evaluators_reject_values_above_quantum_maximum():
     # unit-trace and Hermitian but not positive, so only the bound check stops them; it must hold under python -O too
     with pytest.raises(ValueError, match="quantum maximum"):
         chsh_value(10.0 * density(singlet()) - 9.0 * np.eye(4) / 4.0, chsh_tsirelson_settings())
-    with pytest.raises(ValueError, match="algebraic maximum"):
+    with pytest.raises(ValueError, match="Svetlichny value above the quantum maximum"):
         svetlichny_value(10.0 * density(gghz(0.0)) - 9.0 * np.eye(8) / 8.0, np.tile(Z_AXIS, (6, 1)))
 
 
@@ -273,6 +313,7 @@ def test_gghz_bound_envelope_dominates():
 
 @settings(max_examples=40, deadline=None)
 @given(points=st.lists(st.tuples(st.floats(-math.pi, 2.0 * math.pi), st.floats(0.0, R_MAX)), min_size=1, max_size=40))
+@example(points=[(1.25, 0.0237851932747438)])  # a scalar cos(r) ** 2 once missed np.square's bits by 4.4e-16
 def test_closed_forms_on_arrays_equal_scalar_calls(points):
     # one input form: an array call is its elementwise scalar calls, bit for bit
     t, r = (np.array(axis) for axis in zip(*points))

@@ -20,8 +20,8 @@ SQRT2 = math.sqrt(2.0)
 
 def test_grid_oracle_pole_on_lattice():
     # the product states' maxima 2 and 4 sit at the pole z, a lattice point
-    assert abs(grid_oracle(density(np.eye(4)[0]), math.pi / 4.0)[0] - 2.0) < 1e-15
-    value, setting = grid_oracle(density(gghz(0.0)), math.pi / 2.0)
+    assert abs(grid_oracle([density(np.eye(4)[0])], math.pi / 4.0)[0][0] - 2.0) < 1e-15
+    (value,), (setting,) = grid_oracle([density(gghz(0.0))], math.pi / 2.0)
     assert abs(value - 4.0) < 1e-15
     assert abs(svetlichny_value(density(gghz(0.0)), setting) - value) < 1e-15
 
@@ -29,21 +29,21 @@ def test_grid_oracle_pole_on_lattice():
 def test_grid_oracle_resolution_must_divide_pi():
     for resolution in (1.0, 0.0, -math.pi / 4.0, math.nan, math.inf):
         with pytest.raises(ValueError):
-            grid_oracle(density(singlet()), resolution)
+            grid_oracle([density(singlet())], resolution)
 
 
 def test_grid_oracle_budget_rejected():
     # a pi/16 lattice for four vectors needs (17*32)^4 ~ 8.8e10 evaluations,
     # and pi/8 for six vectors needs (9*16)^6 ~ 8.9e12; both exceed 1e8
     with pytest.raises(BudgetError):
-        grid_oracle(density(singlet()), math.pi / 16.0)
+        grid_oracle([density(singlet())], math.pi / 16.0)
     with pytest.raises(BudgetError):
-        grid_oracle(density(gghz(0.0)), math.pi / 8.0)
+        grid_oracle([density(gghz(0.0))], math.pi / 8.0)
     # the budget is checked before the lattice is built: pi/500 would need a 501000-point lattice
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError):
-            grid_oracle(density(singlet()), math.pi / 500.0)
+            grid_oracle([density(singlet())], math.pi / 500.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -98,15 +98,32 @@ def test_grid_search_stack_matches_per_state_calls(rng):
 
 def test_grid_oracle_chsh_contains_optimum():
     # the pi/4 lattice contains the exact CHSH maximizers of the singlet
-    value, setting = grid_oracle(density(singlet()), math.pi / 4.0)
+    (value,), (setting,) = grid_oracle([density(singlet())], math.pi / 4.0)
     assert value >= 2.80
     assert abs(value - 2.0 * SQRT2) < 1e-12
     assert abs(chsh_value(density(singlet()), setting) - value) < 1e-12
 
 
 def test_grid_oracle_svetlichny_product_bounded():
-    value, _ = grid_oracle(density(gghz(0.0)), math.pi / 2.0)
+    (value,), _ = grid_oracle([density(gghz(0.0))], math.pi / 2.0)
     assert value <= 4.0 + 1e-12
+
+
+def test_grid_oracle_stack_rows_equal_single_state_calls():
+    # a (3, 4, 4) stack is three CHSH states, not one three-mode tensor: each row is its state's lone call
+    rhos = apply_channel(density(singlet()), 2, np.array([0.0, 0.4, math.pi / 4.0]))
+    for resolution in (math.pi / 2.0, math.pi):
+        values, directions = grid_oracle(rhos, resolution)
+        assert values.shape == (3,) and directions.shape == (3, 4, 3)
+        assert np.all(values <= 2.0 * SQRT2 + 1e-12)
+        for rho, value, setting in zip(rhos, values, directions):
+            (one_value,), (one_setting,) = grid_oracle([rho], resolution)
+            assert value == one_value
+            assert np.array_equal(setting, one_setting)
+            assert abs(chsh_value(rho, setting) - value) < 1e-12
+    for rhos in ([], np.empty((0, 8, 8)), density(singlet())):  # a lone (d, d) array is not a stack
+        with pytest.raises(ValueError, match="operator"):
+            grid_oracle(rhos, math.pi)
 
 
 def test_determinism_bit_identical():
@@ -148,7 +165,7 @@ def test_stacked_maximizer_matches_per_point_calls(seed, ranks, restarts, witnes
 def test_value_dominates_grid_witness(rng):
     rho = random_density(rng, 3)
     result = maximize_bell([rho], witness_resolution=math.pi / 2.0, restarts=16, seed=7)[0]
-    oracle_value = grid_oracle(rho, math.pi / 2.0)[0]
+    oracle_value = grid_oracle([rho], math.pi / 2.0)[0][0]
     # lattice witness minus a Lipschitz slack for the lattice spacing
     assert result.value >= oracle_value - 0.05
     assert result.value >= oracle_value - 1e-9  # the witness is also a simplex start
@@ -298,7 +315,7 @@ def test_grid_oracle_below_witnessed_maximum(seed, rank):
     for modes, resolution in ((2, math.pi / 4.0), (3, math.pi / 2.0)):
         rho = random_density(rng, modes, rank)
         result = maximize_bell([rho], witness_resolution=resolution, restarts=1)[0]
-        assert grid_oracle(rho, resolution)[0] <= result.value + 1e-12
+        assert grid_oracle([rho], resolution)[0][0] <= result.value + 1e-12
 
 
 @settings(max_examples=10, deadline=None)
