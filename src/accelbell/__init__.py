@@ -6,7 +6,8 @@ Library layout:
     states        singlet / generalized GHZ / maximal slice kets (..., 8), spin observables along unit 3-vectors
     unruh         acceleration parameter, the wedge damping channel on state stacks, the one r check, dilation
     nonlocality   INEQUALITIES (CHSH, Svetlichny) by mode count and violates; correlation tensors of state stacks,
-                  their one Bell contraction (bell_fields), evaluators on unit-vector setting arrays, closed forms
+                  bell_value, the one evaluator on unit-vector setting arrays (the state's mode count picks the
+                  inequality), closed forms
     optimize      maximize_bell over a stack of 4x4 (CHSH) or 8x8 (Svetlichny) states: first party in
                   closed form + lockstep simplex; separable lattice oracle grid_oracle on the same stack form
     entanglement  negativity across one mode (pairs via linalg.partial_trace), residual tripartite tangle
@@ -27,11 +28,10 @@ from .nonlocality import (
     INEQUALITIES,
     ChshThreshold,
     GghzBound,
-    bell_fields,
+    bell_value,
     chsh_restricted,
     chsh_restricted_max,
     chsh_threshold,
-    chsh_value,
     restricted_settings,
     correlation,
     correlation_tensor,
@@ -39,7 +39,6 @@ from .nonlocality import (
     svetlichny_bound_gghz,
     svetlichny_bound_ms_pair,
     svetlichny_bound_ms_slice,
-    svetlichny_value,
     violates,
 )
 from .optimize import BudgetError, OptimizeResult, grid_oracle, maximize_bell

@@ -39,7 +39,8 @@ def _random_state(rng, n):
     return v / np.linalg.norm(v)
 
 
-def _random_mixed(rng, n, rank):
+def _random_mixed(rng, n, rank=None):
+    rank = rank or 2**n  # full rank by default
     g = rng.normal(size=(2**n, rank)) + 1j * rng.normal(size=(2**n, rank))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
@@ -71,7 +72,7 @@ def check_channel_dual_path(cases=50, seed=QUICK_SEED):
 def operator_bell_value(rho, dirs):
     """|Tr[rho S]| with S built from explicit Kronecker products of spin observables.
 
-    The independent reference for the correlation-tensor evaluators: dirs
+    The independent reference for the correlation-tensor ``bell_value``: dirs
     holds (a, a', b, b') for CHSH or (a, a', c, c', b, b') for Svetlichny.
     """
     obs = [states.spin_observable(d) for d in dirs]
@@ -86,17 +87,17 @@ def operator_bell_value(rho, dirs):
 
 
 def check_evaluator_dual_path(cases=20, settings=25, seed=QUICK_SEED + 7):
-    """Correlation-tensor evaluators, scalar and batched, against the operator trace."""
+    """The correlation-tensor ``bell_value``, scalar and batched, against the operator trace."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(cases):
-        for modes, evaluate in ((2, nonlocality.chsh_value), (3, nonlocality.svetlichny_value)):
+        for modes in (2, 3):
             rho = _random_mixed(rng, modes, int(rng.integers(1, 5)))
             dirs = _random_directions(rng, (settings, 2 * modes))
-            batched = evaluate(rho, dirs)
+            batched = nonlocality.bell_value(rho, dirs)
             for k in range(settings):
-                reference = operator_bell_value(rho, dirs[k])
-                worst = max(worst, abs(batched[k] - reference), abs(evaluate(rho, dirs[k]) - reference))
+                reference, single = operator_bell_value(rho, dirs[k]), nonlocality.bell_value(rho, dirs[k])
+                worst = max(worst, abs(batched[k] - reference), abs(single - reference))
         rho = _random_mixed(rng, 2, int(rng.integers(1, 5)))
         a, b = _random_directions(rng, (2,))
         pair = linalg.tensor(states.spin_observable(a), states.spin_observable(b))
@@ -106,7 +107,7 @@ def check_evaluator_dual_path(cases=20, settings=25, seed=QUICK_SEED + 7):
 
 
 def check_lattice_dual_path(cases=10, seed=QUICK_SEED + 8):
-    """Lattice oracle against a batched-evaluator scan of every lattice setting.
+    """Lattice oracle against a batched ``bell_value`` scan of every lattice setting.
 
     CHSH on the pi/2 lattice (12^4 settings), Svetlichny on the pi lattice
     (4^6).  The oracle's setting must reach the scan maximum: sign-flipped
@@ -115,13 +116,13 @@ def check_lattice_dual_path(cases=10, seed=QUICK_SEED + 8):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(cases):
-        for modes, evaluate, resolution in ((2, nonlocality.chsh_value, math.pi / 2),
-                                            (3, nonlocality.svetlichny_value, math.pi)):
+        for modes, resolution in ((2, math.pi / 2), (3, math.pi)):
             rho = _random_mixed(rng, modes, int(rng.integers(1, 5)))
             (value,), (setting,) = optimize.grid_oracle([rho], resolution)
             dirs = optimize._angles_to_directions(optimize._lattice(resolution))
-            scan = float(np.max(evaluate(rho, dirs[np.stack(np.indices((len(dirs),) * 2 * modes), axis=-1)])))
-            worst = max(worst, abs(value - scan), abs(evaluate(rho, setting) - scan))
+            every = dirs[np.stack(np.indices((len(dirs),) * 2 * modes), axis=-1)]  # every lattice setting
+            scan = float(np.max(nonlocality.bell_value(rho, every)))
+            worst = max(worst, abs(value - scan), abs(nonlocality.bell_value(rho, setting) - scan))
     return worst, 1e-12, f"{cases} random mixed states per inequality"
 
 
@@ -161,7 +162,7 @@ def check_damped_correlation_law(grid=12):
 def check_restricted_chsh_equivalence(cases=40, seed=QUICK_SEED + 3):
     # one (r, gamma) draw per case, in the order of the scalar draws
     rs, gammas = np.random.default_rng(seed).uniform((0.0, 0.0), (unruh.R_MAX, math.pi), size=(cases, 2)).T
-    full = nonlocality.chsh_value(_damped_singlet(rs), nonlocality.restricted_settings(gammas, rs))
+    full = nonlocality.bell_value(_damped_singlet(rs), nonlocality.restricted_settings(gammas, rs))
     worst = float(np.max(np.abs(full - nonlocality.chsh_restricted(rs, gammas))))
     return worst, 1e-12, f"{cases} random (r, gamma)"
 

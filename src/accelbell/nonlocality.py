@@ -16,15 +16,17 @@ Each value is |sum beta[x, y(, z)] T(u_x, v_y(, w_z))|: the Pauli correlation
 tensor T (``correlation_tensor``) contracted with the settings u, v(, w) of
 modes 1, 2(, 3) (index 0 unprimed, 1 primed) and weighted by the coefficients
 beta, e.g. CHSH = |a.T(b + b') + a'.T(b - b')|.  No measurement operator is built.
-``bell_fields`` is the one contraction of T with the later settings, shared
-by both evaluators and the maximizer.  Settings are unit 3-vector arrays of
-shape (..., 4, 3) (a, a', b, b') or (..., 6, 3) (a, a', c, c', b, b').  The
-state quantities take a stack of states (..., d, d), checked in one ``_state``
-call, whose leading axes broadcast against the settings'; one state and one
-setting give a float.  ``INEQUALITIES`` holds each inequality by mode count
-(2: CHSH, 3: Svetlichny); ``violates`` reads its classical bound, with margin
-``VIOLATION_TOL``.  ``ValueError`` is raised for a non-state, non-finite
-settings and a value above the quantum maximum.
+``bell_value`` is the one evaluator: the state's mode count picks the row of
+``INEQUALITIES`` (2: CHSH for 4x4 states, 3: Svetlichny for 8x8 ones), and its
+settings are unit 3-vector arrays of 2n directions, shape (..., 4, 3)
+(a, a', b, b') or (..., 6, 3) (a, a', c, c', b, b').  ``_bell_fields``, the
+one contraction of T with the later settings, is shared with the maximizer.
+The state quantities take a stack of states (..., d, d), checked in one
+``_state`` call, whose leading axes broadcast against the settings'; one state
+and one setting give a float.  ``violates`` reads the classical bound of the
+table's row, with margin ``VIOLATION_TOL``.  ``ValueError`` is raised for a
+non-state, settings of the wrong count or non-finite, and a value above the
+quantum maximum.
 """
 
 from __future__ import annotations
@@ -57,18 +59,12 @@ INEQUALITIES = {
     3: Inequality("Svetlichny", np.array([[[1.0, -1.0], [1.0, 1.0]], [[1.0, 1.0], [-1.0, 1.0]]]), 4.0,
                   4.0 * math.sqrt(2.0), np.einsum("ida,jeb,kfc->ijkabcdef", PAULI, PAULI, PAULI).reshape(27, 64)),
 }
-CHSH_CLASSICAL_BOUND, CHSH_QUANTUM_MAX = INEQUALITIES[2].classical_bound, INEQUALITIES[2].quantum_max
-SVETLICHNY_CLASSICAL_BOUND, SVETLICHNY_QUANTUM_MAX = INEQUALITIES[3].classical_bound, INEQUALITIES[3].quantum_max
 VIOLATION_TOL = 1e-9
 
 # maximizer of |sin^2 g + cos g| on [0, pi]: cos g = 1/2
 GAMMA_STAR = math.pi / 3.0
 
 __all__ = [
-    "CHSH_CLASSICAL_BOUND",
-    "CHSH_QUANTUM_MAX",
-    "SVETLICHNY_CLASSICAL_BOUND",
-    "SVETLICHNY_QUANTUM_MAX",
     "VIOLATION_TOL",
     "GAMMA_STAR",
     "INEQUALITIES",
@@ -77,14 +73,12 @@ __all__ = [
     "GghzBound",
     "correlation",
     "correlation_tensor",
-    "bell_fields",
-    "chsh_value",
+    "bell_value",
     "chsh_restricted",
     "restricted_settings",
     "chsh_restricted_max",
     "chsh_threshold",
     "horodecki_max",
-    "svetlichny_value",
     "svetlichny_bound_gghz",
     "svetlichny_bound_ms_pair",
     "svetlichny_bound_ms_slice",
@@ -100,12 +94,13 @@ def _check_closed_form(r, *angles) -> np.ndarray:
     return _check_r(r)
 
 
-def _tensor(rho: np.ndarray, modes: int | None = None) -> np.ndarray:
+def _tensor(rho: np.ndarray, modes: int | None = None) -> tuple[np.ndarray, int]:
+    """Correlation tensors (..., 3, 3(, 3)) of a checked stack of states, and its mode count."""
     rho, n = _state(rho, modes)
     if n not in INEQUALITIES:
         raise ValueError(f"expected a 4x4 or 8x8 operator, got shape {rho.shape}")
     lead = rho.shape[:-2]  # one matrix-vector product per state, so a row of a stack equals its lone call
-    return np.matmul(INEQUALITIES[n].paulis, rho.reshape(lead + (-1, 1))).real.reshape(lead + (3,) * n)
+    return np.matmul(INEQUALITIES[n].paulis, rho.reshape(lead + (-1, 1))).real.reshape(lead + (3,) * n), n
 
 
 def _maybe_scalar(values: np.ndarray):
@@ -122,25 +117,25 @@ def _guarded(values: np.ndarray, modes: int):
 
 def correlation_tensor(rho: np.ndarray) -> np.ndarray:
     """T_ij = Tr[rho sigma_i x sigma_j] of a 4x4 operator, or T_ijk of an 8x8 one, as a real array (..., 3, 3(, 3))."""
-    return _tensor(rho)
+    return _tensor(rho)[0]
 
 
 def correlation(rho: np.ndarray, a, b) -> float | np.ndarray:
     """Tr[rho (a.sigma x b.sigma)] = a.T b in [-1, 1] of a two-mode state or each of a stack; a, b unit 3-vectors."""
-    a_t = _unit_vectors([a], 1)[0] @ _tensor(rho, 2)  # then one (1, 3) @ (3,) product per state, as a lone call makes
+    a_t = _unit_vectors([a], 1)[0] @ _tensor(rho, 2)[0]  # then one (1, 3) @ (3,) product per state, as in a lone call
     return _maybe_scalar((a_t[..., None, :] @ _unit_vectors([b], 1)[0])[..., 0])
 
 
-def bell_fields(t: np.ndarray, rest: np.ndarray) -> np.ndarray:
-    """First-party fields X_x = sum beta[x, ...] T(., v_y(, w_z)), shape (..., 2, 3).
+def _bell_fields(t: np.ndarray, rest: np.ndarray, modes: int) -> np.ndarray:
+    """First-party fields X_x = sum beta[x, ...] T(., v_y(, w_z)) of the ``modes``-mode inequality, shape (..., 2, 3).
 
     ``rest`` holds the later settings, (..., 2, 3) as (b, b') for CHSH or
-    (..., 4, 3) as (c, c', b, b') for Svetlichny; its second-last axis picks
-    the inequality.  T is one tensor, 3x3 or 3x3x3, or a stack of them of
-    shape (..., 3, 3(, 3)) whose leading axes broadcast against those of
-    ``rest``.  The Bell value of the full setting is |a.X_0 + a'.X_1|.
+    (..., 4, 3) as (c, c', b, b') for Svetlichny.  T is one tensor, 3x3 or
+    3x3x3, or a stack of them of shape (..., 3, 3(, 3)) whose leading axes
+    broadcast against those of ``rest``.  The Bell value of the full setting
+    is |a.X_0 + a'.X_1|.
     """
-    if rest.shape[-2] == 2:
+    if modes == 2:
         return (INEQUALITIES[2].beta @ rest) @ np.swapaxes(t, -1, -2)  # T(b + b'), T(b - b')
     return np.einsum("...ijk,...yj,...xyk->...xi", t, rest[..., :2, :], INEQUALITIES[3].beta @ rest[..., None, 2:, :])
 
@@ -148,16 +143,19 @@ def bell_fields(t: np.ndarray, rest: np.ndarray) -> np.ndarray:
 def _bell_value(t: np.ndarray, settings, modes: int):
     """Bell values of a correlation tensor or a stack of them at ``settings``; ``modes`` picks the inequality."""
     dirs = _unit_vectors(settings, 2 * modes)
-    return _guarded(np.abs(np.sum(dirs[..., :2, :] * bell_fields(t, dirs[..., 2:, :]), axis=(-2, -1))), modes)
+    fields = _bell_fields(t, dirs[..., 2:, :], modes)
+    return _guarded(np.abs(np.sum(dirs[..., :2, :] * fields, axis=(-2, -1))), modes)
 
 
-def chsh_value(rho: np.ndarray, settings) -> float | np.ndarray:
-    """|C(a,b) + C(a',b) + C(a,b') - C(a',b')| for a two-mode operator or a stack of them.
+def bell_value(rho: np.ndarray, settings) -> float | np.ndarray:
+    """|sum beta T(u_x, v_y(, w_z))| of a state or a stack of them: CHSH for 4x4 operators, Svetlichny for 8x8 ones.
 
-    ``settings`` is an (..., 4, 3) direction stack in the order
-    (a, a', b, b'); batched stacks return an array of values.
+    ``settings`` is a stack of 2n unit directions, (..., 4, 3) in the order
+    (a, a', b, b') or (..., 6, 3) in the order (a, a', c, c', b, b'); one
+    state and one setting give a float.
     """
-    return _bell_value(_tensor(rho, 2), settings, 2)
+    t, n = _tensor(rho)
+    return _bell_value(t, settings, n)
 
 
 def restricted_settings(gamma, r=0.0) -> np.ndarray:
@@ -228,18 +226,9 @@ def horodecki_max(rho: np.ndarray) -> float | np.ndarray:
     of T^T T, with T the ``correlation_tensor``.  Used as the
     independent oracle for the numerical maximizer.
     """
-    t = _tensor(rho, 2)
+    t = _tensor(rho, 2)[0]
     evs = hermitian_eigenvalues(np.swapaxes(t, -1, -2) @ t)
     return _guarded(2.0 * np.sqrt(np.maximum(evs[..., -1] + evs[..., -2], 0.0)), 2)
-
-
-def svetlichny_value(rho: np.ndarray, settings) -> float | np.ndarray:
-    """|Tr[rho S]| for the Svetlichny combination on a three-mode operator or a stack of them.
-
-    ``settings`` is an (..., 6, 3) direction stack in the order
-    (a, a', c, c', b, b').
-    """
-    return _bell_value(_tensor(rho, 3), settings, 3)
 
 
 @dataclass(frozen=True)

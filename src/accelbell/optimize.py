@@ -6,7 +6,7 @@ A Bell value |sum beta T(u_x, v_y(, w_z))| is multilinear in the settings
 ``maximize_bell`` is the one maximizer.  It takes a stack of states, checked
 in one call, and maximizes CHSH for 4x4 operators and Svetlichny for 8x8
 ones; a single state is a stack of one, [rho].  It solves the first party in closed
-form: with X_x = sum beta[x, ...] T(., v_y(, w_z)) (``bell_fields``), the
+form: with X_x = sum beta[x, ...] T(., v_y(, w_z)) (``_bell_fields``), the
 maximum of |a.X_0 + a'.X_1| over unit a, a' is |X_0| + |X_1| (Horodecki,
 Horodecki & Horodecki, PLA 200, 340 (1995)).  A Nelder-Mead simplex in
 (theta, phi) angles maximizes it over the other settings once per start:
@@ -19,7 +19,7 @@ each row stops on its own at objective spread ``TOLERANCE`` or after
 ``MAX_ITERATIONS`` iterations (``OptimizeResult.converged`` says which).
 A row sees only its own values, so a state's result does not depend on
 the rest of the stack.  Per state the best run wins, ties to the earliest
-start.  Then a, a' = X/|X| (z where X = 0), and one call of the evaluators'
+start.  Then a, a' = X/|X| (z where X = 0), and one call of ``bell_value``'s
 body gives the values at the full settings from the T already built.
 
 ``grid_oracle``, the independent certification path, takes the same stack
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nonlocality import _bell_value, bell_fields, correlation_tensor
+from .nonlocality import _bell_fields, _bell_value, correlation_tensor
 
 DEFAULT_BUDGET = 10**8
 MAX_ITERATIONS = 2000
@@ -185,7 +185,7 @@ def _grid_search(ts: np.ndarray, resolution: float) -> tuple[np.ndarray, np.ndar
     later = dirs[np.indices((n_points,) * (n_vectors - 2)).reshape(n_vectors - 2, -1).T]
     values, best_angles = np.empty(len(ts)), np.empty((len(ts), 2 * n_vectors))
     for s, t in enumerate(ts):  # one state at a time bounds the (n_points, tuples) arrays held at once
-        p, q = dirs @ bell_fields(t, later).transpose(1, 2, 0)
+        p, q = dirs @ _bell_fields(t, later, ts.ndim - 1).transpose(1, 2, 0)
         # fl(x + y) is monotone in y, so over a' the largest |p[a] + q[a']| sits at q's max or min over a'
         best = np.maximum(np.abs(p + q.max(axis=0)), np.abs(p + q.min(axis=0))).max(axis=1)  # per a, exactly
         a = int(np.argmax(best))  # the first a at the lattice maximum
@@ -228,9 +228,10 @@ def maximize_bell(
     """
     _check_search(restarts, witness_resolution, seed)
     t = _tensors(rhos)
+    modes = t.ndim - 1
     rng = np.random.default_rng(seed)
-    # (state, start, dim): angles of the 2 * modes - 2 later settings, where modes = t.ndim - 1
-    x0 = np.tile([_sample_start(rng, 2 * t.ndim - 4) for _ in range(restarts)], (len(t), 1, 1))
+    # (state, start, dim): angles of the 2 * modes - 2 later settings
+    x0 = np.tile([_sample_start(rng, 2 * modes - 2) for _ in range(restarts)], (len(t), 1, 1))
     steps = [0.35] * restarts
     if witness_resolution is not None:
         # a and a' dropped; the witness lies within one lattice cell of a maximum, so its simplex starts small
@@ -241,7 +242,7 @@ def maximize_bell(
     point = np.repeat(np.arange(len(t)), n_starts)
 
     def negated(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        fields = bell_fields(t[point[rows]], _angles_to_directions(x).reshape(len(x), x.shape[1] // 2, 3))
+        fields = _bell_fields(t[point[rows]], _angles_to_directions(x).reshape(len(x), x.shape[1] // 2, 3), modes)
         values = np.sqrt(np.add.reduce(fields * fields, axis=-1)).sum(axis=-1)  # |X_0| + |X_1|
         if not np.isfinite(values).all():
             bad = np.flatnonzero(~np.isfinite(values))[0]
@@ -253,11 +254,11 @@ def maximize_bell(
     # per state the earliest start wins a tie
     best = np.argmin(f_best.reshape(len(t), n_starts), axis=1) + n_starts * np.arange(len(t))
     later = _angles_to_directions(x_best[best]).reshape(len(t), -1, 3)
-    fields = bell_fields(t, later)
+    fields = _bell_fields(t, later, modes)
     norms = np.linalg.norm(fields, axis=-1, keepdims=True)
     first = np.divide(fields, norms, out=np.tile([0.0, 0.0, 1.0], (len(t), 2, 1)), where=norms > 0.0)
     directions = np.concatenate([first, later], axis=1)
     totals, converged = evals.reshape(len(t), n_starts).sum(axis=1), converged[best]
-    # the evaluators' unit-vector check and quantum-maximum guard, on the T built above
-    values = _bell_value(t, directions, t.ndim - 1)
+    # bell_value's unit-vector check and quantum-maximum guard, on the T built above
+    values = _bell_value(t, directions, modes)
     return [OptimizeResult(float(v), d, int(e), bool(c)) for v, d, e, c in zip(values, directions, totals, converged)]

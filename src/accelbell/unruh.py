@@ -45,12 +45,12 @@ def acceleration_parameter(omega_ratio: float) -> float:
     """Damping angle r for the frequency-to-acceleration ratio W = omega c / a.
 
     Monotone decreasing in W: the boundary W = 0 (infinite acceleration)
-    gives r = pi/4, and W -> infinity (inertial) gives r -> 0.  Negative or
-    non-finite input is rejected.
+    gives r = pi/4, and W -> infinity (inertial) gives r -> 0.  Negative,
+    non-finite and bool input is rejected (True is not W = 1).
     """
     w = float(omega_ratio)
-    if not (math.isfinite(w) and w >= 0.0):
-        raise ValueError(f"frequency-to-acceleration ratio must be finite and >= 0, got {omega_ratio!r}")
+    if isinstance(omega_ratio, (bool, np.bool_)) or not (math.isfinite(w) and w >= 0.0):
+        raise ValueError(f"frequency-to-acceleration ratio must be a finite number >= 0, got {omega_ratio!r}")
     # exp underflows to 0 for large w, giving r = 0 exactly
     return math.acos(1.0 / math.sqrt(1.0 + math.exp(-2.0 * math.pi * w)))
 
@@ -79,6 +79,8 @@ def dilate(psi: np.ndarray, mode: int, r: float) -> np.ndarray:
     new hidden-wedge mode is appended as the trailing (least significant)
     mode, per the two state maps above.  Norm is preserved exactly.
     """
+    if np.ndim(r):  # float() of an array would raise TypeError
+        raise ValueError(f"dilate takes one acceleration parameter r, got an array of shape {np.shape(r)}")
     r = float(_check_r(r))
     n = mode_count(len(density(psi)))  # density's check rejects a non-finite or non-unit ket
     _check_mode(mode, n)

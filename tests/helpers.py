@@ -5,20 +5,12 @@ import math
 import numpy as np
 
 from accelbell import optimize
-from accelbell.nonlocality import bell_fields
-
-
-def random_state(rng, n_modes):
-    v = rng.normal(size=2**n_modes) + 1j * rng.normal(size=2**n_modes)
-    return v / np.linalg.norm(v)
-
-
-def random_density(rng, n_modes, rank=None):
-    d = 2**n_modes
-    rank = rank or d
-    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+from accelbell.checks import (  # the generators of `verify`, shared by the tests
+    _random_directions as random_directions,
+    _random_mixed as random_density,
+    _random_state as random_state,
+)
+from accelbell.nonlocality import _bell_fields
 
 
 def random_hermitian(rng, dim):
@@ -39,12 +31,6 @@ def random_direction(rng):
     return np.array([s * np.cos(phi), s * np.sin(phi), z])
 
 
-def random_directions(rng, shape):
-    """Unit 3-vectors of the given leading shape, from normalized Gaussians."""
-    v = rng.normal(size=tuple(shape) + (3,))
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-
 def grid_search_reference(t, resolution):
     """``optimize._grid_search`` as a loop over the first party's lattice point a, scanning |P[a] + Q| in full.
 
@@ -55,7 +41,7 @@ def grid_search_reference(t, resolution):
     angles = optimize._lattice(resolution)
     dirs = optimize._angles_to_directions(angles)
     later = dirs[np.indices((n_points,) * (n_vectors - 2)).reshape(n_vectors - 2, -1).T]
-    p, q = dirs @ bell_fields(t, later).transpose(1, 2, 0)
+    p, q = dirs @ _bell_fields(t, later, t.ndim).transpose(1, 2, 0)
     best_value, best_index = -math.inf, 0
     for a in range(n_points):
         values = np.abs(p[a] + q)  # over (a', later settings) in C order

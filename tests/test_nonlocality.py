@@ -10,17 +10,13 @@ from accelbell.checks import operator_bell_value
 from accelbell.entanglement import negativity, pi_tangle
 from accelbell.linalg import density, tensor
 from accelbell.nonlocality import (
-    CHSH_CLASSICAL_BOUND,
-    CHSH_QUANTUM_MAX,
     INEQUALITIES,
-    SVETLICHNY_CLASSICAL_BOUND,
     VIOLATION_TOL,
     GAMMA_STAR,
-    SVETLICHNY_QUANTUM_MAX,
+    bell_value,
     chsh_restricted,
     chsh_restricted_max,
     chsh_threshold,
-    chsh_value,
     restricted_settings,
     correlation,
     correlation_tensor,
@@ -28,7 +24,6 @@ from accelbell.nonlocality import (
     svetlichny_bound_gghz,
     svetlichny_bound_ms_pair,
     svetlichny_bound_ms_slice,
-    svetlichny_value,
     violates,
 )
 from accelbell.optimize import maximize_bell
@@ -84,12 +79,12 @@ def test_correlation_of_a_stack_equals_single_state_calls(rng):
 def test_inequality_table_by_mode_count():
     chsh, svetlichny = INEQUALITIES[2], INEQUALITIES[3]
     assert (chsh.name, svetlichny.name) == ("CHSH", "Svetlichny")
-    assert (chsh.classical_bound, svetlichny.classical_bound) == (CHSH_CLASSICAL_BOUND, SVETLICHNY_CLASSICAL_BOUND)
-    assert (chsh.quantum_max, svetlichny.quantum_max) == (CHSH_QUANTUM_MAX, SVETLICHNY_QUANTUM_MAX)
+    assert (chsh.classical_bound, svetlichny.classical_bound) == (2.0, 4.0)
+    assert (chsh.quantum_max, svetlichny.quantum_max) == (2.0 * SQRT2, 4.0 * SQRT2)
     assert chsh.beta.shape == (2, 2) and svetlichny.beta.shape == (2, 2, 2)
     assert chsh.paulis.shape == (9, 16) and svetlichny.paulis.shape == (27, 64)
     # CHSH's beta weighs the singlet's Tsirelson settings to the table's quantum maximum
-    assert abs(chsh_value(density(singlet()), chsh_tsirelson_settings()) - chsh.quantum_max) < 1e-12
+    assert abs(bell_value(density(singlet()), chsh_tsirelson_settings()) - chsh.quantum_max) < 1e-12
 
 
 def test_violates_broadcasts_and_rejects_unknown_mode_counts():
@@ -112,7 +107,7 @@ def test_correlation_requires_two_modes():
 
 
 def test_chsh_optimal_settings_reach_tsirelson():
-    value = chsh_value(density(singlet()), chsh_tsirelson_settings())
+    value = bell_value(density(singlet()), chsh_tsirelson_settings())
     assert abs(value - 2.0 * SQRT2) < 1e-12
     assert abs(value - horodecki_max(density(singlet()))) < 1e-12
 
@@ -120,30 +115,38 @@ def test_chsh_optimal_settings_reach_tsirelson():
 def test_evaluators_reject_values_above_quantum_maximum():
     # unit-trace and Hermitian but not positive, so only the bound check stops them; it must hold under python -O too
     with pytest.raises(ValueError, match="quantum maximum"):
-        chsh_value(10.0 * density(singlet()) - 9.0 * np.eye(4) / 4.0, chsh_tsirelson_settings())
+        bell_value(10.0 * density(singlet()) - 9.0 * np.eye(4) / 4.0, chsh_tsirelson_settings())
     with pytest.raises(ValueError, match="Svetlichny value above the quantum maximum"):
-        svetlichny_value(10.0 * density(gghz(0.0)) - 9.0 * np.eye(8) / 8.0, np.tile(Z_AXIS, (6, 1)))
+        bell_value(10.0 * density(gghz(0.0)) - 9.0 * np.eye(8) / 8.0, np.tile(Z_AXIS, (6, 1)))
+
+
+def test_bell_value_rejects_settings_of_the_other_inequality():
+    # the state's mode count picks the inequality, so the settings count is checked against it, not the trace
+    with pytest.raises(ValueError, match="expected 6 directions"):
+        bell_value(density(gghz(0.3)), chsh_tsirelson_settings())
+    with pytest.raises(ValueError, match="expected 4 directions"):
+        bell_value(density(singlet()), np.tile(Z_AXIS, (6, 1)))
 
 
 def test_chsh_degenerate_settings_bounded():
     d = random_direction(np.random.default_rng(3))
-    value = chsh_value(density(singlet()), np.tile(d, (4, 1)))
+    value = bell_value(density(singlet()), np.tile(d, (4, 1)))
     assert value <= 2.0 + 1e-12
 
 
 def test_chsh_batched_matches_scalar(rng):
     rho = damped_singlet(0.37)
     dirs = np.stack([np.stack([random_direction(rng) for _ in range(4)]) for _ in range(10)])
-    batched = chsh_value(rho, dirs)
+    batched = bell_value(rho, dirs)
     for k in range(10):
-        assert abs(batched[k] - chsh_value(rho, dirs[k])) < 1e-14
+        assert abs(batched[k] - bell_value(rho, dirs[k])) < 1e-14
 
 
 def test_chsh_random_values_bounded(rng):
     for _ in range(1000):
         rho = random_density(rng, 2)
         dirs = np.stack([random_direction(rng) for _ in range(4)])
-        assert chsh_value(rho, dirs) <= CHSH_QUANTUM_MAX + 1e-9
+        assert bell_value(rho, dirs) <= INEQUALITIES[2].quantum_max + 1e-9
         assert -1.0 - 1e-12 <= correlation(rho, dirs[0], dirs[2]) <= 1.0 + 1e-12
 
 
@@ -151,7 +154,7 @@ def test_restricted_equivalence(rng):
     for _ in range(100):
         r = float(rng.uniform(0.0, R_MAX))
         gamma = float(rng.uniform(0.0, math.pi))
-        full = chsh_value(damped_singlet(r), restricted_settings(gamma, r))
+        full = bell_value(damped_singlet(r), restricted_settings(gamma, r))
         assert abs(full - chsh_restricted(r, gamma)) < 1e-12
 
 
@@ -171,7 +174,7 @@ def test_coplanar_family_offset_from_closed_form():
     for r in (0.0, 0.2, 0.5, R_MAX):
         rho = damped_singlet(r)
         for gamma in np.linspace(0.1, math.pi / 2.0, 7):
-            actual = chsh_value(rho, restricted_settings(float(gamma), 0.0))
+            actual = bell_value(rho, restricted_settings(float(gamma), 0.0))
             offset = (math.cos(r) - math.cos(r) ** 2) * math.sin(gamma) ** 2
             assert abs(actual - chsh_restricted(r, float(gamma)) - offset) < 1e-12
 
@@ -232,7 +235,7 @@ def test_horodecki_damped_singlet_closed_form():
 def test_svetlichny_product_all_z():
     rho = density(gghz(0.0))  # |000>
     dirs = np.tile(Z_AXIS, (6, 1))
-    assert abs(svetlichny_value(rho, dirs) - 4.0) < 1e-14
+    assert abs(bell_value(rho, dirs) - 4.0) < 1e-14
 
 
 def test_svetlichny_degenerate_pairs_bounded(rng):
@@ -240,7 +243,7 @@ def test_svetlichny_degenerate_pairs_bounded(rng):
     for _ in range(20):
         rho = random_density(rng, 3)
         a, c, cp, b = (random_direction(rng) for _ in range(4))
-        value = svetlichny_value(rho, np.stack([a, a, c, cp, b, b]))
+        value = bell_value(rho, np.stack([a, a, c, cp, b, b]))
         assert value <= 4.0 + 1e-9
 
 
@@ -250,8 +253,8 @@ def test_svetlichny_swap_symmetry(rng):
     rho = random_density(rng, 3)
     for _ in range(20):
         a, ap, c, cp, b, bp = (random_direction(rng) for _ in range(6))
-        v1 = svetlichny_value(rho, np.stack([a, ap, c, cp, b, bp]))
-        v2 = svetlichny_value(rho, np.stack([ap, a, cp, c, bp, b]))
+        v1 = bell_value(rho, np.stack([a, ap, c, cp, b, bp]))
+        v2 = bell_value(rho, np.stack([ap, a, cp, c, bp, b]))
         assert abs(v1 - v2) < 1e-12
 
 
@@ -259,15 +262,15 @@ def test_svetlichny_random_bounded(rng):
     for _ in range(300):
         rho = random_density(rng, 3)
         dirs = np.stack([random_direction(rng) for _ in range(6)])
-        assert svetlichny_value(rho, dirs) <= SVETLICHNY_QUANTUM_MAX + 1e-9
+        assert bell_value(rho, dirs) <= INEQUALITIES[3].quantum_max + 1e-9
 
 
 def test_svetlichny_batched_matches_scalar(rng):
     rho = random_density(rng, 3)
     dirs = np.stack([np.stack([random_direction(rng) for _ in range(6)]) for _ in range(8)])
-    batched = svetlichny_value(rho, dirs)
+    batched = bell_value(rho, dirs)
     for k in range(8):
-        assert abs(batched[k] - svetlichny_value(rho, dirs[k])) < 1e-14
+        assert abs(batched[k] - bell_value(rho, dirs[k])) < 1e-14
 
 
 def test_gghz_bound_branches():
@@ -420,10 +423,10 @@ def test_evaluators_reject_non_finite_input():
         bad_dirs4, bad_dirs6 = dirs4.copy(), np.stack([dirs6] * 3)
         bad_dirs4[2, 0] = bad_dirs6[1, 4, 2] = value
         calls = [
-            lambda: chsh_value(bad2, dirs4),
-            lambda: chsh_value(rho2, bad_dirs4),
-            lambda: svetlichny_value(bad3, dirs6),
-            lambda: svetlichny_value(rho3, bad_dirs6),
+            lambda: bell_value(bad2, dirs4),
+            lambda: bell_value(rho2, bad_dirs4),
+            lambda: bell_value(bad3, dirs6),
+            lambda: bell_value(rho3, bad_dirs6),
             lambda: correlation(bad2, Z_AXIS, Z_AXIS),
             lambda: correlation(rho2, Z_AXIS, np.array([0.0, value, 1.0])),
             lambda: correlation(rho2, np.array([value, 0.0, 0.0]), Z_AXIS),
@@ -447,7 +450,7 @@ def test_evaluators_reject_non_finite_input():
                 call()
         # (theta, phi) pairs are not settings or directions: both are unit 3-vectors only
         with pytest.raises(ValueError, match="expected 4 directions of dimension 3"):
-            chsh_value(rho2, np.array([[0.0, 0.0], [value, 0.0], [0.0, 0.0], [1.0, 0.0]]))
+            bell_value(rho2, np.array([[0.0, 0.0], [value, 0.0], [0.0, 0.0], [1.0, 0.0]]))
         for pair in ((value, 0.0), (0.3, 0.0)):
             with pytest.raises(ValueError, match="dimension 3"):
                 correlation(rho2, Z_AXIS, pair)
@@ -482,8 +485,7 @@ def test_state_entry_points_reject_non_states():
 def test_valid_states_give_finite_values(seed, modes, data):
     rng = np.random.default_rng(seed)
     rho = random_density(rng, modes, data.draw(st.integers(1, 2**modes), label="rank"))
-    evaluate = chsh_value if modes == 2 else svetlichny_value
-    values = [evaluate(rho, random_directions(rng, (2 * modes,))), maximize_bell([rho], restarts=1)[0].value]
+    values = [bell_value(rho, random_directions(rng, (2 * modes,))), maximize_bell([rho], restarts=1)[0].value]
     values += [negativity(rho, mode) for mode in range(1, modes + 1)]
     if modes == 2:
         values.append(horodecki_max(rho))
@@ -500,8 +502,8 @@ def test_evaluators_reject_non_hermitian_input():
         lambda: correlation_tensor(bad2),
         lambda: correlation_tensor(bad3),
         lambda: correlation(bad2, Z_AXIS, Z_AXIS),
-        lambda: chsh_value(bad2, chsh_tsirelson_settings()),
-        lambda: svetlichny_value(bad3, np.tile(Z_AXIS, (6, 1))),
+        lambda: bell_value(bad2, chsh_tsirelson_settings()),
+        lambda: bell_value(bad3, np.tile(Z_AXIS, (6, 1))),
         lambda: horodecki_max(bad2),
         lambda: maximize_bell([bad2], restarts=1),
         lambda: maximize_bell([bad3], restarts=1),
@@ -517,11 +519,10 @@ def test_tensor_evaluators_equal_operator_trace(seed, rank, modes):
     rng = np.random.default_rng(seed)
     rho = random_density(rng, modes, rank)
     dirs = random_directions(rng, (8, 2 * modes))
-    evaluate = chsh_value if modes == 2 else svetlichny_value
-    batched = evaluate(rho, dirs)
+    batched = bell_value(rho, dirs)
     for k in range(dirs.shape[0]):
         reference = operator_bell_value(rho, dirs[k])
-        assert abs(evaluate(rho, dirs[k]) - reference) < 1e-12
+        assert abs(bell_value(rho, dirs[k]) - reference) < 1e-12
         assert abs(batched[k] - reference) < 1e-12
     if modes == 2:
         a, b = dirs[0, 0], dirs[0, 2]
@@ -543,4 +544,4 @@ def test_horodecki_local_unitary_invariant(seed, rank):
 def test_chsh_never_exceeds_horodecki(seed, rank):
     rng = np.random.default_rng(seed)
     rho = random_density(rng, 2, rank)
-    assert np.all(chsh_value(rho, random_directions(rng, (64, 4))) <= horodecki_max(rho) + 1e-12)
+    assert np.all(bell_value(rho, random_directions(rng, (64, 4))) <= horodecki_max(rho) + 1e-12)

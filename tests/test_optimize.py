@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from accelbell import nonlocality, optimize
 from accelbell.linalg import density, tensor
-from accelbell.nonlocality import chsh_value, correlation_tensor, horodecki_max, svetlichny_bound_gghz, svetlichny_value
+from accelbell.nonlocality import bell_value, correlation_tensor, horodecki_max, svetlichny_bound_gghz
 from accelbell.optimize import BudgetError, grid_oracle, maximize_bell
 from accelbell.states import gghz, singlet
 from accelbell.unruh import apply_channel
@@ -23,7 +23,7 @@ def test_grid_oracle_pole_on_lattice():
     assert abs(grid_oracle([density(np.eye(4)[0])], math.pi / 4.0)[0][0] - 2.0) < 1e-15
     (value,), (setting,) = grid_oracle([density(gghz(0.0))], math.pi / 2.0)
     assert abs(value - 4.0) < 1e-15
-    assert abs(svetlichny_value(density(gghz(0.0)), setting) - value) < 1e-15
+    assert abs(bell_value(density(gghz(0.0)), setting) - value) < 1e-15
 
 
 def test_grid_oracle_resolution_must_divide_pi():
@@ -101,7 +101,7 @@ def test_grid_oracle_chsh_contains_optimum():
     (value,), (setting,) = grid_oracle([density(singlet())], math.pi / 4.0)
     assert value >= 2.80
     assert abs(value - 2.0 * SQRT2) < 1e-12
-    assert abs(chsh_value(density(singlet()), setting) - value) < 1e-12
+    assert abs(bell_value(density(singlet()), setting) - value) < 1e-12
 
 
 def test_grid_oracle_svetlichny_product_bounded():
@@ -120,7 +120,7 @@ def test_grid_oracle_stack_rows_equal_single_state_calls():
             (one_value,), (one_setting,) = grid_oracle([rho], resolution)
             assert value == one_value
             assert np.array_equal(setting, one_setting)
-            assert abs(chsh_value(rho, setting) - value) < 1e-12
+            assert abs(bell_value(rho, setting) - value) < 1e-12
     for rhos in ([], np.empty((0, 8, 8)), density(singlet())):  # a lone (d, d) array is not a stack
         with pytest.raises(ValueError, match="operator"):
             grid_oracle(rhos, math.pi)
@@ -141,7 +141,7 @@ def test_value_dominates_restart_starts(seed, rank):
     # each row's simplex minimizes the negated objective, so it never ends above its start
     rng = np.random.default_rng(seed)
     rho = random_density(rng, 2, rank)
-    fn = lambda rows, x: -chsh_value(rho, optimize._angles_to_directions(x).reshape(len(x), 4, 3))
+    fn = lambda rows, x: -bell_value(rho, optimize._angles_to_directions(x).reshape(len(x), 4, 3))
     x0 = np.array([optimize._sample_start(rng, 4) for _ in range(3)])
     assert (optimize._nelder_mead(fn, x0, np.full(3, 0.35))[1] <= fn(None, x0)).all()
 
@@ -224,7 +224,7 @@ def test_maximize_svetlichny_ghz():
     result = maximize_bell([rho], restarts=20, seed=4)[0]
     assert abs(result.value - 4.0 * SQRT2) < 1e-6
     # the returned settings reproduce the reported value
-    assert abs(svetlichny_value(rho, result.directions) - result.value) < 1e-12
+    assert abs(bell_value(rho, result.directions) - result.value) < 1e-12
 
 
 def test_maximize_svetlichny_product():
@@ -269,7 +269,7 @@ def test_each_state_checked_once(monkeypatch, rng):
     results = maximize_bell(rhos, restarts=1, seed=3)
     assert len(calls) == 1
     monkeypatch.undo()
-    assert [chsh_value(rho, result.directions) for rho, result in zip(rhos, results)] == [r.value for r in results]
+    assert [bell_value(rho, result.directions) for rho, result in zip(rhos, results)] == [r.value for r in results]
 
 
 def test_capped_simplex_reports_not_converged(monkeypatch):
@@ -297,7 +297,7 @@ def test_numeric_chsh_below_horodecki(seed, rank):
     rho = random_density(np.random.default_rng(seed), 2, rank)
     result = maximize_bell([rho], restarts=2)[0]
     assert result.value <= horodecki_max(rho) + 1e-12
-    assert abs(chsh_value(rho, result.directions) - result.value) <= 1e-12
+    assert abs(bell_value(rho, result.directions) - result.value) <= 1e-12
 
 
 @settings(max_examples=20, deadline=None)
@@ -305,7 +305,7 @@ def test_numeric_chsh_below_horodecki(seed, rank):
 def test_numeric_svetlichny_reproduced_by_directions(seed, rank):
     rho = random_density(np.random.default_rng(seed), 3, rank)
     result = maximize_bell([rho], restarts=2)[0]
-    assert abs(svetlichny_value(rho, result.directions) - result.value) <= 1e-12
+    assert abs(bell_value(rho, result.directions) - result.value) <= 1e-12
 
 
 @settings(max_examples=10, deadline=None)

@@ -13,15 +13,14 @@ from accelbell.cli import SweepSpec, run_sweep
 from accelbell.entanglement import negativity
 from accelbell.linalg import density, partial_trace, partial_transpose
 from accelbell.nonlocality import (
+    bell_value,
     chsh_restricted,
     chsh_restricted_max,
-    chsh_value,
     correlation_tensor,
     horodecki_max,
     svetlichny_bound_gghz,
     svetlichny_bound_ms_pair,
     svetlichny_bound_ms_slice,
-    svetlichny_value,
 )
 from accelbell.optimize import maximize_bell
 from accelbell.states import gghz, maximal_slice, singlet
@@ -41,15 +40,14 @@ def test_stack_rows_equal_single_state_calls(seed, modes, rank, size, data):
     damped = apply_channel(rhos, mode, rs)
     assert damped.shape == rhos.shape
     dirs = random_directions(rng, (size, 2 * modes))
-    evaluate = chsh_value if modes == 2 else svetlichny_value
-    tensors, values = correlation_tensor(damped), evaluate(damped, dirs)
+    tensors, values = correlation_tensor(damped), bell_value(damped, dirs)
     results = maximize_bell(damped, restarts=1, seed=seed % 1000)
     horodecki = horodecki_max(damped) if modes == 2 else None
     for i in range(size):
         rho = apply_channel(rhos[i], mode, rs[i])
         assert np.array_equal(damped[i], rho)
         assert np.array_equal(tensors[i], correlation_tensor(rho))
-        assert values[i] == evaluate(rho, dirs[i])
+        assert values[i] == bell_value(rho, dirs[i])
         if modes == 2:
             assert horodecki[i] == horodecki_max(rho)
         alone = maximize_bell([rho], restarts=1, seed=seed % 1000)[0]
@@ -83,9 +81,9 @@ def test_leading_axes_broadcast():
     assert damped.shape == (2, 3, 8, 8)
     assert np.array_equal(damped[1, 2], apply_channel(density(gghz(0.7)), 3, R_MAX))
     assert correlation_tensor(damped).shape == (2, 3, 3, 3, 3)
-    assert svetlichny_value(damped, np.tile([0.0, 0.0, 1.0], (6, 1))).shape == (2, 3)
+    assert bell_value(damped, np.tile([0.0, 0.0, 1.0], (6, 1))).shape == (2, 3)
     assert isinstance(horodecki_max(density(singlet())), float)
-    assert isinstance(chsh_value(density(singlet()), np.tile([0.0, 0.0, 1.0], (4, 1))), float)
+    assert isinstance(bell_value(density(singlet()), np.tile([0.0, 0.0, 1.0], (4, 1))), float)
 
 
 def test_stack_check_names_the_worst_trace():

@@ -49,6 +49,16 @@ def test_acceleration_parameter_rejects_bad_input():
             acceleration_parameter(bad)
 
 
+def test_scalar_entry_points_reject_arrays_and_bools():
+    # dilate takes one r per call, and a bool is not a frequency ratio (True would read as W = 1)
+    for call in (lambda: dilate(singlet(), 1, [0.1, 0.2]), lambda: dilate_and_trace(singlet(), 2, np.array([0.1]))):
+        with pytest.raises(ValueError, match="one acceleration parameter"):
+            call()
+    for flag in (True, False, np.True_):
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            acceleration_parameter(flag)
+
+
 def test_channel_identity_at_rest():
     k = build_channel(0.0)
     assert k.shape == (2, 2, 2)
