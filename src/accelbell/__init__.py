@@ -7,9 +7,10 @@ Library layout:
     unruh         acceleration parameter, the wedge damping channel on state stacks, the one r check, dilation
     nonlocality   INEQUALITIES (CHSH, Svetlichny) by mode count and violates; correlation tensors of state stacks,
                   bell_value, the one evaluator on unit-vector setting arrays (the state's mode count picks the
-                  inequality), closed forms
+                  inequality), closed forms, upper bounds horodecki_max (CHSH) and svetlichny_upper
     optimize      maximize_bell over a stack of 4x4 (CHSH) or 8x8 (Svetlichny) states: first party in
-                  closed form + lockstep simplex; separable lattice oracle grid_oracle on the same stack form
+                  closed form + lockstep simplex, stopped per
+                  state once it reaches the state's upper bound; separable lattice oracle grid_oracle on the same stack form
     entanglement  negativity across one mode (pairs via linalg.partial_trace), residual tripartite tangle
     checks        cross-module invariant suite (the `verify` command), timed per check
     cli           sweep / threshold / verify / pi-tangle commands; one COLUMNS entry per sweep column, flagged or not
@@ -36,6 +37,7 @@ from .nonlocality import (
     correlation,
     correlation_tensor,
     horodecki_max,
+    svetlichny_upper,
     svetlichny_bound_gghz,
     svetlichny_bound_ms_pair,
     svetlichny_bound_ms_slice,

@@ -3,8 +3,8 @@
 Levels: "quick" runs the cheap invariants (channel, Bell evaluator and
 lattice oracle dual paths, CPTP, correlation law, restricted-family equivalence,
 threshold, eigensolver, tangle endpoints, optimizer determinism); "full" adds
-the optimizer-vs-bound grids, the oracle cross-check and the tangle
-monotonicity sweeps.
+the optimizer-vs-bound grids, the Svetlichny upper bound against the closed
+forms, the tangle monotonicity sweeps and the maximal-slice bound structure.
 
 Each ``check_*`` function returns (residual, tolerance, detail).
 ``run_checks`` times it and reports it under its function name without
@@ -223,6 +223,21 @@ def check_svetlichny_numeric_vs_envelope(seed=QUICK_SEED + 6):
     return max(abs(n - e) for n, e in zip(numeric, envelope)), 1e-6, "; ".join(margins)
 
 
+def check_svetlichny_upper_vs_closed_forms(grid=9):
+    """The unfolding bound against the damped GGHZ envelope and both maximal-slice closed forms, on a grid."""
+    t, rs = (axis.ravel() for axis in np.meshgrid(np.linspace(0.0, math.pi / 2, grid),
+                                                  np.linspace(0.0, unruh.R_MAX, grid), indexing="ij"))
+    cases = [(states.gghz, 3, nonlocality.svetlichny_bound_gghz(t, rs).envelope),
+             (states.maximal_slice, 1, nonlocality.svetlichny_bound_ms_pair(t, rs)),
+             (states.maximal_slice, 2, nonlocality.svetlichny_bound_ms_pair(t, rs)),
+             (states.maximal_slice, 3, nonlocality.svetlichny_bound_ms_slice(t, rs))]
+    worst = 0.0
+    for build, mode, closed in cases:
+        upper = nonlocality.svetlichny_upper(unruh.apply_channel(linalg.density(build(t)), mode, rs))
+        worst = max(worst, float(np.max(np.abs(upper - closed))))
+    return worst, 1e-12, f"GGHZ (mode 3) and maximal slice (modes 1-3) on a {grid}x{grid} (angle, r) grid"
+
+
 def check_pi_tangle_monotonicity():
     rs = np.array([[0.0], [math.pi / 8], [unruh.R_MAX - 0.01]])  # rows of the (r, theta1) stack
     by_theta = unruh.apply_channel(linalg.density(states.gghz(np.linspace(math.pi / 24, math.pi / 4, 8))), 3, rs)
@@ -263,6 +278,7 @@ QUICK_CHECKS = [
 FULL_CHECKS = QUICK_CHECKS + [
     check_horodecki_vs_numeric,
     check_svetlichny_numeric_vs_envelope,
+    check_svetlichny_upper_vs_closed_forms,
     check_pi_tangle_monotonicity,
     check_ms_bounds_structure,
 ]

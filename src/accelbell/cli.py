@@ -85,6 +85,7 @@ COLUMNS = {
     "chsh_numeric": (2, _numeric, True),
     "svetlichny_bound": (3, lambda spec, params, rs, rhos: _svetlichny_bound(spec, params, rs, envelope=False), True),
     "svetlichny_envelope": (3, lambda spec, params, rs, rhos: _svetlichny_bound(spec, params, rs, envelope=True), True),
+    "svetlichny_upper": (3, lambda spec, params, rs, rhos: nonlocality.svetlichny_upper(rhos), True),
     "svetlichny_numeric": (3, _numeric, True),
     "pi_tangle": (3, lambda spec, params, rs, rhos: [entanglement.pi_tangle(rho).pi for rho in rhos], False),
 }

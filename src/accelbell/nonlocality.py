@@ -20,7 +20,9 @@ beta, e.g. CHSH = |a.T(b + b') + a'.T(b - b')|.  No measurement operator is buil
 ``INEQUALITIES`` (2: CHSH for 4x4 states, 3: Svetlichny for 8x8 ones), and its
 settings are unit 3-vector arrays of 2n directions, shape (..., 4, 3)
 (a, a', b, b') or (..., 6, 3) (a, a', c, c', b, b').  ``_bell_fields``, the
-one contraction of T with the later settings, is shared with the maximizer.
+one contraction of T with the later settings, is shared with the maximizer,
+and so is ``_upper_bound``, the one body of the upper bounds from T:
+``horodecki_max`` (CHSH, exact) and ``svetlichny_upper`` (Svetlichny).
 The state quantities take a stack of states (..., d, d), checked in one
 ``_state`` call, whose leading axes broadcast against the settings'; one state
 and one setting give a float.  ``violates`` reads the classical bound of the
@@ -79,6 +81,7 @@ __all__ = [
     "chsh_restricted_max",
     "chsh_threshold",
     "horodecki_max",
+    "svetlichny_upper",
     "svetlichny_bound_gghz",
     "svetlichny_bound_ms_pair",
     "svetlichny_bound_ms_slice",
@@ -219,16 +222,41 @@ def chsh_threshold() -> ChshThreshold:
     )
 
 
+def _upper_bound(t: np.ndarray, modes: int) -> np.ndarray:
+    """Upper bound of the ``modes``-mode Bell value over all settings, from T (..., 3, 3(, 3)).
+
+    CHSH: the Horodecki maximum 2 sqrt(t1 + t2), exact.  Svetlichny:
+    4 min_k sigma_max(T_(k)) over the three 3x9 unfoldings of T, a bound
+    that the maximum can sit below.
+    """
+    if modes == 2:
+        evs = hermitian_eigenvalues(np.swapaxes(t, -1, -2) @ t)
+        return 2.0 * np.sqrt(np.maximum(evs[..., -1] + evs[..., -2], 0.0))
+    # mode k's axis to the front of the three mode axes; a stack's leading axes are not unfolded
+    unfoldings = np.stack([np.moveaxis(t, k - 3, -3) for k in range(3)], axis=-4).reshape(t.shape[:-3] + (3, 3, 9))
+    return 4.0 * np.linalg.svd(unfoldings, compute_uv=False)[..., 0].min(axis=-1)
+
+
 def horodecki_max(rho: np.ndarray) -> float | np.ndarray:
     """Largest CHSH value of a two-qubit state, or of each of a stack, over all projective settings.
 
     Closed form 2 sqrt(t1 + t2) with t1 >= t2 the two largest eigenvalues
-    of T^T T, with T the ``correlation_tensor``.  Used as the
-    independent oracle for the numerical maximizer.
+    of T^T T, with T the ``correlation_tensor`` (Horodecki, Horodecki &
+    Horodecki, PLA 200, 340 (1995)).  Used as the independent oracle for
+    the numerical maximizer.
     """
-    t = _tensor(rho, 2)[0]
-    evs = hermitian_eigenvalues(np.swapaxes(t, -1, -2) @ t)
-    return _guarded(2.0 * np.sqrt(np.maximum(evs[..., -1] + evs[..., -2], 0.0)), 2)
+    return _guarded(_upper_bound(_tensor(rho, 2)[0], 2), 2)
+
+
+def svetlichny_upper(rho: np.ndarray) -> float | np.ndarray:
+    """Upper bound on the Svetlichny value of a three-qubit state, or of each of a stack, over all settings.
+
+    4 min_k sigma_max(T_(k)), with T_(k) the 3x9 unfolding of the
+    ``correlation_tensor`` along mode k (Li, Shen, Jing, Fei & Li-Jost,
+    PRA 96, 042323 (2017)).  It equals the damped GGHZ envelope and both
+    maximal-slice closed forms; on a generic state it lies above the maximum.
+    """
+    return _maybe_scalar(_upper_bound(_tensor(rho, 3)[0], 3))
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,14 @@ lattice witness's other settings (small initial step) when
 lockstep, one (dim + 1, dim) simplex row per (state, start) pair: each
 move is a masked update whose rows share one batched objective call, and
 each row stops on its own at objective spread ``TOLERANCE`` or after
-``MAX_ITERATIONS`` iterations (``OptimizeResult.converged`` says which).
-A row sees only its own values, so a state's result does not depend on
-the rest of the stack.  Per state the best run wins, ties to the earliest
+``MAX_ITERATIONS`` iterations.  Each state also has an upper bound from
+its T: ``horodecki_max`` for CHSH (exact) and ``svetlichny_upper`` for
+Svetlichny.  All rows of a state retire together at the first iteration in
+which one of them has a best value within ``TOLERANCE`` of that bound, since
+no row can do better; the block ends when every state has converged or been
+certified this way (``OptimizeResult.converged`` and ``certified``).
+A row sees only its own state's values, so a state's result does not depend
+on the rest of the stack.  Per state the best run wins, ties to the earliest
 start.  Then a, a' = X/|X| (z where X = 0), and one call of ``bell_value``'s
 body gives the values at the full settings from the T already built.
 
@@ -43,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nonlocality import _bell_fields, _bell_value, correlation_tensor
+from .nonlocality import _bell_fields, _bell_value, _upper_bound, correlation_tensor
 
 DEFAULT_BUDGET = 10**8
 MAX_ITERATIONS = 2000
@@ -69,17 +74,22 @@ class OptimizeResult:
     ``evaluations`` counts the points at which the reduced objective
     |X_0| + |X_1| was evaluated over the state's simplex runs, the
     witness's included; the final evaluator call is not counted.
-    ``converged`` is False when the winning run's simplex stopped at
-    ``MAX_ITERATIONS`` rather than at ``TOLERANCE``: it reports the stopping
-    rule on the spread of the simplex's values, not the distance to the
-    maximum.  The damped singlet at r = 1.06e-4 (16 restarts, seed 1)
-    converges 2.5e-9 below ``horodecki_max``.
+    ``converged`` says how the winning run stopped: True at the value
+    spread ``TOLERANCE`` or at the state's upper bound, False at
+    ``MAX_ITERATIONS``.  It says nothing of the distance to the maximum:
+    the damped singlet at r = 1.06e-4 (16 restarts, seed 1) converges
+    2.5e-9 below ``horodecki_max``.  ``certified`` says that ``value`` is
+    within ``TOLERANCE`` of the state's upper bound, ``horodecki_max`` for
+    CHSH and ``svetlichny_upper`` for Svetlichny, so it is the maximum to
+    that tolerance.  It is False for that damped singlet, and for every
+    state whose Svetlichny maximum sits below the bound.
     """
 
     value: float
     directions: np.ndarray
     evaluations: int
     converged: bool
+    certified: bool
 
 
 def _angles_to_directions(x: np.ndarray) -> np.ndarray:
@@ -97,18 +107,25 @@ def _sample_start(rng: np.random.Generator, n_vectors: int) -> np.ndarray:
 _REFLECT, _EXPAND, _CONTRACT, _SHRINK = 1.0, 2.0, 0.5, 0.5
 
 
-def _nelder_mead(fn, x0: np.ndarray, step: np.ndarray):
-    """Minimize fn from each row of x0 in lockstep; returns (x_best, f_best, evaluations, converged) per row.
+def _nelder_mead(fn, x0: np.ndarray, step: np.ndarray, goal: np.ndarray):
+    """Minimize fn from each start of each state in lockstep; returns (x_best, f_best, evaluations, converged).
 
-    ``fn(rows, x)`` gives the values at the points x (k, dim) of the rows
-    ``rows`` (k,).  Row s starts from the simplex x0[s] + step[s] e_i and
-    makes the standard reflect/expand/contract/shrink moves on its own.
+    x0 is (states, starts, dim), step (starts,) and goal (states,); each
+    result has the states and starts as its two leading axes.  ``fn(rows,
+    x)`` gives the values at the points x (k, dim) of the rows ``rows`` (k,),
+    row state * starts + start.  A row starts from the simplex x0 + step e_i,
+    makes the standard reflect/expand/contract/shrink moves on its own and
+    stops at value spread ``TOLERANCE``.  The state's goal is a lower bound
+    of fn on its rows: all of them stop together, as converged, at the first
+    iteration in which one has a best value within ``TOLERANCE`` of it.
     """
-    n, dim = x0.shape
+    n_states, n_starts, dim = x0.shape
+    n = n_states * n_starts
     rows, diag = np.arange(n), np.arange(dim)
-    pts = np.repeat(x0[:, None, :], dim + 1, axis=1)
-    pts[:, diag + 1, diag] += step[:, None]
+    pts = np.repeat(x0.reshape(n, 1, dim), dim + 1, axis=1)
+    pts[:, diag + 1, diag] += np.tile(step, n_states)[:, None]
     vals = fn(np.repeat(rows, dim + 1), pts.reshape(-1, dim)).reshape(n, dim + 1)
+    reach = np.repeat(goal, n_starts) + TOLERANCE  # per row: a best value at or below it certifies the row's state
     evals = np.full(n, dim + 1)
     x_best, f_best, n_evals, converged = pts[:, 0].copy(), vals[:, 0].copy(), evals.copy(), np.zeros(n, dtype=bool)
     live = rows[:, None]  # row positions as a column, to index each row's vertex order
@@ -116,13 +133,16 @@ def _nelder_mead(fn, x0: np.ndarray, step: np.ndarray):
         order = vals.argsort(axis=1, kind="stable")
         pts, vals = pts[live, order], vals[live, order]
         done = vals[:, -1] - vals[:, 0] <= TOLERANCE
+        reached = vals[:, 0] <= reach[rows]
+        if reached.any():  # retire every row of a certified state, or its other rows keep the lockstep going
+            done |= np.isin(rows // n_starts, rows[reached] // n_starts)
         if done.any():
             out = rows[done]
             x_best[out], f_best[out], converged[out] = pts[done, 0], vals[done, 0], True
             n_evals[out] = evals[done] + iteration
             rows, pts, vals, evals, live = rows[~done], pts[~done], vals[~done], evals[~done], live[: (~done).sum()]
             if not rows.size:
-                return x_best, f_best, n_evals, converged
+                break
         centroid = np.add.reduce(pts[:, :-1], axis=1) / dim
         reflected = centroid + _REFLECT * (centroid - pts[:, -1])
         f_r = fn(rows, reflected)
@@ -146,9 +166,11 @@ def _nelder_mead(fn, x0: np.ndarray, step: np.ndarray):
             evals[shrink] += dim
         pts[:, -1], vals[:, -1] = new_x, new_f
         evals += second
-    best = np.argmin(vals, axis=1)
-    x_best[rows], f_best[rows], n_evals[rows] = pts[live[:, 0], best], vals[live[:, 0], best], evals + MAX_ITERATIONS
-    return x_best, f_best, n_evals, converged
+    if rows.size:  # rows still live after MAX_ITERATIONS
+        best = np.argmin(vals, axis=1)
+        x_best[rows], f_best[rows], n_evals[rows] = pts[live[:, 0], best], vals[live[:, 0], best], evals + MAX_ITERATIONS
+    shape = (n_states, n_starts)
+    return x_best.reshape(shape + (dim,)), f_best.reshape(shape), n_evals.reshape(shape), converged.reshape(shape)
 
 
 def _lattice_steps(resolution: float) -> int:
@@ -224,7 +246,8 @@ def maximize_bell(
 ) -> list[OptimizeResult]:
     """Numerically maximized CHSH (4x4 operators) or Svetlichny (8x8 operators) value of each state of ``rhos``.
 
-    The simplex searches the later settings only; its rows are (state, start) pairs, stepped in lockstep.
+    The simplex searches the later settings only; its rows are (state, start) pairs, stepped in lockstep, and a
+    state's rows stop once one of them reaches the state's upper bound (``OptimizeResult.certified``).
     """
     _check_search(restarts, witness_resolution, seed)
     t = _tensors(rhos)
@@ -239,10 +262,13 @@ def maximize_bell(
         x0 = np.concatenate([x0, witness[:, None]], axis=1)
         steps.append(0.05)
     n_starts = len(steps)
-    point = np.repeat(np.arange(len(t)), n_starts)
+    # each state's upper bound; a non-finite T is left to the objective's error
+    finite = np.isfinite(t.reshape(len(t), -1)).all(axis=1)
+    reference = np.full(len(t), np.inf)
+    reference[finite] = _upper_bound(t[finite], modes)
 
     def negated(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        fields = _bell_fields(t[point[rows]], _angles_to_directions(x).reshape(len(x), x.shape[1] // 2, 3), modes)
+        fields = _bell_fields(t[rows // n_starts], _angles_to_directions(x).reshape(len(x), x.shape[1] // 2, 3), modes)
         values = np.sqrt(np.add.reduce(fields * fields, axis=-1)).sum(axis=-1)  # |X_0| + |X_1|
         if not np.isfinite(values).all():
             bad = np.flatnonzero(~np.isfinite(values))[0]
@@ -250,15 +276,16 @@ def maximize_bell(
             raise ValueError(f"objective returned non-finite value {value!r} at angles {angles!r}")
         return -values
 
-    x_best, f_best, evals, converged = _nelder_mead(negated, x0.reshape(len(point), -1), np.tile(steps, len(t)))
-    # per state the earliest start wins a tie
-    best = np.argmin(f_best.reshape(len(t), n_starts), axis=1) + n_starts * np.arange(len(t))
-    later = _angles_to_directions(x_best[best]).reshape(len(t), -1, 3)
+    x_best, f_best, evals, converged = _nelder_mead(negated, x0, np.array(steps), -reference)
+    best = np.argmin(f_best, axis=1)  # per state the earliest start wins a tie
+    states = np.arange(len(t))
+    later = _angles_to_directions(x_best[states, best]).reshape(len(t), -1, 3)
     fields = _bell_fields(t, later, modes)
     norms = np.linalg.norm(fields, axis=-1, keepdims=True)
     first = np.divide(fields, norms, out=np.tile([0.0, 0.0, 1.0], (len(t), 2, 1)), where=norms > 0.0)
     directions = np.concatenate([first, later], axis=1)
-    totals, converged = evals.reshape(len(t), n_starts).sum(axis=1), converged[best]
     # bell_value's unit-vector check and quantum-maximum guard, on the T built above
     values = _bell_value(t, directions, modes)
-    return [OptimizeResult(float(v), d, int(e), bool(c)) for v, d, e, c in zip(values, directions, totals, converged)]
+    certified = values >= reference - TOLERANCE
+    return [OptimizeResult(float(v), d, int(e), bool(c), bool(k))
+            for v, d, e, c, k in zip(values, directions, evals.sum(axis=1), converged[states, best], certified)]

@@ -31,6 +31,7 @@ and in ``checks.verify``.  ``_check_r`` is the package's one r-domain check.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -45,12 +46,14 @@ def acceleration_parameter(omega_ratio: float) -> float:
     """Damping angle r for the frequency-to-acceleration ratio W = omega c / a.
 
     Monotone decreasing in W: the boundary W = 0 (infinite acceleration)
-    gives r = pi/4, and W -> infinity (inertial) gives r -> 0.  Negative,
-    non-finite and bool input is rejected (True is not W = 1).
+    gives r = pi/4, and W -> infinity (inertial) gives r -> 0.  Only a real
+    number is accepted: negative and non-finite numbers, bools (True is not
+    W = 1), strings, bytes and arrays raise ValueError.
     """
-    w = float(omega_ratio)
-    if isinstance(omega_ratio, (bool, np.bool_)) or not (math.isfinite(w) and w >= 0.0):
+    real = isinstance(omega_ratio, numbers.Real) and not isinstance(omega_ratio, (bool, np.bool_))
+    if not (real and math.isfinite(omega_ratio) and omega_ratio >= 0.0):
         raise ValueError(f"frequency-to-acceleration ratio must be a finite number >= 0, got {omega_ratio!r}")
+    w = float(omega_ratio)
     # exp underflows to 0 for large w, giving r = 0 exactly
     return math.acos(1.0 / math.sqrt(1.0 + math.exp(-2.0 * math.pi * w)))
 

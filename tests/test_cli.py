@@ -12,7 +12,7 @@ from accelbell import checks, cli, nonlocality, optimize, unruh
 from accelbell.cli import COLUMNS, SweepSpec, main, run_sweep, solve_pi_tangle, solve_threshold
 from accelbell.linalg import density
 from accelbell.nonlocality import horodecki_max, violates
-from accelbell.states import singlet
+from accelbell.states import maximal_slice, singlet
 
 SQRT2 = math.sqrt(2.0)
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -20,7 +20,7 @@ FULL_CHECK_NAMES = [
     "channel-dual-path", "evaluator-dual-path", "lattice-dual-path", "channel-cptp", "channel-identity-at-rest",
     "damped-correlation-law", "restricted-chsh-equivalence", "threshold-consistency", "eigensolver-trace-sum",
     "pi-tangle-endpoints", "optimizer-determinism", "horodecki-vs-numeric", "svetlichny-numeric-vs-envelope",
-    "pi-tangle-monotonicity", "ms-bounds-structure",
+    "svetlichny-upper-vs-closed-forms", "pi-tangle-monotonicity", "ms-bounds-structure",
 ]
 
 
@@ -305,6 +305,21 @@ def test_closed_form_columns_equal_per_point_calls(state, mode, columns):
                 value = form(p, r)
             cells += [cli._fmt(value), "1" if violates(value, COLUMNS[col][0]) else "0"]
         assert row.split(",")[2:] == cells
+
+
+def test_svetlichny_upper_column_one_call_per_block(monkeypatch):
+    # 3 x 30 points are two blocks; each row is the bound of its damped state alone, with its violation flag
+    spec = SweepSpec(state="ms", param_start=0.1, param_stop=1.4, param_steps=3, r_start=0.0,
+                     r_stop=math.pi / 4.0, r_steps=30, mode=3, columns=("svetlichny_upper",))
+    real, calls = nonlocality.svetlichny_upper, []
+    monkeypatch.setattr(nonlocality, "svetlichny_upper", lambda rhos: calls.append(len(rhos)) or real(rhos))
+    rows = run_sweep(spec).splitlines()
+    assert calls == [cli.BLOCK, 90 - cli.BLOCK]
+    assert rows[0] == "param,r,svetlichny_upper,svetlichny_upper_violation"
+    grid = [(p, r) for p in np.linspace(0.1, 1.4, 3) for r in np.linspace(0.0, math.pi / 4.0, 30)]
+    for row, (p, r) in zip(rows[1:], grid):
+        value = real(unruh.apply_channel(density(maximal_slice(p)), 3, r))
+        assert row.split(",")[2:] == [cli._fmt(value), "1" if violates(value, 3) else "0"]
 
 
 def test_main_verify_quick(capsys):

@@ -24,6 +24,7 @@ from accelbell.nonlocality import (
     svetlichny_bound_gghz,
     svetlichny_bound_ms_pair,
     svetlichny_bound_ms_slice,
+    svetlichny_upper,
     violates,
 )
 from accelbell.optimize import maximize_bell
@@ -223,6 +224,25 @@ def test_horodecki_singlet_and_products(rng):
     for _ in range(10):
         product = tensor(random_density(rng, 1), random_density(rng, 1))
         assert horodecki_max(product) <= 2.0 + 1e-9
+
+
+def test_svetlichny_upper_known_states():
+    # GHZ reaches the quantum maximum, |000> the classical bound, and the maximally mixed state has T = 0
+    assert abs(svetlichny_upper(density(gghz(math.pi / 4.0))) - 4.0 * SQRT2) < 1e-12
+    assert abs(svetlichny_upper(density(gghz(0.0))) - 4.0) < 1e-12
+    assert svetlichny_upper(np.eye(8) / 8.0) == 0.0
+    assert isinstance(svetlichny_upper(density(gghz(0.3))), float)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 8))
+def test_svetlichny_upper_local_unitary_invariant_and_above_values(seed, rank):
+    # U1 x U2 x U3 rotates each unfolding by orthogonal matrices, which keeps its singular values
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, 3, rank)
+    u = tensor(*(random_unitary(rng, 2) for _ in range(3)))
+    assert abs(svetlichny_upper(u @ rho @ u.conj().T) - svetlichny_upper(rho)) < 1e-12
+    assert np.all(bell_value(rho, random_directions(rng, (64, 6))) <= svetlichny_upper(rho) + 1e-12)
 
 
 def test_horodecki_damped_singlet_closed_form():
@@ -432,6 +452,7 @@ def test_evaluators_reject_non_finite_input():
             lambda: correlation(rho2, np.array([value, 0.0, 0.0]), Z_AXIS),
             lambda: horodecki_max(bad2),
             lambda: correlation_tensor(bad3),
+            lambda: svetlichny_upper(bad3),
             lambda: gghz(value),
             lambda: maximal_slice(value),
             lambda: chsh_restricted(value, 0.3),
@@ -461,7 +482,7 @@ def test_state_entry_points_reject_non_states():
     calls = {
         "and trace 20$": [lambda: horodecki_max(5.0 * np.eye(4)), lambda: maximize_bell([5.0 * np.eye(4)], restarts=1)],
         "and trace 12$": [lambda: negativity(3.0 * np.eye(4), 1)],
-        "and trace 16$": [lambda: pi_tangle(2.0 * np.eye(8))],
+        "and trace 16$": [lambda: pi_tangle(2.0 * np.eye(8)), lambda: svetlichny_upper(2.0 * np.eye(8))],
         "and trace 2$": [lambda: density([1.0, 1.0])],
         "non-finite": [lambda: apply_channel(np.full((4, 4), math.nan), 1, 0.1), lambda: density([math.nan, 0.0])],
         "not Hermitian": [lambda: apply_channel(np.triu(np.ones((4, 4))) / 4.0, 1, 0.1)],
@@ -472,7 +493,7 @@ def test_state_entry_points_reject_non_states():
             lambda: correlation_tensor(np.eye(1)),
             lambda: density([1.0]),
         ],
-        "3-mode state": [lambda: pi_tangle(density(singlet()))],
+        "3-mode state": [lambda: pi_tangle(density(singlet())), lambda: svetlichny_upper(density(singlet()))],
     }
     for message, group in calls.items():
         for call in group:
@@ -491,7 +512,7 @@ def test_valid_states_give_finite_values(seed, modes, data):
         values.append(horodecki_max(rho))
     else:
         tangle = pi_tangle(rho)
-        values += [tangle.pi, *tangle.components()]
+        values += [tangle.pi, *tangle.components(), svetlichny_upper(rho)]
     assert np.isfinite(values).all()
 
 

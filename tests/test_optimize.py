@@ -3,12 +3,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from accelbell import nonlocality, optimize
 from accelbell.linalg import density, tensor
-from accelbell.nonlocality import bell_value, correlation_tensor, horodecki_max, svetlichny_bound_gghz
+from accelbell.nonlocality import (
+    bell_value,
+    correlation_tensor,
+    horodecki_max,
+    svetlichny_bound_gghz,
+    svetlichny_upper,
+)
 from accelbell.optimize import BudgetError, grid_oracle, maximize_bell
 from accelbell.states import gghz, singlet
 from accelbell.unruh import apply_channel
@@ -143,7 +149,8 @@ def test_value_dominates_restart_starts(seed, rank):
     rho = random_density(rng, 2, rank)
     fn = lambda rows, x: -bell_value(rho, optimize._angles_to_directions(x).reshape(len(x), 4, 3))
     x0 = np.array([optimize._sample_start(rng, 4) for _ in range(3)])
-    assert (optimize._nelder_mead(fn, x0, np.full(3, 0.35))[1] <= fn(None, x0)).all()
+    never = np.array([-math.inf])  # one state of three starts, with a goal no value reaches
+    assert (optimize._nelder_mead(fn, x0[None], np.full(3, 0.35), never)[1][0] <= fn(None, x0)).all()
 
 
 @settings(max_examples=12, deadline=None)
@@ -160,6 +167,7 @@ def test_stacked_maximizer_matches_per_point_calls(seed, ranks, restarts, witnes
         assert np.array_equal(stacked.directions, single.directions)
         assert stacked.evaluations == single.evaluations
         assert stacked.converged == single.converged
+        assert stacked.certified == single.certified
 
 
 def test_value_dominates_grid_witness(rng):
@@ -306,6 +314,48 @@ def test_numeric_svetlichny_reproduced_by_directions(seed, rank):
     rho = random_density(np.random.default_rng(seed), 3, rank)
     result = maximize_bell([rho], restarts=2)[0]
     assert abs(bell_value(rho, result.directions) - result.value) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 8), size=st.integers(1, 3))
+@example(seed=5, rank=4, size=3)  # a stack of three: unfolding its leading axis instead of a mode axis gives no error
+def test_numeric_svetlichny_below_upper_bound(seed, rank, size):
+    rng = np.random.default_rng(seed)
+    rhos = np.stack([random_density(rng, 3, rank) for _ in range(size)])
+    upper = svetlichny_upper(rhos)
+    for result, bound in zip(maximize_bell(rhos, restarts=2), upper):
+        assert result.value <= bound + 1e-12
+        assert result.certified == (result.value >= bound - optimize.TOLERANCE)
+
+
+def test_certified_on_tight_references():
+    # the numeric workload's GGHZ grid, where the bound is the envelope, and damped singlets away from r = 0
+    t1s, rs = (axis.ravel() for axis in np.meshgrid(np.linspace(math.pi / 16.0, math.pi / 4.0, 2),
+                                                    np.linspace(0.0, math.pi / 4.0, 3), indexing="ij"))
+    for seed in (1, 5, 7):
+        results = maximize_bell(apply_channel(density(gghz(t1s)), 3, rs), restarts=8, seed=seed)
+        assert all(result.certified and result.converged for result in results)
+        rhos = apply_channel(density(singlet()), 2, np.linspace(0.2, math.pi / 4.0, 8))
+        results = maximize_bell(rhos, restarts=16, seed=seed)
+        assert all(result.certified for result in results)
+        assert np.all(np.abs([result.value for result in results] - horodecki_max(rhos)) <= optimize.TOLERANCE)
+
+
+def test_degenerate_optimum_not_certified():
+    # the damped singlet near r = 0: the simplex's value spread closes 2.5e-9 below the Horodecki value
+    rho = apply_channel(density(singlet()), 2, 1.06e-4)
+    result = maximize_bell([rho], restarts=16, seed=1)[0]
+    assert result.converged and not result.certified
+    assert 1e-9 < horodecki_max(rho) - result.value < 1e-8
+
+
+def test_certified_state_retires_its_rows():
+    # the witness of the singlet sits on the Horodecki maximum, so every row stops at the first iteration
+    rho = density(singlet())
+    witnessed = maximize_bell([rho], math.pi / 4.0, restarts=4, seed=2)[0]
+    assert witnessed.certified and witnessed.converged
+    assert witnessed.evaluations == 5 * 5  # each row's initial simplex only
+    assert maximize_bell([rho], restarts=4, seed=2)[0].evaluations > witnessed.evaluations
 
 
 @settings(max_examples=10, deadline=None)

@@ -21,6 +21,7 @@ from accelbell.nonlocality import (
     svetlichny_bound_gghz,
     svetlichny_bound_ms_pair,
     svetlichny_bound_ms_slice,
+    svetlichny_upper,
 )
 from accelbell.optimize import maximize_bell
 from accelbell.states import gghz, maximal_slice, singlet
@@ -42,18 +43,18 @@ def test_stack_rows_equal_single_state_calls(seed, modes, rank, size, data):
     dirs = random_directions(rng, (size, 2 * modes))
     tensors, values = correlation_tensor(damped), bell_value(damped, dirs)
     results = maximize_bell(damped, restarts=1, seed=seed % 1000)
-    horodecki = horodecki_max(damped) if modes == 2 else None
+    upper = horodecki_max(damped) if modes == 2 else svetlichny_upper(damped)
     for i in range(size):
         rho = apply_channel(rhos[i], mode, rs[i])
         assert np.array_equal(damped[i], rho)
         assert np.array_equal(tensors[i], correlation_tensor(rho))
         assert values[i] == bell_value(rho, dirs[i])
-        if modes == 2:
-            assert horodecki[i] == horodecki_max(rho)
+        assert upper[i] == (horodecki_max(rho) if modes == 2 else svetlichny_upper(rho))
         alone = maximize_bell([rho], restarts=1, seed=seed % 1000)[0]
         assert results[i].value == alone.value
         assert np.array_equal(results[i].directions, alone.directions)
-        assert (results[i].evaluations, results[i].converged) == (alone.evaluations, alone.converged)
+        assert (results[i].evaluations, results[i].converged, results[i].certified) == (
+            alone.evaluations, alone.converged, alone.certified)
 
 
 @settings(max_examples=25, deadline=None)
@@ -82,6 +83,8 @@ def test_leading_axes_broadcast():
     assert np.array_equal(damped[1, 2], apply_channel(density(gghz(0.7)), 3, R_MAX))
     assert correlation_tensor(damped).shape == (2, 3, 3, 3, 3)
     assert bell_value(damped, np.tile([0.0, 0.0, 1.0], (6, 1))).shape == (2, 3)
+    assert svetlichny_upper(damped).shape == (2, 3)  # only the three mode axes are unfolded
+    assert svetlichny_upper(damped)[1, 2] == svetlichny_upper(damped[1, 2])
     assert isinstance(horodecki_max(density(singlet())), float)
     assert isinstance(bell_value(density(singlet()), np.tile([0.0, 0.0, 1.0], (4, 1))), float)
 
