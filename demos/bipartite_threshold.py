@@ -38,12 +38,12 @@ print()
 rho0 = density(singlet())
 rs = np.linspace(0.0, math.pi / 4.0, 9)
 rhos = apply_channel(rho0, 2, rs)
-results = maximize_bell(rhos, restarts=10, seed=1)
+numeric = maximize_bell(rhos, restarts=10, seed=1).value
 print(f"{'r':>8} {'restricted':>11} {'horodecki':>10} {'numeric':>10} {'negativity':>11}")
-for r, rho, restricted, closed, result in zip(rs, rhos, chsh_restricted_max(rs), horodecki_max(rhos), results):
+for r, rho, restricted, closed, value in zip(rs, rhos, chsh_restricted_max(rs), horodecki_max(rhos), numeric):
     neg = negativity(rho, 1)
     marker = "violates" if violates(restricted, 2) else "classical"
-    print(f"{r:8.4f} {restricted:11.6f} {closed:10.6f} {result.value:10.6f} {neg:11.6f}  {marker}")
+    print(f"{r:8.4f} {restricted:11.6f} {closed:10.6f} {value:10.6f} {neg:11.6f}  {marker}")
 
 print()
 print("The restricted value crosses 2 at r_t; the unrestricted maximum stays")

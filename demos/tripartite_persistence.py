@@ -36,9 +36,9 @@ t1s, rs = (axis.ravel() for axis in np.meshgrid(
     (math.pi / 16, math.pi / 8, math.pi / 4), (0.0, math.pi / 8, math.pi / 4), indexing="ij"))
 rhos = apply_channel(density(gghz(t1s)), 3, rs)
 refs = svetlichny_bound_gghz(t1s, rs)
-results = maximize_bell(rhos, restarts=12, seed=3)
-for t1, r, branch, bound, envelope, result in zip(t1s, rs, refs.branch, refs.bound, refs.envelope, results):
-    print(f"{t1:8.4f} {r:8.4f} {branch:>11} {bound:9.5f} {envelope:9.5f} {result.value:9.5f}")
+numeric = maximize_bell(rhos, restarts=12, seed=3).value
+for t1, r, branch, bound, envelope, value in zip(t1s, rs, refs.branch, refs.bound, refs.envelope, numeric):
+    print(f"{t1:8.4f} {r:8.4f} {branch:>11} {bound:9.5f} {envelope:9.5f} {value:9.5f}")
 
 print()
 print("violation boundary: largest envelope over t1 in [0, pi/4], per r")

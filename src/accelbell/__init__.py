@@ -8,9 +8,9 @@ Library layout:
     nonlocality   INEQUALITIES (CHSH, Svetlichny) by mode count and violates; correlation tensors of state stacks,
                   bell_value, the one evaluator on unit-vector setting arrays (the state's mode count picks the
                   inequality), closed forms, upper bounds horodecki_max (CHSH) and svetlichny_upper
-    optimize      maximize_bell over a stack of 4x4 (CHSH) or 8x8 (Svetlichny) states: first party in
-                  closed form + lockstep simplex, stopped per
-                  state once it reaches the state's upper bound; separable lattice oracle grid_oracle on the same stack form
+    optimize      maximize_bell over states (..., d, d), 4x4 (CHSH) or 8x8 (Svetlichny): first party in closed
+                  form + lockstep simplex, stopped per state once it reaches the state's upper bound; fields
+                  with the stack's leading axes; separable lattice oracle grid_oracle on the same state form
     entanglement  negativity across one mode (pairs via linalg.partial_trace), residual tripartite tangle
     checks        cross-module invariant suite (the `verify` command), timed per check
     cli           sweep / threshold / verify / pi-tangle commands; one COLUMNS entry per sweep column, flagged or not

@@ -118,7 +118,7 @@ def check_lattice_dual_path(cases=10, seed=QUICK_SEED + 8):
     for _ in range(cases):
         for modes, resolution in ((2, math.pi / 2), (3, math.pi)):
             rho = _random_mixed(rng, modes, int(rng.integers(1, 5)))
-            (value,), (setting,) = optimize.grid_oracle([rho], resolution)
+            value, setting = optimize.grid_oracle(rho, resolution)
             dirs = optimize._angles_to_directions(optimize._lattice(resolution))
             every = dirs[np.stack(np.indices((len(dirs),) * 2 * modes), axis=-1)]  # every lattice setting
             scan = float(np.max(nonlocality.bell_value(rho, every)))
@@ -199,14 +199,14 @@ def check_pi_tangle_endpoints():
 
 def check_optimizer_determinism():
     rho = _damped_singlet(0.2)
-    first, second = (optimize.maximize_bell([rho], restarts=4, seed=11)[0] for _ in range(2))
+    first, second = (optimize.maximize_bell(rho, restarts=4, seed=11) for _ in range(2))
     same = first.value == second.value and np.array_equal(first.directions, second.directions)
     return 0.0 if same else 1.0, 0.0, "identical seeds, identical output"
 
 
 def check_horodecki_vs_numeric(points=8, seed=QUICK_SEED + 5):
     rhos = _damped_singlet(np.linspace(0.0, unruh.R_MAX, points))
-    numeric = [res.value for res in optimize.maximize_bell(rhos, restarts=12, seed=seed)]
+    numeric = optimize.maximize_bell(rhos, restarts=12, seed=seed).value
     worst = float(np.max(np.abs(nonlocality.horodecki_max(rhos) - numeric)))
     return worst, 1e-4, f"damped singlet, {points} r values"
 
@@ -216,7 +216,7 @@ def check_svetlichny_numeric_vs_envelope(seed=QUICK_SEED + 6):
     t1s, rs = (axis.ravel() for axis in np.meshgrid(
         (math.pi / 16, math.pi / 8, math.pi / 4), (0.0, math.pi / 8, unruh.R_MAX), indexing="ij"))
     rhos = unruh.apply_channel(linalg.density(states.gghz(t1s)), 3, rs)
-    numeric = [res.value for res in optimize.maximize_bell(rhos, restarts=12, seed=seed)]
+    numeric = optimize.maximize_bell(rhos, restarts=12, seed=seed).value
     envelope = nonlocality.svetlichny_bound_gghz(t1s, rs).envelope
     margins = [f"t1={t1:.4f} r={r:.4f} numeric={n:.6f} envelope={e:.6f}"
                for t1, r, n, e in zip(t1s, rs, numeric, envelope)]

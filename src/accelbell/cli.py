@@ -70,10 +70,9 @@ def _svetlichny_bound(spec: SweepSpec, params: np.ndarray, rs: np.ndarray, envel
     return nonlocality.svetlichny_bound_ms_slice(params, rs)
 
 
-def _numeric(spec: SweepSpec, params, rs, rhos) -> list:
+def _numeric(spec: SweepSpec, params, rs, rhos) -> np.ndarray:
     """Maximize every damped state of the block in one lockstep simplex."""
-    results = optimize.maximize_bell(rhos, spec.certify_resolution, restarts=spec.restarts, seed=spec.seed)
-    return [result.value for result in results]
+    return optimize.maximize_bell(rhos, spec.certify_resolution, restarts=spec.restarts, seed=spec.seed).value
 
 
 # column: (modes, evaluator(spec, params, rs, damped states) -> one value per point, flagged); a flagged column
@@ -99,14 +98,13 @@ def _validate_spec(spec: SweepSpec) -> None:
     ):
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ValueError(f"{label} grid ends must be finite")
-        if steps < 1:
-            raise ValueError(f"{label} grid needs at least one step")
+        optimize._check_integer(f"{label} grid steps", steps, 1)
         if stop < start:
             raise ValueError(f"{label} grid has stop < start")
     if spec.r_start < 0.0 or spec.r_stop > unruh.R_MAX + 1e-12:
         raise ValueError("r grid must live inside [0, pi/4]")
-    if not spec.columns:
-        raise ValueError("no output columns requested")
+    if isinstance(spec.columns, str) or not spec.columns:  # a string is a sequence of characters, not of names
+        raise ValueError(f"columns must be a non-empty sequence of column names, got {spec.columns!r}")
     if len(set(spec.columns)) != len(spec.columns):
         raise ValueError(f"duplicate column in {','.join(spec.columns)!r}")
     for col in spec.columns:

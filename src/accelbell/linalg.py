@@ -111,7 +111,10 @@ def partial_transpose(rho: np.ndarray, mode: int) -> np.ndarray:
 
 
 def _require_hermitian(matrix: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
+    try:
+        m = np.asarray(matrix, dtype=complex)
+    except TypeError:  # numpy reads an iterator or a generator as one object, not as an array of numbers
+        raise ValueError(f"expected a square matrix or a stack of them, got {type(matrix).__name__}") from None
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[-1] > MAX_DIM:

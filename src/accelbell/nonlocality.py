@@ -103,7 +103,7 @@ def _tensor(rho: np.ndarray, modes: int | None = None) -> tuple[np.ndarray, int]
     if n not in INEQUALITIES:
         raise ValueError(f"expected a 4x4 or 8x8 operator, got shape {rho.shape}")
     lead = rho.shape[:-2]  # one matrix-vector product per state, so a row of a stack equals its lone call
-    return np.matmul(INEQUALITIES[n].paulis, rho.reshape(lead + (-1, 1))).real.reshape(lead + (3,) * n), n
+    return np.matmul(INEQUALITIES[n].paulis, rho.reshape(lead + (4**n, 1))).real.reshape(lead + (3,) * n), n
 
 
 def _maybe_scalar(values: np.ndarray):

@@ -3,9 +3,9 @@
 A Bell value |sum beta T(u_x, v_y(, w_z))| is multilinear in the settings
 (see ``nonlocality``), so the maximizer contracts T one party at a time.
 
-``maximize_bell`` is the one maximizer.  It takes a stack of states, checked
-in one call, and maximizes CHSH for 4x4 operators and Svetlichny for 8x8
-ones; a single state is a stack of one, [rho].  It solves the first party in closed
+``maximize_bell`` is the one maximizer.  It takes states (..., d, d), read
+with their mode count by ``nonlocality._tensor``, and maximizes CHSH for 4x4
+operators and Svetlichny for 8x8 ones.  It solves the first party in closed
 form: with X_x = sum beta[x, ...] T(., v_y(, w_z)) (``_bell_fields``), the
 maximum of |a.X_0 + a'.X_1| over unit a, a' is |X_0| + |X_1| (Horodecki,
 Horodecki & Horodecki, PLA 200, 340 (1995)).  A Nelder-Mead simplex in
@@ -27,8 +27,8 @@ on the rest of the stack.  Per state the best run wins, ties to the earliest
 start.  Then a, a' = X/|X| (z where X = 0), and one call of ``bell_value``'s
 body gives the values at the full settings from the T already built.
 
-``grid_oracle``, the independent certification path, takes the same stack
-and scans the lattice theta in {0, res, ..., pi} x phi in {0, res, ...,
+``grid_oracle``, the independent certification path, takes the same state
+form and scans the lattice theta in {0, res, ..., pi} x phi in {0, res, ...,
 2 pi - res} for every setting, a and a' included: with M_x the fields X_x of
 every lattice tuple j of the other settings, P = dirs M_0^T, Q = dirs M_1^T,
 the value at (a, a', j) is |P[a, j] + Q[a', j]|.  Floating-point addition is
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nonlocality import _bell_fields, _bell_value, _upper_bound, correlation_tensor
+from .nonlocality import _bell_fields, _bell_value, _maybe_scalar, _tensor, _upper_bound
 
 DEFAULT_BUDGET = 10**8
 MAX_ITERATIONS = 2000
@@ -69,7 +69,10 @@ class BudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """Best value found, with the settings that achieve it.
+    """Best value found for each state, with the settings that achieve it.
+
+    Each field has the states' leading axes (...), and ``directions`` two
+    more, (2n, 3) for n modes; a lone state's are a float, an int and bools.
 
     ``evaluations`` counts the points at which the reduced objective
     |X_0| + |X_1| was evaluated over the state's simplex runs, the
@@ -85,11 +88,11 @@ class OptimizeResult:
     state whose Svetlichny maximum sits below the bound.
     """
 
-    value: float
+    value: float | np.ndarray
     directions: np.ndarray
-    evaluations: int
-    converged: bool
-    certified: bool
+    evaluations: int | np.ndarray
+    converged: bool | np.ndarray
+    certified: bool | np.ndarray
 
 
 def _angles_to_directions(x: np.ndarray) -> np.ndarray:
@@ -141,8 +144,8 @@ def _nelder_mead(fn, x0: np.ndarray, step: np.ndarray, goal: np.ndarray):
             x_best[out], f_best[out], converged[out] = pts[done, 0], vals[done, 0], True
             n_evals[out] = evals[done] + iteration
             rows, pts, vals, evals, live = rows[~done], pts[~done], vals[~done], evals[~done], live[: (~done).sum()]
-            if not rows.size:
-                break
+        if not rows.size:  # every row has stopped, or an empty stack had none
+            break
         centroid = np.add.reduce(pts[:, :-1], axis=1) / dim
         reflected = centroid + _REFLECT * (centroid - pts[:, -1])
         f_r = fn(rows, reflected)
@@ -190,15 +193,15 @@ def _lattice(resolution: float) -> np.ndarray:
     return np.column_stack([tt.ravel(), pp.ravel()])
 
 
-def _grid_search(ts: np.ndarray, resolution: float) -> tuple[np.ndarray, np.ndarray]:
-    """Best lattice value of |sum beta T(u_x, v_y(, w_z))| and its angles for each tensor of the stack ``ts``.
+def _grid_search(ts: np.ndarray, modes: int, resolution: float) -> tuple[np.ndarray, np.ndarray]:
+    """Best lattice value of |sum beta T(u_x, v_y(, w_z))| and its angles for each ``modes``-mode tensor of ``ts``.
 
-    Returns values (n,) and angles (n, 2 * vectors); ties go to the lowest
-    C-order index.  The lattice and its later-setting tuples are built once
-    for the whole stack.
+    ``ts`` is (n, 3, 3(, 3)); returns values (n,) and angles (n, 4 * modes);
+    ties go to the lowest C-order index.  The lattice and its later-setting
+    tuples are built once for the whole stack.
     """
     k = _lattice_steps(resolution)
-    n_points, n_vectors = (k + 1) * 2 * k, 2 * (ts.ndim - 1)
+    n_points, n_vectors = (k + 1) * 2 * k, 2 * modes
     if n_points**n_vectors > DEFAULT_BUDGET:  # checked before any lattice array is built
         raise BudgetError(f"lattice scan needs {n_points}^{n_vectors} evaluations, budget is {DEFAULT_BUDGET}")
     angles = _lattice(resolution)
@@ -207,7 +210,7 @@ def _grid_search(ts: np.ndarray, resolution: float) -> tuple[np.ndarray, np.ndar
     later = dirs[np.indices((n_points,) * (n_vectors - 2)).reshape(n_vectors - 2, -1).T]
     values, best_angles = np.empty(len(ts)), np.empty((len(ts), 2 * n_vectors))
     for s, t in enumerate(ts):  # one state at a time bounds the (n_points, tuples) arrays held at once
-        p, q = dirs @ _bell_fields(t, later, ts.ndim - 1).transpose(1, 2, 0)
+        p, q = dirs @ _bell_fields(t, later, modes).transpose(1, 2, 0)
         # fl(x + y) is monotone in y, so over a' the largest |p[a] + q[a']| sits at q's max or min over a'
         best = np.maximum(np.abs(p + q.max(axis=0)), np.abs(p + q.min(axis=0))).max(axis=1)  # per a, exactly
         a = int(np.argmax(best))  # the first a at the lattice maximum
@@ -218,52 +221,51 @@ def _grid_search(ts: np.ndarray, resolution: float) -> tuple[np.ndarray, np.ndar
     return values, best_angles
 
 
-def _tensors(rhos) -> np.ndarray:
-    """Correlation tensors (k, 3, 3(, 3)) of a non-empty stack of equal-shape states, checked in one call."""
-    rhos = list(rhos)  # a generator is read once; an array gives its rows
-    if len(rhos) == 0 or np.ndim(rhos[0]) != 2:  # a lone (d, d) array would read as d / 2 states
-        raise ValueError("expected a non-empty stack of 4x4 or of 8x8 operators; wrap a single state as [rho]")
-    return correlation_tensor(np.stack(rhos))
+def grid_oracle(rhos, resolution: float) -> tuple[float | np.ndarray, np.ndarray]:
+    """Lattice maxima (...) of the CHSH or Svetlichny value of states (..., d, d), and settings (..., 2n, 3) there."""
+    t, modes = _tensor(rhos)
+    lead = t.shape[:-modes]
+    values, angles = _grid_search(t.reshape((-1,) + (3,) * modes), modes, resolution)
+    return _maybe_scalar(values.reshape(lead)), _angles_to_directions(angles).reshape(lead + (2 * modes, 3))
 
 
-def grid_oracle(rhos, resolution: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice maxima (k,) of the CHSH (4x4) or Svetlichny (8x8) value of k states, and settings (k, 2n, 3) at them."""
-    values, angles = _grid_search(_tensors(rhos), resolution)
-    return values, _angles_to_directions(angles).reshape(len(values), -1, 3)
+def _check_integer(name: str, value, low: int) -> None:
+    """Raise ValueError unless ``value`` is an integer >= ``low``; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _check_search(restarts: int, witness_resolution: float | None, seed: int) -> None:
     """Raise ValueError for restarts < 1, a seed < 0, either not a non-bool integer, or a bad witness resolution."""
-    for name, value, low in (("restarts", restarts, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    _check_integer("restarts", restarts, 1)
+    _check_integer("seed", seed, 0)
     if witness_resolution is not None:
         _lattice_steps(witness_resolution)
 
 
 def maximize_bell(
     rhos, witness_resolution: float | None = None, *, restarts: int = 64, seed: int = 0
-) -> list[OptimizeResult]:
-    """Numerically maximized CHSH (4x4 operators) or Svetlichny (8x8 operators) value of each state of ``rhos``.
+) -> OptimizeResult:
+    """Numerically maximized CHSH (4x4 operators) or Svetlichny (8x8 operators) value of each state (..., d, d).
 
     The simplex searches the later settings only; its rows are (state, start) pairs, stepped in lockstep, and a
     state's rows stop once one of them reaches the state's upper bound (``OptimizeResult.certified``).
     """
     _check_search(restarts, witness_resolution, seed)
-    t = _tensors(rhos)
-    modes = t.ndim - 1
+    t, modes = _tensor(rhos)
+    lead, t = t.shape[:-modes], t.reshape((-1,) + (3,) * modes)  # one axis of states for the simplex rows
     rng = np.random.default_rng(seed)
     # (state, start, dim): angles of the 2 * modes - 2 later settings
     x0 = np.tile([_sample_start(rng, 2 * modes - 2) for _ in range(restarts)], (len(t), 1, 1))
     steps = [0.35] * restarts
     if witness_resolution is not None:
         # a and a' dropped; the witness lies within one lattice cell of a maximum, so its simplex starts small
-        witness = _grid_search(t, witness_resolution)[1][:, 4:]
+        witness = _grid_search(t, modes, witness_resolution)[1][:, 4:]
         x0 = np.concatenate([x0, witness[:, None]], axis=1)
         steps.append(0.05)
     n_starts = len(steps)
     # each state's upper bound; a non-finite T is left to the objective's error
-    finite = np.isfinite(t.reshape(len(t), -1)).all(axis=1)
+    finite = np.isfinite(t.reshape(len(t), 3**modes)).all(axis=1)
     reference = np.full(len(t), np.inf)
     reference[finite] = _upper_bound(t[finite], modes)
 
@@ -279,13 +281,13 @@ def maximize_bell(
     x_best, f_best, evals, converged = _nelder_mead(negated, x0, np.array(steps), -reference)
     best = np.argmin(f_best, axis=1)  # per state the earliest start wins a tie
     states = np.arange(len(t))
-    later = _angles_to_directions(x_best[states, best]).reshape(len(t), -1, 3)
+    later = _angles_to_directions(x_best[states, best]).reshape(len(t), 2 * modes - 2, 3)
     fields = _bell_fields(t, later, modes)
     norms = np.linalg.norm(fields, axis=-1, keepdims=True)
     first = np.divide(fields, norms, out=np.tile([0.0, 0.0, 1.0], (len(t), 2, 1)), where=norms > 0.0)
     directions = np.concatenate([first, later], axis=1)
     # bell_value's unit-vector check and quantum-maximum guard, on the T built above
     values = _bell_value(t, directions, modes)
-    certified = values >= reference - TOLERANCE
-    return [OptimizeResult(float(v), d, int(e), bool(c), bool(k))
-            for v, d, e, c, k in zip(values, directions, evals.sum(axis=1), converged[states, best], certified)]
+    value, evaluations, stopped, certified = (_maybe_scalar(field.reshape(lead)) for field in (
+        values, evals.sum(axis=1), converged[states, best], values >= reference - TOLERANCE))
+    return OptimizeResult(value, directions.reshape(lead + (2 * modes, 3)), evaluations, stopped, certified)

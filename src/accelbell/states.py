@@ -51,7 +51,7 @@ def _unit_vectors(settings, count: int) -> np.ndarray:
     if arr.ndim < 2 or arr.shape[-2] != count or arr.shape[-1] != 3:
         raise ValueError(f"expected {count} directions of dimension 3, got shape {arr.shape}")
     norms = np.einsum("...i,...i->...", arr, arr)
-    if not np.abs(norms - 1.0).max() <= 1e-10:  # also catches NaN and inf
+    if not np.abs(norms - 1.0).max(initial=0.0) <= 1e-10:  # also catches NaN and inf
         if not np.isfinite(arr).all():
             raise ValueError("measurement directions have non-finite entries")
         raise ValueError("all measurement directions must be unit vectors")

@@ -47,11 +47,16 @@ def acceleration_parameter(omega_ratio: float) -> float:
 
     Monotone decreasing in W: the boundary W = 0 (infinite acceleration)
     gives r = pi/4, and W -> infinity (inertial) gives r -> 0.  Only a real
-    number is accepted: negative and non-finite numbers, bools (True is not
-    W = 1), strings, bytes and arrays raise ValueError.
+    number is accepted: negative and non-finite numbers, ints beyond the
+    float range, bools (True is not W = 1), strings, bytes and arrays raise
+    ValueError.
     """
     real = isinstance(omega_ratio, numbers.Real) and not isinstance(omega_ratio, (bool, np.bool_))
-    if not (real and math.isfinite(omega_ratio) and omega_ratio >= 0.0):
+    try:
+        valid = real and math.isfinite(omega_ratio) and omega_ratio >= 0.0
+    except OverflowError:  # an int beyond the float range is a real number, but math.isfinite cannot take it
+        valid = False
+    if not valid:
         raise ValueError(f"frequency-to-acceleration ratio must be a finite number >= 0, got {omega_ratio!r}")
     w = float(omega_ratio)
     # exp underflows to 0 for large w, giving r = 0 exactly

@@ -110,7 +110,7 @@ def test_criterion_4_ms_surfaces():
 
 def test_criterion_5_optimizer_certification():
     ghz = density(gghz(math.pi / 4.0))
-    ghz_value = maximize_bell([ghz], restarts=24, seed=50)[0].value
+    ghz_value = maximize_bell(ghz, restarts=24, seed=50).value
     ghz_ok = abs(ghz_value - 4.0 * SQRT2) < 1e-6
 
     envelope_ok, tight_ok = True, True
@@ -118,8 +118,8 @@ def test_criterion_5_optimizer_certification():
     grid = [(t1, r) for t1 in (math.pi / 16.0, math.pi / 8.0, 3.0 * math.pi / 16.0, math.pi / 4.0)
             for r in (0.0, math.pi / 8.0, R_MAX)]
     rhos = [apply_channel(density(gghz(t1)), 3, r) for t1, r in grid]
-    for (t1, r), result in zip(grid, maximize_bell(rhos, restarts=16, seed=51)):
-        numeric, ref = result.value, svetlichny_bound_gghz(t1, r)
+    for (t1, r), numeric in zip(grid, maximize_bell(rhos, restarts=16, seed=51).value):
+        ref = svetlichny_bound_gghz(t1, r)
         if numeric > ref.envelope + 1e-6:
             envelope_ok = False
             details.append(f"exceeds envelope at t1={t1:.4f} r={r:.4f}")
@@ -178,8 +178,8 @@ def test_criterion_8_oracle_equivalence():
     rng = np.random.default_rng(808)
     rhos = [random_density(rng, 2, rank=int(rng.integers(1, 5))) for _ in range(50)]
     rhos += [apply_channel(density(singlet()), 2, float(r)) for r in np.linspace(0.0, R_MAX, 10)]
-    results = maximize_bell(rhos, restarts=14, seed=88)
-    worst = max(abs(horodecki_max(rho) - result.value) for rho, result in zip(rhos, results))
+    numeric = maximize_bell(rhos, restarts=14, seed=88).value
+    worst = max(abs(horodecki_max(rho) - value) for rho, value in zip(rhos, numeric))
     _report(8, "oracle-equivalence", worst <= 1e-4, f"max |closed-form - numeric| = {worst:.2e}")
 
 

@@ -121,7 +121,7 @@ def test_sweep_numeric_across_blocks_matches_per_point_calls():
     assert len(rows) == len(grid) > cli.BLOCK
     for row, (p, r) in zip(rows, grid):
         rho = unruh.apply_channel(density(singlet()), 2, r)
-        numeric, closed = optimize.maximize_bell([rho], restarts=2, seed=3)[0].value, horodecki_max(rho)
+        numeric, closed = optimize.maximize_bell(rho, restarts=2, seed=3).value, horodecki_max(rho)
         assert row == [f"{p:.12g}", f"{r:.12g}", f"{numeric:.12g}", "1" if violates(numeric, 2) else "0",
                        f"{closed:.12g}", "1" if violates(closed, 2) else "0"]
 
@@ -160,6 +160,20 @@ def test_sweep_spec_validation_rejects_bool_and_out_of_range_modes(monkeypatch):
             run_sweep(bound_spec(mode=mode))
     with pytest.raises(ValueError, match="expected an integer in 1..2"):
         run_sweep(bound_spec(state="singlet", mode=np.True_, columns=("chsh_horodecki",)))
+
+
+def test_sweep_spec_validation_rejects_non_integer_steps_and_string_columns(monkeypatch):
+    # the step counts follow the rule of the restarts count (optimize._check_integer), before any state is built
+    monkeypatch.setattr(cli, "_damped", lambda *args: pytest.fail("state built before the spec was checked"))
+    for field, label in (("param_steps", "param"), ("r_steps", "r")):
+        for steps in (0, -1, 2.5, 2.0, "3", None, True, np.True_):
+            with pytest.raises(ValueError, match=f"^{label} grid steps must be an integer >= 1"):
+                run_sweep(bound_spec(**{field: steps}))
+    # a string is a sequence of characters, not of column names
+    with pytest.raises(ValueError, match="sequence of column names, got 'svetlichny_bound'"):
+        run_sweep(bound_spec(columns="svetlichny_bound"))
+    monkeypatch.undo()
+    assert run_sweep(bound_spec(param_steps=np.int64(2), r_steps=np.int64(1))).count("\n") == 3
 
 
 def test_threshold_json_values():
@@ -401,8 +415,13 @@ def test_verify_catches_corrupted_correlation_tensor(monkeypatch):
 
 def test_verify_catches_corrupted_lattice_oracle(monkeypatch):
     # a transposed tensor swaps the parties inside `optimize` only
-    real = optimize.correlation_tensor
-    monkeypatch.setattr(optimize, "correlation_tensor", lambda rho: np.swapaxes(real(rho), -1, -2))
+    real = optimize._tensor
+
+    def transposed(rho):
+        t, modes = real(rho)
+        return np.swapaxes(t, -1, -2), modes
+
+    monkeypatch.setattr(optimize, "_tensor", transposed)
     residual, tolerance, _ = checks.check_lattice_dual_path()
     assert not residual <= tolerance
     assert math.isfinite(residual)

@@ -480,7 +480,7 @@ def test_evaluators_reject_non_finite_input():
 def test_state_entry_points_reject_non_states():
     # every state entry point checks shape, finiteness, Hermiticity and unit trace (not positivity)
     calls = {
-        "and trace 20$": [lambda: horodecki_max(5.0 * np.eye(4)), lambda: maximize_bell([5.0 * np.eye(4)], restarts=1)],
+        "and trace 20$": [lambda: horodecki_max(5.0 * np.eye(4)), lambda: maximize_bell(5.0 * np.eye(4), restarts=1)],
         "and trace 12$": [lambda: negativity(3.0 * np.eye(4), 1)],
         "and trace 16$": [lambda: pi_tangle(2.0 * np.eye(8)), lambda: svetlichny_upper(2.0 * np.eye(8))],
         "and trace 2$": [lambda: density([1.0, 1.0])],
@@ -506,7 +506,7 @@ def test_state_entry_points_reject_non_states():
 def test_valid_states_give_finite_values(seed, modes, data):
     rng = np.random.default_rng(seed)
     rho = random_density(rng, modes, data.draw(st.integers(1, 2**modes), label="rank"))
-    values = [bell_value(rho, random_directions(rng, (2 * modes,))), maximize_bell([rho], restarts=1)[0].value]
+    values = [bell_value(rho, random_directions(rng, (2 * modes,))), maximize_bell(rho, restarts=1).value]
     values += [negativity(rho, mode) for mode in range(1, modes + 1)]
     if modes == 2:
         values.append(horodecki_max(rho))
@@ -526,8 +526,8 @@ def test_evaluators_reject_non_hermitian_input():
         lambda: bell_value(bad2, chsh_tsirelson_settings()),
         lambda: bell_value(bad3, np.tile(Z_AXIS, (6, 1))),
         lambda: horodecki_max(bad2),
-        lambda: maximize_bell([bad2], restarts=1),
-        lambda: maximize_bell([bad3], restarts=1),
+        lambda: maximize_bell(bad2, restarts=1),
+        lambda: maximize_bell(bad3, restarts=1),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="not Hermitian"):

@@ -42,7 +42,7 @@ def test_stack_rows_equal_single_state_calls(seed, modes, rank, size, data):
     assert damped.shape == rhos.shape
     dirs = random_directions(rng, (size, 2 * modes))
     tensors, values = correlation_tensor(damped), bell_value(damped, dirs)
-    results = maximize_bell(damped, restarts=1, seed=seed % 1000)
+    result = maximize_bell(damped, restarts=1, seed=seed % 1000)
     upper = horodecki_max(damped) if modes == 2 else svetlichny_upper(damped)
     for i in range(size):
         rho = apply_channel(rhos[i], mode, rs[i])
@@ -50,10 +50,10 @@ def test_stack_rows_equal_single_state_calls(seed, modes, rank, size, data):
         assert np.array_equal(tensors[i], correlation_tensor(rho))
         assert values[i] == bell_value(rho, dirs[i])
         assert upper[i] == (horodecki_max(rho) if modes == 2 else svetlichny_upper(rho))
-        alone = maximize_bell([rho], restarts=1, seed=seed % 1000)[0]
-        assert results[i].value == alone.value
-        assert np.array_equal(results[i].directions, alone.directions)
-        assert (results[i].evaluations, results[i].converged, results[i].certified) == (
+        alone = maximize_bell(rho, restarts=1, seed=seed % 1000)
+        assert result.value[i] == alone.value
+        assert np.array_equal(result.directions[i], alone.directions)
+        assert (result.evaluations[i], result.converged[i], result.certified[i]) == (
             alone.evaluations, alone.converged, alone.certified)
 
 
@@ -151,6 +151,19 @@ def test_horodecki_rejects_values_above_the_quantum_maximum():
         horodecki_max(np.diag([2.0, -1.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="quantum maximum"):
         horodecki_max(np.stack([density(singlet()), np.diag([2.0, -1.0, 0.0, 0.0])]))
+
+
+def test_state_quantities_accept_empty_stacks():
+    # an empty stack (0, d, d) gives empty values, as apply_channel gives an empty stack of states
+    for modes in (2, 3):
+        empty = np.empty((0,) + (2**modes,) * 2)
+        assert correlation_tensor(empty).shape == (0,) + (3,) * modes
+        assert bell_value(empty, np.tile([0.0, 0.0, 1.0], (2 * modes, 1))).shape == (0,)
+        assert bell_value(density(singlet() if modes == 2 else gghz(0.3)), np.empty((0, 2 * modes, 3))).shape == (0,)
+        assert (horodecki_max(empty) if modes == 2 else svetlichny_upper(empty)).shape == (0,)
+        result = maximize_bell(empty.reshape((3, 0) + empty.shape[1:]), restarts=2)
+        assert result.value.shape == result.evaluations.shape == result.certified.shape == (3, 0)
+        assert result.directions.shape == (3, 0, 2 * modes, 3)
 
 
 def test_closed_forms_accept_empty_input():

@@ -48,7 +48,7 @@ def test_acceleration_parameter_rejects_bad_input():
         with pytest.raises(ValueError):
             acceleration_parameter(bad)
     # only a real number is a ratio: float() would read the strings and raise TypeError for the list
-    for bad in ([0.1, 0.2], np.array([0.1, 0.2]), "0.5", b"0.5", None, 1j):
+    for bad in ([0.1, 0.2], np.array([0.1, 0.2]), "0.5", b"0.5", None, 1j, 10**400):
         with pytest.raises(ValueError, match="finite number >= 0"):
             acceleration_parameter(bad)
 
