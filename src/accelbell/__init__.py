@@ -2,7 +2,8 @@
 
 Library layout:
 
-    linalg        the one state form (..., d, d) and its one check, the mode check, partial trace/transpose
+    linalg        the one state form (..., d, d) and its one check, the one reader of numbers from outside and
+                  the one integer rule, partial trace/transpose
     states        singlet / generalized GHZ / maximal slice kets (..., 8), spin observables along unit 3-vectors
     unruh         acceleration parameter, the wedge damping channel on state stacks, the one r check, dilation
     nonlocality   INEQUALITIES (CHSH, Svetlichny) by mode count and violates; correlation tensors of state stacks,

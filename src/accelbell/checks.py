@@ -55,10 +55,10 @@ def _damped_singlet(r):
     return unruh.apply_channel(linalg.density(states.singlet()), 2, r)
 
 
-def check_channel_dual_path(cases=50, seed=QUICK_SEED):
-    rng = np.random.default_rng(seed)
+def check_channel_dual_path():
+    rng = np.random.default_rng(QUICK_SEED)
     worst = 0.0
-    for _ in range(cases):
+    for _ in range(50):
         n = int(rng.integers(1, 4))
         mode = int(rng.integers(1, n + 1))
         r = float(rng.uniform(0.0, unruh.R_MAX))
@@ -66,7 +66,7 @@ def check_channel_dual_path(cases=50, seed=QUICK_SEED):
         kraus = unruh.apply_channel(linalg.density(psi), mode, r)
         reference = unruh.dilate_and_trace(psi, mode, r)
         worst = max(worst, float(np.max(np.abs(kraus - reference))))
-    return worst, 1e-12, f"{cases} random states"
+    return worst, 1e-12, "50 random states"
 
 
 def operator_bell_value(rho, dirs):
@@ -86,36 +86,35 @@ def operator_bell_value(rho, dirs):
     return abs(linalg.expectation(rho, s))
 
 
-def check_evaluator_dual_path(cases=20, settings=25, seed=QUICK_SEED + 7):
+def check_evaluator_dual_path():
     """The correlation-tensor ``bell_value``, scalar and batched, against the operator trace."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(QUICK_SEED + 7)
     worst = 0.0
-    for _ in range(cases):
+    for _ in range(20):
         for modes in (2, 3):
             rho = _random_mixed(rng, modes, int(rng.integers(1, 5)))
-            dirs = _random_directions(rng, (settings, 2 * modes))
+            dirs = _random_directions(rng, (25, 2 * modes))
             batched = nonlocality.bell_value(rho, dirs)
-            for k in range(settings):
-                reference, single = operator_bell_value(rho, dirs[k]), nonlocality.bell_value(rho, dirs[k])
-                worst = max(worst, abs(batched[k] - reference), abs(single - reference))
+            for setting, value in zip(dirs, batched):
+                reference, single = operator_bell_value(rho, setting), nonlocality.bell_value(rho, setting)
+                worst = max(worst, abs(value - reference), abs(single - reference))
         rho = _random_mixed(rng, 2, int(rng.integers(1, 5)))
         a, b = _random_directions(rng, (2,))
         pair = linalg.tensor(states.spin_observable(a), states.spin_observable(b))
         worst = max(worst, abs(nonlocality.correlation(rho, a, b) - linalg.expectation(rho, pair)))
-    detail = f"{cases} random mixed states per inequality, {settings} settings each, scalar and batched"
-    return worst, 1e-12, detail
+    return worst, 1e-12, "20 random mixed states per inequality, 25 settings each, scalar and batched"
 
 
-def check_lattice_dual_path(cases=10, seed=QUICK_SEED + 8):
+def check_lattice_dual_path():
     """Lattice oracle against a batched ``bell_value`` scan of every lattice setting.
 
     CHSH on the pi/2 lattice (12^4 settings), Svetlichny on the pi lattice
     (4^6).  The oracle's setting must reach the scan maximum: sign-flipped
     settings tie, so its index may differ from the scan's by rounding.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(QUICK_SEED + 8)
     worst = 0.0
-    for _ in range(cases):
+    for _ in range(10):
         for modes, resolution in ((2, math.pi / 2), (3, math.pi)):
             rho = _random_mixed(rng, modes, int(rng.integers(1, 5)))
             value, setting = optimize.grid_oracle(rho, resolution)
@@ -123,13 +122,13 @@ def check_lattice_dual_path(cases=10, seed=QUICK_SEED + 8):
             every = dirs[np.stack(np.indices((len(dirs),) * 2 * modes), axis=-1)]  # every lattice setting
             scan = float(np.max(nonlocality.bell_value(rho, every)))
             worst = max(worst, abs(value - scan), abs(nonlocality.bell_value(rho, setting) - scan))
-    return worst, 1e-12, f"{cases} random mixed states per inequality"
+    return worst, 1e-12, "10 random mixed states per inequality"
 
 
-def check_channel_cptp(cases=50, seed=QUICK_SEED + 1):
-    rng = np.random.default_rng(seed)
+def check_channel_cptp():
+    rng = np.random.default_rng(QUICK_SEED + 1)
     worst = 0.0
-    for _ in range(cases):
+    for _ in range(50):
         n = int(rng.integers(1, 4))
         mode = int(rng.integers(1, n + 1))
         r = float(rng.uniform(0.0, unruh.R_MAX))
@@ -148,23 +147,23 @@ def check_channel_identity_at_rest():
     return residual, 0.0, "r = 0 must be the identity map"
 
 
-def check_damped_correlation_law(grid=12):
+def check_damped_correlation_law():
     worst = 0.0
-    rs = np.linspace(0.0, unruh.R_MAX, grid)
+    rs = np.linspace(0.0, unruh.R_MAX, 12)
     for r, rho in zip(rs, _damped_singlet(rs)):
-        for theta in np.linspace(0.0, math.pi, grid):
+        for theta in np.linspace(0.0, math.pi, 12):
             got = nonlocality.correlation(rho, states.Z_AXIS, [math.sin(theta), 0.0, math.cos(theta)])
             want = -math.cos(r) ** 2 * math.cos(theta)
             worst = max(worst, abs(got - want))
     return worst, 1e-12, "C = -cos^2(r) cos(theta) on a grid"
 
 
-def check_restricted_chsh_equivalence(cases=40, seed=QUICK_SEED + 3):
+def check_restricted_chsh_equivalence():
     # one (r, gamma) draw per case, in the order of the scalar draws
-    rs, gammas = np.random.default_rng(seed).uniform((0.0, 0.0), (unruh.R_MAX, math.pi), size=(cases, 2)).T
+    rs, gammas = np.random.default_rng(QUICK_SEED + 3).uniform((0.0, 0.0), (unruh.R_MAX, math.pi), size=(40, 2)).T
     full = nonlocality.bell_value(_damped_singlet(rs), nonlocality.restricted_settings(gammas, rs))
     worst = float(np.max(np.abs(full - nonlocality.chsh_restricted(rs, gammas))))
-    return worst, 1e-12, f"{cases} random (r, gamma)"
+    return worst, 1e-12, "40 random (r, gamma)"
 
 
 def check_threshold_consistency():
@@ -179,16 +178,16 @@ def check_threshold_consistency():
     return max(residuals), 1e-9, "round trip and gamma scan at r_t"
 
 
-def check_eigensolver_trace_sum(cases=150, seed=QUICK_SEED + 4):
-    rng = np.random.default_rng(seed)
+def check_eigensolver_trace_sum():
+    rng = np.random.default_rng(QUICK_SEED + 4)
     worst = 0.0
-    for _ in range(cases):
+    for _ in range(150):
         d = int(rng.integers(2, 9))
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         h = (g + g.conj().T) / 2
         evs = linalg.hermitian_eigenvalues(h)
         worst = max(worst, abs(float(np.sum(evs)) - float(np.trace(h).real)))
-    return worst, 1e-10, f"{cases} random Hermitian matrices"
+    return worst, 1e-10, "150 random Hermitian matrices"
 
 
 def check_pi_tangle_endpoints():
@@ -204,29 +203,29 @@ def check_optimizer_determinism():
     return 0.0 if same else 1.0, 0.0, "identical seeds, identical output"
 
 
-def check_horodecki_vs_numeric(points=8, seed=QUICK_SEED + 5):
-    rhos = _damped_singlet(np.linspace(0.0, unruh.R_MAX, points))
-    numeric = optimize.maximize_bell(rhos, restarts=12, seed=seed).value
+def check_horodecki_vs_numeric():
+    rhos = _damped_singlet(np.linspace(0.0, unruh.R_MAX, 8))
+    numeric = optimize.maximize_bell(rhos, restarts=12, seed=QUICK_SEED + 5).value
     worst = float(np.max(np.abs(nonlocality.horodecki_max(rhos) - numeric)))
-    return worst, 1e-4, f"damped singlet, {points} r values"
+    return worst, 1e-4, "damped singlet, 8 r values"
 
 
-def check_svetlichny_numeric_vs_envelope(seed=QUICK_SEED + 6):
+def check_svetlichny_numeric_vs_envelope():
     """The envelope is the closed-form maximum on this family, so the numeric value must meet it from both sides."""
     t1s, rs = (axis.ravel() for axis in np.meshgrid(
         (math.pi / 16, math.pi / 8, math.pi / 4), (0.0, math.pi / 8, unruh.R_MAX), indexing="ij"))
     rhos = unruh.apply_channel(linalg.density(states.gghz(t1s)), 3, rs)
-    numeric = optimize.maximize_bell(rhos, restarts=12, seed=seed).value
+    numeric = optimize.maximize_bell(rhos, restarts=12, seed=QUICK_SEED + 6).value
     envelope = nonlocality.svetlichny_bound_gghz(t1s, rs).envelope
     margins = [f"t1={t1:.4f} r={r:.4f} numeric={n:.6f} envelope={e:.6f}"
                for t1, r, n, e in zip(t1s, rs, numeric, envelope)]
     return max(abs(n - e) for n, e in zip(numeric, envelope)), 1e-6, "; ".join(margins)
 
 
-def check_svetlichny_upper_vs_closed_forms(grid=9):
-    """The unfolding bound against the damped GGHZ envelope and both maximal-slice closed forms, on a grid."""
-    t, rs = (axis.ravel() for axis in np.meshgrid(np.linspace(0.0, math.pi / 2, grid),
-                                                  np.linspace(0.0, unruh.R_MAX, grid), indexing="ij"))
+def check_svetlichny_upper_vs_closed_forms():
+    """The unfolding bound against the damped GGHZ envelope and both maximal-slice closed forms, on a 9x9 grid."""
+    t, rs = (axis.ravel() for axis in np.meshgrid(np.linspace(0.0, math.pi / 2, 9),
+                                                  np.linspace(0.0, unruh.R_MAX, 9), indexing="ij"))
     cases = [(states.gghz, 3, nonlocality.svetlichny_bound_gghz(t, rs).envelope),
              (states.maximal_slice, 1, nonlocality.svetlichny_bound_ms_pair(t, rs)),
              (states.maximal_slice, 2, nonlocality.svetlichny_bound_ms_pair(t, rs)),
@@ -235,7 +234,7 @@ def check_svetlichny_upper_vs_closed_forms(grid=9):
     for build, mode, closed in cases:
         upper = nonlocality.svetlichny_upper(unruh.apply_channel(linalg.density(build(t)), mode, rs))
         worst = max(worst, float(np.max(np.abs(upper - closed))))
-    return worst, 1e-12, f"GGHZ (mode 3) and maximal slice (modes 1-3) on a {grid}x{grid} (angle, r) grid"
+    return worst, 1e-12, "GGHZ (mode 3) and maximal slice (modes 1-3) on a 9x9 (angle, r) grid"
 
 
 def check_pi_tangle_monotonicity():

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -52,7 +51,7 @@ def _check_state(state: str, mode: int) -> int:
     if state not in STATE_MODES:
         raise ValueError(f"unknown state {state!r}; choose from {sorted(STATE_MODES)}")
     n = STATE_MODES[state][0]
-    linalg._check_mode(mode, n)
+    linalg._check_integer("mode", mode, 1, n)
     return n
 
 
@@ -96,13 +95,11 @@ def _validate_spec(spec: SweepSpec) -> None:
         ("param", spec.param_start, spec.param_stop, spec.param_steps),
         ("r", spec.r_start, spec.r_stop, spec.r_steps),
     ):
-        if not (math.isfinite(start) and math.isfinite(stop)):
-            raise ValueError(f"{label} grid ends must be finite")
-        optimize._check_integer(f"{label} grid steps", steps, 1)
+        start, stop = (linalg._numbers(end, f"{label} grid end") for end in (start, stop))
+        linalg._check_integer(f"{label} grid steps", steps, 1)
         if stop < start:
             raise ValueError(f"{label} grid has stop < start")
-    if spec.r_start < 0.0 or spec.r_stop > unruh.R_MAX + 1e-12:
-        raise ValueError("r grid must live inside [0, pi/4]")
+    unruh._check_r([spec.r_start, spec.r_stop])
     if isinstance(spec.columns, str) or not spec.columns:  # a string is a sequence of characters, not of names
         raise ValueError(f"columns must be a non-empty sequence of column names, got {spec.columns!r}")
     if len(set(spec.columns)) != len(spec.columns):
@@ -154,29 +151,15 @@ def _sig(x: float) -> float:
 
 def solve_threshold() -> dict:
     """Scalar threshold report for the restricted CHSH family."""
-    th = nonlocality.chsh_threshold()
-    return {
-        "r_t": _sig(th.r_t),
-        "cos2_rt": _sig(th.cos2_rt),
-        "a_t_over_omega_c": _sig(th.a_t_over_omega_c),
-        "gamma_star": _sig(th.gamma_star),
-    }
+    return {name: _sig(value) for name, value in asdict(nonlocality.chsh_threshold()).items()}
 
 
 def solve_pi_tangle(state: str, param: float, r: float, mode: int) -> dict:
     if _check_state(state, mode) != 3:
         raise ValueError("pi-tangle needs a three-mode state")
     tangle = entanglement.pi_tangle(_damped(state, param, mode, r))
-    return {
-        "state": state,
-        "param": _sig(param),
-        "r": _sig(r),
-        "mode": mode,
-        "pi": _sig(tangle.pi),
-        "pi_1": _sig(tangle.pi_1),
-        "pi_2": _sig(tangle.pi_2),
-        "pi_3": _sig(tangle.pi_3),
-    }
+    report = {"state": state, "param": _sig(param), "r": _sig(r), "mode": mode}
+    return report | {name: _sig(value) for name, value in asdict(tangle).items()}
 
 
 def _write(text: str, out: str | None) -> None:

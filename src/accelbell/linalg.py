@@ -12,10 +12,16 @@ state is 2^n x 2^n (n >= 1), finite, Hermitian and of unit trace within
 so a stack is checked whole by one ``_state`` call at each entry point (``density``,
 ``unruh``, ``entanglement``, ``_tensor``); ``partial_trace`` and ``partial_transpose``
 take one operator.  The other functions also take non-states, such as T^T T, and
-check less.  A mode is an integer in 1..n, never a bool (``_check_mode``).
+check less.  Input from outside is read by one reader, ``_numbers``: numbers only,
+never None, a string, a bool or an iterator, and finite unless the caller says
+otherwise.  A count follows one integer rule, ``_check_integer``: a mode is an
+integer in 1..n, never a bool.
 """
 
 from __future__ import annotations
+
+import math
+import reprlib
 
 import numpy as np
 
@@ -34,10 +40,34 @@ __all__ = [
 ]
 
 
+def _numbers(values, what: str, dtype=float, finite: bool = True) -> np.ndarray:
+    """``values`` as an array of ``dtype`` (float or complex); ValueError unless they are numbers, all finite
+    unless ``finite`` is False.
+
+    numpy stores None, an iterator, a ``Fraction`` and an int beyond 64 bits as objects, and a string as text; none
+    of them, and no bool, is read as a number, nor is a complex number where ``dtype`` is float.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
+        raise ValueError(f"expected numbers for {what}, got {type(values).__name__}")
+    array = array.astype(dtype, copy=False)
+    if finite and not np.isfinite(array).all():
+        raise ValueError(f"non-finite {what}: {reprlib.repr(values)}")
+    return array
+
+
+def _check_integer(name: str, value, low: int, high: float = math.inf) -> None:
+    """Raise ValueError unless ``value`` is an integer in low..high; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not low <= value <= high:
+        span = f"in {low}..{high}" if high < math.inf else f">= {low}"
+        raise ValueError(f"{name} {value!r}: expected an integer {span}")
+
+
 def mode_count(dim: int) -> int:
     """Number of two-level modes for a Hilbert space of dimension ``dim``."""
+    _check_integer("dimension", dim, 1)
     n = int(dim).bit_length() - 1
-    if dim <= 0 or 2**n != dim:
+    if 2**n != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
     return n
 
@@ -50,15 +80,15 @@ def tensor(*factors: np.ndarray) -> np.ndarray:
     """
     if not factors:
         raise ValueError("tensor needs at least one factor")
-    out = np.asarray(factors[0], dtype=complex)
+    out = _numbers(factors[0], "tensor factor", complex)
     for f in factors[1:]:
-        out = np.kron(out, np.asarray(f, dtype=complex))
+        out = np.kron(out, _numbers(f, "tensor factor", complex))
     return out
 
 
 def density(psi: np.ndarray) -> np.ndarray:
     """Rank-one density operators |psi><psi| of kets (..., d); a non-finite or non-unit ket raises ValueError."""
-    v = np.atleast_1d(np.asarray(psi, dtype=complex))
+    v = np.atleast_1d(_numbers(psi, "ket", complex, finite=False))
     if not (np.abs(v) <= 1.0 + HERMITICITY_ATOL).all():  # before the product, which would overflow or make NaN
         raise ValueError("ket has a non-finite entry or one of modulus above 1, so it is not a unit ket")
     return _state(v[..., :, None] * v[..., None, :].conj())[0]
@@ -66,18 +96,13 @@ def density(psi: np.ndarray) -> np.ndarray:
 
 def _operator(rho: np.ndarray, mode) -> tuple[np.ndarray, int]:
     """One square operator as a complex array, and its mode count; ``mode`` must be one of its modes."""
-    rho = np.asarray(rho, dtype=complex)
+    if not (isinstance(rho, np.ndarray) and rho.dtype == complex):  # a checked state is read as it is
+        rho = _numbers(rho, "operator", complex, finite=False)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
     n = mode_count(rho.shape[0])
-    _check_mode(mode, n)
+    _check_integer("mode", mode, 1, n)
     return rho, n
-
-
-def _check_mode(mode, n: int) -> None:
-    """Raise ValueError unless ``mode`` is an integer in 1..n; a bool is not one."""
-    if isinstance(mode, bool) or not isinstance(mode, (int, np.integer)) or not 1 <= mode <= n:
-        raise ValueError(f"mode {mode!r} out of range: expected an integer in 1..{n}")
 
 
 def partial_trace(rho: np.ndarray, mode: int) -> np.ndarray:
@@ -111,16 +136,11 @@ def partial_transpose(rho: np.ndarray, mode: int) -> np.ndarray:
 
 
 def _require_hermitian(matrix: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
-    try:
-        m = np.asarray(matrix, dtype=complex)
-    except TypeError:  # numpy reads an iterator or a generator as one object, not as an array of numbers
-        raise ValueError(f"expected a square matrix or a stack of them, got {type(matrix).__name__}") from None
+    m = _numbers(matrix, "matrix", complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[-1] > MAX_DIM:
         raise ValueError(f"dimension {m.shape[-1]} exceeds the supported maximum {MAX_DIM}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix has non-finite entries")
     residual = float(np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(initial=0.0))
     if residual > atol:
         raise ValueError(f"matrix is not Hermitian (residual {residual:.3e} > {atol:.0e})")
@@ -146,5 +166,6 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
 
 def expectation(rho: np.ndarray, observable: np.ndarray) -> float:
     """Real part of Tr[rho O]."""
-    return float(np.einsum("ij,ji->", np.asarray(rho, complex), np.asarray(observable, complex)).real)
+    rho, observable = _numbers(rho, "operator", complex), _numbers(observable, "observable", complex)
+    return float(np.einsum("ij,ji->", rho, observable).real)
 

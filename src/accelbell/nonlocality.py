@@ -28,7 +28,8 @@ The state quantities take a stack of states (..., d, d), checked in one
 and one setting give a float.  ``violates`` reads the classical bound of the
 table's row, with margin ``VIOLATION_TOL``.  ``ValueError`` is raised for a
 non-state, settings of the wrong count or non-finite, and a value above the
-quantum maximum.
+quantum maximum; angles and values are read by ``linalg._numbers`` and mode
+counts follow ``linalg._check_integer``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _state, hermitian_eigenvalues
+from .linalg import _check_integer, _numbers, _state, hermitian_eigenvalues
 from .states import PAULI, _unit_vectors
 from .unruh import _check_r
 
@@ -87,14 +88,6 @@ __all__ = [
     "svetlichny_bound_ms_slice",
     "violates",
 ]
-
-
-def _check_closed_form(r, *angles) -> np.ndarray:
-    """r as a float array; ValueError for a non-finite angle or for r outside [0, pi/4] (``unruh._check_r``)."""
-    values = (r, *angles)
-    if not all(np.isfinite(v).all() for v in values):
-        raise ValueError(f"closed form needs finite angles, got non-finite input {values!r}")
-    return _check_r(r)
 
 
 def _tensor(rho: np.ndarray, modes: int | None = None) -> tuple[np.ndarray, int]:
@@ -174,8 +167,8 @@ def restricted_settings(gamma, r=0.0) -> np.ndarray:
     their transverse correlation equal to -cos^2(r) cos(2 gamma) and makes
     the closed form of ``chsh_restricted`` exact for every r.
     """
-    r = _check_closed_form(r, gamma)
-    g, split = np.broadcast_arrays(np.asarray(gamma, dtype=float), math.pi - r)
+    r, g = _check_r(r), _numbers(gamma, "angle gamma")
+    g, split = np.broadcast_arrays(g, math.pi - r)
     s, c, zero = np.sin(g), np.cos(g), np.zeros(g.shape)
     z = np.stack([zero, zero, zero + 1.0], axis=-1)
     return np.stack([z, np.stack([s * np.cos(split), s * np.sin(split), c], -1), z, np.stack([s, zero, c], -1)], -2)
@@ -184,8 +177,7 @@ def restricted_settings(gamma, r=0.0) -> np.ndarray:
 def chsh_restricted(r, gamma):
     """CHSH value of the damped singlet on the restricted family:
     2 cos^2(r) |sin^2(gamma) + cos(gamma)|.  Values above 2 are violations."""
-    r = _check_closed_form(r, gamma)
-    g = np.asarray(gamma, dtype=float)
+    r, g = _check_r(r), _numbers(gamma, "angle gamma")
     vals = 2.0 * np.square(np.cos(r)) * np.abs(np.square(np.sin(g)) + np.cos(g))
     return _maybe_scalar(vals)
 
@@ -289,8 +281,7 @@ def svetlichny_bound_gghz(theta1, r) -> GghzBound:
     The moduli keep the form valid for every t1, which ``states.gghz``
     folds into [0, pi/2]: at t1 = pi/2 (|111>) the axial value is 4.
     """
-    r = _check_closed_form(r, theta1)
-    t1 = np.asarray(theta1, dtype=float)
+    r, t1 = _check_r(r), _numbers(theta1, "control angle theta1")
     axial_amp = 2.0 * np.square(np.cos(t1)) * np.square(np.cos(r)) - 1.0
     axial_value = 4.0 * np.abs(axial_amp)
     equatorial_value = 4.0 * math.sqrt(2.0) * np.abs(np.sin(2.0 * t1)) * np.cos(r)
@@ -308,8 +299,7 @@ def svetlichny_bound_ms_pair(theta3, r):
     """Svetlichny maximum of the maximal slice state when the accelerated
     observer holds one of the paired qubits (1 or 2):
     4 cos(r) sqrt(cos^2 t3 + 2 sin^2 t3).  Exceeds 4 iff sin^2 t3 > tan^2 r."""
-    r = _check_closed_form(r, theta3)
-    t3 = np.asarray(theta3, dtype=float)
+    r, t3 = _check_r(r), _numbers(theta3, "control angle theta3")
     vals = 4.0 * np.cos(r) * np.sqrt(np.square(np.cos(t3)) + 2.0 * np.square(np.sin(t3)))
     return _maybe_scalar(vals)
 
@@ -318,8 +308,7 @@ def svetlichny_bound_ms_slice(theta3, r):
     """Svetlichny maximum of the maximal slice state when the accelerated
     observer holds the slice qubit (3):
     4 sqrt(cos^2 t3 cos^2 2r + 2 sin^2 t3 cos^2 r)."""
-    r = _check_closed_form(r, theta3)
-    t3 = np.asarray(theta3, dtype=float)
+    r, t3 = _check_r(r), _numbers(theta3, "control angle theta3")
     cos2, sin2 = np.square(np.cos(t3)), np.square(np.sin(t3))
     vals = 4.0 * np.sqrt(cos2 * np.square(np.cos(2.0 * r)) + 2.0 * sin2 * np.square(np.cos(r)))
     return _maybe_scalar(vals)
@@ -327,6 +316,6 @@ def svetlichny_bound_ms_slice(theta3, r):
 
 def violates(values, modes: int):
     """Where values of the ``modes``-mode inequality clear its classical bound beyond ``VIOLATION_TOL``, elementwise."""
-    if modes not in INEQUALITIES:
-        raise ValueError(f"no inequality for {modes!r} modes; the table has {sorted(INEQUALITIES)}")
-    return _maybe_scalar(np.asarray(values) > INEQUALITIES[modes].classical_bound + VIOLATION_TOL)
+    _check_integer("mode count", modes, min(INEQUALITIES), max(INEQUALITIES))
+    values = _numbers(values, "Bell values", finite=False)  # NaN is no violation
+    return _maybe_scalar(values > INEQUALITIES[modes].classical_bound + VIOLATION_TOL)

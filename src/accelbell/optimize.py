@@ -48,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _check_integer, _numbers
 from .nonlocality import _bell_fields, _bell_value, _maybe_scalar, _tensor, _upper_bound
 
 DEFAULT_BUDGET = 10**8
@@ -177,8 +178,9 @@ def _nelder_mead(fn, x0: np.ndarray, step: np.ndarray, goal: np.ndarray):
 
 
 def _lattice_steps(resolution: float) -> int:
-    if not (math.isfinite(resolution) and resolution > 0.0):
-        raise ValueError(f"resolution {resolution!r} must be a positive angle")
+    step = _numbers(resolution, "lattice resolution")
+    if step.ndim or not step > 0.0:
+        raise ValueError(f"resolution {resolution!r} must be one positive angle")
     k = round(math.pi / resolution)
     if k < 1 or abs(math.pi / resolution - k) > 1e-9:
         raise ValueError(f"resolution {resolution!r} must divide pi")
@@ -227,12 +229,6 @@ def grid_oracle(rhos, resolution: float) -> tuple[float | np.ndarray, np.ndarray
     lead = t.shape[:-modes]
     values, angles = _grid_search(t.reshape((-1,) + (3,) * modes), modes, resolution)
     return _maybe_scalar(values.reshape(lead)), _angles_to_directions(angles).reshape(lead + (2 * modes, 3))
-
-
-def _check_integer(name: str, value, low: int) -> None:
-    """Raise ValueError unless ``value`` is an integer >= ``low``; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _check_search(restarts: int, witness_resolution: float | None, seed: int) -> None:

@@ -4,8 +4,9 @@ Kets follow the linalg convention (mode 1 = most significant bit), and all
 hbar factors are absorbed so that correlations are dimensionless Pauli
 expectations.  The families map angles (...) to kets (..., 8).  Angles outside
 the canonical range are folded back in by the family's relabeling symmetry,
-and each call reports its fold count on this module's logger; a non-finite
-angle raises ValueError.
+and each call reports its fold count on this module's logger; angles and
+directions are read by ``linalg._numbers``, so a non-finite angle, a string, a
+bool, None or an iterator raises ValueError.
 A measurement direction is a unit 3-vector, never an angle pair;
 ``_unit_vectors`` checks directions here and in ``nonlocality``.
 """
@@ -16,6 +17,8 @@ import logging
 import math
 
 import numpy as np
+
+from .linalg import _numbers
 
 logger = logging.getLogger(__name__)
 
@@ -47,7 +50,7 @@ __all__ = [
 
 def _unit_vectors(settings, count: int) -> np.ndarray:
     """Normalize settings to a float array of unit vectors, shape (..., count, 3)."""
-    arr = np.asarray(settings, dtype=float)
+    arr = _numbers(settings, "measurement directions", finite=False)  # the shape is checked first
     if arr.ndim < 2 or arr.shape[-2] != count or arr.shape[-1] != 3:
         raise ValueError(f"expected {count} directions of dimension 3, got shape {arr.shape}")
     norms = np.einsum("...i,...i->...", arr, arr)
@@ -65,9 +68,7 @@ def spin_observable(d) -> np.ndarray:
 
 def _fold(theta, period: float, label: str) -> np.ndarray:
     """Fold angles into [0, period / 2] by the family's relabeling symmetry; a non-finite angle raises ValueError."""
-    theta = np.asarray(theta, dtype=float)
-    if not np.isfinite(theta).all():
-        raise ValueError(f"{label}: non-finite control angle in {theta!r}")
+    theta = _numbers(theta, f"control angle of {label}")
     t = np.minimum(theta % period, period - theta % period)  # period - t is exact for t >= period / 2
     folded = int(np.count_nonzero(np.abs(t - theta) > 1e-15))
     if folded:

@@ -25,17 +25,18 @@ reshaped density operators, so no Kronecker operator is built; the leading
 axes of the state stack and of r broadcast.  It and ``dilate`` followed by a
 partial trace (``dilate_and_trace``, one ket) are two independent implementations
 of the same map and must agree to 1e-12; the cross-check lives in the test suite
-and in ``checks.verify``.  ``_check_r`` is the package's one r-domain check.
+and in ``checks.verify``.  ``_check_r`` is the package's one r-domain check; it
+and ``acceleration_parameter`` read their input with ``linalg._numbers``, and
+modes follow ``linalg._check_integer``.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .linalg import _check_mode, _state, density, mode_count, partial_trace
+from .linalg import _check_integer, _numbers, _state, density, mode_count, partial_trace
 
 R_MAX = math.pi / 4.0
 
@@ -46,27 +47,22 @@ def acceleration_parameter(omega_ratio: float) -> float:
     """Damping angle r for the frequency-to-acceleration ratio W = omega c / a.
 
     Monotone decreasing in W: the boundary W = 0 (infinite acceleration)
-    gives r = pi/4, and W -> infinity (inertial) gives r -> 0.  Only a real
-    number is accepted: negative and non-finite numbers, ints beyond the
-    float range, bools (True is not W = 1), strings, bytes and arrays raise
-    ValueError.
+    gives r = pi/4, and W -> infinity (inertial) gives r -> 0.  Only one real
+    number is accepted: negative and non-finite numbers, ints beyond 64 bits,
+    bools (True is not W = 1), strings, bytes and arrays raise ValueError.
     """
-    real = isinstance(omega_ratio, numbers.Real) and not isinstance(omega_ratio, (bool, np.bool_))
-    try:
-        valid = real and math.isfinite(omega_ratio) and omega_ratio >= 0.0
-    except OverflowError:  # an int beyond the float range is a real number, but math.isfinite cannot take it
-        valid = False
-    if not valid:
-        raise ValueError(f"frequency-to-acceleration ratio must be a finite number >= 0, got {omega_ratio!r}")
-    w = float(omega_ratio)
+    w = _numbers(omega_ratio, "frequency-to-acceleration ratio")
+    if w.ndim or w < 0.0:
+        raise ValueError(f"frequency-to-acceleration ratio must be one number >= 0, got {omega_ratio!r}")
+    w = float(w)
     # exp underflows to 0 for large w, giving r = 0 exactly
     return math.acos(1.0 / math.sqrt(1.0 + math.exp(-2.0 * math.pi * w)))
 
 
 def _check_r(r) -> np.ndarray:
-    """r as a float array; ValueError unless every entry lies in [0, pi/4] (NaN does not)."""
-    r = np.asarray(r, dtype=float)
-    outside = ~((r >= 0.0) & (r <= R_MAX + 1e-12))
+    """r as a float array; ValueError unless it is finite numbers, each in [0, pi/4]."""
+    r = _numbers(r, "acceleration parameter r")
+    outside = (r < 0.0) | (r > R_MAX + 1e-12)
     if outside.any():
         raise ValueError(f"acceleration parameter r={float(r[outside][0])!r} outside [0, pi/4]")
     return r
@@ -87,11 +83,11 @@ def dilate(psi: np.ndarray, mode: int, r: float) -> np.ndarray:
     new hidden-wedge mode is appended as the trailing (least significant)
     mode, per the two state maps above.  Norm is preserved exactly.
     """
-    if np.ndim(r):  # float() of an array would raise TypeError
-        raise ValueError(f"dilate takes one acceleration parameter r, got an array of shape {np.shape(r)}")
-    r = float(_check_r(r))
+    r = _check_r(r)
+    if r.ndim:
+        raise ValueError(f"dilate takes one acceleration parameter r, got an array of shape {r.shape}")
     n = mode_count(len(density(psi)))  # density's check rejects a non-finite or non-unit ket
-    _check_mode(mode, n)
+    _check_integer("mode", mode, 1, n)
     t = np.moveaxis(np.asarray(psi, dtype=complex).reshape((2,) * n), mode - 1, 0)
     out = np.zeros((2,) + t.shape[1:] + (2,), dtype=complex)
     out[0, ..., 0] = math.cos(r) * t[0]
@@ -107,7 +103,7 @@ def apply_channel(rho: np.ndarray, mode: int, r) -> np.ndarray:
     every pure state psi; that dual-path contract is enforced by the tests.
     """
     rho, n = _state(rho)
-    _check_mode(mode, n)
+    _check_integer("mode", mode, 1, n)
     k = build_channel(r)
     left, right = 2 ** (mode - 1), 2 ** (n - mode)
     t = rho.reshape(rho.shape[:-2] + (left, 2, right, left, 2, right))

@@ -153,7 +153,7 @@ def test_sweep_validation_errors():
 
 
 def test_sweep_spec_validation_rejects_bool_and_out_of_range_modes(monkeypatch):
-    # the one mode check (linalg._check_mode) runs in _validate_spec, before any state is built
+    # the one integer rule (linalg._check_integer) checks the mode in _validate_spec, before any state is built
     monkeypatch.setattr(cli, "_damped", lambda *args: pytest.fail("state built before the mode was checked"))
     for mode in (True, 0, 4, 2.0):
         with pytest.raises(ValueError, match="expected an integer in 1..3"):
@@ -163,11 +163,11 @@ def test_sweep_spec_validation_rejects_bool_and_out_of_range_modes(monkeypatch):
 
 
 def test_sweep_spec_validation_rejects_non_integer_steps_and_string_columns(monkeypatch):
-    # the step counts follow the rule of the restarts count (optimize._check_integer), before any state is built
+    # the step counts follow the rule of the restarts count (linalg._check_integer), before any state is built
     monkeypatch.setattr(cli, "_damped", lambda *args: pytest.fail("state built before the spec was checked"))
     for field, label in (("param_steps", "param"), ("r_steps", "r")):
         for steps in (0, -1, 2.5, 2.0, "3", None, True, np.True_):
-            with pytest.raises(ValueError, match=f"^{label} grid steps must be an integer >= 1"):
+            with pytest.raises(ValueError, match=f"^{label} grid steps .*: expected an integer >= 1$"):
                 run_sweep(bound_spec(**{field: steps}))
     # a string is a sequence of characters, not of column names
     with pytest.raises(ValueError, match="sequence of column names, got 'svetlichny_bound'"):

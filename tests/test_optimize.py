@@ -282,7 +282,7 @@ def test_config_validation():
         maximize_bell([], restarts=1)
     # a stack is an array or a list; an iterator or a generator is not read as one
     for rhos in (iter([rho]), (state for state in [rho])):
-        with pytest.raises(ValueError, match="square matrix or a stack of them"):
+        with pytest.raises(ValueError, match="expected numbers for matrix, got (list_iterator|generator)"):
             maximize_bell(rhos, restarts=1)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accelbell import cli, entanglement, linalg, nonlocality, unruh
+from accelbell import cli, entanglement, linalg, nonlocality, optimize, states, unruh
 from accelbell.cli import SweepSpec, run_sweep
 from accelbell.entanglement import negativity
 from accelbell.linalg import density, partial_trace, partial_transpose
@@ -175,3 +175,89 @@ def test_closed_forms_accept_empty_input():
     assert svetlichny_bound_ms_slice(0.3, []).shape == svetlichny_bound_ms_slice([], 0.3).shape == (0,)
     assert nonlocality.restricted_settings([], 0.3).shape == (0, 4, 3)
     assert apply_channel(density(singlet()), 2, empty).shape == (0, 4, 4)
+
+
+_RHO2, _RHO3 = density(singlet()), density(gghz(0.3))
+_SPEC = dict(state="gghz", param_start=0.0, param_stop=0.5, param_steps=2, r_start=0.0, r_stop=0.5, r_steps=2,
+             mode=3, columns=("svetlichny_bound",), seed=0, restarts=1, certify_resolution=math.pi)
+# entry point and argument: (call with that argument replaced, a valid value of it, what it must be)
+_ARGUMENTS = {
+    "mode_count": (linalg.mode_count, 4, "integer"),
+    "tensor": (lambda x: linalg.tensor(x, _RHO2), _RHO2, "finite"),
+    "density": (density, singlet(), "finite"),
+    "partial_trace-rho": (lambda x: partial_trace(x, 1), _RHO2, "number"),
+    "partial_trace-mode": (lambda x: partial_trace(_RHO2, x), 1, "integer"),
+    "partial_transpose-rho": (lambda x: partial_transpose(x, 1), _RHO2, "number"),
+    "partial_transpose-mode": (lambda x: partial_transpose(_RHO2, x), 1, "integer"),
+    "hermitian_eigenvalues": (linalg.hermitian_eigenvalues, _RHO2, "finite"),
+    "expectation-rho": (lambda x: linalg.expectation(x, _RHO2), _RHO2, "finite"),
+    "expectation-observable": (lambda x: linalg.expectation(_RHO2, x), _RHO2, "finite"),
+    "spin_observable": (states.spin_observable, states.Z_AXIS, "finite"),
+    "gghz": (gghz, 0.3, "finite"),
+    "maximal_slice": (maximal_slice, 0.3, "finite"),
+    "acceleration_parameter": (unruh.acceleration_parameter, 0.5, "finite"),
+    "build_channel": (build_channel, 0.1, "finite"),
+    "dilate-psi": (lambda x: dilate(x, 1, 0.1), singlet(), "finite"),
+    "dilate-mode": (lambda x: dilate(singlet(), x, 0.1), 1, "integer"),
+    "dilate-r": (lambda x: dilate(singlet(), 1, x), 0.1, "finite"),
+    "apply_channel-rho": (lambda x: apply_channel(x, 1, 0.1), _RHO2, "finite"),
+    "apply_channel-mode": (lambda x: apply_channel(_RHO2, x, 0.1), 1, "integer"),
+    "apply_channel-r": (lambda x: apply_channel(_RHO2, 1, x), 0.1, "finite"),
+    "correlation_tensor": (correlation_tensor, _RHO2, "finite"),
+    "correlation-a": (lambda x: nonlocality.correlation(_RHO2, x, states.Z_AXIS), states.Z_AXIS, "finite"),
+    "correlation-b": (lambda x: nonlocality.correlation(_RHO2, states.Z_AXIS, x), states.Z_AXIS, "finite"),
+    "bell_value-rho": (lambda x: bell_value(x, np.tile(states.Z_AXIS, (4, 1))), _RHO2, "finite"),
+    "bell_value-settings": (lambda x: bell_value(_RHO2, x), np.tile(states.Z_AXIS, (4, 1)), "finite"),
+    "restricted_settings-gamma": (nonlocality.restricted_settings, 0.2, "finite"),
+    "restricted_settings-r": (lambda x: nonlocality.restricted_settings(0.2, x), 0.1, "finite"),
+    "chsh_restricted-r": (lambda x: chsh_restricted(x, 0.2), 0.1, "finite"),
+    "chsh_restricted-gamma": (lambda x: chsh_restricted(0.1, x), 0.2, "finite"),
+    "chsh_restricted_max": (chsh_restricted_max, 0.1, "finite"),
+    "horodecki_max": (horodecki_max, _RHO2, "finite"),
+    "svetlichny_upper": (svetlichny_upper, _RHO3, "finite"),
+    "svetlichny_bound_gghz-theta1": (lambda x: svetlichny_bound_gghz(x, 0.1), 0.3, "finite"),
+    "svetlichny_bound_gghz-r": (lambda x: svetlichny_bound_gghz(0.3, x), 0.1, "finite"),
+    "svetlichny_bound_ms_pair-theta3": (lambda x: svetlichny_bound_ms_pair(x, 0.1), 1.0, "finite"),
+    "svetlichny_bound_ms_pair-r": (lambda x: svetlichny_bound_ms_pair(1.0, x), 0.1, "finite"),
+    "svetlichny_bound_ms_slice-theta3": (lambda x: svetlichny_bound_ms_slice(x, 0.1), 1.0, "finite"),
+    "svetlichny_bound_ms_slice-r": (lambda x: svetlichny_bound_ms_slice(1.0, x), 0.1, "finite"),
+    "violates-values": (lambda x: nonlocality.violates(x, 2), 3.0, "number"),  # NaN is no violation
+    "violates-modes": (lambda x: nonlocality.violates(2.5, x), 2, "integer"),
+    "negativity-rho": (lambda x: negativity(x, 1), _RHO2, "finite"),
+    "negativity-mode": (lambda x: negativity(_RHO2, x), 1, "integer"),
+    "pi_tangle": (entanglement.pi_tangle, _RHO3, "finite"),
+    "maximize_bell-rhos": (lambda x: maximize_bell(x, restarts=1), _RHO2, "finite"),
+    "maximize_bell-witness_resolution": (lambda x: maximize_bell(_RHO2, x, restarts=1), math.pi, "optional"),
+    "maximize_bell-restarts": (lambda x: maximize_bell(_RHO2, restarts=x), 1, "integer"),
+    "maximize_bell-seed": (lambda x: maximize_bell(_RHO2, restarts=1, seed=x), 0, "integer"),
+    "grid_oracle-rhos": (lambda x: optimize.grid_oracle(x, math.pi), _RHO2, "finite"),
+    "grid_oracle-resolution": (lambda x: optimize.grid_oracle(_RHO2, x), math.pi, "finite"),
+    "solve_pi_tangle-param": (lambda x: cli.solve_pi_tangle("gghz", x, 0.1, 3), 0.3, "finite"),
+    "solve_pi_tangle-r": (lambda x: cli.solve_pi_tangle("gghz", 0.3, x, 3), 0.1, "finite"),
+    "solve_pi_tangle-mode": (lambda x: cli.solve_pi_tangle("gghz", 0.3, 0.1, x), 3, "integer"),
+    **{f"run_sweep-{field}": (lambda x, field=field: run_sweep(SweepSpec(**{**_SPEC, field: x})), _SPEC[field], kind)
+       for field, kind in (("param_start", "finite"), ("param_stop", "finite"), ("param_steps", "integer"),
+                           ("r_start", "finite"), ("r_stop", "finite"), ("r_steps", "integer"), ("mode", "integer"),
+                           ("restarts", "integer"), ("seed", "integer"), ("certify_resolution", "optional"))},
+}
+
+
+@pytest.mark.parametrize("argument", _ARGUMENTS)
+def test_entry_points_reject_non_numbers(argument):
+    # one reader (linalg._numbers) and one integer rule (linalg._check_integer) behind every entry point: None, an
+    # iterator, a string and a bool are ValueError, never TypeError or a number; so are NaN where the argument
+    # must be finite, and a float where it must be an integer
+    call, good, kind = _ARGUMENTS[argument]
+    call(good)
+    bad = [iter(np.asarray(good).tolist() if np.ndim(good) else [good]), str(good), True, np.True_]
+    if kind == "optional":  # a finite number, or None for none
+        call(None)
+    else:
+        bad.append(None)
+    if kind != "number":
+        bad.append(np.full(np.shape(good), math.nan))
+    if kind == "integer":
+        bad += [float(good), np.float64(good)]
+    for value in bad:
+        with pytest.raises(ValueError):
+            call(value)

@@ -49,7 +49,7 @@ def test_acceleration_parameter_rejects_bad_input():
             acceleration_parameter(bad)
     # only a real number is a ratio: float() would read the strings and raise TypeError for the list
     for bad in ([0.1, 0.2], np.array([0.1, 0.2]), "0.5", b"0.5", None, 1j, 10**400):
-        with pytest.raises(ValueError, match="finite number >= 0"):
+        with pytest.raises(ValueError, match="frequency-to-acceleration ratio"):
             acceleration_parameter(bad)
 
 
@@ -59,7 +59,7 @@ def test_scalar_entry_points_reject_arrays_and_bools():
         with pytest.raises(ValueError, match="one acceleration parameter"):
             call()
     for flag in (True, False, np.True_):
-        with pytest.raises(ValueError, match="finite number >= 0"):
+        with pytest.raises(ValueError, match="frequency-to-acceleration ratio"):
             acceleration_parameter(flag)
 
 
