@@ -2,8 +2,8 @@
 
 Library layout:
 
-    linalg        the one state form (..., d, d) and its one check, the one reader of numbers from outside and
-                  the one integer rule, partial trace/transpose
+    linalg        the one shape rule for matrices (..., d, d), the one state check, the one reader of numbers from
+                  outside and the one integer rule, partial trace/transpose of operators (..., d, d)
     states        singlet / generalized GHZ / maximal slice kets (..., 8), spin observables along unit 3-vectors
     unruh         acceleration parameter, the wedge damping channel on state stacks, the one r check, dilation
     nonlocality   INEQUALITIES (CHSH, Svetlichny) by mode count and violates; correlation tensors of state stacks,
@@ -13,19 +13,12 @@ Library layout:
                   form + lockstep simplex, stopped per state once it reaches the state's upper bound; fields
                   with the stack's leading axes; separable lattice oracle grid_oracle on the same state form
     entanglement  negativity across one mode (pairs via linalg.partial_trace), residual tripartite tangle
-    checks        cross-module invariant suite (the `verify` command), timed per check
+    checks        cross-module invariant suite (the `verify` command), timed per check; loaded by `verify` only
     cli           sweep / threshold / verify / pi-tangle commands; one COLUMNS entry per sweep column, flagged or not
 """
 
 from .entanglement import PiTangle, negativity, pi_tangle
-from .linalg import (
-    density,
-    expectation,
-    hermitian_eigenvalues,
-    partial_trace,
-    partial_transpose,
-    tensor,
-)
+from .linalg import density, partial_trace, partial_transpose, tensor
 from .nonlocality import (
     INEQUALITIES,
     ChshThreshold,

@@ -2,7 +2,7 @@
 
 Levels: "quick" runs the cheap invariants (channel, Bell evaluator and
 lattice oracle dual paths, CPTP, correlation law, restricted-family equivalence,
-threshold, eigensolver, tangle endpoints, optimizer determinism); "full" adds
+threshold, tangle endpoints, optimizer determinism); "full" adds
 the optimizer-vs-bound grids, the Svetlichny upper bound against the closed
 forms, the tangle monotonicity sweeps and the maximal-slice bound structure.
 
@@ -83,7 +83,7 @@ def operator_bell_value(rho, dirs):
         a, ap, c, cp, b, bp = obs
         k, kp = b + bp, b - bp
         s = linalg.tensor(a, c, kp) + linalg.tensor(a, cp, k) + linalg.tensor(ap, c, k) - linalg.tensor(ap, cp, kp)
-    return abs(linalg.expectation(rho, s))
+    return abs(float(np.einsum("ij,ji->", rho, s).real))
 
 
 def check_evaluator_dual_path():
@@ -101,7 +101,7 @@ def check_evaluator_dual_path():
         rho = _random_mixed(rng, 2, int(rng.integers(1, 5)))
         a, b = _random_directions(rng, (2,))
         pair = linalg.tensor(states.spin_observable(a), states.spin_observable(b))
-        worst = max(worst, abs(nonlocality.correlation(rho, a, b) - linalg.expectation(rho, pair)))
+        worst = max(worst, abs(nonlocality.correlation(rho, a, b) - np.einsum("ij,ji->", rho, pair).real))
     return worst, 1e-12, "20 random mixed states per inequality, 25 settings each, scalar and batched"
 
 
@@ -135,7 +135,7 @@ def check_channel_cptp():
         out = unruh.apply_channel(linalg.density(_random_state(rng, n)), mode, r)
         herm = float(np.max(np.abs(out - out.conj().T)))
         tr = abs(complex(np.trace(out)) - 1.0)
-        low = -float(linalg.hermitian_eigenvalues((out + out.conj().T) / 2)[0])
+        low = -float(np.linalg.eigvalsh((out + out.conj().T) / 2)[0])
         worst = max(worst, herm, tr, low / 100.0)  # eigenvalue floor 1e-10 vs 1e-12 scale
     return worst, 1e-12, "hermiticity, trace, positivity of outputs"
 
@@ -176,18 +176,6 @@ def check_threshold_consistency():
         abs(scan_max - 2.0),
     ]
     return max(residuals), 1e-9, "round trip and gamma scan at r_t"
-
-
-def check_eigensolver_trace_sum():
-    rng = np.random.default_rng(QUICK_SEED + 4)
-    worst = 0.0
-    for _ in range(150):
-        d = int(rng.integers(2, 9))
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        h = (g + g.conj().T) / 2
-        evs = linalg.hermitian_eigenvalues(h)
-        worst = max(worst, abs(float(np.sum(evs)) - float(np.trace(h).real)))
-    return worst, 1e-10, "150 random Hermitian matrices"
 
 
 def check_pi_tangle_endpoints():
@@ -269,7 +257,6 @@ QUICK_CHECKS = [
     check_damped_correlation_law,
     check_restricted_chsh_equivalence,
     check_threshold_consistency,
-    check_eigensolver_trace_sum,
     check_pi_tangle_endpoints,
     check_optimizer_determinism,
 ]

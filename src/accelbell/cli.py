@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import checks, entanglement, linalg, nonlocality, optimize, states, unruh
+from . import entanglement, linalg, nonlocality, optimize, states, unruh
 
 
 STATE_BUILDERS = {
@@ -89,18 +89,24 @@ COLUMNS = {
 }
 
 
+def _grid_end(spec: SweepSpec, name: str) -> float:
+    end = linalg._numbers(getattr(spec, name), f"grid end {name}")
+    if end.ndim:
+        raise ValueError(f"grid end {name} must be one number, got {getattr(spec, name)!r}")
+    return float(end)
+
+
 def _validate_spec(spec: SweepSpec) -> None:
     n = _check_state(spec.state, spec.mode)
-    for label, start, stop, steps in (
-        ("param", spec.param_start, spec.param_stop, spec.param_steps),
-        ("r", spec.r_start, spec.r_stop, spec.r_steps),
-    ):
-        start, stop = (linalg._numbers(end, f"{label} grid end") for end in (start, stop))
+    for label, steps in (("param", spec.param_steps), ("r", spec.r_steps)):
+        start, stop = (_grid_end(spec, f"{label}_{end}") for end in ("start", "stop"))
         linalg._check_integer(f"{label} grid steps", steps, 1)
         if stop < start:
             raise ValueError(f"{label} grid has stop < start")
     unruh._check_r([spec.r_start, spec.r_stop])
-    if isinstance(spec.columns, str) or not spec.columns:  # a string is a sequence of characters, not of names
+    # a list or tuple of names; a string is a sequence of characters, and an iterator has no length
+    if not isinstance(spec.columns, (list, tuple)) or not spec.columns or not all(
+            isinstance(col, str) for col in spec.columns):
         raise ValueError(f"columns must be a non-empty sequence of column names, got {spec.columns!r}")
     if len(set(spec.columns)) != len(spec.columns):
         raise ValueError(f"duplicate column in {','.join(spec.columns)!r}")
@@ -236,6 +242,8 @@ def main(argv=None) -> int:
             _write(json.dumps(solve_threshold(), indent=2) + "\n", args.out)
             return 0
         if args.command == "verify":
+            from . import checks  # the invariant suite is loaded by this command only
+
             code, report = checks.verify(args.level)
             print(report)
             return code

@@ -5,7 +5,9 @@ has N = 1 and the GHZ state has tangle 1.  The negativity of a pair of
 modes is that of their two-mode reduction: trace the third mode out with
 ``linalg.partial_trace`` first.
 
-Each call checks its state once; the partial transposes go straight to ``eigvalsh``.
+Each call takes one state, not a stack, and checks it once; ``linalg``'s private
+partial trace and transpose take the checked array unread, straight into
+``np.linalg.eigvalsh``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _state, partial_trace, partial_transpose
+from .linalg import _partial_trace, _partial_transpose, _state
 
 __all__ = ["PiTangle", "negativity", "pi_tangle"]
 
@@ -24,11 +26,19 @@ def negativity(rho, mode: int) -> float:
 
     Always >= 0; zero iff the partial transpose stays positive semidefinite.
     """
-    return _negativity(_state(rho)[0], mode)
+    return _negativity(*_one_state(rho), mode)
 
 
-def _negativity(rho: np.ndarray, mode: int) -> float:  # rho already checked
-    return max(float(np.sum(np.abs(np.linalg.eigvalsh(partial_transpose(rho, mode))))) - 1.0, 0.0)
+def _one_state(rho, modes: int | None = None) -> tuple[np.ndarray, int]:
+    """One checked state (d, d) and its mode count; the measures here are not taken over a stack."""
+    rho, n = _state(rho, modes)
+    if rho.ndim != 2:
+        raise ValueError(f"expected one state, got a stack of shape {rho.shape}")
+    return rho, n
+
+
+def _negativity(rho: np.ndarray, n: int, mode: int) -> float:  # rho (2^n, 2^n) already checked
+    return max(float(np.sum(np.abs(np.linalg.eigvalsh(_partial_transpose(rho, n, mode))))) - 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -55,9 +65,9 @@ def pi_tangle(rho) -> PiTangle:
     Components are reported raw; only the aggregate is clamped to zero when
     it is negative by less than 1e-12.
     """
-    rho, _ = _state(rho, 3)
-    pair_sq = {k: _negativity(partial_trace(rho, k), 1) ** 2 for k in (1, 2, 3)}  # the pair without mode k
-    residuals = [_negativity(rho, m) ** 2 - sum(pair_sq[6 - m - j] for j in (1, 2, 3) if j != m) for m in (1, 2, 3)]
+    rho, _ = _one_state(rho, 3)
+    pair_sq = {k: _negativity(_partial_trace(rho, 3, k), 2, 1) ** 2 for k in (1, 2, 3)}  # the pair without mode k
+    residuals = [_negativity(rho, 3, m) ** 2 - sum(pair_sq[6 - m - j] for j in (1, 2, 3) if j != m) for m in (1, 2, 3)]
     aggregate = sum(residuals) / 3.0
     if -1e-12 < aggregate < 0.0:
         aggregate = 0.0

@@ -6,16 +6,18 @@ significant bit of the basis index, so the product ket |abc> sits at index
 4a + 2b + c.  Mode indices are 1-based throughout.  The sign convention is
 sigma_z |0> = +|0>.
 
-Operators never exceed ``MAX_DIM`` = 16, and all functions are pure.  A
-state is 2^n x 2^n (n >= 1), finite, Hermitian and of unit trace within
-``HERMITICITY_ATOL``; positivity is not checked.  States are one array (..., d, d),
-so a stack is checked whole by one ``_state`` call at each entry point (``density``,
-``unruh``, ``entanglement``, ``_tensor``); ``partial_trace`` and ``partial_transpose``
-take one operator.  The other functions also take non-states, such as T^T T, and
-check less.  Input from outside is read by one reader, ``_numbers``: numbers only,
-never None, a string, a bool or an iterator, and finite unless the caller says
-otherwise.  A count follows one integer rule, ``_check_integer``: a mode is an
-integer in 1..n, never a bool.
+All functions are pure.  Every matrix is read by one shape rule, ``_operator``:
+finite complex numbers (..., d, d), square, d = 2^n <= ``MAX_DIM`` = 16.  A state
+is also Hermitian and of unit trace within ``HERMITICITY_ATOL`` (n >= 1;
+positivity is not checked), so a stack is checked whole by one ``_state`` call
+at each entry point (``density``, ``unruh``, ``entanglement``, ``_tensor``).
+``partial_trace`` and ``partial_transpose`` read outside operators by the shape
+rule; arrays ``_state`` already checked go to their private bodies unread.
+Eigenvalues and Tr[rho O] are numpy's ``eigvalsh`` and ``einsum``, called
+directly.  Input from outside is read by one reader, ``_numbers``: numbers only,
+never None, a string, a bool (in a list or tuple too) or an iterator, and finite
+unless the caller says otherwise.  A count follows one integer rule,
+``_check_integer``: a mode is an integer in 1..n, never a bool.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ __all__ = [
     "density",
     "partial_trace",
     "partial_transpose",
-    "hermitian_eigenvalues",
-    "expectation",
 ]
 
 
@@ -45,8 +45,11 @@ def _numbers(values, what: str, dtype=float, finite: bool = True) -> np.ndarray:
     unless ``finite`` is False.
 
     numpy stores None, an iterator, a ``Fraction`` and an int beyond 64 bits as objects, and a string as text; none
-    of them, and no bool, is read as a number, nor is a complex number where ``dtype`` is float.
+    of them, and no bool, is read as a number, nor is a complex number where ``dtype`` is float.  numpy reads a bool
+    among numbers in a list as 0 or 1, so a list or tuple is scanned for one; an ndarray is not.
     """
+    if isinstance(values, (list, tuple)) and _holds_bool(values):
+        raise ValueError(f"expected numbers for {what}, got a bool in a {type(values).__name__}")
     array = np.asarray(values)
     if array.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
         raise ValueError(f"expected numbers for {what}, got {type(values).__name__}")
@@ -54,6 +57,12 @@ def _numbers(values, what: str, dtype=float, finite: bool = True) -> np.ndarray:
     if finite and not np.isfinite(array).all():
         raise ValueError(f"non-finite {what}: {reprlib.repr(values)}")
     return array
+
+
+def _holds_bool(values) -> bool:
+    if isinstance(values, (list, tuple)):
+        return any(map(_holds_bool, values))
+    return isinstance(values, (bool, np.bool_)) or (isinstance(values, np.ndarray) and values.dtype.kind == "b")
 
 
 def _check_integer(name: str, value, low: int, high: float = math.inf) -> None:
@@ -94,63 +103,23 @@ def density(psi: np.ndarray) -> np.ndarray:
     return _state(v[..., :, None] * v[..., None, :].conj())[0]
 
 
-def _operator(rho: np.ndarray, mode) -> tuple[np.ndarray, int]:
-    """One square operator as a complex array, and its mode count; ``mode`` must be one of its modes."""
-    if not (isinstance(rho, np.ndarray) and rho.dtype == complex):  # a checked state is read as it is
-        rho = _numbers(rho, "operator", complex, finite=False)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+def _operator(rho, what: str = "operator") -> tuple[np.ndarray, int]:
+    """The one shape rule: ``rho`` read as finite complex matrices (..., d, d), square with d = 2^n <= ``MAX_DIM``;
+    returns them and n."""
+    rho = _numbers(rho, what, complex)
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-    n = mode_count(rho.shape[0])
-    _check_integer("mode", mode, 1, n)
-    return rho, n
-
-
-def partial_trace(rho: np.ndarray, mode: int) -> np.ndarray:
-    """Trace out one mode of a multi-mode operator.
-
-    Parameters
-    ----------
-    rho : 2^n x 2^n operator
-    mode : 1-based index of the mode to discard
-
-    Returns the reduced operator on the remaining modes, in their original
-    order.  The trace is preserved exactly.
-    """
-    rho, n = _operator(rho, mode)
-    if n < 2:
-        raise ValueError("cannot trace out the only mode")
-    t = np.trace(rho.reshape((2,) * (2 * n)), axis1=mode - 1, axis2=mode - 1 + n)
-    d = 2 ** (n - 1)
-    return t.reshape(d, d)
-
-
-def partial_transpose(rho: np.ndarray, mode: int) -> np.ndarray:
-    """Transpose the indices of a single mode, leaving the rest alone.
-
-    The result is Hermitian whenever the input is, has the same trace, and
-    is an involution: applying it twice on the same mode gives the input
-    back exactly.
-    """
-    rho, n = _operator(rho, mode)
-    return np.swapaxes(rho.reshape((2,) * (2 * n)), mode - 1, mode - 1 + n).reshape(rho.shape)
-
-
-def _require_hermitian(matrix: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
-    m = _numbers(matrix, "matrix", complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[-1] > MAX_DIM:
-        raise ValueError(f"dimension {m.shape[-1]} exceeds the supported maximum {MAX_DIM}")
-    residual = float(np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(initial=0.0))
-    if residual > atol:
-        raise ValueError(f"matrix is not Hermitian (residual {residual:.3e} > {atol:.0e})")
-    return m
+    if rho.shape[-1] > MAX_DIM:
+        raise ValueError(f"dimension {rho.shape[-1]} exceeds the supported maximum {MAX_DIM}")
+    return rho, mode_count(rho.shape[-1])
 
 
 def _state(rho: np.ndarray, modes: int | None = None) -> tuple[np.ndarray, int]:
     """Check every state of ``rho`` (..., d, d) in one pass; return it as a complex array and its mode count."""
-    rho = _require_hermitian(rho)
-    n = mode_count(rho.shape[-1])
+    rho, n = _operator(rho, "matrix")
+    residual = float(np.abs(rho - np.swapaxes(rho.conj(), -1, -2)).max(initial=0.0))
+    if residual > HERMITICITY_ATOL:
+        raise ValueError(f"matrix is not Hermitian (residual {residual:.3e} > {HERMITICITY_ATOL:.0e})")
     traces = np.trace(rho, axis1=-2, axis2=-1).ravel()
     worst = traces[np.argmax(np.abs(traces - 1.0))] if traces.size else 1.0
     if n < 1 or n != (modes or n) or not abs(worst - 1.0) <= HERMITICITY_ATOL:
@@ -159,13 +128,36 @@ def _state(rho: np.ndarray, modes: int | None = None) -> tuple[np.ndarray, int]:
     return rho, n
 
 
-def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, or of each of a stack (..., d, d), in ascending order."""
-    return np.linalg.eigvalsh(_require_hermitian(matrix))
+def partial_trace(rho: np.ndarray, mode: int) -> np.ndarray:
+    """Trace out one mode of each multi-mode operator of ``rho`` (..., d, d).
+
+    ``mode`` is the 1-based index of the mode to discard.  Returns the
+    reduced operators on the remaining modes, in their original order.  The
+    trace is preserved exactly.
+    """
+    return _partial_trace(*_operator(rho), mode)
 
 
-def expectation(rho: np.ndarray, observable: np.ndarray) -> float:
-    """Real part of Tr[rho O]."""
-    rho, observable = _numbers(rho, "operator", complex), _numbers(observable, "observable", complex)
-    return float(np.einsum("ij,ji->", rho, observable).real)
+def _partial_trace(rho: np.ndarray, n: int, mode) -> np.ndarray:  # rho (..., 2^n, 2^n) already read
+    _check_integer("mode", mode, 1, n)
+    if n < 2:
+        raise ValueError("cannot trace out the only mode")
+    lead, d = rho.shape[:-2], 2 ** (n - 1)
+    traced = np.trace(rho.reshape(lead + (2,) * (2 * n)), axis1=mode - 1 - 2 * n, axis2=mode - 1 - n)
+    return traced.reshape(lead + (d, d))
 
+
+def partial_transpose(rho: np.ndarray, mode: int) -> np.ndarray:
+    """Transpose the indices of one mode of each operator of ``rho`` (..., d, d), leaving the rest alone.
+
+    The result is Hermitian whenever the input is, has the same trace, and
+    is an involution: applying it twice on the same mode gives the input
+    back exactly.
+    """
+    return _partial_transpose(*_operator(rho), mode)
+
+
+def _partial_transpose(rho: np.ndarray, n: int, mode) -> np.ndarray:  # rho (..., 2^n, 2^n) already read
+    _check_integer("mode", mode, 1, n)
+    split = rho.reshape(rho.shape[:-2] + (2,) * (2 * n))
+    return np.swapaxes(split, mode - 1 - 2 * n, mode - 1 - n).reshape(rho.shape)

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _check_integer, _numbers, _state, hermitian_eigenvalues
+from .linalg import _check_integer, _numbers, _state
 from .states import PAULI, _unit_vectors
 from .unruh import _check_r
 
@@ -222,7 +222,7 @@ def _upper_bound(t: np.ndarray, modes: int) -> np.ndarray:
     that the maximum can sit below.
     """
     if modes == 2:
-        evs = hermitian_eigenvalues(np.swapaxes(t, -1, -2) @ t)
+        evs = np.linalg.eigvalsh(np.swapaxes(t, -1, -2) @ t)
         return 2.0 * np.sqrt(np.maximum(evs[..., -1] + evs[..., -2], 0.0))
     # mode k's axis to the front of the three mode axes; a stack's leading axes are not unfolded
     unfoldings = np.stack([np.moveaxis(t, k - 3, -3) for k in range(3)], axis=-4).reshape(t.shape[:-3] + (3, 3, 9))

@@ -13,11 +13,6 @@ from accelbell.checks import (  # the generators of `verify`, shared by the test
 from accelbell.nonlocality import _bell_fields
 
 
-def random_hermitian(rng, dim):
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (g + g.conj().T) / 2.0
-
-
 def random_unitary(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)

@@ -10,7 +10,7 @@ import numpy as np
 
 from accelbell.cli import SweepSpec, run_sweep
 from accelbell.entanglement import pi_tangle
-from accelbell.linalg import density, hermitian_eigenvalues
+from accelbell.linalg import density
 from accelbell.nonlocality import (
     chsh_restricted,
     chsh_threshold,
@@ -149,7 +149,7 @@ def test_criterion_6_channel_contract():
             float(np.max(np.abs(kraus - kraus.conj().T))),
             abs(complex(np.trace(kraus)) - 1.0),
         )
-        lowest = float(hermitian_eigenvalues((kraus + kraus.conj().T) / 2.0)[0])
+        lowest = float(np.linalg.eigvalsh((kraus + kraus.conj().T) / 2.0)[0])
         assert lowest >= -1e-10
     _report(
         6,

@@ -18,8 +18,8 @@ SQRT2 = math.sqrt(2.0)
 SRC = Path(__file__).resolve().parent.parent / "src"
 FULL_CHECK_NAMES = [
     "channel-dual-path", "evaluator-dual-path", "lattice-dual-path", "channel-cptp", "channel-identity-at-rest",
-    "damped-correlation-law", "restricted-chsh-equivalence", "threshold-consistency", "eigensolver-trace-sum",
-    "pi-tangle-endpoints", "optimizer-determinism", "horodecki-vs-numeric", "svetlichny-numeric-vs-envelope",
+    "damped-correlation-law", "restricted-chsh-equivalence", "threshold-consistency", "pi-tangle-endpoints",
+    "optimizer-determinism", "horodecki-vs-numeric", "svetlichny-numeric-vs-envelope",
     "svetlichny-upper-vs-closed-forms", "pi-tangle-monotonicity", "ms-bounds-structure",
 ]
 
@@ -150,6 +150,12 @@ def test_sweep_validation_errors():
         run_sweep(bound_spec(mode=4))
     with pytest.raises(ValueError):
         run_sweep(bound_spec(columns=("nonsense",)))
+    # each grid end is one number: an array is named as the grid end it is, not read as an ambiguous truth value
+    for field in ("param_start", "param_stop", "r_start", "r_stop"):
+        with pytest.raises(ValueError, match=f"^grid end {field} must be one number"):
+            run_sweep(bound_spec(**{field: np.array([0.0, 0.1])}))
+        with pytest.raises(ValueError, match=f"^non-finite grid end {field}"):
+            run_sweep(bound_spec(**{field: math.nan}))
 
 
 def test_sweep_spec_validation_rejects_bool_and_out_of_range_modes(monkeypatch):
@@ -169,9 +175,12 @@ def test_sweep_spec_validation_rejects_non_integer_steps_and_string_columns(monk
         for steps in (0, -1, 2.5, 2.0, "3", None, True, np.True_):
             with pytest.raises(ValueError, match=f"^{label} grid steps .*: expected an integer >= 1$"):
                 run_sweep(bound_spec(**{field: steps}))
-    # a string is a sequence of characters, not of column names
+    # a string is a sequence of characters, not of column names; an iterator has no length, and a list is not a name
     with pytest.raises(ValueError, match="sequence of column names, got 'svetlichny_bound'"):
         run_sweep(bound_spec(columns="svetlichny_bound"))
+    for columns in (iter(["svetlichny_bound"]), [["svetlichny_bound"]], ("svetlichny_bound", 3)):
+        with pytest.raises(ValueError, match="sequence of column names"):
+            run_sweep(bound_spec(columns=columns))
     monkeypatch.undo()
     assert run_sweep(bound_spec(param_steps=np.int64(2), r_steps=np.int64(1))).count("\n") == 3
 
@@ -266,6 +275,14 @@ def test_main_usage_errors(capsys, monkeypatch, tmp_path):
     assert main(["pi-tangle", "--state", "gghz", "--param", "0.3", "--r", "0.2", "--out", missing]) == 2
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 14 and all(line.startswith("error: ") for line in errors)
+
+
+def test_cli_import_leaves_the_invariant_suite_unloaded():
+    # accelbell.checks is imported by the verify command only, so a sweep does not pay for it
+    code = "import sys, accelbell.cli; print('accelbell.checks' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stdout == "False\n", done.stderr
 
 
 def test_main_out_of_memory_is_a_one_line_error():

@@ -89,6 +89,15 @@ def test_pi_tangle_needs_three_modes():
         pi_tangle(density(singlet()))
 
 
+def test_measures_reject_stacks():
+    # negativity and pi_tangle take one state: a stack (..., d, d) is not summed over
+    ghz = density(gghz(math.pi / 4.0))
+    with pytest.raises(ValueError, match="expected one state, got a stack of shape \\(2, 8, 8\\)"):
+        pi_tangle(np.stack([ghz, ghz]))
+    with pytest.raises(ValueError, match="expected one state"):
+        negativity(np.stack([ghz, ghz]), 1)
+
+
 def test_pi_tangle_fully_product(rng):
     rho = tensor(random_density(rng, 1), random_density(rng, 1), random_density(rng, 1))
     assert abs(pi_tangle(rho).pi) < 1e-10

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from accelbell.linalg import (
     density,
-    hermitian_eigenvalues,
     mode_count,
     partial_trace,
     partial_transpose,
@@ -14,7 +13,7 @@ from accelbell.linalg import (
 )
 from accelbell.states import ID2, SIGMA_X, SIGMA_Z
 
-from helpers import random_density, random_hermitian, random_unitary
+from helpers import random_density
 
 
 def bell_phi_plus():
@@ -23,7 +22,7 @@ def bell_phi_plus():
 
 def trace_norm(matrix):
     """Trace norm of a Hermitian matrix: the sum of its absolute eigenvalues."""
-    return float(np.sum(np.abs(hermitian_eigenvalues(matrix))))
+    return float(np.sum(np.abs(np.linalg.eigvalsh(matrix))))
 
 
 def loop_partial_trace(rho, n, mode):
@@ -111,27 +110,35 @@ def test_partial_trace_of_dilated_singlet():
     psi[7] = math.sin(r) / math.sqrt(2.0)
     psi[2] = -1.0 / math.sqrt(2.0)
     reduced = partial_trace(density(psi), 3)
-    assert_allclose(hermitian_eigenvalues(reduced), [0.0, 0.0, 0.25, 0.75], atol=1e-12)
+    assert_allclose(np.linalg.eigvalsh(reduced), [0.0, 0.0, 0.25, 0.75], atol=1e-12)
 
 
 def test_partial_trace_errors():
     rho = density(bell_phi_plus())
     with pytest.raises(ValueError):
         partial_trace(rho, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot trace out the only mode"):
         partial_trace(np.eye(2, dtype=complex), 1)
+    # both partial helpers read operators by the one shape rule: up to 16x16 and finite, complex arrays included
+    for helper in (partial_trace, partial_transpose):
+        with pytest.raises(ValueError, match="exceeds the supported maximum 16"):
+            helper(np.eye(32), 2)
+        with pytest.raises(ValueError, match="non-finite operator"):
+            helper(np.diag([1.0, math.nan, 0.0, 0.0]).astype(complex), 1)
+        with pytest.raises(ValueError, match="square matrix"):
+            helper(np.ones((4, 2)), 1)
 
 
 def test_partial_transpose_product_stays_psd(rng):
     rho = tensor(random_density(rng, 1), random_density(rng, 1))
     for mode in (1, 2):
-        evs = hermitian_eigenvalues(partial_transpose(rho, mode))
+        evs = np.linalg.eigvalsh(partial_transpose(rho, mode))
         assert evs[0] >= -1e-12
 
 
 def test_partial_transpose_bell_spectrum():
     pt = partial_transpose(density(bell_phi_plus()), 1)
-    assert_allclose(hermitian_eigenvalues(pt), [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
+    assert_allclose(np.linalg.eigvalsh(pt), [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
 
 def test_partial_transpose_involution(rng):
@@ -144,54 +151,6 @@ def test_partial_transpose_preserves_trace_and_hermiticity(rng):
     pt = partial_transpose(rho, 2)
     assert abs(np.trace(pt) - 1.0) < 1e-14
     assert np.max(np.abs(pt - pt.conj().T)) < 1e-14
-
-
-def test_eigenvalues_pauli_x():
-    assert_allclose(hermitian_eigenvalues(SIGMA_X), [-1.0, 1.0], atol=1e-14)
-
-
-def test_eigenvalues_identity():
-    assert_allclose(hermitian_eigenvalues(np.eye(4)), np.ones(4), atol=1e-14)
-
-
-def test_eigenvalues_damped_singlet_block():
-    # closed-form 2x2 block check: the {|01>,|10>} block of the damped
-    # singlet at r = pi/4 is [[1, -c],[-c, c^2]]/2 with c = cos r, whose
-    # eigenvalues are {0, 3/4}; |11> carries 1/4 and |00> carries 0.
-    c = math.cos(math.pi / 4.0)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[1, 1] = 0.5
-    rho[2, 2] = c * c / 2.0
-    rho[1, 2] = rho[2, 1] = -c / 2.0
-    rho[3, 3] = (1.0 - c * c) / 2.0
-    assert_allclose(hermitian_eigenvalues(rho), [0.0, 0.0, 0.25, 0.75], atol=1e-12)
-
-
-def test_eigenvalues_match_numpy(rng):
-    # reference spectrum by construction: H = U diag(lam) U^dagger
-    for dim in range(2, 17):
-        for _ in range(6):
-            lam = rng.uniform(-1.0, 1.0, size=dim)
-            u = random_unitary(rng, dim)
-            h = (u * lam) @ u.conj().T
-            assert_allclose(hermitian_eigenvalues(h), np.sort(lam), atol=1e-10)
-
-
-def test_eigenvalue_sum_equals_trace(rng):
-    for _ in range(1000):
-        dim = int(rng.integers(2, 9))
-        h = random_hermitian(rng, dim)
-        assert abs(np.sum(hermitian_eigenvalues(h)) - np.trace(h).real) < 1e-10
-
-
-def test_eigenvalues_reject_bad_input():
-    with pytest.raises(ValueError):
-        hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        hermitian_eigenvalues(np.eye(32))
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="non-finite"):
-            hermitian_eigenvalues(np.diag([1.0, bad]))
 
 
 def test_trace_norm_values(rng):

@@ -44,12 +44,15 @@ def test_stack_rows_equal_single_state_calls(seed, modes, rank, size, data):
     tensors, values = correlation_tensor(damped), bell_value(damped, dirs)
     result = maximize_bell(damped, restarts=1, seed=seed % 1000)
     upper = horodecki_max(damped) if modes == 2 else svetlichny_upper(damped)
+    reduced, transposed = partial_trace(damped, mode), partial_transpose(damped, mode)
     for i in range(size):
         rho = apply_channel(rhos[i], mode, rs[i])
         assert np.array_equal(damped[i], rho)
         assert np.array_equal(tensors[i], correlation_tensor(rho))
         assert values[i] == bell_value(rho, dirs[i])
         assert upper[i] == (horodecki_max(rho) if modes == 2 else svetlichny_upper(rho))
+        assert np.array_equal(reduced[i], partial_trace(rho, mode))
+        assert np.array_equal(transposed[i], partial_transpose(rho, mode))
         alone = maximize_bell(rho, restarts=1, seed=seed % 1000)
         assert result.value[i] == alone.value
         assert np.array_equal(result.directions[i], alone.directions)
@@ -107,18 +110,26 @@ def test_stack_check_names_the_worst_trace():
 
 def test_sweep_block_checked_once_per_step(monkeypatch):
     # density, the channel and horodecki_max each check a 64-point block in one call
-    calls = []
+    calls, reads = [], []
     for module in (linalg, unruh, nonlocality, entanglement):
         checked = module._state
         monkeypatch.setattr(module, "_state", lambda *args, checked=checked: calls.append(1) or checked(*args))
+    numbers = linalg._numbers
+    monkeypatch.setattr(linalg, "_numbers", lambda *args, **kwargs: reads.append(1) or numbers(*args, **kwargs))
     spec = SweepSpec(state="singlet", param_start=0.0, param_stop=0.0, param_steps=1, r_start=0.0,
                      r_stop=R_MAX, r_steps=cli.BLOCK, mode=2, columns=("chsh_restricted_max", "chsh_horodecki"))
     run_sweep(spec)
     assert len(calls) == 3
-    calls.clear()
-    run_sweep(SweepSpec(state="gghz", param_start=0.0, param_stop=1.0, param_steps=8, r_start=0.0, r_stop=R_MAX,
-                        r_steps=8, mode=3, columns=("svetlichny_bound", "svetlichny_envelope")))
-    assert len(calls) == 2
+    counts = {}
+    for other in ("svetlichny_envelope", "pi_tangle"):
+        calls.clear(), reads.clear()
+        run_sweep(SweepSpec(state="gghz", param_start=0.0, param_stop=1.0, param_steps=8, r_start=0.0, r_stop=R_MAX,
+                            r_steps=8, mode=3, columns=("svetlichny_bound", other)))
+        counts[other] = len(calls), len(reads)
+    assert counts["svetlichny_envelope"][0] == 2
+    # pi_tangle checks each state of the block once, and its nine partial traces and transposes read none again
+    assert counts["pi_tangle"][0] == 2 + cli.BLOCK
+    assert counts["pi_tangle"][1] - counts["svetlichny_envelope"][1] == cli.BLOCK
 
 
 def test_fold_logs_one_line_per_call(caplog):
@@ -185,13 +196,10 @@ _ARGUMENTS = {
     "mode_count": (linalg.mode_count, 4, "integer"),
     "tensor": (lambda x: linalg.tensor(x, _RHO2), _RHO2, "finite"),
     "density": (density, singlet(), "finite"),
-    "partial_trace-rho": (lambda x: partial_trace(x, 1), _RHO2, "number"),
+    "partial_trace-rho": (lambda x: partial_trace(x, 1), _RHO2, "finite"),
     "partial_trace-mode": (lambda x: partial_trace(_RHO2, x), 1, "integer"),
-    "partial_transpose-rho": (lambda x: partial_transpose(x, 1), _RHO2, "number"),
+    "partial_transpose-rho": (lambda x: partial_transpose(x, 1), _RHO2, "finite"),
     "partial_transpose-mode": (lambda x: partial_transpose(_RHO2, x), 1, "integer"),
-    "hermitian_eigenvalues": (linalg.hermitian_eigenvalues, _RHO2, "finite"),
-    "expectation-rho": (lambda x: linalg.expectation(x, _RHO2), _RHO2, "finite"),
-    "expectation-observable": (lambda x: linalg.expectation(_RHO2, x), _RHO2, "finite"),
     "spin_observable": (states.spin_observable, states.Z_AXIS, "finite"),
     "gghz": (gghz, 0.3, "finite"),
     "maximal_slice": (maximal_slice, 0.3, "finite"),
@@ -245,11 +253,16 @@ _ARGUMENTS = {
 @pytest.mark.parametrize("argument", _ARGUMENTS)
 def test_entry_points_reject_non_numbers(argument):
     # one reader (linalg._numbers) and one integer rule (linalg._check_integer) behind every entry point: None, an
-    # iterator, a string and a bool are ValueError, never TypeError or a number; so are NaN where the argument
-    # must be finite, and a float where it must be an integer
+    # iterator, a string and a bool, also one in a list among numbers, are ValueError, never TypeError or a number;
+    # so are NaN where the argument must be finite, and a float where it must be an integer
     call, good, kind = _ARGUMENTS[argument]
     call(good)
-    bad = [iter(np.asarray(good).tolist() if np.ndim(good) else [good]), str(good), True, np.True_]
+    mixed = np.asarray(good).tolist() if np.ndim(good) else [good, good]
+    leaf = mixed
+    while isinstance(leaf[0], list):
+        leaf = leaf[0]
+    leaf[0] = bool(leaf[0])  # a bool among numbers, which numpy would read as 0 or 1
+    bad = [iter(np.asarray(good).tolist() if np.ndim(good) else [good]), str(good), True, np.True_, mixed]
     if kind == "optional":  # a finite number, or None for none
         call(None)
     else:
