@@ -3,22 +3,25 @@
 Library layout:
 
     linalg        the one shape rule for matrices (..., d, d), the one state check, the one reader of numbers from
-                  outside and the one integer rule, partial trace/transpose of operators (..., d, d)
-    states        singlet / generalized GHZ / maximal slice kets (..., 8), spin observables along unit 3-vectors
+                  outside and the one integer rule, partial trace/transpose of operators (..., d, d); np.kron
+    states        singlet / generalized GHZ / maximal slice kets (..., 8) by their formula at any finite angle,
+                  spin observables along unit 3-vectors
     unruh         acceleration parameter, the wedge damping channel on state stacks, the one r check, dilation
-    nonlocality   INEQUALITIES (CHSH, Svetlichny) by mode count and violates; correlation tensors of state stacks,
-                  bell_value, the one evaluator on unit-vector setting arrays (the state's mode count picks the
-                  inequality), closed forms, upper bounds horodecki_max (CHSH) and svetlichny_upper
+    nonlocality   INEQUALITIES (CHSH, Svetlichny) by mode count and violates; correlation tensors T of state
+                  stacks (a correlation is a @ T @ b), bell_value, the one evaluator on unit-vector setting arrays
+                  (the state's mode count picks the inequality), closed forms, upper bounds horodecki_max (CHSH)
+                  and svetlichny_upper
     optimize      maximize_bell over states (..., d, d), 4x4 (CHSH) or 8x8 (Svetlichny): first party in closed
                   form + lockstep simplex, stopped per state once it reaches the state's upper bound; fields
                   with the stack's leading axes; separable lattice oracle grid_oracle on the same state form
-    entanglement  negativity across one mode (pairs via linalg.partial_trace), residual tripartite tangle
+    entanglement  negativity across one mode (pairs via linalg.partial_trace), residual tripartite tangle with
+                  its fields pi, pi_1, pi_2, pi_3
     checks        cross-module invariant suite (the `verify` command), timed per check; loaded by `verify` only
     cli           sweep / threshold / verify / pi-tangle commands; one COLUMNS entry per sweep column, flagged or not
 """
 
 from .entanglement import PiTangle, negativity, pi_tangle
-from .linalg import density, partial_trace, partial_transpose, tensor
+from .linalg import density, partial_trace, partial_transpose
 from .nonlocality import (
     INEQUALITIES,
     ChshThreshold,
@@ -28,7 +31,6 @@ from .nonlocality import (
     chsh_restricted_max,
     chsh_threshold,
     restricted_settings,
-    correlation,
     correlation_tensor,
     horodecki_max,
     svetlichny_upper,

@@ -78,11 +78,11 @@ def operator_bell_value(rho, dirs):
     obs = [states.spin_observable(d) for d in dirs]
     if len(obs) == 4:
         a, ap, b, bp = obs
-        s = linalg.tensor(a, b + bp) + linalg.tensor(ap, b - bp)
+        s = np.kron(a, b + bp) + np.kron(ap, b - bp)
     else:
         a, ap, c, cp, b, bp = obs
         k, kp = b + bp, b - bp
-        s = linalg.tensor(a, c, kp) + linalg.tensor(a, cp, k) + linalg.tensor(ap, c, k) - linalg.tensor(ap, cp, kp)
+        s = np.kron(a, np.kron(c, kp) + np.kron(cp, k)) + np.kron(ap, np.kron(c, k) - np.kron(cp, kp))
     return abs(float(np.einsum("ij,ji->", rho, s).real))
 
 
@@ -100,8 +100,8 @@ def check_evaluator_dual_path():
                 worst = max(worst, abs(value - reference), abs(single - reference))
         rho = _random_mixed(rng, 2, int(rng.integers(1, 5)))
         a, b = _random_directions(rng, (2,))
-        pair = linalg.tensor(states.spin_observable(a), states.spin_observable(b))
-        worst = max(worst, abs(nonlocality.correlation(rho, a, b) - np.einsum("ij,ji->", rho, pair).real))
+        pair = np.kron(states.spin_observable(a), states.spin_observable(b))
+        worst = max(worst, abs(a @ nonlocality.correlation_tensor(rho) @ b - np.einsum("ij,ji->", rho, pair).real))
     return worst, 1e-12, "20 random mixed states per inequality, 25 settings each, scalar and batched"
 
 
@@ -148,13 +148,10 @@ def check_channel_identity_at_rest():
 
 
 def check_damped_correlation_law():
-    worst = 0.0
-    rs = np.linspace(0.0, unruh.R_MAX, 12)
-    for r, rho in zip(rs, _damped_singlet(rs)):
-        for theta in np.linspace(0.0, math.pi, 12):
-            got = nonlocality.correlation(rho, states.Z_AXIS, [math.sin(theta), 0.0, math.cos(theta)])
-            want = -math.cos(r) ** 2 * math.cos(theta)
-            worst = max(worst, abs(got - want))
+    rs, thetas = np.linspace(0.0, unruh.R_MAX, 12), np.linspace(0.0, math.pi, 12)
+    b = np.stack([np.sin(thetas), np.zeros(12), np.cos(thetas)])  # one direction per column
+    got = states.Z_AXIS @ nonlocality.correlation_tensor(_damped_singlet(rs)) @ b  # (r, theta)
+    worst = float(np.max(np.abs(got + np.cos(rs)[:, None] ** 2 * np.cos(thetas))))
     return worst, 1e-12, "C = -cos^2(r) cos(theta) on a grid"
 
 

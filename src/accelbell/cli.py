@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -189,10 +189,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--r-stop", type=float, default=unruh.R_MAX)
     sweep.add_argument("--r-steps", type=int, default=33)
     sweep.add_argument("--mode", type=int, default=None, help="accelerated mode (default 2 for singlet/ms, 3 for gghz)")
-    sweep.add_argument("--columns", required=True, help="comma-separated list, e.g. svetlichny_bound,pi_tangle")
-    sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--restarts", type=int, default=64)
-    sweep.add_argument("--certify", type=float, default=None, metavar="RES",
+    sweep.add_argument("--columns", required=True, help="comma-separated list, e.g. svetlichny_bound,pi_tangle",
+                       type=lambda text: tuple(c.strip() for c in text.split(",") if c.strip()))
+    sweep.add_argument("--seed", type=int, default=SweepSpec.seed)
+    sweep.add_argument("--restarts", type=int, default=SweepSpec.restarts)
+    sweep.add_argument("--certify", type=float, default=None, metavar="RES", dest="certify_resolution",
                        help="also run the lattice witness at this resolution for numeric columns")
     sweep.add_argument("--out", default=None)
 
@@ -222,21 +223,7 @@ def main(argv=None) -> int:
         if "state" in vars(args) and args.mode is None:
             args.mode = STATE_MODES[args.state][1]
         if args.command == "sweep":
-            spec = SweepSpec(
-                state=args.state,
-                param_start=args.param_start,
-                param_stop=args.param_stop,
-                param_steps=args.param_steps,
-                r_start=args.r_start,
-                r_stop=args.r_stop,
-                r_steps=args.r_steps,
-                mode=args.mode,
-                columns=tuple(c.strip() for c in args.columns.split(",") if c.strip()),
-                seed=args.seed,
-                restarts=args.restarts,
-                certify_resolution=args.certify,
-            )
-            _write(run_sweep(spec), args.out)
+            _write(run_sweep(SweepSpec(**{f.name: getattr(args, f.name) for f in fields(SweepSpec)})), args.out)
             return 0
         if args.command == "threshold":
             _write(json.dumps(solve_threshold(), indent=2) + "\n", args.out)

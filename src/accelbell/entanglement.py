@@ -50,9 +50,6 @@ class PiTangle:
     pi_2: float
     pi_3: float
 
-    def components(self) -> tuple[float, float, float]:
-        return (self.pi_1, self.pi_2, self.pi_3)
-
 
 def pi_tangle(rho) -> PiTangle:
     """Residual tripartite tangle of a three-mode state.

@@ -10,14 +10,16 @@ All functions are pure.  Every matrix is read by one shape rule, ``_operator``:
 finite complex numbers (..., d, d), square, d = 2^n <= ``MAX_DIM`` = 16.  A state
 is also Hermitian and of unit trace within ``HERMITICITY_ATOL`` (n >= 1;
 positivity is not checked), so a stack is checked whole by one ``_state`` call
-at each entry point (``density``, ``unruh``, ``entanglement``, ``_tensor``).
-``partial_trace`` and ``partial_transpose`` read outside operators by the shape
-rule; arrays ``_state`` already checked go to their private bodies unread.
-Eigenvalues and Tr[rho O] are numpy's ``eigvalsh`` and ``einsum``, called
-directly.  Input from outside is read by one reader, ``_numbers``: numbers only,
-never None, a string, a bool (in a list or tuple too) or an iterator, and finite
-unless the caller says otherwise.  A count follows one integer rule,
-``_check_integer``: a mode is an integer in 1..n, never a bool.
+at each entry point (``density``, ``unruh``, ``entanglement``,
+``nonlocality._tensor``).  ``partial_trace`` and ``partial_transpose`` read
+outside operators by the shape rule; arrays ``_state`` already checked go to
+their private bodies unread.  Eigenvalues, Tr[rho O] and Kronecker products are
+numpy's ``eigvalsh``, ``einsum`` and ``kron``, called directly; ``np.kron(a, b)``
+keeps ``a`` most significant, as the ordering above needs.  Input from outside
+is read by one reader, ``_numbers``: numbers only, never None, a string, a bool
+(in a list or tuple too) or an iterator, and finite unless the caller says
+otherwise.  A count follows one integer rule, ``_check_integer``: a mode is an
+integer in 1..n, never a bool.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ HERMITICITY_ATOL = 1e-10
 __all__ = [
     "MAX_DIM",
     "mode_count",
-    "tensor",
     "density",
     "partial_trace",
     "partial_transpose",
@@ -79,20 +80,6 @@ def mode_count(dim: int) -> int:
     if 2**n != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
     return n
-
-
-def tensor(*factors: np.ndarray) -> np.ndarray:
-    """Kronecker product of the factors, leftmost factor most significant.
-
-    ``tensor(a, b)[i*db + k, j*db + l] = a[i, j] * b[k, l]`` with
-    ``db = b.shape[0]``, which realizes the |abc> -> 4a+2b+c ordering.
-    """
-    if not factors:
-        raise ValueError("tensor needs at least one factor")
-    out = _numbers(factors[0], "tensor factor", complex)
-    for f in factors[1:]:
-        out = np.kron(out, _numbers(f, "tensor factor", complex))
-    return out
 
 
 def density(psi: np.ndarray) -> np.ndarray:

@@ -74,7 +74,6 @@ __all__ = [
     "Inequality",
     "ChshThreshold",
     "GghzBound",
-    "correlation",
     "correlation_tensor",
     "bell_value",
     "chsh_restricted",
@@ -114,12 +113,6 @@ def _guarded(values: np.ndarray, modes: int):
 def correlation_tensor(rho: np.ndarray) -> np.ndarray:
     """T_ij = Tr[rho sigma_i x sigma_j] of a 4x4 operator, or T_ijk of an 8x8 one, as a real array (..., 3, 3(, 3))."""
     return _tensor(rho)[0]
-
-
-def correlation(rho: np.ndarray, a, b) -> float | np.ndarray:
-    """Tr[rho (a.sigma x b.sigma)] = a.T b in [-1, 1] of a two-mode state or each of a stack; a, b unit 3-vectors."""
-    a_t = _unit_vectors([a], 1)[0] @ _tensor(rho, 2)[0]  # then one (1, 3) @ (3,) product per state, as in a lone call
-    return _maybe_scalar((a_t[..., None, :] @ _unit_vectors([b], 1)[0])[..., 0])
 
 
 def _bell_fields(t: np.ndarray, rest: np.ndarray, modes: int) -> np.ndarray:
@@ -278,8 +271,8 @@ def svetlichny_bound_gghz(theta1, r) -> GghzBound:
     Axial branch 4|2 cos^2 t1 cos^2 r - 1|, equatorial branch
     4 sqrt(2) |sin(2 t1)| cos(r); the axial branch applies when its squared
     weight (2 cos^2 t1 cos^2 r - 1)^2 is at least sin^2(2 t1) cos^2(r).
-    The moduli keep the form valid for every t1, which ``states.gghz``
-    folds into [0, pi/2]: at t1 = pi/2 (|111>) the axial value is 4.
+    The moduli keep the form valid for every t1, as ``states.gghz`` takes
+    it: at t1 = pi/2 (|111>) the axial value is 4.
     """
     r, t1 = _check_r(r), _numbers(theta1, "control angle theta1")
     axial_amp = 2.0 * np.square(np.cos(t1)) * np.square(np.cos(r)) - 1.0

@@ -2,25 +2,24 @@
 
 Kets follow the linalg convention (mode 1 = most significant bit), and all
 hbar factors are absorbed so that correlations are dimensionless Pauli
-expectations.  The families map angles (...) to kets (..., 8).  Angles outside
-the canonical range are folded back in by the family's relabeling symmetry,
-and each call reports its fold count on this module's logger; angles and
-directions are read by ``linalg._numbers``, so a non-finite angle, a string, a
-bool, None or an iterator raises ValueError.
+expectations.  The families map angles (...) to kets (..., 8) by the formula
+in their docstring, for every finite angle.  An angle outside the window that
+covers a family gives a ket that differs from one inside it only by amplitude
+signs: a Z on one mode, which commutes with the damping channel and leaves the
+Bell maxima, the bounds and the tangle as they are, or a global phase.  Angles
+and directions are read by ``linalg._numbers``, so a non-finite angle, a
+string, a bool, None or an iterator raises ValueError.
 A measurement direction is a unit 3-vector, never an angle pair;
 ``_unit_vectors`` checks directions here and in ``nonlocality``.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
 
 from .linalg import _numbers
-
-logger = logging.getLogger(__name__)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -66,16 +65,6 @@ def spin_observable(d) -> np.ndarray:
     return np.einsum("i,ijk->jk", _unit_vectors([d], 1)[0], PAULI)
 
 
-def _fold(theta, period: float, label: str) -> np.ndarray:
-    """Fold angles into [0, period / 2] by the family's relabeling symmetry; a non-finite angle raises ValueError."""
-    theta = _numbers(theta, f"control angle of {label}")
-    t = np.minimum(theta % period, period - theta % period)  # period - t is exact for t >= period / 2
-    folded = int(np.count_nonzero(np.abs(t - theta) > 1e-15))
-    if folded:
-        logger.info("%s: %d control angle(s) folded into [0, %.6g]", label, folded, period / 2.0)
-    return t
-
-
 def singlet() -> np.ndarray:
     """Two-mode singlet (|10> - |01>)/sqrt(2)."""
     return np.array([0.0, -1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
@@ -84,10 +73,9 @@ def singlet() -> np.ndarray:
 def gghz(theta1) -> np.ndarray:
     """Generalized GHZ state cos(t1)|000> + sin(t1)|111>, shape (..., 8) for angles of shape (...).
 
-    theta1 = pi/4 gives the standard GHZ state; the canonical range is
-    [0, pi/2].
+    theta1 = pi/4 gives the standard GHZ state; [0, pi/2] covers the family.
     """
-    t = _fold(theta1, math.pi, "gghz")
+    t = _numbers(theta1, "control angle of gghz")
     v = np.zeros(t.shape + (8,), dtype=complex)
     v[..., 0] = np.cos(t)
     v[..., 7] = np.sin(t)
@@ -98,9 +86,9 @@ def maximal_slice(theta3) -> np.ndarray:
     """Maximal slice state (|000> + |11>(cos(t3)|0> + sin(t3)|1>))/sqrt(2), shape (..., 8).
 
     theta3 = pi/2 gives the standard GHZ state; theta3 = 0 is biseparable
-    (a Bell pair on modes 1,2 times |0>).  Canonical range [0, pi].
+    (a Bell pair on modes 1,2 times |0>); [0, pi] covers the family.
     """
-    t = _fold(theta3, 2.0 * math.pi, "maximal_slice")
+    t = _numbers(theta3, "control angle of maximal_slice")
     v = np.zeros(t.shape + (8,), dtype=complex)
     v[..., 0] = 1.0
     v[..., 6] = np.cos(t)

@@ -86,7 +86,10 @@ def dilate(psi: np.ndarray, mode: int, r: float) -> np.ndarray:
     r = _check_r(r)
     if r.ndim:
         raise ValueError(f"dilate takes one acceleration parameter r, got an array of shape {r.shape}")
-    n = mode_count(len(density(psi)))  # density's check rejects a non-finite or non-unit ket
+    rho = density(psi)  # density's check rejects a non-finite or non-unit ket
+    if rho.ndim != 2:
+        raise ValueError(f"dilate takes one ket, got shape {rho.shape[:-1]}")
+    n = mode_count(len(rho))
     _check_integer("mode", mode, 1, n)
     t = np.moveaxis(np.asarray(psi, dtype=complex).reshape((2,) * n), mode - 1, 0)
     out = np.zeros((2,) + t.shape[1:] + (2,), dtype=complex)

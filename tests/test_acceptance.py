@@ -14,7 +14,7 @@ from accelbell.linalg import density
 from accelbell.nonlocality import (
     chsh_restricted,
     chsh_threshold,
-    correlation,
+    correlation_tensor,
     horodecki_max,
     svetlichny_bound_gghz,
     svetlichny_bound_ms_pair,
@@ -66,9 +66,9 @@ def test_criterion_1_chsh_threshold():
 def test_criterion_2_damped_correlation_law():
     worst = 0.0
     for r in np.linspace(0.0, R_MAX, 20):
-        rho = apply_channel(density(singlet()), 2, float(r))
+        t = correlation_tensor(apply_channel(density(singlet()), 2, float(r)))
         for theta in np.linspace(0.0, math.pi, 20):
-            got = correlation(rho, Z_AXIS, [math.sin(theta), 0.0, math.cos(theta)])
+            got = Z_AXIS @ t @ [math.sin(theta), 0.0, math.cos(theta)]
             worst = max(worst, abs(got + math.cos(r) ** 2 * math.cos(theta)))
     _report(2, "damped-correlation-law", worst <= 1e-12, f"max residual {worst:.2e} on 20x20 grid")
 

@@ -9,9 +9,8 @@ from accelbell.linalg import (
     mode_count,
     partial_trace,
     partial_transpose,
-    tensor,
 )
-from accelbell.states import ID2, SIGMA_X, SIGMA_Z
+from accelbell.states import SIGMA_Z
 
 from helpers import random_density
 
@@ -49,23 +48,6 @@ def test_mode_count():
         mode_count(6)
 
 
-def test_tensor_identity_and_diag():
-    assert_allclose(tensor(ID2, ID2), np.eye(4))
-    assert_allclose(tensor(SIGMA_Z, SIGMA_Z), np.diag([1.0, -1.0, -1.0, 1.0]))
-
-
-def test_tensor_bitflip_on_both():
-    ket00 = np.array([1, 0, 0, 0], dtype=complex)
-    assert_allclose(tensor(SIGMA_X, SIGMA_X) @ ket00, [0, 0, 0, 1])
-
-
-def test_tensor_associative_exact(rng):
-    a = rng.integers(-3, 4, size=(2, 2)) + 1j * rng.integers(-3, 4, size=(2, 2))
-    b = rng.integers(-3, 4, size=(2, 2)) + 1j * rng.integers(-3, 4, size=(2, 2))
-    c = rng.integers(-3, 4, size=(2, 2)) + 1j * rng.integers(-3, 4, size=(2, 2))
-    assert np.array_equal(tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
-
-
 def test_density_rejects_non_finite_ket():
     # checked before the outer product: under -W error its overflow or inf * 0 warning would escape as the error
     for ket in ([1.0, math.inf], [math.nan, 0.0], [complex(math.inf, 1.0), 0.0], [1e200, 0.0],
@@ -89,8 +71,8 @@ def test_partial_trace_product_state():
 def test_partial_trace_factor_marginals(rng):
     a = random_density(rng, 1)
     b = random_density(rng, 1)
-    assert_allclose(partial_trace(tensor(a, b), 2), a, atol=1e-14)
-    assert_allclose(partial_trace(tensor(a, b), 1), b, atol=1e-14)
+    assert_allclose(partial_trace(np.kron(a, b), 2), a, atol=1e-14)
+    assert_allclose(partial_trace(np.kron(a, b), 1), b, atol=1e-14)
 
 
 def test_partial_trace_against_loop_oracle(rng):
@@ -130,7 +112,7 @@ def test_partial_trace_errors():
 
 
 def test_partial_transpose_product_stays_psd(rng):
-    rho = tensor(random_density(rng, 1), random_density(rng, 1))
+    rho = np.kron(random_density(rng, 1), random_density(rng, 1))
     for mode in (1, 2):
         evs = np.linalg.eigvalsh(partial_transpose(rho, mode))
         assert evs[0] >= -1e-12
@@ -164,6 +146,6 @@ def test_trace_norm_of_partial_transpose_at_least_one(rng):
         rho = random_density(rng, 2)
         assert trace_norm(partial_transpose(rho, 1)) >= 1.0 - 1e-12
     for _ in range(10):
-        product = tensor(random_density(rng, 1), random_density(rng, 1))
+        product = np.kron(random_density(rng, 1), random_density(rng, 1))
         assert abs(trace_norm(partial_transpose(product, 1)) - 1.0) < 1e-12
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from accelbell.checks import operator_bell_value
 from accelbell.entanglement import negativity, pi_tangle
-from accelbell.linalg import density, tensor
+from accelbell.linalg import density
 from accelbell.nonlocality import (
     INEQUALITIES,
     VIOLATION_TOL,
@@ -18,7 +19,6 @@ from accelbell.nonlocality import (
     chsh_restricted_max,
     chsh_threshold,
     restricted_settings,
-    correlation,
     correlation_tensor,
     horodecki_max,
     svetlichny_bound_gghz,
@@ -47,34 +47,34 @@ def chsh_tsirelson_settings():
 
 
 def test_correlation_singlet_axes():
-    rho = density(singlet())
-    assert abs(correlation(rho, Z_AXIS, Z_AXIS) + 1.0) < 1e-14
-    assert abs(correlation(rho, Z_AXIS, X_AXIS)) < 1e-12
-    assert abs(correlation(rho, X_AXIS, X_AXIS) + 1.0) < 1e-14
+    t = correlation_tensor(density(singlet()))
+    assert abs(Z_AXIS @ t @ Z_AXIS + 1.0) < 1e-14
+    assert abs(Z_AXIS @ t @ X_AXIS) < 1e-12
+    assert abs(X_AXIS @ t @ X_AXIS + 1.0) < 1e-14
 
 
 def test_correlation_damped_zz():
     for r in np.linspace(0.0, R_MAX, 9):
-        got = correlation(damped_singlet(float(r)), Z_AXIS, Z_AXIS)
+        got = Z_AXIS @ correlation_tensor(damped_singlet(float(r))) @ Z_AXIS
         assert abs(got + math.cos(r) ** 2) < 1e-13
 
 
 def test_correlation_damped_law_general_angle():
     for r in np.linspace(0.0, R_MAX, 8):
-        rho = damped_singlet(float(r))
+        t = correlation_tensor(damped_singlet(float(r)))
         for theta in np.linspace(0.0, math.pi, 8):
             want = -math.cos(r) ** 2 * math.cos(theta)
-            assert abs(correlation(rho, Z_AXIS, [math.sin(theta), 0.0, math.cos(theta)]) - want) < 1e-12
+            assert abs(Z_AXIS @ t @ [math.sin(theta), 0.0, math.cos(theta)] - want) < 1e-12
 
 
 def test_correlation_of_a_stack_equals_single_state_calls(rng):
     rhos = np.stack([random_density(rng, 2, rank) for rank in (1, 2, 3, 4)] + [damped_singlet(0.3)])
     a, b = random_direction(rng), random_direction(rng)
-    values = correlation(rhos, a, b)
+    values = a @ correlation_tensor(rhos) @ b
     assert values.shape == (5,)
-    assert isinstance(correlation(rhos[0], a, b), float)
-    assert [correlation(rho, a, b) for rho in rhos] == list(values)
-    assert correlation(rhos.reshape(5, 1, 4, 4), a, b).shape == (5, 1)
+    assert isinstance(a @ correlation_tensor(rhos[0]) @ b, float)
+    assert [a @ correlation_tensor(rho) @ b for rho in rhos] == list(values)
+    assert (a @ correlation_tensor(rhos.reshape(5, 1, 4, 4)) @ b).shape == (5, 1)
 
 
 def test_inequality_table_by_mode_count():
@@ -100,11 +100,6 @@ def test_violates_broadcasts_and_rejects_unknown_mode_counts():
     for modes in (1, 4, True):
         with pytest.raises(ValueError, match="mode count .*: expected an integer in 2..3"):
             violates(3.0, modes)
-
-
-def test_correlation_requires_two_modes():
-    with pytest.raises(ValueError):
-        correlation(np.eye(8) / 8.0, Z_AXIS, Z_AXIS)
 
 
 def test_chsh_optimal_settings_reach_tsirelson():
@@ -148,7 +143,7 @@ def test_chsh_random_values_bounded(rng):
         rho = random_density(rng, 2)
         dirs = np.stack([random_direction(rng) for _ in range(4)])
         assert bell_value(rho, dirs) <= INEQUALITIES[2].quantum_max + 1e-9
-        assert -1.0 - 1e-12 <= correlation(rho, dirs[0], dirs[2]) <= 1.0 + 1e-12
+        assert -1.0 - 1e-12 <= dirs[0] @ correlation_tensor(rho) @ dirs[2] <= 1.0 + 1e-12
 
 
 def test_restricted_equivalence(rng):
@@ -222,7 +217,7 @@ def test_restricted_violation_iff_threshold():
 def test_horodecki_singlet_and_products(rng):
     assert abs(horodecki_max(density(singlet())) - 2.0 * SQRT2) < 1e-12
     for _ in range(10):
-        product = tensor(random_density(rng, 1), random_density(rng, 1))
+        product = np.kron(random_density(rng, 1), random_density(rng, 1))
         assert horodecki_max(product) <= 2.0 + 1e-9
 
 
@@ -240,7 +235,7 @@ def test_svetlichny_upper_local_unitary_invariant_and_above_values(seed, rank):
     # U1 x U2 x U3 rotates each unfolding by orthogonal matrices, which keeps its singular values
     rng = np.random.default_rng(seed)
     rho = random_density(rng, 3, rank)
-    u = tensor(*(random_unitary(rng, 2) for _ in range(3)))
+    u = functools.reduce(np.kron, (random_unitary(rng, 2) for _ in range(3)))
     assert abs(svetlichny_upper(u @ rho @ u.conj().T) - svetlichny_upper(rho)) < 1e-12
     assert np.all(bell_value(rho, random_directions(rng, (64, 6))) <= svetlichny_upper(rho) + 1e-12)
 
@@ -447,9 +442,7 @@ def test_evaluators_reject_non_finite_input():
             lambda: bell_value(rho2, bad_dirs4),
             lambda: bell_value(bad3, dirs6),
             lambda: bell_value(rho3, bad_dirs6),
-            lambda: correlation(bad2, Z_AXIS, Z_AXIS),
-            lambda: correlation(rho2, Z_AXIS, np.array([0.0, value, 1.0])),
-            lambda: correlation(rho2, np.array([value, 0.0, 0.0]), Z_AXIS),
+            lambda: correlation_tensor(bad2),
             lambda: horodecki_max(bad2),
             lambda: correlation_tensor(bad3),
             lambda: svetlichny_upper(bad3),
@@ -469,12 +462,9 @@ def test_evaluators_reject_non_finite_input():
         for call in calls:
             with pytest.raises(ValueError, match="non-finite"):
                 call()
-        # (theta, phi) pairs are not settings or directions: both are unit 3-vectors only
+        # (theta, phi) pairs are not settings: a direction is a unit 3-vector only
         with pytest.raises(ValueError, match="expected 4 directions of dimension 3"):
             bell_value(rho2, np.array([[0.0, 0.0], [value, 0.0], [0.0, 0.0], [1.0, 0.0]]))
-        for pair in ((value, 0.0), (0.3, 0.0)):
-            with pytest.raises(ValueError, match="dimension 3"):
-                correlation(rho2, Z_AXIS, pair)
 
 
 def test_state_entry_points_reject_non_states():
@@ -512,7 +502,7 @@ def test_valid_states_give_finite_values(seed, modes, data):
         values.append(horodecki_max(rho))
     else:
         tangle = pi_tangle(rho)
-        values += [tangle.pi, *tangle.components(), svetlichny_upper(rho)]
+        values += [tangle.pi, tangle.pi_1, tangle.pi_2, tangle.pi_3, svetlichny_upper(rho)]
     assert np.isfinite(values).all()
 
 
@@ -522,7 +512,6 @@ def test_evaluators_reject_non_hermitian_input():
     calls = [
         lambda: correlation_tensor(bad2),
         lambda: correlation_tensor(bad3),
-        lambda: correlation(bad2, Z_AXIS, Z_AXIS),
         lambda: bell_value(bad2, chsh_tsirelson_settings()),
         lambda: bell_value(bad3, np.tile(Z_AXIS, (6, 1))),
         lambda: horodecki_max(bad2),
@@ -547,8 +536,8 @@ def test_tensor_evaluators_equal_operator_trace(seed, rank, modes):
         assert abs(batched[k] - reference) < 1e-12
     if modes == 2:
         a, b = dirs[0, 0], dirs[0, 2]
-        pair = tensor(spin_observable(a), spin_observable(b))
-        assert abs(correlation(rho, a, b) - np.trace(rho @ pair).real) < 1e-12
+        pair = np.kron(spin_observable(a), spin_observable(b))
+        assert abs(a @ correlation_tensor(rho) @ b - np.trace(rho @ pair).real) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -556,7 +545,7 @@ def test_tensor_evaluators_equal_operator_trace(seed, rank, modes):
 def test_horodecki_local_unitary_invariant(seed, rank):
     rng = np.random.default_rng(seed)
     rho = random_density(rng, 2, rank)
-    u = tensor(random_unitary(rng, 2), random_unitary(rng, 2))
+    u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
     assert abs(horodecki_max(u @ rho @ u.conj().T) - horodecki_max(rho)) < 1e-12
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from accelbell import nonlocality, optimize
-from accelbell.linalg import density, tensor
+from accelbell.linalg import density
 from accelbell.nonlocality import (
     bell_value,
     correlation_tensor,
@@ -237,7 +238,7 @@ def test_maximize_chsh_frame_rotation_invariant(rng):
     rho = density(singlet())
     base = maximize_bell(rho, restarts=12, seed=9).value
     for _ in range(3):
-        u = tensor(random_unitary(rng, 2), random_unitary(rng, 2))
+        u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
         rotated = u @ rho @ u.conj().T
         assert abs(maximize_bell(rotated, restarts=12, seed=9).value - base) < 1e-6
 
@@ -392,6 +393,6 @@ def test_grid_oracle_below_witnessed_maximum(seed, rank):
 def test_svetlichny_maximum_local_unitary_invariant(t1, r, seed):
     # U1 x U2 x U3 rotates each party's Bloch sphere, which the maximum over all settings absorbs
     rng = np.random.default_rng(seed)
-    u = tensor(*(random_unitary(rng, 2) for _ in range(3)))
+    u = functools.reduce(np.kron, (random_unitary(rng, 2) for _ in range(3)))
     rho = u @ apply_channel(density(gghz(t1)), 3, r) @ u.conj().T
     assert abs(maximize_bell(rho, restarts=12).value - svetlichny_bound_gghz(t1, r).envelope) < 1e-6

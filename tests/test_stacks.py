@@ -1,6 +1,5 @@
 """The one state form: a stack (..., d, d) gives, row by row, exactly what each state gives alone."""
 
-import logging
 import math
 
 import numpy as np
@@ -132,15 +131,6 @@ def test_sweep_block_checked_once_per_step(monkeypatch):
     assert counts["pi_tangle"][1] - counts["svetlichny_envelope"][1] == cli.BLOCK
 
 
-def test_fold_logs_one_line_per_call(caplog):
-    with caplog.at_level(logging.INFO, logger="accelbell.states"):
-        gghz(np.array([0.1, 2.0, -0.5, 1.0]))
-        maximal_slice(np.array([0.5, 1.0]))
-    assert [record.getMessage() for record in caplog.records] == ["gghz: 2 control angle(s) folded into [0, 1.5708]"]
-    with pytest.raises(ValueError, match="non-finite control angle"):
-        gghz(np.array([0.1, math.nan]))
-
-
 @pytest.mark.parametrize("call", [
     lambda mode: negativity(density(gghz(0.3)), mode),
     lambda mode: apply_channel(density(gghz(0.3)), mode, 0.1),
@@ -194,7 +184,6 @@ _SPEC = dict(state="gghz", param_start=0.0, param_stop=0.5, param_steps=2, r_sta
 # entry point and argument: (call with that argument replaced, a valid value of it, what it must be)
 _ARGUMENTS = {
     "mode_count": (linalg.mode_count, 4, "integer"),
-    "tensor": (lambda x: linalg.tensor(x, _RHO2), _RHO2, "finite"),
     "density": (density, singlet(), "finite"),
     "partial_trace-rho": (lambda x: partial_trace(x, 1), _RHO2, "finite"),
     "partial_trace-mode": (lambda x: partial_trace(_RHO2, x), 1, "integer"),
@@ -212,8 +201,6 @@ _ARGUMENTS = {
     "apply_channel-mode": (lambda x: apply_channel(_RHO2, x, 0.1), 1, "integer"),
     "apply_channel-r": (lambda x: apply_channel(_RHO2, 1, x), 0.1, "finite"),
     "correlation_tensor": (correlation_tensor, _RHO2, "finite"),
-    "correlation-a": (lambda x: nonlocality.correlation(_RHO2, x, states.Z_AXIS), states.Z_AXIS, "finite"),
-    "correlation-b": (lambda x: nonlocality.correlation(_RHO2, states.Z_AXIS, x), states.Z_AXIS, "finite"),
     "bell_value-rho": (lambda x: bell_value(x, np.tile(states.Z_AXIS, (4, 1))), _RHO2, "finite"),
     "bell_value-settings": (lambda x: bell_value(_RHO2, x), np.tile(states.Z_AXIS, (4, 1)), "finite"),
     "restricted_settings-gamma": (nonlocality.restricted_settings, 0.2, "finite"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from accelbell.linalg import density, tensor
+from accelbell.linalg import density
 from accelbell.states import (
     SIGMA_X,
     SIGMA_Z,
@@ -26,7 +26,7 @@ def test_singlet_amplitudes_and_norm():
 def test_singlet_correlations():
     rho = density(singlet())
     for pauli in (SIGMA_Z, SIGMA_X):
-        assert abs(np.einsum("ij,ji->", rho, tensor(pauli, pauli)).real + 1.0) < 1e-14
+        assert abs(np.einsum("ij,ji->", rho, np.kron(pauli, pauli)).real + 1.0) < 1e-14
 
 
 def test_gghz_values():
@@ -55,7 +55,7 @@ def test_constructors_normalized_over_ranges():
 
 def test_gghz_relabeling_symmetry():
     # flipping every mode maps theta1 -> pi/2 - theta1
-    flip = tensor(SIGMA_X, SIGMA_X, SIGMA_X)
+    flip = np.kron(SIGMA_X, np.kron(SIGMA_X, SIGMA_X))
     for t in (0.1, 0.5, 1.2):
         assert_allclose(
             density(flip @ gghz(t)),
@@ -64,8 +64,9 @@ def test_gghz_relabeling_symmetry():
         )
 
 
-def test_parameter_folding_preserves_family():
-    # out-of-range angles are reduced to the canonical window
+def test_angles_outside_the_window_differ_only_in_sign():
+    # an angle outside [0, pi/2] (gghz) or [0, pi] (maximal slice) gives the formula's ket, whose amplitudes differ
+    # from those of an angle inside only in sign
     assert_allclose(np.abs(gghz(math.pi / 2.0 + 0.3)), np.abs(gghz(math.pi / 2.0 - 0.3)), atol=1e-15)
     assert_allclose(np.abs(maximal_slice(-0.4)), np.abs(maximal_slice(0.4)), atol=1e-15)
 

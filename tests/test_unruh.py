@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from accelbell.linalg import density
-from accelbell.states import singlet
+from accelbell.states import gghz, singlet
 from accelbell.unruh import (
     R_MAX,
     acceleration_parameter,
@@ -181,3 +181,6 @@ def test_dilate_rejects_non_state_ket():
         dilate(np.array([math.nan, 0.0]), 1, 0.1)
     with pytest.raises(ValueError, match="and trace 2$"):
         dilate([1.0, 1.0], 1, 0.1)
+    # a stack of kets, like an array of r
+    with pytest.raises(ValueError, match=r"^dilate takes one ket, got shape \(2, 8\)$"):
+        dilate(gghz([0.1, 0.2]), 1, 0.1)
