@@ -16,10 +16,10 @@ import numpy as np
 from accelbell import (
     acceleration_parameter,
     apply_channel,
+    bell_upper,
     chsh_restricted_max,
     chsh_threshold,
     density,
-    horodecki_max,
     maximize_bell,
     negativity,
     singlet,
@@ -40,7 +40,7 @@ rs = np.linspace(0.0, math.pi / 4.0, 9)
 rhos = apply_channel(rho0, 2, rs)
 numeric = maximize_bell(rhos, restarts=10, seed=1).value
 print(f"{'r':>8} {'restricted':>11} {'horodecki':>10} {'numeric':>10} {'negativity':>11}")
-for r, rho, restricted, closed, value in zip(rs, rhos, chsh_restricted_max(rs), horodecki_max(rhos), numeric):
+for r, rho, restricted, closed, value in zip(rs, rhos, chsh_restricted_max(rs), bell_upper(rhos), numeric):
     neg = negativity(rho, 1)
     marker = "violates" if violates(restricted, 2) else "classical"
     print(f"{r:8.4f} {restricted:11.6f} {closed:10.6f} {value:10.6f} {neg:11.6f}  {marker}")

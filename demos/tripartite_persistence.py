@@ -23,8 +23,7 @@ from accelbell import (
     gghz,
     maximize_bell,
     svetlichny_bound_gghz,
-    svetlichny_bound_ms_pair,
-    svetlichny_bound_ms_slice,
+    svetlichny_bound_ms,
     violates,
 )
 
@@ -52,8 +51,8 @@ print()
 print("maximal slice: the violation region is sin^2 t3 > tan^2 r (pair case)")
 for r in (0.2, 0.5, math.pi / 4 - 0.01, math.pi / 4):
     t_grid = np.linspace(0.0, math.pi / 2.0, 201)
-    pair = svetlichny_bound_ms_pair(t_grid, r)
-    slc = svetlichny_bound_ms_slice(t_grid, r)
+    pair = svetlichny_bound_ms(t_grid, r, 1)
+    slc = svetlichny_bound_ms(t_grid, r, 3)
     print(
         f"  r = {r:6.4f}   pair max = {float(pair.max()):8.5f}   "
         f"slice max = {float(slc.max()):8.5f}   "

@@ -8,11 +8,11 @@ Library layout:
                   spin observables along unit 3-vectors
     unruh         acceleration parameter, the wedge damping channel on state stacks, the one r check, dilation
     nonlocality   INEQUALITIES (CHSH, Svetlichny) by mode count and violates; correlation tensors T of state
-                  stacks (a correlation is a @ T @ b), bell_value, the one evaluator on unit-vector setting arrays
-                  (the state's mode count picks the inequality), closed forms, upper bounds horodecki_max (CHSH)
-                  and svetlichny_upper
+                  stacks (a correlation is a @ T @ b), bell_value, the one evaluator on unit-vector setting arrays,
+                  and bell_upper, the one upper bound over all settings (the state's mode count picks the
+                  inequality of both); closed forms, the maximal-slice one by damped mode
     optimize      maximize_bell over states (..., d, d), 4x4 (CHSH) or 8x8 (Svetlichny): first party in closed
-                  form + lockstep simplex, stopped per state once it reaches the state's upper bound; fields
+                  form + lockstep simplex, stopped per state once it reaches the state's bell_upper; fields
                   with the stack's leading axes; separable lattice oracle grid_oracle on the same state form
     entanglement  negativity across one mode (pairs via linalg.partial_trace), residual tripartite tangle with
                   its fields pi, pi_1, pi_2, pi_3
@@ -26,17 +26,15 @@ from .nonlocality import (
     INEQUALITIES,
     ChshThreshold,
     GghzBound,
+    bell_upper,
     bell_value,
     chsh_restricted,
     chsh_restricted_max,
     chsh_threshold,
     restricted_settings,
     correlation_tensor,
-    horodecki_max,
-    svetlichny_upper,
     svetlichny_bound_gghz,
-    svetlichny_bound_ms_pair,
-    svetlichny_bound_ms_slice,
+    svetlichny_bound_ms,
     violates,
 )
 from .optimize import BudgetError, OptimizeResult, grid_oracle, maximize_bell

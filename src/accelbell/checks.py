@@ -191,7 +191,7 @@ def check_optimizer_determinism():
 def check_horodecki_vs_numeric():
     rhos = _damped_singlet(np.linspace(0.0, unruh.R_MAX, 8))
     numeric = optimize.maximize_bell(rhos, restarts=12, seed=QUICK_SEED + 5).value
-    worst = float(np.max(np.abs(nonlocality.horodecki_max(rhos) - numeric)))
+    worst = float(np.max(np.abs(nonlocality.bell_upper(rhos) - numeric)))
     return worst, 1e-4, "damped singlet, 8 r values"
 
 
@@ -211,13 +211,11 @@ def check_svetlichny_upper_vs_closed_forms():
     """The unfolding bound against the damped GGHZ envelope and both maximal-slice closed forms, on a 9x9 grid."""
     t, rs = (axis.ravel() for axis in np.meshgrid(np.linspace(0.0, math.pi / 2, 9),
                                                   np.linspace(0.0, unruh.R_MAX, 9), indexing="ij"))
-    cases = [(states.gghz, 3, nonlocality.svetlichny_bound_gghz(t, rs).envelope),
-             (states.maximal_slice, 1, nonlocality.svetlichny_bound_ms_pair(t, rs)),
-             (states.maximal_slice, 2, nonlocality.svetlichny_bound_ms_pair(t, rs)),
-             (states.maximal_slice, 3, nonlocality.svetlichny_bound_ms_slice(t, rs))]
+    cases = [(states.gghz, 3, nonlocality.svetlichny_bound_gghz(t, rs).envelope)]
+    cases += [(states.maximal_slice, mode, nonlocality.svetlichny_bound_ms(t, rs, mode)) for mode in (1, 2, 3)]
     worst = 0.0
     for build, mode, closed in cases:
-        upper = nonlocality.svetlichny_upper(unruh.apply_channel(linalg.density(build(t)), mode, rs))
+        upper = nonlocality.bell_upper(unruh.apply_channel(linalg.density(build(t)), mode, rs))
         worst = max(worst, float(np.max(np.abs(upper - closed))))
     return worst, 1e-12, "GGHZ (mode 3) and maximal slice (modes 1-3) on a 9x9 (angle, r) grid"
 
@@ -236,10 +234,10 @@ def check_ms_bounds_structure():
     thetas = np.linspace(0.0, math.pi / 2, 33)
     rs = np.linspace(0.0, unruh.R_MAX, 17)
     worst = 0.0
-    for bound in (nonlocality.svetlichny_bound_ms_pair, nonlocality.svetlichny_bound_ms_slice):
-        surface = bound(thetas[None, :], rs[:, None])
+    for mode in (1, 2, 3):
+        surface = nonlocality.svetlichny_bound_ms(thetas[None, :], rs[:, None], mode)
         worst = max(worst, float(np.max(np.diff(surface, axis=0))))  # non-increasing in r
-        near_limit = bound(thetas, unruh.R_MAX - 0.01)
+        near_limit = nonlocality.svetlichny_bound_ms(thetas, unruh.R_MAX - 0.01, mode)
         if not np.any(near_limit > 4.0):
             worst = max(worst, 1.0)
     return max(worst, 0.0), 1e-12, "non-increasing in r, violation exists below r_max"

@@ -64,9 +64,7 @@ def _svetlichny_bound(spec: SweepSpec, params: np.ndarray, rs: np.ndarray, envel
     if spec.state == "gghz":
         ref = nonlocality.svetlichny_bound_gghz(params, rs)
         return ref.envelope if envelope else ref.bound
-    if spec.mode in (1, 2):
-        return nonlocality.svetlichny_bound_ms_pair(params, rs)
-    return nonlocality.svetlichny_bound_ms_slice(params, rs)
+    return nonlocality.svetlichny_bound_ms(params, rs, spec.mode)
 
 
 def _numeric(spec: SweepSpec, params, rs, rhos) -> np.ndarray:
@@ -79,11 +77,11 @@ def _numeric(spec: SweepSpec, params, rs, rhos) -> np.ndarray:
 # params and rs are the block's (k,) arrays and the damped states its (k, d, d) stack, each taken in one call
 COLUMNS = {
     "chsh_restricted_max": (2, lambda spec, params, rs, rhos: nonlocality.chsh_restricted_max(rs), True),
-    "chsh_horodecki": (2, lambda spec, params, rs, rhos: nonlocality.horodecki_max(rhos), True),
+    "chsh_horodecki": (2, lambda spec, params, rs, rhos: nonlocality.bell_upper(rhos), True),
     "chsh_numeric": (2, _numeric, True),
     "svetlichny_bound": (3, lambda spec, params, rs, rhos: _svetlichny_bound(spec, params, rs, envelope=False), True),
     "svetlichny_envelope": (3, lambda spec, params, rs, rhos: _svetlichny_bound(spec, params, rs, envelope=True), True),
-    "svetlichny_upper": (3, lambda spec, params, rs, rhos: nonlocality.svetlichny_upper(rhos), True),
+    "svetlichny_upper": (3, lambda spec, params, rs, rhos: nonlocality.bell_upper(rhos), True),
     "svetlichny_numeric": (3, _numeric, True),
     "pi_tangle": (3, lambda spec, params, rs, rhos: [entanglement.pi_tangle(rho).pi for rho in rhos], False),
 }

@@ -25,8 +25,12 @@ def negativity(rho, mode: int) -> float:
     """Negativity of a state across the bipartition mode | rest (1-based mode).
 
     Always >= 0; zero iff the partial transpose stays positive semidefinite.
+    A one-mode state has no such bipartition and raises ValueError.
     """
-    return _negativity(*_one_state(rho), mode)
+    rho, n = _one_state(rho)
+    if n < 2:
+        raise ValueError("a one-mode state has no bipartition mode | rest")
+    return _negativity(rho, n, mode)
 
 
 def _one_state(rho, modes: int | None = None) -> tuple[np.ndarray, int]:

@@ -21,8 +21,8 @@ beta, e.g. CHSH = |a.T(b + b') + a'.T(b - b')|.  No measurement operator is buil
 settings are unit 3-vector arrays of 2n directions, shape (..., 4, 3)
 (a, a', b, b') or (..., 6, 3) (a, a', c, c', b, b').  ``_bell_fields``, the
 one contraction of T with the later settings, is shared with the maximizer,
-and so is ``_upper_bound``, the one body of the upper bounds from T:
-``horodecki_max`` (CHSH, exact) and ``svetlichny_upper`` (Svetlichny).
+and so is ``_upper_bound``, the body of ``bell_upper``: the upper bound
+from T over all settings, exact for CHSH and a bound for Svetlichny.
 The state quantities take a stack of states (..., d, d), checked in one
 ``_state`` call, whose leading axes broadcast against the settings'; one state
 and one setting give a float.  ``violates`` reads the classical bound of the
@@ -80,11 +80,9 @@ __all__ = [
     "restricted_settings",
     "chsh_restricted_max",
     "chsh_threshold",
-    "horodecki_max",
-    "svetlichny_upper",
+    "bell_upper",
     "svetlichny_bound_gghz",
-    "svetlichny_bound_ms_pair",
-    "svetlichny_bound_ms_slice",
+    "svetlichny_bound_ms",
     "violates",
 ]
 
@@ -208,12 +206,7 @@ def chsh_threshold() -> ChshThreshold:
 
 
 def _upper_bound(t: np.ndarray, modes: int) -> np.ndarray:
-    """Upper bound of the ``modes``-mode Bell value over all settings, from T (..., 3, 3(, 3)).
-
-    CHSH: the Horodecki maximum 2 sqrt(t1 + t2), exact.  Svetlichny:
-    4 min_k sigma_max(T_(k)) over the three 3x9 unfoldings of T, a bound
-    that the maximum can sit below.
-    """
+    """The body of ``bell_upper``: its values for the ``modes``-mode inequality from T (..., 3, 3(, 3))."""
     if modes == 2:
         evs = np.linalg.eigvalsh(np.swapaxes(t, -1, -2) @ t)
         return 2.0 * np.sqrt(np.maximum(evs[..., -1] + evs[..., -2], 0.0))
@@ -222,26 +215,21 @@ def _upper_bound(t: np.ndarray, modes: int) -> np.ndarray:
     return 4.0 * np.linalg.svd(unfoldings, compute_uv=False)[..., 0].min(axis=-1)
 
 
-def horodecki_max(rho: np.ndarray) -> float | np.ndarray:
-    """Largest CHSH value of a two-qubit state, or of each of a stack, over all projective settings.
+def bell_upper(rho: np.ndarray) -> float | np.ndarray:
+    """Upper bound of the Bell value of a state, or of each of a stack, over all settings.
 
-    Closed form 2 sqrt(t1 + t2) with t1 >= t2 the two largest eigenvalues
-    of T^T T, with T the ``correlation_tensor`` (Horodecki, Horodecki &
-    Horodecki, PLA 200, 340 (1995)).  Used as the independent oracle for
-    the numerical maximizer.
+    The state's mode count picks the inequality, as in ``bell_value``.  CHSH
+    (4x4): 2 sqrt(t1 + t2) with t1 >= t2 the two largest eigenvalues of
+    T^T T, the exact maximum (Horodecki, Horodecki & Horodecki, PLA 200, 340
+    (1995)), with ``bell_value``'s quantum-maximum guard.  Svetlichny (8x8):
+    4 min_k sigma_max(T_(k)) over the 3x9 unfoldings T_(k) of T along each
+    mode k (Li, Shen, Jing, Fei & Li-Jost, PRA 96, 042323 (2017)), a bound:
+    it equals the damped GGHZ envelope and both maximal-slice closed forms,
+    and lies above the maximum of a generic state.
     """
-    return _guarded(_upper_bound(_tensor(rho, 2)[0], 2), 2)
-
-
-def svetlichny_upper(rho: np.ndarray) -> float | np.ndarray:
-    """Upper bound on the Svetlichny value of a three-qubit state, or of each of a stack, over all settings.
-
-    4 min_k sigma_max(T_(k)), with T_(k) the 3x9 unfolding of the
-    ``correlation_tensor`` along mode k (Li, Shen, Jing, Fei & Li-Jost,
-    PRA 96, 042323 (2017)).  It equals the damped GGHZ envelope and both
-    maximal-slice closed forms; on a generic state it lies above the maximum.
-    """
-    return _maybe_scalar(_upper_bound(_tensor(rho, 3)[0], 3))
+    t, n = _tensor(rho)
+    values = _upper_bound(t, n)
+    return _guarded(values, n) if n == 2 else _maybe_scalar(values)
 
 
 @dataclass(frozen=True)
@@ -288,23 +276,20 @@ def svetlichny_bound_gghz(theta1, r) -> GghzBound:
     )
 
 
-def svetlichny_bound_ms_pair(theta3, r):
-    """Svetlichny maximum of the maximal slice state when the accelerated
-    observer holds one of the paired qubits (1 or 2):
-    4 cos(r) sqrt(cos^2 t3 + 2 sin^2 t3).  Exceeds 4 iff sin^2 t3 > tan^2 r."""
-    r, t3 = _check_r(r), _numbers(theta3, "control angle theta3")
-    vals = 4.0 * np.cos(r) * np.sqrt(np.square(np.cos(t3)) + 2.0 * np.square(np.sin(t3)))
-    return _maybe_scalar(vals)
+def svetlichny_bound_ms(theta3, r, mode: int):
+    """Svetlichny maximum of the maximal slice state with ``mode`` (1..3)
+    damped at angle r; ``theta3`` and ``r`` broadcast.
 
-
-def svetlichny_bound_ms_slice(theta3, r):
-    """Svetlichny maximum of the maximal slice state when the accelerated
-    observer holds the slice qubit (3):
-    4 sqrt(cos^2 t3 cos^2 2r + 2 sin^2 t3 cos^2 r)."""
+    A paired qubit (mode 1 or 2): 4 cos(r) sqrt(cos^2 t3 + 2 sin^2 t3),
+    which exceeds 4 iff sin^2 t3 > tan^2 r.  The slice qubit (mode 3):
+    4 sqrt(cos^2 t3 cos^2 2r + 2 sin^2 t3 cos^2 r).
+    """
     r, t3 = _check_r(r), _numbers(theta3, "control angle theta3")
+    _check_integer("mode", mode, 1, 3)
     cos2, sin2 = np.square(np.cos(t3)), np.square(np.sin(t3))
-    vals = 4.0 * np.sqrt(cos2 * np.square(np.cos(2.0 * r)) + 2.0 * sin2 * np.square(np.cos(r)))
-    return _maybe_scalar(vals)
+    if mode < 3:
+        return _maybe_scalar(4.0 * np.cos(r) * np.sqrt(cos2 + 2.0 * sin2))
+    return _maybe_scalar(4.0 * np.sqrt(cos2 * np.square(np.cos(2.0 * r)) + 2.0 * sin2 * np.square(np.cos(r))))
 
 
 def violates(values, modes: int):

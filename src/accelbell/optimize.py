@@ -17,11 +17,12 @@ lockstep, one (dim + 1, dim) simplex row per (state, start) pair: each
 move is a masked update whose rows share one batched objective call, and
 each row stops on its own at objective spread ``TOLERANCE`` or after
 ``MAX_ITERATIONS`` iterations.  Each state also has an upper bound from
-its T: ``horodecki_max`` for CHSH (exact) and ``svetlichny_upper`` for
-Svetlichny.  All rows of a state retire together at the first iteration in
-which one of them has a best value within ``TOLERANCE`` of that bound, since
-no row can do better; the block ends when every state has converged or been
-certified this way (``OptimizeResult.converged`` and ``certified``).
+its T, ``_upper_bound``, the body of ``nonlocality.bell_upper``: exact for
+CHSH, a bound for Svetlichny.  All rows of a state retire together at the
+first iteration in which one of them has a best value within ``TOLERANCE``
+of that bound, since no row can do better; the block ends when every state
+has converged or been certified this way (``OptimizeResult.converged`` and
+``certified``).
 A row sees only its own state's values, so a state's result does not depend
 on the rest of the stack.  Per state the best run wins, ties to the earliest
 start.  Then a, a' = X/|X| (z where X = 0), and one call of ``bell_value``'s
@@ -37,8 +38,9 @@ Q[., j]: max(|P[a, j] + max Q[., j]|, |P[a, j] + min Q[., j]|) is exactly the
 best value for (a, j), and two passes over P give every a's best.  The first
 a at the lattice maximum then has its |P[a] + Q| scanned in full, so ties go
 to the lowest C-order index.  Its value is a certified lower bound.  Scans
-over ``DEFAULT_BUDGET`` settings raise ``BudgetError``; the lattice grows as
-((pi/res + 1) * 2 pi/res)^n.
+over ``DEFAULT_BUDGET`` settings raise ``BudgetError``: n modes take 2n
+settings, so the scan counts ((pi/res + 1) * 2 pi/res)^(2n) of them, 24^6
+for Svetlichny at res = pi/3.
 """
 
 from __future__ import annotations
@@ -82,11 +84,11 @@ class OptimizeResult:
     spread ``TOLERANCE`` or at the state's upper bound, False at
     ``MAX_ITERATIONS``.  It says nothing of the distance to the maximum:
     the damped singlet at r = 1.06e-4 (16 restarts, seed 1) converges
-    2.5e-9 below ``horodecki_max``.  ``certified`` says that ``value`` is
-    within ``TOLERANCE`` of the state's upper bound, ``horodecki_max`` for
-    CHSH and ``svetlichny_upper`` for Svetlichny, so it is the maximum to
-    that tolerance.  It is False for that damped singlet, and for every
-    state whose Svetlichny maximum sits below the bound.
+    2.5e-9 below ``bell_upper``.  ``certified`` says that ``value`` is
+    within ``TOLERANCE`` of the state's ``bell_upper``, exact for CHSH and a
+    bound for Svetlichny, so it is the maximum to that tolerance.  It is
+    False for that damped singlet, and for every state whose Svetlichny
+    maximum sits below the bound.
     """
 
     value: float | np.ndarray
@@ -245,7 +247,7 @@ def maximize_bell(
     """Numerically maximized CHSH (4x4 operators) or Svetlichny (8x8 operators) value of each state (..., d, d).
 
     The simplex searches the later settings only; its rows are (state, start) pairs, stepped in lockstep, and a
-    state's rows stop once one of them reaches the state's upper bound (``OptimizeResult.certified``).
+    state's rows stop once one of them reaches the state's ``bell_upper`` (``OptimizeResult.certified``).
     """
     _check_search(restarts, witness_resolution, seed)
     t, modes = _tensor(rhos)

@@ -24,21 +24,17 @@ from .linalg import _numbers
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-ID2 = np.eye(2, dtype=complex)
 PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
-Y_AXIS = np.array([0.0, 1.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 __all__ = [
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
-    "ID2",
     "PAULI",
     "X_AXIS",
-    "Y_AXIS",
     "Z_AXIS",
     "spin_observable",
     "singlet",

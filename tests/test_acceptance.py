@@ -12,13 +12,12 @@ from accelbell.cli import SweepSpec, run_sweep
 from accelbell.entanglement import pi_tangle
 from accelbell.linalg import density
 from accelbell.nonlocality import (
+    bell_upper,
     chsh_restricted,
     chsh_threshold,
     correlation_tensor,
-    horodecki_max,
     svetlichny_bound_gghz,
-    svetlichny_bound_ms_pair,
-    svetlichny_bound_ms_slice,
+    svetlichny_bound_ms,
 )
 from accelbell.optimize import maximize_bell
 from accelbell.states import Z_AXIS, gghz, maximal_slice, singlet
@@ -92,12 +91,12 @@ def test_criterion_3_gghz_surface():
 def test_criterion_4_ms_surfaces():
     thetas = np.linspace(0.0, math.pi / 2.0, 64)
     rs = np.linspace(0.0, R_MAX, 64)
-    pair = svetlichny_bound_ms_pair(thetas[None, :], rs[:, None])
+    pair = svetlichny_bound_ms(thetas[None, :], rs[:, None], 1)
     closed = 4.0 * np.cos(rs)[:, None] * np.sqrt(1.0 + np.sin(thetas) ** 2)[None, :]
     pointwise_ok = float(np.max(np.abs(pair - closed))) <= 1e-12
     exists_pair = bool(np.all(pair[:-1].max(axis=1) > 4.0))
     limit_pair = bool(np.all(pair[-1] <= 4.0 + 1e-12))
-    slice_surface = svetlichny_bound_ms_slice(thetas[None, :], rs[:, None])
+    slice_surface = svetlichny_bound_ms(thetas[None, :], rs[:, None], 3)
     exists_slice = bool(np.all(slice_surface[:-1].max(axis=1) > 4.0))
     limit_slice = bool(np.all(slice_surface[-1] <= 4.0 + 1e-12))
     _report(
@@ -179,7 +178,7 @@ def test_criterion_8_oracle_equivalence():
     rhos = [random_density(rng, 2, rank=int(rng.integers(1, 5))) for _ in range(50)]
     rhos += [apply_channel(density(singlet()), 2, float(r)) for r in np.linspace(0.0, R_MAX, 10)]
     numeric = maximize_bell(rhos, restarts=14, seed=88).value
-    worst = max(abs(horodecki_max(rho) - value) for rho, value in zip(rhos, numeric))
+    worst = max(abs(bell_upper(rho) - value) for rho, value in zip(rhos, numeric))
     _report(8, "oracle-equivalence", worst <= 1e-4, f"max |closed-form - numeric| = {worst:.2e}")
 
 

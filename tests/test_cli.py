@@ -11,7 +11,7 @@ import pytest
 from accelbell import checks, cli, nonlocality, optimize, unruh
 from accelbell.cli import COLUMNS, SweepSpec, main, run_sweep, solve_pi_tangle, solve_threshold
 from accelbell.linalg import density
-from accelbell.nonlocality import horodecki_max, violates
+from accelbell.nonlocality import bell_upper, violates
 from accelbell.states import maximal_slice, singlet
 
 SQRT2 = math.sqrt(2.0)
@@ -78,14 +78,14 @@ def test_sweep_deterministic_bytes():
 
 
 def test_sweep_ms_matches_pair_bound():
-    from accelbell.nonlocality import svetlichny_bound_ms_pair
+    from accelbell.nonlocality import svetlichny_bound_ms
 
     spec = bound_spec(state="ms", param_stop=math.pi / 2.0, mode=2, columns=("svetlichny_bound",))
     rows = [line.split(",") for line in run_sweep(spec).strip().split("\n")[1:]]
     grid = [(p, r) for p in np.linspace(0.0, math.pi / 2.0, 5) for r in np.linspace(0.0, math.pi / 4.0, 5)]
     assert len(rows) == len(grid)
     for row, (p, r) in zip(rows, grid):
-        assert row[2] == f"{svetlichny_bound_ms_pair(p, r):.12g}"
+        assert row[2] == f"{svetlichny_bound_ms(p, r, 2):.12g}"
 
 
 def test_sweep_singlet_restricted_crossing():
@@ -121,7 +121,7 @@ def test_sweep_numeric_across_blocks_matches_per_point_calls():
     assert len(rows) == len(grid) > cli.BLOCK
     for row, (p, r) in zip(rows, grid):
         rho = unruh.apply_channel(density(singlet()), 2, r)
-        numeric, closed = optimize.maximize_bell(rho, restarts=2, seed=3).value, horodecki_max(rho)
+        numeric, closed = optimize.maximize_bell(rho, restarts=2, seed=3).value, bell_upper(rho)
         assert row == [f"{p:.12g}", f"{r:.12g}", f"{numeric:.12g}", "1" if violates(numeric, 2) else "0",
                        f"{closed:.12g}", "1" if violates(closed, 2) else "0"]
 
@@ -333,8 +333,7 @@ def test_closed_form_columns_equal_per_point_calls(state, mode, columns):
                 ref = nonlocality.svetlichny_bound_gghz(p, r)
                 value = ref.bound if col == "svetlichny_bound" else ref.envelope
             else:
-                form = nonlocality.svetlichny_bound_ms_pair if mode in (1, 2) else nonlocality.svetlichny_bound_ms_slice
-                value = form(p, r)
+                value = nonlocality.svetlichny_bound_ms(p, r, mode)
             cells += [cli._fmt(value), "1" if violates(value, COLUMNS[col][0]) else "0"]
         assert row.split(",")[2:] == cells
 
@@ -343,8 +342,8 @@ def test_svetlichny_upper_column_one_call_per_block(monkeypatch):
     # 3 x 30 points are two blocks; each row is the bound of its damped state alone, with its violation flag
     spec = SweepSpec(state="ms", param_start=0.1, param_stop=1.4, param_steps=3, r_start=0.0,
                      r_stop=math.pi / 4.0, r_steps=30, mode=3, columns=("svetlichny_upper",))
-    real, calls = nonlocality.svetlichny_upper, []
-    monkeypatch.setattr(nonlocality, "svetlichny_upper", lambda rhos: calls.append(len(rhos)) or real(rhos))
+    real, calls = nonlocality.bell_upper, []
+    monkeypatch.setattr(nonlocality, "bell_upper", lambda rhos: calls.append(len(rhos)) or real(rhos))
     rows = run_sweep(spec).splitlines()
     assert calls == [cli.BLOCK, 90 - cli.BLOCK]
     assert rows[0] == "param,r,svetlichny_upper,svetlichny_upper_violation"

@@ -67,6 +67,9 @@ def test_negativity_rejects_bad_labels():
     # a pair of modes is not a mode: reduce to the pair with partial_trace first
     with pytest.raises(ValueError, match="expected an integer"):
         negativity(rho, (1, 2))
+    # a single mode has no bipartition mode | rest, as it has no mode left to trace out
+    with pytest.raises(ValueError, match="no bipartition"):
+        negativity(np.eye(2) / 2.0, 1)
 
 
 def test_pi_tangle_product_zero():

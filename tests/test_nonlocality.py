@@ -14,17 +14,15 @@ from accelbell.nonlocality import (
     INEQUALITIES,
     VIOLATION_TOL,
     GAMMA_STAR,
+    bell_upper,
     bell_value,
     chsh_restricted,
     chsh_restricted_max,
     chsh_threshold,
     restricted_settings,
     correlation_tensor,
-    horodecki_max,
     svetlichny_bound_gghz,
-    svetlichny_bound_ms_pair,
-    svetlichny_bound_ms_slice,
-    svetlichny_upper,
+    svetlichny_bound_ms,
     violates,
 )
 from accelbell.optimize import maximize_bell
@@ -105,7 +103,7 @@ def test_violates_broadcasts_and_rejects_unknown_mode_counts():
 def test_chsh_optimal_settings_reach_tsirelson():
     value = bell_value(density(singlet()), chsh_tsirelson_settings())
     assert abs(value - 2.0 * SQRT2) < 1e-12
-    assert abs(value - horodecki_max(density(singlet()))) < 1e-12
+    assert abs(value - bell_upper(density(singlet()))) < 1e-12
 
 
 def test_evaluators_reject_values_above_quantum_maximum():
@@ -215,18 +213,18 @@ def test_restricted_violation_iff_threshold():
 
 
 def test_horodecki_singlet_and_products(rng):
-    assert abs(horodecki_max(density(singlet())) - 2.0 * SQRT2) < 1e-12
+    assert abs(bell_upper(density(singlet())) - 2.0 * SQRT2) < 1e-12
     for _ in range(10):
         product = np.kron(random_density(rng, 1), random_density(rng, 1))
-        assert horodecki_max(product) <= 2.0 + 1e-9
+        assert bell_upper(product) <= 2.0 + 1e-9
 
 
 def test_svetlichny_upper_known_states():
     # GHZ reaches the quantum maximum, |000> the classical bound, and the maximally mixed state has T = 0
-    assert abs(svetlichny_upper(density(gghz(math.pi / 4.0))) - 4.0 * SQRT2) < 1e-12
-    assert abs(svetlichny_upper(density(gghz(0.0))) - 4.0) < 1e-12
-    assert svetlichny_upper(np.eye(8) / 8.0) == 0.0
-    assert isinstance(svetlichny_upper(density(gghz(0.3))), float)
+    assert abs(bell_upper(density(gghz(math.pi / 4.0))) - 4.0 * SQRT2) < 1e-12
+    assert abs(bell_upper(density(gghz(0.0))) - 4.0) < 1e-12
+    assert bell_upper(np.eye(8) / 8.0) == 0.0
+    assert isinstance(bell_upper(density(gghz(0.3))), float)
 
 
 @settings(max_examples=20, deadline=None)
@@ -236,14 +234,14 @@ def test_svetlichny_upper_local_unitary_invariant_and_above_values(seed, rank):
     rng = np.random.default_rng(seed)
     rho = random_density(rng, 3, rank)
     u = functools.reduce(np.kron, (random_unitary(rng, 2) for _ in range(3)))
-    assert abs(svetlichny_upper(u @ rho @ u.conj().T) - svetlichny_upper(rho)) < 1e-12
-    assert np.all(bell_value(rho, random_directions(rng, (64, 6))) <= svetlichny_upper(rho) + 1e-12)
+    assert abs(bell_upper(u @ rho @ u.conj().T) - bell_upper(rho)) < 1e-12
+    assert np.all(bell_value(rho, random_directions(rng, (64, 6))) <= bell_upper(rho) + 1e-12)
 
 
 def test_horodecki_damped_singlet_closed_form():
     # T = diag(-cos r, -cos r, -cos^2 r) gives 2 sqrt(2) cos r
     for r in np.linspace(0.0, R_MAX, 10):
-        got = horodecki_max(damped_singlet(float(r)))
+        got = bell_upper(damped_singlet(float(r)))
         assert abs(got - 2.0 * SQRT2 * math.cos(r)) < 1e-12
 
 
@@ -335,7 +333,7 @@ def test_gghz_bound_envelope_dominates():
 def test_closed_forms_on_arrays_equal_scalar_calls(points):
     # one input form: an array call is its elementwise scalar calls, bit for bit
     t, r = (np.array(axis) for axis in zip(*points))
-    for form in (chsh_restricted, svetlichny_bound_ms_pair, svetlichny_bound_ms_slice):
+    for form in (chsh_restricted, *(functools.partial(svetlichny_bound_ms, mode=mode) for mode in (1, 2, 3))):
         args = (r, t) if form is chsh_restricted else (t, r)
         values = form(*args)
         assert values.shape == t.shape
@@ -362,8 +360,8 @@ def test_closed_forms_reject_r_outside_quarter_pi():
             lambda: chsh_restricted_max(r),
             lambda: restricted_settings(GAMMA_STAR, r),
             lambda: svetlichny_bound_gghz(0.3, r),
-            lambda: svetlichny_bound_ms_pair(0.3, r),
-            lambda: svetlichny_bound_ms_slice(0.3, np.array([0.0, r])),
+            lambda: svetlichny_bound_ms(0.3, r, 1),
+            lambda: svetlichny_bound_ms(0.3, np.array([0.0, r]), 3),
         ):
             with pytest.raises(ValueError, match="outside"):
                 call()
@@ -371,16 +369,17 @@ def test_closed_forms_reject_r_outside_quarter_pi():
 
 
 def test_ms_pair_bound_values():
-    assert abs(svetlichny_bound_ms_pair(math.pi / 2.0, 0.0) - 4.0 * SQRT2) < 1e-12
-    for r in np.linspace(0.0, R_MAX, 7):
-        assert abs(svetlichny_bound_ms_pair(0.0, float(r)) - 4.0 * math.cos(r)) < 1e-12
-    assert abs(svetlichny_bound_ms_pair(math.pi / 2.0, math.pi / 4.0) - 4.0) < 1e-12
+    for mode in (1, 2):
+        assert abs(svetlichny_bound_ms(math.pi / 2.0, 0.0, mode) - 4.0 * SQRT2) < 1e-12
+        for r in np.linspace(0.0, R_MAX, 7):
+            assert abs(svetlichny_bound_ms(0.0, float(r), mode) - 4.0 * math.cos(r)) < 1e-12
+        assert abs(svetlichny_bound_ms(math.pi / 2.0, math.pi / 4.0, mode) - 4.0) < 1e-12
 
 
 def test_ms_slice_bound_values():
-    assert abs(svetlichny_bound_ms_slice(math.pi / 2.0, 0.0) - 4.0 * SQRT2) < 1e-12
-    assert abs(svetlichny_bound_ms_slice(math.pi / 2.0, math.pi / 4.0) - 4.0) < 1e-12
-    assert abs(svetlichny_bound_ms_slice(0.0, math.pi / 4.0)) < 1e-12
+    assert abs(svetlichny_bound_ms(math.pi / 2.0, 0.0, 3) - 4.0 * SQRT2) < 1e-12
+    assert abs(svetlichny_bound_ms(math.pi / 2.0, math.pi / 4.0, 3) - 4.0) < 1e-12
+    assert abs(svetlichny_bound_ms(0.0, math.pi / 4.0, 3)) < 1e-12
 
 
 def test_ms_damping_qubit1_equals_qubit2():
@@ -406,12 +405,12 @@ def test_ms_damping_qubit1_equals_qubit2():
 def test_ms_bounds_monotone_and_violating():
     thetas = np.linspace(0.0, math.pi / 2.0, 25)
     rs = np.linspace(0.0, R_MAX, 13)
-    for bound in (svetlichny_bound_ms_pair, svetlichny_bound_ms_slice):
-        surface = bound(thetas[None, :], rs[:, None])
+    for mode in (1, 2, 3):
+        surface = svetlichny_bound_ms(thetas[None, :], rs[:, None], mode)
         assert np.all(np.diff(surface, axis=0) <= 1e-12)
         # violation achievable whenever r < pi/4: sin^2 t3 > tan^2 r
         r_edge = R_MAX - 0.01
-        assert np.any(bound(thetas, r_edge) > 4.0)
+        assert np.any(svetlichny_bound_ms(thetas, r_edge, mode) > 4.0)
 
 
 def test_correlation_tensor_known_values():
@@ -443,9 +442,9 @@ def test_evaluators_reject_non_finite_input():
             lambda: bell_value(bad3, dirs6),
             lambda: bell_value(rho3, bad_dirs6),
             lambda: correlation_tensor(bad2),
-            lambda: horodecki_max(bad2),
+            lambda: bell_upper(bad2),
             lambda: correlation_tensor(bad3),
-            lambda: svetlichny_upper(bad3),
+            lambda: bell_upper(bad3),
             lambda: gghz(value),
             lambda: maximal_slice(value),
             lambda: chsh_restricted(value, 0.3),
@@ -455,9 +454,9 @@ def test_evaluators_reject_non_finite_input():
             lambda: restricted_settings(0.3, value),
             lambda: svetlichny_bound_gghz(value, 0.1),
             lambda: svetlichny_bound_gghz(0.3, value),
-            lambda: svetlichny_bound_ms_pair(value, 0.1),
-            lambda: svetlichny_bound_ms_slice(np.array([0.2, value]), 0.1),
-            lambda: svetlichny_bound_ms_slice(0.2, np.array([0.1, value])),
+            lambda: svetlichny_bound_ms(value, 0.1, 1),
+            lambda: svetlichny_bound_ms(np.array([0.2, value]), 0.1, 3),
+            lambda: svetlichny_bound_ms(0.2, np.array([0.1, value]), 3),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="non-finite"):
@@ -470,9 +469,9 @@ def test_evaluators_reject_non_finite_input():
 def test_state_entry_points_reject_non_states():
     # every state entry point checks shape, finiteness, Hermiticity and unit trace (not positivity)
     calls = {
-        "and trace 20$": [lambda: horodecki_max(5.0 * np.eye(4)), lambda: maximize_bell(5.0 * np.eye(4), restarts=1)],
+        "and trace 20$": [lambda: bell_upper(5.0 * np.eye(4)), lambda: maximize_bell(5.0 * np.eye(4), restarts=1)],
         "and trace 12$": [lambda: negativity(3.0 * np.eye(4), 1)],
-        "and trace 16$": [lambda: pi_tangle(2.0 * np.eye(8)), lambda: svetlichny_upper(2.0 * np.eye(8))],
+        "and trace 16$": [lambda: pi_tangle(2.0 * np.eye(8)), lambda: bell_upper(2.0 * np.eye(8))],
         "and trace 2$": [lambda: density([1.0, 1.0])],
         "non-finite": [lambda: apply_channel(np.full((4, 4), math.nan), 1, 0.1), lambda: density([math.nan, 0.0])],
         "not Hermitian": [lambda: apply_channel(np.triu(np.ones((4, 4))) / 4.0, 1, 0.1)],
@@ -483,7 +482,7 @@ def test_state_entry_points_reject_non_states():
             lambda: correlation_tensor(np.eye(1)),
             lambda: density([1.0]),
         ],
-        "3-mode state": [lambda: pi_tangle(density(singlet())), lambda: svetlichny_upper(density(singlet()))],
+        "3-mode state": [lambda: pi_tangle(density(singlet()))],
     }
     for message, group in calls.items():
         for call in group:
@@ -497,12 +496,10 @@ def test_valid_states_give_finite_values(seed, modes, data):
     rng = np.random.default_rng(seed)
     rho = random_density(rng, modes, data.draw(st.integers(1, 2**modes), label="rank"))
     values = [bell_value(rho, random_directions(rng, (2 * modes,))), maximize_bell(rho, restarts=1).value]
-    values += [negativity(rho, mode) for mode in range(1, modes + 1)]
-    if modes == 2:
-        values.append(horodecki_max(rho))
-    else:
+    values += [negativity(rho, mode) for mode in range(1, modes + 1)] + [bell_upper(rho)]
+    if modes == 3:
         tangle = pi_tangle(rho)
-        values += [tangle.pi, tangle.pi_1, tangle.pi_2, tangle.pi_3, svetlichny_upper(rho)]
+        values += [tangle.pi, tangle.pi_1, tangle.pi_2, tangle.pi_3]
     assert np.isfinite(values).all()
 
 
@@ -514,7 +511,7 @@ def test_evaluators_reject_non_hermitian_input():
         lambda: correlation_tensor(bad3),
         lambda: bell_value(bad2, chsh_tsirelson_settings()),
         lambda: bell_value(bad3, np.tile(Z_AXIS, (6, 1))),
-        lambda: horodecki_max(bad2),
+        lambda: bell_upper(bad2),
         lambda: maximize_bell(bad2, restarts=1),
         lambda: maximize_bell(bad3, restarts=1),
     ]
@@ -546,7 +543,7 @@ def test_horodecki_local_unitary_invariant(seed, rank):
     rng = np.random.default_rng(seed)
     rho = random_density(rng, 2, rank)
     u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
-    assert abs(horodecki_max(u @ rho @ u.conj().T) - horodecki_max(rho)) < 1e-12
+    assert abs(bell_upper(u @ rho @ u.conj().T) - bell_upper(rho)) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -554,4 +551,4 @@ def test_horodecki_local_unitary_invariant(seed, rank):
 def test_chsh_never_exceeds_horodecki(seed, rank):
     rng = np.random.default_rng(seed)
     rho = random_density(rng, 2, rank)
-    assert np.all(bell_value(rho, random_directions(rng, (64, 4))) <= horodecki_max(rho) + 1e-12)
+    assert np.all(bell_value(rho, random_directions(rng, (64, 4))) <= bell_upper(rho) + 1e-12)

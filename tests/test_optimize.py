@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from accelbell import nonlocality, optimize
 from accelbell.linalg import density
 from accelbell.nonlocality import (
+    bell_upper,
     bell_value,
     correlation_tensor,
-    horodecki_max,
     svetlichny_bound_gghz,
-    svetlichny_upper,
 )
 from accelbell.optimize import BudgetError, grid_oracle, maximize_bell
 from accelbell.states import gghz, singlet
@@ -324,7 +323,7 @@ def test_capped_row_beside_converged_row(monkeypatch):
 def test_numeric_chsh_below_horodecki(seed, rank):
     rho = random_density(np.random.default_rng(seed), 2, rank)
     result = maximize_bell(rho, restarts=2)
-    assert result.value <= horodecki_max(rho) + 1e-12
+    assert result.value <= bell_upper(rho) + 1e-12
     assert abs(bell_value(rho, result.directions) - result.value) <= 1e-12
 
 
@@ -342,7 +341,7 @@ def test_numeric_svetlichny_reproduced_by_directions(seed, rank):
 def test_numeric_svetlichny_below_upper_bound(seed, rank, size):
     rng = np.random.default_rng(seed)
     rhos = np.stack([random_density(rng, 3, rank) for _ in range(size)])
-    upper = svetlichny_upper(rhos)
+    upper = bell_upper(rhos)
     result = maximize_bell(rhos, restarts=2)
     assert np.all(result.value <= upper + 1e-12)
     assert np.array_equal(result.certified, result.value >= upper - optimize.TOLERANCE)
@@ -358,7 +357,7 @@ def test_certified_on_tight_references():
         rhos = apply_channel(density(singlet()), 2, np.linspace(0.2, math.pi / 4.0, 8))
         result = maximize_bell(rhos, restarts=16, seed=seed)
         assert np.all(result.certified)
-        assert np.all(np.abs(result.value - horodecki_max(rhos)) <= optimize.TOLERANCE)
+        assert np.all(np.abs(result.value - bell_upper(rhos)) <= optimize.TOLERANCE)
 
 
 def test_degenerate_optimum_not_certified():
@@ -366,7 +365,7 @@ def test_degenerate_optimum_not_certified():
     rho = apply_channel(density(singlet()), 2, 1.06e-4)
     result = maximize_bell(rho, restarts=16, seed=1)
     assert result.converged and not result.certified
-    assert 1e-9 < horodecki_max(rho) - result.value < 1e-8
+    assert 1e-9 < bell_upper(rho) - result.value < 1e-8
 
 
 def test_certified_state_retires_its_rows():

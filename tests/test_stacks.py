@@ -12,15 +12,13 @@ from accelbell.cli import SweepSpec, run_sweep
 from accelbell.entanglement import negativity
 from accelbell.linalg import density, partial_trace, partial_transpose
 from accelbell.nonlocality import (
+    bell_upper,
     bell_value,
     chsh_restricted,
     chsh_restricted_max,
     correlation_tensor,
-    horodecki_max,
     svetlichny_bound_gghz,
-    svetlichny_bound_ms_pair,
-    svetlichny_bound_ms_slice,
-    svetlichny_upper,
+    svetlichny_bound_ms,
 )
 from accelbell.optimize import maximize_bell
 from accelbell.states import gghz, maximal_slice, singlet
@@ -42,14 +40,14 @@ def test_stack_rows_equal_single_state_calls(seed, modes, rank, size, data):
     dirs = random_directions(rng, (size, 2 * modes))
     tensors, values = correlation_tensor(damped), bell_value(damped, dirs)
     result = maximize_bell(damped, restarts=1, seed=seed % 1000)
-    upper = horodecki_max(damped) if modes == 2 else svetlichny_upper(damped)
+    upper = bell_upper(damped)
     reduced, transposed = partial_trace(damped, mode), partial_transpose(damped, mode)
     for i in range(size):
         rho = apply_channel(rhos[i], mode, rs[i])
         assert np.array_equal(damped[i], rho)
         assert np.array_equal(tensors[i], correlation_tensor(rho))
         assert values[i] == bell_value(rho, dirs[i])
-        assert upper[i] == (horodecki_max(rho) if modes == 2 else svetlichny_upper(rho))
+        assert upper[i] == bell_upper(rho)
         assert np.array_equal(reduced[i], partial_trace(rho, mode))
         assert np.array_equal(transposed[i], partial_transpose(rho, mode))
         alone = maximize_bell(rho, restarts=1, seed=seed % 1000)
@@ -85,9 +83,9 @@ def test_leading_axes_broadcast():
     assert np.array_equal(damped[1, 2], apply_channel(density(gghz(0.7)), 3, R_MAX))
     assert correlation_tensor(damped).shape == (2, 3, 3, 3, 3)
     assert bell_value(damped, np.tile([0.0, 0.0, 1.0], (6, 1))).shape == (2, 3)
-    assert svetlichny_upper(damped).shape == (2, 3)  # only the three mode axes are unfolded
-    assert svetlichny_upper(damped)[1, 2] == svetlichny_upper(damped[1, 2])
-    assert isinstance(horodecki_max(density(singlet())), float)
+    assert bell_upper(damped).shape == (2, 3)  # only the three mode axes are unfolded
+    assert bell_upper(damped)[1, 2] == bell_upper(damped[1, 2])
+    assert isinstance(bell_upper(density(singlet())), float)
     assert isinstance(bell_value(density(singlet()), np.tile([0.0, 0.0, 1.0], (4, 1))), float)
 
 
@@ -98,7 +96,7 @@ def test_stack_check_names_the_worst_trace():
         correlation_tensor(rhos)
     rhos[0, 0, 1] = 1.0
     with pytest.raises(ValueError, match="not Hermitian"):
-        horodecki_max(rhos)
+        bell_upper(rhos)
     rhos = np.stack([np.eye(4) / 4.0] * 2)
     rhos[1, 2, 2] = math.nan
     with pytest.raises(ValueError, match="non-finite"):
@@ -108,7 +106,7 @@ def test_stack_check_names_the_worst_trace():
 
 
 def test_sweep_block_checked_once_per_step(monkeypatch):
-    # density, the channel and horodecki_max each check a 64-point block in one call
+    # density, the channel and bell_upper each check a 64-point block in one call
     calls, reads = [], []
     for module in (linalg, unruh, nonlocality, entanglement):
         checked = module._state
@@ -137,7 +135,8 @@ def test_sweep_block_checked_once_per_step(monkeypatch):
     lambda mode: dilate(gghz(0.3), mode, 0.1),
     lambda mode: partial_trace(density(gghz(0.3)), mode),
     lambda mode: partial_transpose(density(gghz(0.3)), mode),
-], ids=["negativity", "apply_channel", "dilate", "partial_trace", "partial_transpose"])
+    lambda mode: svetlichny_bound_ms(0.3, 0.1, mode),
+], ids=["negativity", "apply_channel", "dilate", "partial_trace", "partial_transpose", "svetlichny_bound_ms"])
 def test_mode_arguments_reject_non_integers(call):
     # one mode check: an integer in 1..n; a bool, a float, a string or a pair is a ValueError
     for mode in (0, 4, 1.5, 2.0, True, np.True_, "1", None, (1, 2)):
@@ -149,9 +148,9 @@ def test_mode_arguments_reject_non_integers(call):
 def test_horodecki_rejects_values_above_the_quantum_maximum():
     # unit trace and Hermitian, but not positive: T_zz = 3 is T's only entry, so the closed form reads 2 sqrt(9) = 6
     with pytest.raises(ValueError, match="quantum maximum"):
-        horodecki_max(np.diag([2.0, -1.0, 0.0, 0.0]))
+        bell_upper(np.diag([2.0, -1.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="quantum maximum"):
-        horodecki_max(np.stack([density(singlet()), np.diag([2.0, -1.0, 0.0, 0.0])]))
+        bell_upper(np.stack([density(singlet()), np.diag([2.0, -1.0, 0.0, 0.0])]))
 
 
 def test_state_quantities_accept_empty_stacks():
@@ -161,7 +160,7 @@ def test_state_quantities_accept_empty_stacks():
         assert correlation_tensor(empty).shape == (0,) + (3,) * modes
         assert bell_value(empty, np.tile([0.0, 0.0, 1.0], (2 * modes, 1))).shape == (0,)
         assert bell_value(density(singlet() if modes == 2 else gghz(0.3)), np.empty((0, 2 * modes, 3))).shape == (0,)
-        assert (horodecki_max(empty) if modes == 2 else svetlichny_upper(empty)).shape == (0,)
+        assert bell_upper(empty).shape == (0,)
         result = maximize_bell(empty.reshape((3, 0) + empty.shape[1:]), restarts=2)
         assert result.value.shape == result.evaluations.shape == result.certified.shape == (3, 0)
         assert result.directions.shape == (3, 0, 2 * modes, 3)
@@ -172,8 +171,8 @@ def test_closed_forms_accept_empty_input():
     assert chsh_restricted(empty, 0.3).shape == chsh_restricted(0.3, empty).shape == (0,)
     assert chsh_restricted_max([]).shape == (0,)
     assert svetlichny_bound_gghz(0.3, []).envelope.shape == svetlichny_bound_gghz([], 0.3).branch.shape == (0,)
-    assert svetlichny_bound_ms_pair(0.3, []).shape == svetlichny_bound_ms_pair([], 0.3).shape == (0,)
-    assert svetlichny_bound_ms_slice(0.3, []).shape == svetlichny_bound_ms_slice([], 0.3).shape == (0,)
+    for mode in (1, 3):
+        assert svetlichny_bound_ms(0.3, [], mode).shape == svetlichny_bound_ms([], 0.3, mode).shape == (0,)
     assert nonlocality.restricted_settings([], 0.3).shape == (0, 4, 3)
     assert apply_channel(density(singlet()), 2, empty).shape == (0, 4, 4)
 
@@ -208,14 +207,13 @@ _ARGUMENTS = {
     "chsh_restricted-r": (lambda x: chsh_restricted(x, 0.2), 0.1, "finite"),
     "chsh_restricted-gamma": (lambda x: chsh_restricted(0.1, x), 0.2, "finite"),
     "chsh_restricted_max": (chsh_restricted_max, 0.1, "finite"),
-    "horodecki_max": (horodecki_max, _RHO2, "finite"),
-    "svetlichny_upper": (svetlichny_upper, _RHO3, "finite"),
+    "bell_upper-4x4": (bell_upper, _RHO2, "finite"),
+    "bell_upper-8x8": (bell_upper, _RHO3, "finite"),
     "svetlichny_bound_gghz-theta1": (lambda x: svetlichny_bound_gghz(x, 0.1), 0.3, "finite"),
     "svetlichny_bound_gghz-r": (lambda x: svetlichny_bound_gghz(0.3, x), 0.1, "finite"),
-    "svetlichny_bound_ms_pair-theta3": (lambda x: svetlichny_bound_ms_pair(x, 0.1), 1.0, "finite"),
-    "svetlichny_bound_ms_pair-r": (lambda x: svetlichny_bound_ms_pair(1.0, x), 0.1, "finite"),
-    "svetlichny_bound_ms_slice-theta3": (lambda x: svetlichny_bound_ms_slice(x, 0.1), 1.0, "finite"),
-    "svetlichny_bound_ms_slice-r": (lambda x: svetlichny_bound_ms_slice(1.0, x), 0.1, "finite"),
+    "svetlichny_bound_ms-theta3": (lambda x: svetlichny_bound_ms(x, 0.1, 1), 1.0, "finite"),
+    "svetlichny_bound_ms-r": (lambda x: svetlichny_bound_ms(1.0, x, 3), 0.1, "finite"),
+    "svetlichny_bound_ms-mode": (lambda x: svetlichny_bound_ms(1.0, 0.1, x), 3, "integer"),
     "violates-values": (lambda x: nonlocality.violates(x, 2), 3.0, "number"),  # NaN is no violation
     "violates-modes": (lambda x: nonlocality.violates(2.5, x), 2, "integer"),
     "negativity-rho": (lambda x: negativity(x, 1), _RHO2, "finite"),
