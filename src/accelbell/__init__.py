@@ -39,6 +39,6 @@ from .nonlocality import (
 )
 from .optimize import BudgetError, OptimizeResult, grid_oracle, maximize_bell
 from .states import gghz, maximal_slice, singlet, spin_observable
-from .unruh import R_MAX, acceleration_parameter, apply_channel, build_channel, dilate
+from .unruh import R_MAX, acceleration_parameter, apply_channel, dilate
 
 __version__ = "0.1.0"

@@ -183,8 +183,11 @@ def _lattice_steps(resolution: float) -> int:
     step = _numbers(resolution, "lattice resolution")
     if step.ndim or not step > 0.0:
         raise ValueError(f"resolution {resolution!r} must be one positive angle")
-    k = round(math.pi / resolution)
-    if k < 1 or abs(math.pi / resolution - k) > 1e-9:
+    steps = math.pi / float(step)
+    if not math.isfinite(steps):
+        raise ValueError(f"resolution {resolution!r} is too small: pi / resolution is not finite")
+    k = round(steps)
+    if k < 1 or abs(steps - k) > 1e-9:
         raise ValueError(f"resolution {resolution!r} must divide pi")
     return k
 

@@ -19,15 +19,18 @@ The damping strength is set by the dimensionless ratio W = omega * c / a
 cos(r) = 1/sqrt(1 + exp(-2 pi W)); r runs from 0 (inertial observer) to
 pi/4 (infinite acceleration).
 
-``build_channel`` gives the Kraus pairs as a (..., 2, 2, 2) array k[..., term, out, in].
-``apply_channel`` contracts them with the damped mode's two axes of the
-reshaped density operators, so no Kronecker operator is built; the leading
-axes of the state stack and of r broadcast.  It and ``dilate`` followed by a
-partial trace (``dilate_and_trace``, one ket) are two independent implementations
-of the same map and must agree to 1e-12; the cross-check lives in the test suite
-and in ``checks.verify``.  ``_check_r`` is the package's one r-domain check; it
-and ``acceleration_parameter`` read their input with ``linalg._numbers``, and
-modes follow ``linalg._check_integer``.
+On the blocks rho_ab of the damped mode's row bit a and column bit b, with
+c = cos r and s = sin r, the pair acts as four elementwise products:
+
+    rho'_00 = c rho_00 c    rho'_01 = c rho_01    rho'_10 = rho_10 c    rho'_11 = rho_11 + s rho_00 s
+
+``apply_channel`` computes exactly these, with no Kronecker operator or Kraus
+array; the leading axes of the state stack and of r broadcast.  It and
+``dilate`` followed by a partial trace (``dilate_and_trace``, one ket) are two
+independent implementations of the same map and must agree to 1e-12; the
+cross-check lives in the test suite and in ``checks.verify``.  ``_check_r``
+is the package's one r-domain check; it and ``acceleration_parameter`` read
+their input with ``linalg._numbers``, and modes follow ``linalg._check_integer``.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .linalg import _check_integer, _numbers, _state, density, mode_count, parti
 
 R_MAX = math.pi / 4.0
 
-__all__ = ["R_MAX", "acceleration_parameter", "build_channel", "dilate", "apply_channel"]
+__all__ = ["R_MAX", "acceleration_parameter", "dilate", "apply_channel"]
 
 
 def acceleration_parameter(omega_ratio: float) -> float:
@@ -66,14 +69,6 @@ def _check_r(r) -> np.ndarray:
     if outside.any():
         raise ValueError(f"acceleration parameter r={float(r[outside][0])!r} outside [0, pi/4]")
     return r
-
-
-def build_channel(r) -> np.ndarray:
-    """Kraus pairs for damping angles r (...) as a (..., 2, 2, 2) array k[..., term, out, in]; the identity at r = 0."""
-    r = _check_r(r)
-    k = np.zeros(r.shape + (2, 2, 2), dtype=complex)
-    k[..., 0, 0, 0], k[..., 0, 1, 1], k[..., 1, 1, 0] = np.cos(r), 1.0, np.sin(r)
-    return k
 
 
 def dilate(psi: np.ndarray, mode: int, r: float) -> np.ndarray:
@@ -107,11 +102,13 @@ def apply_channel(rho: np.ndarray, mode: int, r) -> np.ndarray:
     """
     rho, n = _state(rho)
     _check_integer("mode", mode, 1, n)
-    k = build_channel(r)
+    r = _check_r(r)
     left, right = 2 ** (mode - 1), 2 ** (n - mode)
-    t = rho.reshape(rho.shape[:-2] + (left, 2, right, left, 2, right))
-    out = np.einsum("...kab,...xbyudv,...ked->...xayuev", k, t, k.conj())
-    return out.reshape(out.shape[:-6] + rho.shape[-2:])
+    # t[a, b] is the block of the damped mode's row bit a and column bit b, (..., left, right, left, right)
+    t = np.moveaxis(rho.reshape(rho.shape[:-2] + (left, 2, right, left, 2, right)), (-5, -2), (0, 1))
+    c, s = (f(r).reshape(r.shape + (1,) * 4) for f in (np.cos, np.sin))
+    out = np.array([[c * t[0, 0] * c, c * t[0, 1]], [t[1, 0] * c, t[1, 1] + s * t[0, 0] * s]])
+    return np.moveaxis(out, (0, 1), (-5, -2)).reshape(out.shape[2:-4] + rho.shape[-2:])
 
 
 def dilate_and_trace(psi: np.ndarray, mode: int, r: float) -> np.ndarray:

@@ -256,6 +256,7 @@ def test_main_usage_errors(capsys, monkeypatch, tmp_path):
     assert main(singlet + ["--columns", "chsh_horodecki", "--restarts", "0"]) == 2
     assert main(singlet + ["--columns", "chsh_horodecki", "--certify", "-1"]) == 2
     assert main(singlet + ["--columns", "chsh_numeric", "--restarts", "0", "--certify", "0.19634954084936207"]) == 2
+    assert main(singlet + ["--columns", "chsh_numeric", "--certify", "5e-324"]) == 2  # pi / resolution is inf
     # a column named twice would write a duplicate CSV header
     assert main(singlet + ["--columns", "chsh_horodecki,chsh_horodecki"]) == 2
     # so is --seed, before the first block's states are built
@@ -274,7 +275,7 @@ def test_main_usage_errors(capsys, monkeypatch, tmp_path):
     assert main(["threshold", "--out", missing]) == 2
     assert main(["pi-tangle", "--state", "gghz", "--param", "0.3", "--r", "0.2", "--out", missing]) == 2
     errors = capsys.readouterr().err.splitlines()
-    assert len(errors) == 14 and all(line.startswith("error: ") for line in errors)
+    assert len(errors) == 15 and all(line.startswith("error: ") for line in errors)
 
 
 def test_cli_import_leaves_the_invariant_suite_unloaded():
@@ -394,16 +395,19 @@ def _failed_residual(report, name):
 
 
 def test_verify_fault_injection(monkeypatch):
-    import accelbell.unruh as unruh_mod
+    real_apply = unruh.apply_channel
 
-    real_build = unruh_mod.build_channel
+    def corrupted(rho, mode, r):
+        out = real_apply(rho, mode, r)
+        left = 2 ** (mode - 1)
+        right = out.shape[-1] // (2 * left)
+        blocks = out.reshape(out.shape[:-2] + (left, 2, right, left, 2, right))
+        # negate the damped mode's coherence blocks: breaks coherences but not probabilities
+        blocks[..., :, 0, :, :, 1, :] *= -1
+        blocks[..., :, 1, :, :, 0, :] *= -1
+        return out
 
-    def corrupted(r):
-        k = real_build(r)
-        k[0, 1, 1] = -k[0, 1, 1]  # sign flip breaks coherences but not probabilities
-        return k
-
-    monkeypatch.setattr(unruh_mod, "build_channel", corrupted)
+    monkeypatch.setattr(unruh, "apply_channel", corrupted)
     code, report = checks.verify("quick")
     assert code == 1
     # a finite residual: the check ran and measured the fault instead of crashing

@@ -27,7 +27,7 @@ from accelbell.nonlocality import (
 )
 from accelbell.optimize import maximize_bell
 from accelbell.states import X_AXIS, Z_AXIS, gghz, maximal_slice, singlet, spin_observable
-from accelbell.unruh import R_MAX, acceleration_parameter, apply_channel
+from accelbell.unruh import R_MAX, acceleration_parameter, apply_channel, dilate
 
 from helpers import random_density, random_direction, random_directions, random_unitary
 
@@ -353,7 +353,7 @@ def test_closed_forms_on_arrays_equal_scalar_calls(points):
 
 def test_closed_forms_reject_r_outside_quarter_pi():
     # r lives in [0, pi/4]; past it the forms return numbers for no state (a negative
-    # equatorial value at r = 2), so they raise like the channel does
+    # equatorial value at r = 2), so they raise, and so do the channel and the dilation
     for r in (-0.1, 2.0):
         for call in (
             lambda: chsh_restricted(r, GAMMA_STAR),
@@ -362,6 +362,8 @@ def test_closed_forms_reject_r_outside_quarter_pi():
             lambda: svetlichny_bound_gghz(0.3, r),
             lambda: svetlichny_bound_ms(0.3, r, 1),
             lambda: svetlichny_bound_ms(0.3, np.array([0.0, r]), 3),
+            lambda: apply_channel(density(singlet()), 1, r),
+            lambda: dilate(singlet(), 1, r),
         ):
             with pytest.raises(ValueError, match="outside"):
                 call()

@@ -22,7 +22,7 @@ from accelbell.nonlocality import (
 )
 from accelbell.optimize import maximize_bell
 from accelbell.states import gghz, maximal_slice, singlet
-from accelbell.unruh import R_MAX, apply_channel, build_channel, dilate
+from accelbell.unruh import R_MAX, apply_channel, dilate
 
 from helpers import random_density, random_directions
 
@@ -72,7 +72,6 @@ def test_state_builders_on_arrays_equal_scalar_calls(angles, data):
     # the singlet builder ignores its parameter: the channel broadcasts one state against the r axis
     damped = apply_channel(density(singlet()), 2, rs)
     assert all(np.array_equal(damped[i], apply_channel(density(singlet()), 2, float(r))) for i, r in enumerate(rs))
-    assert build_channel(rs).shape == (len(angles), 2, 2, 2)
 
 
 def test_leading_axes_broadcast():
@@ -192,7 +191,6 @@ _ARGUMENTS = {
     "gghz": (gghz, 0.3, "finite"),
     "maximal_slice": (maximal_slice, 0.3, "finite"),
     "acceleration_parameter": (unruh.acceleration_parameter, 0.5, "finite"),
-    "build_channel": (build_channel, 0.1, "finite"),
     "dilate-psi": (lambda x: dilate(x, 1, 0.1), singlet(), "finite"),
     "dilate-mode": (lambda x: dilate(singlet(), x, 0.1), 1, "integer"),
     "dilate-r": (lambda x: dilate(singlet(), 1, x), 0.1, "finite"),

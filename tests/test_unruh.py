@@ -12,14 +12,15 @@ from accelbell.unruh import (
     R_MAX,
     acceleration_parameter,
     apply_channel,
-    build_channel,
     dilate,
     dilate_and_trace,
 )
 
-from helpers import random_state
+from helpers import random_density, random_state
 
 SQRT2 = math.sqrt(2.0)
+# (mode count, damped mode): 1-3 modes and every mode index of each
+PLACEMENTS = [(n, mode) for n in (1, 2, 3) for mode in range(1, n + 1)]
 
 
 def test_acceleration_parameter_boundaries():
@@ -63,32 +64,9 @@ def test_scalar_entry_points_reject_arrays_and_bools():
             acceleration_parameter(flag)
 
 
-def test_channel_identity_at_rest():
-    k = build_channel(0.0)
-    assert k.shape == (2, 2, 2)
-    assert_allclose(k[0], np.eye(2))
-    assert np.all(k[1] == 0)
-
-
-def test_channel_completeness():
-    for r in np.linspace(0.0, R_MAX, 20):
-        k = build_channel(r)
-        assert np.max(np.abs(np.einsum("kba,kbc->ac", k.conj(), k) - np.eye(2))) < 1e-12  # sum_k K^dag K = 1
-
-
 def test_channel_infinite_acceleration():
-    k = build_channel(math.pi / 4.0)
-    assert_allclose(k[0], np.diag([1.0 / SQRT2, 1.0]))
-    assert abs(k[1, 1, 0] - 1.0 / SQRT2) < 1e-15
     out = apply_channel(np.diag([1.0, 0.0]).astype(complex), 1, math.pi / 4.0)
     assert_allclose(out, np.eye(2) / 2.0, atol=1e-15)
-
-
-def test_channel_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        build_channel(-0.1)
-    with pytest.raises(ValueError):
-        build_channel(1.0)
 
 
 def test_dilate_excited_mode_single_term():
@@ -123,8 +101,13 @@ def test_dilate_preserves_norm(rng):
 
 
 def test_apply_channel_identity_at_rest(rng):
-    rho = density(random_state(rng, 2))
-    assert np.array_equal(apply_channel(rho, 1, 0.0), rho)
+    # every placement: the middle mode of three has blocks on both sides of the damped bit, left = right = 2
+    for modes, mode in PLACEMENTS:
+        rhos = np.stack([random_density(rng, modes) for _ in range(2)])
+        assert np.array_equal(apply_channel(rhos[0], mode, 0.0), rhos[0])
+        # a (3, 1) stack of r = 0 broadcast against two states gives each state three times
+        at_rest = apply_channel(rhos, mode, np.zeros((3, 1)))
+        assert np.array_equal(at_rest, np.broadcast_to(rhos, (3,) + rhos.shape))
 
 
 def test_apply_channel_excited_state_fixed():
@@ -138,12 +121,8 @@ def test_apply_channel_damped_singlet_spectrum():
     assert_allclose(np.linalg.eigvalsh(rho), [0.0, 0.0, 0.25, 0.75], atol=1e-12)
 
 
-# (mode count, damped mode): 1-3 modes and every mode index of each
-PLACEMENTS = st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n)))
-
-
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), placement=PLACEMENTS, r=st.floats(0.0, R_MAX))
+@given(seed=st.integers(0, 2**32 - 1), placement=st.sampled_from(PLACEMENTS), r=st.floats(0.0, R_MAX))
 def test_dual_path_agreement(seed, placement, r):
     modes, mode = placement
     psi = random_state(np.random.default_rng(seed), modes)
@@ -152,7 +131,7 @@ def test_dual_path_agreement(seed, placement, r):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), placement=PLACEMENTS, r=st.floats(0.0, R_MAX))
+@given(seed=st.integers(0, 2**32 - 1), placement=st.sampled_from(PLACEMENTS), r=st.floats(0.0, R_MAX))
 def test_apply_channel_output_is_density(seed, placement, r):
     modes, mode = placement
     out = apply_channel(density(random_state(np.random.default_rng(seed), modes)), mode, r)
