@@ -2,9 +2,9 @@
 
 Levels: "quick" runs the cheap invariants (channel, Bell evaluator and
 lattice oracle dual paths, CPTP, correlation law, restricted-family equivalence,
-threshold, tangle endpoints, optimizer determinism); "full" adds
-the optimizer-vs-bound grids, the Svetlichny upper bound against the closed
-forms, the tangle monotonicity sweeps and the maximal-slice bound structure.
+threshold, tangle endpoints, optimizer determinism); "full" adds the
+optimizer-vs-bound grids, the pi/4 Svetlichny lattice witness, the Svetlichny upper
+bound against the closed forms, the tangle monotonicity sweeps and the maximal-slice bound structure.
 
 Each ``check_*`` function returns (residual, tolerance, detail).
 ``run_checks`` times it and reports it under its function name without
@@ -118,7 +118,7 @@ def check_lattice_dual_path():
         for modes, resolution in ((2, math.pi / 2), (3, math.pi)):
             rho = _random_mixed(rng, modes, int(rng.integers(1, 5)))
             value, setting = optimize.grid_oracle(rho, resolution)
-            dirs = optimize._angles_to_directions(optimize._lattice(resolution))
+            dirs = optimize._lattice(resolution)[1]
             every = dirs[np.stack(np.indices((len(dirs),) * 2 * modes), axis=-1)]  # every lattice setting
             scan = float(np.max(nonlocality.bell_value(rho, every)))
             worst = max(worst, abs(value - scan), abs(nonlocality.bell_value(rho, setting) - scan))
@@ -207,6 +207,14 @@ def check_svetlichny_numeric_vs_envelope():
     return max(abs(n - e) for n, e in zip(numeric, envelope)), 1e-6, "; ".join(margins)
 
 
+def check_svetlichny_lattice_vs_envelope():
+    """The pi/4 lattice holds the damped GGHZ's optimal settings, so its value is the envelope; no optimizer runs."""
+    t1s, rs = np.array([0.1, 0.5]), np.array([0.2, 0.3])
+    lattice = optimize.grid_oracle(unruh.apply_channel(linalg.density(states.gghz(t1s)), 3, rs), math.pi / 4)[0]
+    return (float(np.max(np.abs(lattice - nonlocality.svetlichny_bound_gghz(t1s, rs).envelope))), 1e-12,
+            "damped GGHZ at (t1, r) = (0.1, 0.2) on the axial branch and (0.5, 0.3) on the equatorial")
+
+
 def check_svetlichny_upper_vs_closed_forms():
     """The unfolding bound against the damped GGHZ envelope and both maximal-slice closed forms, on a 9x9 grid."""
     t, rs = (axis.ravel() for axis in np.meshgrid(np.linspace(0.0, math.pi / 2, 9),
@@ -259,6 +267,7 @@ QUICK_CHECKS = [
 FULL_CHECKS = QUICK_CHECKS + [
     check_horodecki_vs_numeric,
     check_svetlichny_numeric_vs_envelope,
+    check_svetlichny_lattice_vs_envelope,
     check_svetlichny_upper_vs_closed_forms,
     check_pi_tangle_monotonicity,
     check_ms_bounds_structure,

@@ -192,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=SweepSpec.seed)
     sweep.add_argument("--restarts", type=int, default=SweepSpec.restarts)
     sweep.add_argument("--certify", type=float, default=None, metavar="RES", dest="certify_resolution",
-                       help="also run the lattice witness at this resolution for numeric columns")
+                       help="also start numeric columns at the lattice maximum; RES divides pi, >= pi/4 for Svetlichny")
     sweep.add_argument("--out", default=None)
 
     th = sub.add_parser("threshold", help="CHSH threshold report, JSON output")

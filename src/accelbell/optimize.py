@@ -30,17 +30,16 @@ body gives the values at the full settings from the T already built.
 
 ``grid_oracle``, the independent certification path, takes the same state
 form and scans the lattice theta in {0, res, ..., pi} x phi in {0, res, ...,
-2 pi - res} for every setting, a and a' included: with M_x the fields X_x of
-every lattice tuple j of the other settings, P = dirs M_0^T, Q = dirs M_1^T,
-the value at (a, a', j) is |P[a, j] + Q[a', j]|.  Floating-point addition is
-monotone in each argument, so over a' it peaks at the largest or the smallest
-Q[., j]: max(|P[a, j] + max Q[., j]|, |P[a, j] + min Q[., j]|) is exactly the
-best value for (a, j), and two passes over P give every a's best.  The first
-a at the lattice maximum then has its |P[a] + Q| scanned in full, so ties go
-to the lowest C-order index.  Its value is a certified lower bound.  Scans
-over ``DEFAULT_BUDGET`` settings raise ``BudgetError``: n modes take 2n
-settings, so the scan counts ((pi/res + 1) * 2 pi/res)^(2n) of them, 24^6
-for Svetlichny at res = pi/3.
+2 pi - res} for every setting, a and a' included, on T projected onto the
+lattice, M (``_projected``): the value at (a, a', j) is |P[a, j] + Q[a', j]|.
+Each point's antipode is on the lattice with the negated direction, and
+flipping a later party's pair negates P and Q exactly, so only the j whose
+later parties' first directions lie in H, the lower index of each pair, are
+scanned, in chunks.  Over a' the value peaks at Q[., j]'s max or min (addition
+is monotone), and the first a at the maximum is scanned in full, so ties go
+to the lowest C-order index; the value is a certified lower bound.  The scan
+makes 3 n^3 / 2 (CHSH) or 3 n^5 / 4 sums on n points; over ``DEFAULT_BUDGET``
+it raises ``BudgetError`` (Svetlichny: at pi/5, not at pi/4 with 7.7e7 sums).
 """
 
 from __future__ import annotations
@@ -56,6 +55,7 @@ from .nonlocality import _bell_fields, _bell_value, _maybe_scalar, _tensor, _upp
 DEFAULT_BUDGET = 10**8
 MAX_ITERATIONS = 2000
 TOLERANCE = 1e-10
+_CHUNK = 2**19  # entries of each (first-party point, tuple) array of one chunk of the lattice scan
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -192,48 +192,77 @@ def _lattice_steps(resolution: float) -> int:
     return k
 
 
-def _lattice(resolution: float) -> np.ndarray:
+def _lattice(resolution: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Angles (n, 2) and directions (n, 3) of the lattice points in C order, H, and each point's row in (H's, -H's)."""
     k = _lattice_steps(resolution)
-    thetas = np.arange(k + 1) * resolution
-    phis = np.arange(2 * k) * resolution
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    return np.column_stack([tt.ravel(), pp.ravel()])
+    theta, phi = np.divmod(np.arange((k + 1) * 2 * k), 2 * k)
+    antipode = (k - theta) * 2 * k + (phi + k) % (2 * k)
+    half = np.flatnonzero(np.arange(antipode.size) < antipode)
+    order = np.argsort(np.concatenate([half, antipode[half]]))
+    angles = np.column_stack([theta, phi]) * resolution
+    h = _angles_to_directions(angles[half])
+    return angles, np.concatenate([h, -h])[order], half, order
 
 
-def _grid_search(ts: np.ndarray, modes: int, resolution: float) -> tuple[np.ndarray, np.ndarray]:
-    """Best lattice value of |sum beta T(u_x, v_y(, w_z))| and its angles for each ``modes``-mode tensor of ``ts``.
+def _projected(t: np.ndarray, dirs: np.ndarray, half: np.ndarray, order: np.ndarray, modes: int) -> np.ndarray:
+    """M[a, b] = a.T b or M[a, c, b] = T(a, c, b) at lattice directions; later axes are filled from H by negation."""
+    m = dirs @ t.reshape(3, -1)
+    m = m @ dirs[half].T if modes == 2 else dirs[half] @ (m.reshape(-1, 3, 3) @ dirs[half].T)
+    for axis in range(1, modes):
+        m = np.concatenate([m, -m], axis=axis).take(order, axis=axis)
+    return m
 
-    ``ts`` is (n, 3, 3(, 3)); returns values (n,) and angles (n, 4 * modes);
-    ties go to the lowest C-order index.  The lattice and its later-setting
-    tuples are built once for the whole stack.
-    """
+
+def _fields(m: np.ndarray, half: np.ndarray, outer: np.ndarray, modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """P[a, j] and Q[a', j] (beta expanded into sums of M's columns) in C order of j = (b, b') with b = H[outer], or
+    of j = (c, c', b, b') with c = H[outer // n], c' = outer % n and b in H, on n lattice points."""
+    if modes == 2:  # take, not fancy indexing, keeps the C layout that lets the results reshape without a copy
+        b, rest = m.take(half[outer], axis=1)[..., None], m[:, None, :]
+        p, q = b + rest, b - rest
+    else:
+        mc, mc2 = m.take(half[outer // len(m)], axis=1), m.take(outer % len(m), axis=1)
+        s, d = mc + mc2, mc2 - mc
+        p, q = s.take(half, axis=2)[..., None] + d[..., None, :], s[..., None, :] - d.take(half, axis=2)[..., None]
+    return p.reshape(len(m), -1), q.reshape(len(m), -1)
+
+
+def _grid_search(ts: np.ndarray, modes: int, resolution: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lattice maxima (s,) of the tensors ``ts`` (s, 3, 3(, 3)), angles (s, 4 * modes), directions (s, 2 * modes, 3)."""
     k = _lattice_steps(resolution)
-    n_points, n_vectors = (k + 1) * 2 * k, 2 * modes
-    if n_points**n_vectors > DEFAULT_BUDGET:  # checked before any lattice array is built
-        raise BudgetError(f"lattice scan needs {n_points}^{n_vectors} evaluations, budget is {DEFAULT_BUDGET}")
-    angles = _lattice(resolution)
-    dirs = _angles_to_directions(angles)
-    # every lattice tuple of the later settings, (b, b') or (c, c', b, b'), in C order
-    later = dirs[np.indices((n_points,) * (n_vectors - 2)).reshape(n_vectors - 2, -1).T]
-    values, best_angles = np.empty(len(ts)), np.empty((len(ts), 2 * n_vectors))
-    for s, t in enumerate(ts):  # one state at a time bounds the (n_points, tuples) arrays held at once
-        p, q = dirs @ _bell_fields(t, later, modes).transpose(1, 2, 0)
-        # fl(x + y) is monotone in y, so over a' the largest |p[a] + q[a']| sits at q's max or min over a'
-        best = np.maximum(np.abs(p + q.max(axis=0)), np.abs(p + q.min(axis=0))).max(axis=1)  # per a, exactly
-        a = int(np.argmax(best))  # the first a at the lattice maximum
-        scan = np.abs(p[a] + q).ravel()  # over (a', later settings) in C order
-        local = int(np.argmax(scan))
-        index = np.unravel_index(a * scan.size + local, (n_points,) * n_vectors)
-        values[s], best_angles[s] = scan[local], angles[list(index)].reshape(-1)
-    return values, best_angles
+    n = (k + 1) * 2 * k
+    tuples = (n * n // 2) ** (modes - 1)  # later tuples j with each later party's first direction in H
+    if 3 * n * tuples > DEFAULT_BUDGET:  # the sums P, Q and P + Q; checked before any lattice array is built
+        raise BudgetError(f"lattice scan needs {3 * n * tuples} sums, budget is {DEFAULT_BUDGET}")
+    angles, dirs, half, order = _lattice(resolution)
+    outers = np.arange(n ** (modes - 1) // 2)  # b in H, or (c, c') with c in H
+    chunks = np.array_split(outers, min(outers.size, -(-n * tuples // _CHUNK)))  # about _CHUNK entries per array
+    values, index = np.empty(len(ts)), np.empty((len(ts), 2 * modes), dtype=int)
+    for s, t in enumerate(ts):  # one state at a time, one chunk of tuples at a time, bounds the arrays held at once
+        m = _projected(t, dirs, half, order, modes)
+        best = np.empty((len(chunks), n))  # per chunk and a, the best over a' and the chunk's tuples
+        for i, outer in enumerate(chunks):
+            p, q = _fields(m, half, outer, modes)
+            # fl(x + y) is monotone in y: over a', p + q spans [p + min q, p + max q] and |p + q| peaks at an end
+            best[i] = np.maximum((p + q.max(axis=0)).max(axis=1), -(p + q.min(axis=0)).min(axis=1))
+        a = int(np.argmax(best.max(axis=0)))  # the first a at the lattice maximum
+        values[s] = best[:, a].max()
+        first = (n, 0)  # the first (a', j) at the maximum in C order, over the chunks where a reaches it
+        for i in np.flatnonzero(best[:, a] == values[s])[::-1]:  # min() takes any order; the last chunk's are held
+            p, q = (p, q) if i == len(chunks) - 1 else _fields(m, half, chunks[i], modes)
+            primed, j = np.unravel_index(np.argmax(np.abs(p[a] + q)), q.shape)
+            first = min(first, (primed, chunks[i][0] * (tuples // outers.size) + j))
+        later = np.array(np.unravel_index(first[1], (n // 2, n) * (modes - 1)))  # (b, b') or (c, c', b, b')
+        later[::2] = half[later[::2]]  # each later party's first direction, from its position in H
+        index[s] = [a, first[0], *later]
+    return values, angles[index].reshape(len(ts), 4 * modes), dirs[index]
 
 
 def grid_oracle(rhos, resolution: float) -> tuple[float | np.ndarray, np.ndarray]:
     """Lattice maxima (...) of the CHSH or Svetlichny value of states (..., d, d), and settings (..., 2n, 3) there."""
     t, modes = _tensor(rhos)
     lead = t.shape[:-modes]
-    values, angles = _grid_search(t.reshape((-1,) + (3,) * modes), modes, resolution)
-    return _maybe_scalar(values.reshape(lead)), _angles_to_directions(angles).reshape(lead + (2 * modes, 3))
+    values, _, directions = _grid_search(t.reshape((-1,) + (3,) * modes), modes, resolution)
+    return _maybe_scalar(values.reshape(lead)), directions.reshape(lead + (2 * modes, 3))
 
 
 def _check_search(restarts: int, witness_resolution: float | None, seed: int) -> None:

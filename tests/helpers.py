@@ -10,7 +10,6 @@ from accelbell.checks import (  # the generators of `verify`, shared by the test
     _random_mixed as random_density,
     _random_state as random_state,
 )
-from accelbell.nonlocality import _bell_fields
 
 
 def random_unitary(rng, dim):
@@ -27,20 +26,27 @@ def random_direction(rng):
 
 
 def grid_search_reference(t, resolution):
-    """``optimize._grid_search`` as a loop over the first party's lattice point a, scanning |P[a] + Q| in full.
+    """``optimize._grid_search`` as a brute force over every lattice tuple, with a loop over the first party's point a.
 
-    A later a replaces the best only when strictly better, so ties go to the lowest C-order index.
+    The lattice (exact antipodes) and T at its directions come from ``optimize._lattice`` and ``optimize._projected``,
+    and P and Q are the scan's sums, so values match it bit for bit; but it scans every later tuple in one piece, where
+    the scan takes half of each later party's pairs in chunks.  A later a replaces the best only when strictly better,
+    so ties go to the lowest C-order index.
     """
-    k = optimize._lattice_steps(resolution)
-    n_points, n_vectors = (k + 1) * 2 * k, 2 * t.ndim
-    angles = optimize._lattice(resolution)
-    dirs = optimize._angles_to_directions(angles)
-    later = dirs[np.indices((n_points,) * (n_vectors - 2)).reshape(n_vectors - 2, -1).T]
-    p, q = dirs @ _bell_fields(t, later, t.ndim).transpose(1, 2, 0)
+    modes = t.ndim
+    angles, dirs, half, order = optimize._lattice(resolution)
+    m = optimize._projected(t, dirs, half, order, modes)
+    if modes == 2:  # (a, b, b')
+        p, q = m[:, :, None] + m[:, None, :], m[:, :, None] - m[:, None, :]
+    else:  # S and D over (a, c, c', b), then P and Q over (a, c, c', b, b')
+        s, d = m[:, :, None] + m[:, None, :], m[:, None, :] - m[:, :, None]
+        p, q = s[..., :, None] + d[..., None, :], s[..., None, :] - d[..., :, None]
+    n = len(dirs)
+    p, q = p.reshape(n, -1), q.reshape(n, -1)
     best_value, best_index = -math.inf, 0
-    for a in range(n_points):
+    for a in range(n):
         values = np.abs(p[a] + q)  # over (a', later settings) in C order
         local = int(np.argmax(values))
         if values.flat[local] > best_value:
             best_value, best_index = float(values.flat[local]), a * values.size + local
-    return best_value, angles[list(np.unravel_index(best_index, (n_points,) * n_vectors))].reshape(-1)
+    return best_value, angles[list(np.unravel_index(best_index, (n,) * 2 * modes))].reshape(-1)

@@ -20,7 +20,8 @@ FULL_CHECK_NAMES = [
     "channel-dual-path", "evaluator-dual-path", "lattice-dual-path", "channel-cptp", "channel-identity-at-rest",
     "damped-correlation-law", "restricted-chsh-equivalence", "threshold-consistency", "pi-tangle-endpoints",
     "optimizer-determinism", "horodecki-vs-numeric", "svetlichny-numeric-vs-envelope",
-    "svetlichny-upper-vs-closed-forms", "pi-tangle-monotonicity", "ms-bounds-structure",
+    "svetlichny-lattice-vs-envelope", "svetlichny-upper-vs-closed-forms", "pi-tangle-monotonicity",
+    "ms-bounds-structure",
 ]
 
 

@@ -24,12 +24,33 @@ from helpers import grid_search_reference, random_density, random_unitary
 SQRT2 = math.sqrt(2.0)
 
 
-def test_grid_oracle_pole_on_lattice():
+def test_grid_oracle_pole_on_lattice(rng):
     # the product states' maxima 2 and 4 sit at the pole z, a lattice point
     assert abs(grid_oracle(density(np.eye(4)[0]), math.pi / 4.0)[0] - 2.0) < 1e-15
     value, setting = grid_oracle(density(gghz(0.0)), math.pi / 2.0)
     assert abs(value - 4.0) < 1e-15
     assert abs(bell_value(density(gghz(0.0)), setting) - value) < 1e-15
+    # the pi lattice's directions are z and exactly -z, so its maximum is exactly 2 |T_zz| or 4 |T_zzz|; the singlet's
+    # T_zz is -0.9999999999999998, as 1/sqrt(2) squared rounds below 1/2
+    t = correlation_tensor(density(singlet()))
+    assert grid_oracle(density(singlet()), math.pi)[0] == 2.0 * abs(t[2, 2]) == 1.9999999999999996
+    for modes in (2, 3) * 4:
+        rho = random_density(rng, modes, 2)
+        assert grid_oracle(rho, math.pi)[0] == 2.0 ** (modes - 1) * abs(correlation_tensor(rho)[(2,) * modes])
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 4])
+def test_lattice_antipodes_are_exact_negations(steps):
+    # the antipode of (theta, phi) is (pi - theta, phi + pi): the lower index of each pair is in H, built from its
+    # angles, and the other one's direction is its exact negation
+    resolution = math.pi / steps
+    angles, dirs, half, order = optimize._lattice(resolution)
+    theta, phi = np.divmod(np.arange(len(dirs)), 2 * steps)
+    antipode = (steps - theta) * 2 * steps + (phi + steps) % (2 * steps)
+    assert np.array_equal(half, np.flatnonzero(np.arange(len(dirs)) < antipode)) and 2 * len(half) == len(dirs)
+    assert np.array_equal(dirs[antipode], -dirs)
+    assert np.array_equal(dirs[half], optimize._angles_to_directions(angles[half]))
+    assert np.allclose(optimize._angles_to_directions(angles), dirs, rtol=0.0, atol=1e-15)
 
 
 def test_grid_oracle_resolution_must_divide_pi():
@@ -39,12 +60,24 @@ def test_grid_oracle_resolution_must_divide_pi():
 
 
 def test_grid_oracle_budget_rejected():
-    # a pi/16 lattice for four vectors needs (17*32)^4 ~ 8.8e10 evaluations,
-    # and pi/8 for six vectors needs (9*16)^6 ~ 8.9e12; both exceed 1e8
+    # the scan makes 3 n^3 / 2 sums for CHSH and 3 n^5 / 4 for Svetlichny on an n-point lattice: a pi/16 lattice
+    # (n = 17*32) needs ~2.4e8 for CHSH, pi/8 (n = 9*16) ~4.6e10 for Svetlichny, and pi/5 (n = 6*10) ~5.8e8 for
+    # Svetlichny; each exceeds 1e8
     with pytest.raises(BudgetError):
         grid_oracle(density(singlet()), math.pi / 16.0)
     with pytest.raises(BudgetError):
         grid_oracle(density(gghz(0.0)), math.pi / 8.0)
+    with pytest.raises(BudgetError):
+        grid_oracle(density(gghz(0.0)), math.pi / 5.0)
+    # pi/4 for Svetlichny (n = 5*8) needs ~7.7e7 and is admitted; its chunks bound the memory of the scan
+    tracemalloc.start()
+    try:
+        value = grid_oracle(apply_channel(density(gghz(0.5)), 3, 0.3), math.pi / 4.0)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(value - svetlichny_bound_gghz(0.5, 0.3).envelope) < 1e-12
+    assert peak <= 64 * 2**20
     # the budget is checked before the lattice is built: pi/500 would need a 501000-point lattice
     tracemalloc.start()
     try:
@@ -60,9 +93,17 @@ def test_grid_oracle_budget_rejected():
 _SCAN_LATTICES = ((2, math.pi / 4.0), (2, math.pi / 2.0), (3, math.pi), (3, math.pi / 2.0))
 
 
-def _assert_scan_matches_reference(rho, resolution):
-    t = correlation_tensor(rho)
-    values, angles = optimize._grid_search(t[None], t.ndim, resolution)  # a stack of one
+def test_projected_tensor_matches_contraction(rng):
+    # T at every lattice direction, though only H's columns are computed; a few ulps of T's contraction apart
+    for modes, resolution in _SCAN_LATTICES:
+        t = correlation_tensor(random_density(rng, modes))
+        angles, dirs, half, order = optimize._lattice(resolution)
+        operands = ("ij,ai,bj->ab", t, dirs, dirs) if modes == 2 else ("ijk,ai,cj,bk->acb", t, dirs, dirs, dirs)
+        assert np.allclose(optimize._projected(t, dirs, half, order, modes), np.einsum(*operands), rtol=0.0, atol=1e-14)
+
+
+def _assert_scan_matches_reference(t, resolution):
+    values, angles, _ = optimize._grid_search(t[None], t.ndim, resolution)  # a stack of one
     ref_value, ref_angles = grid_search_reference(t, resolution)
     assert values[0] == ref_value
     assert np.array_equal(angles[0], ref_angles)
@@ -74,30 +115,44 @@ def test_grid_search_matches_per_point_scan(seed, rank):
     # the max/min scan over a' gives the reference loop's value and angles bit for bit
     rng = np.random.default_rng(seed)
     for modes, resolution in _SCAN_LATTICES:
-        _assert_scan_matches_reference(random_density(rng, modes, rank), resolution)
+        _assert_scan_matches_reference(correlation_tensor(random_density(rng, modes, rank)), resolution)
 
 
-@pytest.mark.parametrize(
-    "rho",
-    [density(singlet()), density(np.eye(4)[0]), density(gghz(math.pi / 4.0)), density(gghz(0.0)),
-     apply_channel(density(gghz(math.pi / 8.0)), 3, 0.0), apply_channel(density(gghz(math.pi / 8.0)), 3, math.pi / 4.0)],
-    ids=["singlet", "00", "ghz", "000", "gghz-r0", "gghz-r-quarter-pi"],
-)
+_TIE_STATES = [
+    density(singlet()), density(np.eye(4)[0]), density(gghz(math.pi / 4.0)), density(gghz(0.0)),
+    apply_channel(density(gghz(math.pi / 8.0)), 3, 0.0), apply_channel(density(gghz(math.pi / 8.0)), 3, math.pi / 4.0),
+]
+
+
+@pytest.mark.parametrize("rho", _TIE_STATES, ids=["singlet", "00", "ghz", "000", "gghz-r0", "gghz-r-quarter-pi"])
 def test_grid_search_ties_match_per_point_scan(rho):
     # symmetric states reach their lattice maximum at many lattice points: the lowest C-order one must win
     for modes, resolution in _SCAN_LATTICES:
         if 2**modes == len(rho):
-            _assert_scan_matches_reference(rho, resolution)
+            _assert_scan_matches_reference(correlation_tensor(rho), resolution)
+
+
+@pytest.mark.parametrize("chunk", [optimize._CHUNK, 1, 5000], ids=["one-chunk", "one-outer", "partial-last"])
+def test_grid_search_ties_across_chunks_match_per_point_scan(chunk, monkeypatch):
+    # the tie rule holds across chunks: one outer index of the later tuples per chunk, or a few of them in chunks of
+    # unequal lengths.  Besides the symmetric states, a T of -1, 0 and 1 ties at many tuples, and a later chunk often
+    # reaches a's maximum at a lower a' than an earlier one; the scan takes any real T, not only a state's
+    monkeypatch.setattr(optimize, "_CHUNK", chunk)
+    rng = np.random.default_rng(0)
+    for modes, resolution in _SCAN_LATTICES:
+        tensors = [correlation_tensor(rho) for rho in _TIE_STATES if len(rho) == 2**modes]
+        for t in tensors + [rng.integers(-1, 2, size=(3,) * modes).astype(float) for _ in range(8)]:
+            _assert_scan_matches_reference(t, resolution)
 
 
 def test_grid_search_stack_matches_per_state_calls(rng):
     # the lattice is built once per call; each state of the stack still gets its own scan, bit for bit
     for modes, resolution in _SCAN_LATTICES:
         ts = np.stack([correlation_tensor(random_density(rng, modes, rank)) for rank in (1, 2, 4)])
-        values, angles = optimize._grid_search(ts, modes, resolution)
+        values, angles, _ = optimize._grid_search(ts, modes, resolution)
         assert values.shape == (3,) and angles.shape == (3, 4 * modes)
         for t, value, row in zip(ts, values, angles):
-            one_value, one_angles = optimize._grid_search(t[None], modes, resolution)
+            one_value, one_angles, _ = optimize._grid_search(t[None], modes, resolution)
             assert value == one_value[0]
             assert np.array_equal(row, one_angles[0])
 
