@@ -1,10 +1,10 @@
 """Cross-module consistency checks behind the ``verify`` command.
 
-Levels: "quick" runs the cheap invariants (channel, Bell evaluator and
-lattice oracle dual paths, CPTP, correlation law, restricted-family equivalence,
-threshold, tangle endpoints, optimizer determinism); "full" adds the
-optimizer-vs-bound grids, the pi/4 Svetlichny lattice witness, the Svetlichny upper
-bound against the closed forms, the tangle monotonicity sweeps and the maximal-slice bound structure.
+One suite, ``CHECKS``: the channel, evaluator and lattice oracle dual paths, CPTP,
+the correlation law, restricted-family equivalence, threshold, tangle endpoints,
+optimizer determinism, the optimizer against the Horodecki maximum and the Svetlichny
+envelope, the pi/4 Svetlichny lattice witness, the Svetlichny upper bound against the
+closed forms, the tangle monotonicity sweeps and the maximal-slice bound structure.
 
 Each ``check_*`` function returns (residual, tolerance, detail).
 ``run_checks`` times it and reports it under its function name without
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import entanglement, linalg, nonlocality, optimize, states, unruh
 
-QUICK_SEED = 20260808
+SEED = 20260808
 
 
 @dataclass
@@ -56,7 +56,7 @@ def _damped_singlet(r):
 
 
 def check_channel_dual_path():
-    rng = np.random.default_rng(QUICK_SEED)
+    rng = np.random.default_rng(SEED)
     worst = 0.0
     for _ in range(50):
         n = int(rng.integers(1, 4))
@@ -88,7 +88,7 @@ def operator_bell_value(rho, dirs):
 
 def check_evaluator_dual_path():
     """The correlation-tensor ``bell_value``, scalar and batched, against the operator trace."""
-    rng = np.random.default_rng(QUICK_SEED + 7)
+    rng = np.random.default_rng(SEED + 7)
     worst = 0.0
     for _ in range(20):
         for modes in (2, 3):
@@ -112,7 +112,7 @@ def check_lattice_dual_path():
     (4^6).  The oracle's setting must reach the scan maximum: sign-flipped
     settings tie, so its index may differ from the scan's by rounding.
     """
-    rng = np.random.default_rng(QUICK_SEED + 8)
+    rng = np.random.default_rng(SEED + 8)
     worst = 0.0
     for _ in range(10):
         for modes, resolution in ((2, math.pi / 2), (3, math.pi)):
@@ -126,7 +126,7 @@ def check_lattice_dual_path():
 
 
 def check_channel_cptp():
-    rng = np.random.default_rng(QUICK_SEED + 1)
+    rng = np.random.default_rng(SEED + 1)
     worst = 0.0
     for _ in range(50):
         n = int(rng.integers(1, 4))
@@ -141,7 +141,7 @@ def check_channel_cptp():
 
 
 def check_channel_identity_at_rest():
-    rng = np.random.default_rng(QUICK_SEED + 2)
+    rng = np.random.default_rng(SEED + 2)
     rho = linalg.density(_random_state(rng, 2))
     residual = float(np.max(np.abs(unruh.apply_channel(rho, 1, 0.0) - rho)))
     return residual, 0.0, "r = 0 must be the identity map"
@@ -157,7 +157,7 @@ def check_damped_correlation_law():
 
 def check_restricted_chsh_equivalence():
     # one (r, gamma) draw per case, in the order of the scalar draws
-    rs, gammas = np.random.default_rng(QUICK_SEED + 3).uniform((0.0, 0.0), (unruh.R_MAX, math.pi), size=(40, 2)).T
+    rs, gammas = np.random.default_rng(SEED + 3).uniform((0.0, 0.0), (unruh.R_MAX, math.pi), size=(40, 2)).T
     full = nonlocality.bell_value(_damped_singlet(rs), nonlocality.restricted_settings(gammas, rs))
     worst = float(np.max(np.abs(full - nonlocality.chsh_restricted(rs, gammas))))
     return worst, 1e-12, "40 random (r, gamma)"
@@ -190,9 +190,9 @@ def check_optimizer_determinism():
 
 def check_horodecki_vs_numeric():
     rhos = _damped_singlet(np.linspace(0.0, unruh.R_MAX, 8))
-    numeric = optimize.maximize_bell(rhos, restarts=12, seed=QUICK_SEED + 5).value
+    numeric = optimize.maximize_bell(rhos, restarts=12, seed=SEED + 5).value
     worst = float(np.max(np.abs(nonlocality.bell_upper(rhos) - numeric)))
-    return worst, 1e-4, "damped singlet, 8 r values"
+    return worst, 1e-8, "damped singlet, 8 r values"
 
 
 def check_svetlichny_numeric_vs_envelope():
@@ -200,11 +200,11 @@ def check_svetlichny_numeric_vs_envelope():
     t1s, rs = (axis.ravel() for axis in np.meshgrid(
         (math.pi / 16, math.pi / 8, math.pi / 4), (0.0, math.pi / 8, unruh.R_MAX), indexing="ij"))
     rhos = unruh.apply_channel(linalg.density(states.gghz(t1s)), 3, rs)
-    numeric = optimize.maximize_bell(rhos, restarts=12, seed=QUICK_SEED + 6).value
+    numeric = optimize.maximize_bell(rhos, restarts=12, seed=SEED + 6).value
     envelope = nonlocality.svetlichny_bound_gghz(t1s, rs).envelope
     margins = [f"t1={t1:.4f} r={r:.4f} numeric={n:.6f} envelope={e:.6f}"
                for t1, r, n, e in zip(t1s, rs, numeric, envelope)]
-    return max(abs(n - e) for n, e in zip(numeric, envelope)), 1e-6, "; ".join(margins)
+    return max(abs(n - e) for n, e in zip(numeric, envelope)), 1e-8, "; ".join(margins)
 
 
 def check_svetlichny_lattice_vs_envelope():
@@ -251,7 +251,7 @@ def check_ms_bounds_structure():
     return max(worst, 0.0), 1e-12, "non-increasing in r, violation exists below r_max"
 
 
-QUICK_CHECKS = [
+CHECKS = [
     check_channel_dual_path,
     check_evaluator_dual_path,
     check_lattice_dual_path,
@@ -262,9 +262,6 @@ QUICK_CHECKS = [
     check_threshold_consistency,
     check_pi_tangle_endpoints,
     check_optimizer_determinism,
-]
-
-FULL_CHECKS = QUICK_CHECKS + [
     check_horodecki_vs_numeric,
     check_svetlichny_numeric_vs_envelope,
     check_svetlichny_lattice_vs_envelope,
@@ -274,12 +271,10 @@ FULL_CHECKS = QUICK_CHECKS + [
 ]
 
 
-def run_checks(level: str = "quick") -> list[CheckResult]:
+def run_checks() -> list[CheckResult]:
     """Run and time each check; it passes when residual <= tolerance, and a check that raises fails."""
-    if level not in ("quick", "full"):
-        raise ValueError(f"unknown verify level {level!r} (use 'quick' or 'full')")
     results = []
-    for fn in FULL_CHECKS if level == "full" else QUICK_CHECKS:
+    for fn in CHECKS:
         name = fn.__name__.removeprefix("check_").replace("_", "-")
         start = time.perf_counter()
         try:
@@ -291,15 +286,14 @@ def run_checks(level: str = "quick") -> list[CheckResult]:
     return results
 
 
-def verify(level: str = "quick") -> tuple[int, str]:
-    """Run the invariant suite; returns (exit_code, report text)."""
-    results = run_checks(level)
+def verify() -> tuple[int, str]:
+    """Run the invariant suite; returns (exit_code, report text) with each check's detail under its line."""
+    results = run_checks()
     lines = []
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         lines.append(f"{status}  {res.name:<32} residual={res.residual:.3e}  tol={res.tolerance:.0e}  time={res.seconds:.3f}s")
-        if res.detail and (not res.passed or res.name == "svetlichny-numeric-vs-envelope"):
-            lines.append(f"      {res.detail}")
+        lines.append(f"      {res.detail}")
     failed = sum(not r.passed for r in results)
-    lines.append(f"{len(results) - failed} passed, {failed} failed (level={level})")
+    lines.append(f"{len(results) - failed} passed, {failed} failed")
     return (0 if failed == 0 else 1), "\n".join(lines)

@@ -138,14 +138,12 @@ def run_sweep(spec: SweepSpec) -> str:
     for start in range(0, params.size, BLOCK):
         block_params, block_rs = params[start:start + BLOCK], rs[start:start + BLOCK]
         rhos = _damped(spec.state, block_params, spec.mode, block_rs)
-        cells = [[_fmt(v) for v in block_params], [_fmt(v) for v in block_rs]]
+        table = [block_params, block_rs]  # one float column each; a flag is 1.0 or 0.0, which _fmt writes 1 or 0
         for col in spec.columns:
             modes, evaluate, flagged = COLUMNS[col]
             values = evaluate(spec, block_params, block_rs, rhos)
-            cells.append([_fmt(v) for v in values])
-            if flagged:
-                cells.append(["1" if flag else "0" for flag in nonlocality.violates(values, modes)])
-        lines.extend(map(",".join, zip(*cells)))
+            table += [values, nonlocality.violates(values, modes)] if flagged else [values]
+        lines.extend(",".join(map(_fmt, row)) for row in np.stack(table, axis=1).tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -198,8 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     th = sub.add_parser("threshold", help="CHSH threshold report, JSON output")
     th.add_argument("--out", default=None)
 
-    ver = sub.add_parser("verify", help="run the cross-module invariant suite")
-    ver.add_argument("--level", choices=("quick", "full"), default="quick")
+    sub.add_parser("verify", help="run the cross-module invariant suite")
 
     pt = sub.add_parser("pi-tangle", help="residual tangle of a damped state, JSON output")
     pt.add_argument("--state", required=True, choices=[s for s, (n, _) in STATE_MODES.items() if n == 3])
@@ -229,7 +226,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             from . import checks  # the invariant suite is loaded by this command only
 
-            code, report = checks.verify(args.level)
+            code, report = checks.verify()
             print(report)
             return code
         if args.command == "pi-tangle":

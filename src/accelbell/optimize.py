@@ -53,12 +53,14 @@ from .linalg import _check_integer, _numbers
 from .nonlocality import _bell_fields, _bell_value, _maybe_scalar, _tensor, _upper_bound
 
 DEFAULT_BUDGET = 10**8
+MAX_RESTARTS = 1024  # the simplex rows of all starts are built at once, about 0.3 MB each for a Svetlichny block
 MAX_ITERATIONS = 2000
 TOLERANCE = 1e-10
 _CHUNK = 2**19  # entries of each (first-party point, tuple) array of one chunk of the lattice scan
 
 __all__ = [
     "DEFAULT_BUDGET",
+    "MAX_RESTARTS",
     "BudgetError",
     "OptimizeResult",
     "grid_oracle",
@@ -266,8 +268,8 @@ def grid_oracle(rhos, resolution: float) -> tuple[float | np.ndarray, np.ndarray
 
 
 def _check_search(restarts: int, witness_resolution: float | None, seed: int) -> None:
-    """Raise ValueError for restarts < 1, a seed < 0, either not a non-bool integer, or a bad witness resolution."""
-    _check_integer("restarts", restarts, 1)
+    """Raise ValueError for restarts outside 1..MAX_RESTARTS, a seed < 0, a bool or non-integer, or a bad resolution."""
+    _check_integer("restarts", restarts, 1, MAX_RESTARTS)
     _check_integer("seed", seed, 0)
     if witness_resolution is not None:
         _lattice_steps(witness_resolution)

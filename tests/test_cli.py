@@ -16,7 +16,7 @@ from accelbell.states import maximal_slice, singlet
 
 SQRT2 = math.sqrt(2.0)
 SRC = Path(__file__).resolve().parent.parent / "src"
-FULL_CHECK_NAMES = [
+CHECK_NAMES = [
     "channel-dual-path", "evaluator-dual-path", "lattice-dual-path", "channel-cptp", "channel-identity-at-rest",
     "damped-correlation-law", "restricted-chsh-equivalence", "threshold-consistency", "pi-tangle-endpoints",
     "optimizer-determinism", "horodecki-vs-numeric", "svetlichny-numeric-vs-envelope",
@@ -279,6 +279,20 @@ def test_main_usage_errors(capsys, monkeypatch, tmp_path):
     assert len(errors) == 15 and all(line.startswith("error: ") for line in errors)
 
 
+def test_restarts_above_the_cap_rejected_before_any_allocation(capsys, monkeypatch):
+    # every start's simplex rows are built at once, so an unbounded --restarts would fill memory before any error
+    argv = ["sweep", "--state", "singlet", "--r-steps", "1", "--columns", "chsh_numeric"]
+    assert main(argv + ["--restarts", str(optimize.MAX_RESTARTS)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "0,0,2.82842712474,1"
+    monkeypatch.setattr(cli, "_damped", lambda *args: pytest.fail("state built before the restarts were checked"))
+    monkeypatch.setattr(optimize, "_tensor", lambda rhos: pytest.fail("state read before the restarts were checked"))
+    for restarts in (optimize.MAX_RESTARTS + 1, 100_000_000):
+        assert main(argv + ["--restarts", str(restarts)]) == 2
+        assert capsys.readouterr().err == f"error: restarts {restarts}: expected an integer in 1..1024\n"
+        with pytest.raises(ValueError, match="restarts"):
+            optimize.maximize_bell(density(singlet()), restarts=restarts)
+
+
 def test_cli_import_leaves_the_invariant_suite_unloaded():
     # accelbell.checks is imported by the verify command only, so a sweep does not pay for it; nor does the package
     # load logging, which it has no use for
@@ -319,25 +333,27 @@ def test_seed_comes_from_the_command_line_only(monkeypatch):
      ("ms", 3, ("svetlichny_envelope",)), ("singlet", 2, ("chsh_restricted_max",))],
 )
 def test_closed_form_columns_equal_per_point_calls(state, mode, columns):
-    # a 3 x 30 grid crosses a block boundary; each column is one closed-form call per block
-    spec = SweepSpec(state=state, param_start=0.1, param_stop=1.4, param_steps=3, r_start=0.0,
-                     r_stop=math.pi / 4.0, r_steps=30, mode=mode, columns=columns)
-    assert spec.param_steps * spec.r_steps > cli.BLOCK
-    rows = run_sweep(spec).splitlines()[1:]
-    grid = [(float(p), float(r)) for p in np.linspace(0.1, 1.4, 3) for r in np.linspace(0.0, math.pi / 4.0, 30)]
-    assert len(rows) == len(grid)
-    for row, (p, r) in zip(rows, grid):
-        cells = []
-        for col in columns:
-            if col == "chsh_restricted_max":
-                value = nonlocality.chsh_restricted_max(r)
-            elif state == "gghz":
-                ref = nonlocality.svetlichny_bound_gghz(p, r)
-                value = ref.bound if col == "svetlichny_bound" else ref.envelope
-            else:
-                value = nonlocality.svetlichny_bound_ms(p, r, mode)
-            cells += [cli._fmt(value), "1" if violates(value, COLUMNS[col][0]) else "0"]
-        assert row.split(",")[2:] == cells
+    # a 3 x 30 grid crosses a block boundary, and a one-point grid is a block of one; each column is one
+    # closed-form call per block
+    for param_steps, r_steps in ((3, 30), (1, 1)):
+        spec = SweepSpec(state=state, param_start=0.1, param_stop=1.4, param_steps=param_steps, r_start=0.0,
+                         r_stop=math.pi / 4.0, r_steps=r_steps, mode=mode, columns=columns)
+        rows = run_sweep(spec).splitlines()[1:]
+        grid = [(float(p), float(r)) for p in np.linspace(0.1, 1.4, param_steps)
+                for r in np.linspace(0.0, math.pi / 4.0, r_steps)]
+        assert len(rows) == len(grid) and (len(grid) > cli.BLOCK or len(grid) == 1)
+        for row, (p, r) in zip(rows, grid):
+            cells = [cli._fmt(p), cli._fmt(r)]
+            for col in columns:
+                if col == "chsh_restricted_max":
+                    value = nonlocality.chsh_restricted_max(r)
+                elif state == "gghz":
+                    ref = nonlocality.svetlichny_bound_gghz(p, r)
+                    value = ref.bound if col == "svetlichny_bound" else ref.envelope
+                else:
+                    value = nonlocality.svetlichny_bound_ms(p, r, mode)
+                cells += [cli._fmt(value), "1" if violates(value, COLUMNS[col][0]) else "0"]
+            assert row.split(",") == cells
 
 
 def test_svetlichny_upper_column_one_call_per_block(monkeypatch):
@@ -355,24 +371,23 @@ def test_svetlichny_upper_column_one_call_per_block(monkeypatch):
         assert row.split(",")[2:] == [cli._fmt(value), "1" if violates(value, 3) else "0"]
 
 
-def test_main_verify_quick(capsys):
-    assert main(["verify", "--level", "quick"]) == 0
-    report = capsys.readouterr().out
-    assert "channel-dual-path" in report
-    assert "evaluator-dual-path" in report
-    assert "lattice-dual-path" in report
-    assert "0 failed" in report
-
-
-def test_verify_full_level_passes():
-    code, report = checks.verify("full")
-    assert code == 0, report
-    # the optimizer-vs-envelope margins are part of the full report
-    assert "svetlichny-numeric-vs-envelope" in report
-    assert "envelope=" in report
-    passes = [line.split() for line in report.split("\n") if line.startswith("PASS")]
-    assert [fields[1] for fields in passes] == FULL_CHECK_NAMES
+def test_main_verify(capsys):
+    assert main(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # one suite: every check's PASS line, in order, each with its detail line under it, then the summary
+    assert len(lines) == 2 * len(CHECK_NAMES) + 1 and lines[-1] == f"{len(CHECK_NAMES)} passed, 0 failed"
+    passes = [line.split() for line in lines[0:-1:2]]
+    assert [fields[0] for fields in passes] == ["PASS"] * len(CHECK_NAMES)
+    assert [fields[1] for fields in passes] == CHECK_NAMES
     assert all(fields[4].startswith("time=") and fields[4].endswith("s") for fields in passes)
+    details = lines[1:-1:2]
+    assert all(line.startswith("      ") and line.strip() for line in details)
+    # the optimizer-vs-envelope margins are part of the report
+    assert "envelope=" in details[CHECK_NAMES.index("svetlichny-numeric-vs-envelope")]
+    # there are no levels to choose from
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--level", "full"])
+    assert exc.value.code == 2
 
 
 class _Raising:
@@ -384,8 +399,8 @@ def test_verify_raising_checks_keep_their_names(monkeypatch):
     # every check reaches one of these modules before doing any work
     for module in ("np", "linalg", "states", "unruh", "nonlocality", "optimize", "entanglement"):
         monkeypatch.setattr(checks, module, _Raising())
-    results = checks.run_checks("full")
-    assert [res.name for res in results] == FULL_CHECK_NAMES
+    results = checks.run_checks()
+    assert [res.name for res in results] == CHECK_NAMES
     assert all(not res.passed and res.residual == math.inf and "forced failure" in res.detail for res in results)
 
 
@@ -409,7 +424,7 @@ def test_verify_fault_injection(monkeypatch):
         return out
 
     monkeypatch.setattr(unruh, "apply_channel", corrupted)
-    code, report = checks.verify("quick")
+    code, report = checks.verify()
     assert code == 1
     # a finite residual: the check ran and measured the fault instead of crashing
     assert math.isfinite(_failed_residual(report, "channel-dual-path"))
@@ -418,7 +433,7 @@ def test_verify_fault_injection(monkeypatch):
 def test_verify_catches_stalled_simplex(monkeypatch):
     # five simplex iterations leave the Svetlichny maxima up to 1.0 below the envelope
     monkeypatch.setattr(optimize, "MAX_ITERATIONS", 5)
-    results = {res.name: res for res in checks.run_checks("full")}
+    results = {res.name: res for res in checks.run_checks()}
     assert not results["svetlichny-numeric-vs-envelope"].passed
     assert math.isfinite(results["svetlichny-numeric-vs-envelope"].residual)
 
@@ -430,9 +445,9 @@ def test_verify_catches_corrupted_correlation_tensor(monkeypatch):
     for ineq in corrupted.values():
         ineq.paulis[[0, 1]] = ineq.paulis[[1, 0]]  # T_xx and T_xy (T_xxx and T_xxy) trade places
     monkeypatch.setattr(nonlocality_mod, "INEQUALITIES", corrupted)
-    results = {res.name: res for res in checks.run_checks("quick")}
-    assert not results["evaluator-dual-path"].passed
-    assert math.isfinite(results["evaluator-dual-path"].residual)
+    residual, tolerance, _ = checks.check_evaluator_dual_path()
+    assert not residual <= tolerance
+    assert math.isfinite(residual)
 
 
 def test_verify_catches_corrupted_lattice_oracle(monkeypatch):
