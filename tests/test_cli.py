@@ -371,23 +371,33 @@ def test_svetlichny_upper_column_one_call_per_block(monkeypatch):
         assert row.split(",")[2:] == [cli._fmt(value), "1" if violates(value, 3) else "0"]
 
 
-def test_main_verify(capsys):
+def test_main_verify_quick(capsys):
+    # the former quick checks, the three dual paths, lead the one suite that `verify` runs
     assert main(["verify"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    # one suite: every check's PASS line, in order, each with its detail line under it, then the summary
+    # every check's PASS line, in order, each with its detail line under it, then the summary
     assert len(lines) == 2 * len(CHECK_NAMES) + 1 and lines[-1] == f"{len(CHECK_NAMES)} passed, 0 failed"
     passes = [line.split() for line in lines[0:-1:2]]
     assert [fields[0] for fields in passes] == ["PASS"] * len(CHECK_NAMES)
+    assert [fields[1] for fields in passes[:3]] == ["channel-dual-path", "evaluator-dual-path", "lattice-dual-path"]
+    assert all(line.startswith("      ") and line.strip() for line in lines[1:-1:2])
+    # there are no levels to choose from
+    for level in ("quick", "full"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--level", level])
+        assert exc.value.code == 2
+
+
+def test_verify_full_level_passes():
+    # the former full level is the one suite
+    code, report = checks.verify()
+    assert code == 0, report
+    lines = report.split("\n")
+    passes = [line.split() for line in lines if line.startswith("PASS")]
     assert [fields[1] for fields in passes] == CHECK_NAMES
     assert all(fields[4].startswith("time=") and fields[4].endswith("s") for fields in passes)
-    details = lines[1:-1:2]
-    assert all(line.startswith("      ") and line.strip() for line in details)
-    # the optimizer-vs-envelope margins are part of the report
-    assert "envelope=" in details[CHECK_NAMES.index("svetlichny-numeric-vs-envelope")]
-    # there are no levels to choose from
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--level", "full"])
-    assert exc.value.code == 2
+    # the optimizer-vs-envelope margins are part of the report, on the detail line under the check
+    assert "envelope=" in lines[2 * CHECK_NAMES.index("svetlichny-numeric-vs-envelope") + 1]
 
 
 class _Raising:
