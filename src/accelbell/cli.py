@@ -1,18 +1,19 @@
 """Command line driver: parameter sweeps, threshold report, verification.
 
-Exit codes: 0 success, 1 failed check, exceeded evaluation budget or out
-of memory, 2 usage error, including an ``--out`` file that cannot be
-opened (checked before any computation).  The seed comes from ``--seed`` only (default
-0), never from the environment; a negative seed is a usage error.  Sweep
-output is CSV with a header row, 12 significant digits and "\n" line
-endings; scalar reports are JSON.  Identical specs and seeds give
-byte-identical output.
+Exit codes: 0 success, 1 failed check, exceeded evaluation budget or out of
+memory, 2 usage error, including an ``--out`` file that cannot be opened
+(checked before any computation).  A failed command leaves no new ``--out``
+file.  The seed comes from ``--seed`` only (default 0), never from the
+environment; a negative seed is a usage error.  Sweep output is CSV with a
+header row, 12 significant digits and "\n" line endings; scalar reports are
+JSON.  Identical specs and seeds give byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -83,7 +84,7 @@ COLUMNS = {
     "svetlichny_envelope": (3, lambda spec, params, rs, rhos: _svetlichny_bound(spec, params, rs, envelope=True), True),
     "svetlichny_upper": (3, lambda spec, params, rs, rhos: nonlocality.bell_upper(rhos), True),
     "svetlichny_numeric": (3, _numeric, True),
-    "pi_tangle": (3, lambda spec, params, rs, rhos: [entanglement.pi_tangle(rho).pi for rho in rhos], False),
+    "pi_tangle": (3, lambda spec, params, rs, rhos: [entanglement._pi_tangle(rho).pi for rho in rhos], False),
 }
 
 
@@ -212,6 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    created = bool(getattr(args, "out", None)) and not os.path.lexists(args.out)  # removed if the command fails
     try:
         if getattr(args, "out", None):
             open(args.out, "a").close()  # a bad path fails before computing, and existing content is kept
@@ -236,10 +238,13 @@ def main(argv=None) -> int:
         raise ValueError(f"unknown command {args.command!r}")
     except (optimize.BudgetError, MemoryError) as exc:  # a lattice or a grid too large to evaluate
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 1
+        code = 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
+    if created and os.path.lexists(args.out):  # absent when the path could not be opened
+        os.remove(args.out)
+    return code
 
 
 if __name__ == "__main__":

@@ -5,9 +5,11 @@ has N = 1 and the GHZ state has tangle 1.  The negativity of a pair of
 modes is that of their two-mode reduction: trace the third mode out with
 ``linalg.partial_trace`` first.
 
-Each call takes one state, not a stack, and checks it once; ``linalg``'s private
-partial trace and transpose take the checked array unread, straight into
-``np.linalg.eigvalsh``.
+Each public call takes one state, not a stack, and checks it once; ``linalg``'s
+private partial trace and transpose take the checked array unread, straight into
+``np.linalg.eigvalsh``.  The sweep's ``pi_tangle`` column runs ``_pi_tangle`` on
+the states ``cli._damped`` built, channel outputs of a checked block, so a block
+is checked once.
 """
 
 from __future__ import annotations
@@ -66,7 +68,10 @@ def pi_tangle(rho) -> PiTangle:
     Components are reported raw; only the aggregate is clamped to zero when
     it is negative by less than 1e-12.
     """
-    rho, _ = _one_state(rho, 3)
+    return _pi_tangle(_one_state(rho, 3)[0])
+
+
+def _pi_tangle(rho: np.ndarray) -> PiTangle:  # rho (8, 8) already checked
     pair_sq = {k: _negativity(_partial_trace(rho, 3, k), 2, 1) ** 2 for k in (1, 2, 3)}  # the pair without mode k
     residuals = [_negativity(rho, 3, m) ** 2 - sum(pair_sq[6 - m - j] for j in (1, 2, 3) if j != m) for m in (1, 2, 3)]
     aggregate = sum(residuals) / 3.0

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from accelbell import checks, cli, nonlocality, optimize, unruh
+from accelbell import checks, cli, entanglement, nonlocality, optimize, unruh
 from accelbell.cli import COLUMNS, SweepSpec, main, run_sweep, solve_pi_tangle, solve_threshold
 from accelbell.linalg import density
 from accelbell.nonlocality import bell_upper, violates
@@ -252,6 +252,18 @@ def test_main_usage_errors(capsys, monkeypatch, tmp_path):
     assert main(small + ["--param-stop", "inf"]) == 2
     assert main(["pi-tangle", "--state", "gghz", "--param", "nan", "--r", "0.2"]) == 2
     assert main(["pi-tangle", "--state", "gghz", "--param", "0.5", "--omega", "inf"]) == 2
+    # a rejected command leaves an existing --out file as it was
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier results\n")
+    assert main(["sweep", "--state", "gghz", "--columns", "bogus", "--out", str(kept)]) == 2
+    assert kept.read_text() == "earlier results\n"
+    # and removes one that it created, on exit 2 and on exit 1
+    new = tmp_path / "new.csv"
+    assert main(["sweep", "--state", "gghz", "--columns", "bogus", "--out", str(new)]) == 2
+    assert not new.exists()
+    assert main(["sweep", "--state", "gghz", "--r-steps", "1", "--columns", "svetlichny_numeric",
+                 "--certify", "0.6283185307179586", "--out", str(new)]) == 1  # the pi/5 lattice exceeds the budget
+    assert not new.exists()
     # --restarts and --certify are checked for every column set, before any row and before the lattice budget
     singlet = ["sweep", "--state", "singlet", "--r-steps", "2"]
     assert main(singlet + ["--columns", "chsh_horodecki", "--restarts", "0"]) == 2
@@ -264,11 +276,6 @@ def test_main_usage_errors(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "_damped", lambda *args: pytest.fail("state built before the seed was checked"))
     assert main(singlet + ["--columns", "chsh_horodecki", "--seed", "-1"]) == 2
     assert main(singlet + ["--columns", "chsh_numeric", "--seed", "-1"]) == 2
-    # a rejected command leaves an existing --out file as it was
-    kept = tmp_path / "kept.csv"
-    kept.write_text("earlier results\n")
-    assert main(["sweep", "--state", "gghz", "--columns", "bogus", "--out", str(kept)]) == 2
-    assert kept.read_text() == "earlier results\n"
     # an --out in a missing directory fails before the sweep is computed
     missing = str(tmp_path / "missing" / "out.txt")
     monkeypatch.setattr(cli, "run_sweep", lambda spec: pytest.fail("sweep computed before opening --out"))
@@ -276,7 +283,7 @@ def test_main_usage_errors(capsys, monkeypatch, tmp_path):
     assert main(["threshold", "--out", missing]) == 2
     assert main(["pi-tangle", "--state", "gghz", "--param", "0.3", "--r", "0.2", "--out", missing]) == 2
     errors = capsys.readouterr().err.splitlines()
-    assert len(errors) == 15 and all(line.startswith("error: ") for line in errors)
+    assert len(errors) == 17 and all(line.startswith("error: ") for line in errors)
 
 
 def test_restarts_above_the_cap_rejected_before_any_allocation(capsys, monkeypatch):
@@ -354,6 +361,22 @@ def test_closed_form_columns_equal_per_point_calls(state, mode, columns):
                     value = nonlocality.svetlichny_bound_ms(p, r, mode)
                 cells += [cli._fmt(value), "1" if violates(value, COLUMNS[col][0]) else "0"]
             assert row.split(",") == cells
+
+
+@pytest.mark.parametrize("state, mode", [("gghz", 1), ("gghz", 2), ("gghz", 3), ("ms", 1), ("ms", 2), ("ms", 3)])
+def test_pi_tangle_column_equals_per_point_public_calls(state, mode):
+    # the column runs the private body on the channel's output unread; each cell is the checked public call on
+    # the state damped alone, bit for bit, across a block boundary (3 x 30) and on a block of one
+    for param_steps, r_steps in ((3, 30), (1, 1)):
+        spec = SweepSpec(state=state, param_start=0.1, param_stop=1.4, param_steps=param_steps, r_start=0.0,
+                         r_stop=math.pi / 4.0, r_steps=r_steps, mode=mode, columns=("pi_tangle",))
+        rows = run_sweep(spec).splitlines()[1:]
+        grid = [(float(p), float(r)) for p in np.linspace(0.1, 1.4, param_steps)
+                for r in np.linspace(0.0, math.pi / 4.0, r_steps)]
+        assert len(rows) == len(grid) and (len(grid) > cli.BLOCK or len(grid) == 1)
+        for row, (p, r) in zip(rows, grid):
+            value = entanglement.pi_tangle(cli._damped(state, p, mode, r)).pi
+            assert row.split(",") == [cli._fmt(p), cli._fmt(r), cli._fmt(value)]
 
 
 def test_svetlichny_upper_column_one_call_per_block(monkeypatch):
