@@ -38,10 +38,9 @@ print()
 rho0 = density(singlet())
 rs = np.linspace(0.0, math.pi / 4.0, 9)
 rhos = apply_channel(rho0, 2, rs)
-numeric = maximize_bell(rhos, restarts=10, seed=1).value
+numeric, negativities = maximize_bell(rhos, restarts=10, seed=1).value, negativity(rhos, 1)
 print(f"{'r':>8} {'restricted':>11} {'horodecki':>10} {'numeric':>10} {'negativity':>11}")
-for r, rho, restricted, closed, value in zip(rs, rhos, chsh_restricted_max(rs), bell_upper(rhos), numeric):
-    neg = negativity(rho, 1)
+for r, restricted, closed, value, neg in zip(rs, chsh_restricted_max(rs), bell_upper(rhos), numeric, negativities):
     marker = "violates" if violates(restricted, 2) else "classical"
     print(f"{r:8.4f} {restricted:11.6f} {closed:10.6f} {value:10.6f} {neg:11.6f}  {marker}")
 

@@ -15,7 +15,7 @@ Library layout:
                   form + lockstep simplex, stopped per state once it reaches the state's bell_upper; fields
                   with the stack's leading axes; separable lattice oracle grid_oracle on the same state form
     entanglement  negativity across one mode (pairs via linalg.partial_trace), residual tripartite tangle with
-                  its fields pi, pi_1, pi_2, pi_3
+                  its fields pi, pi_1, pi_2, pi_3, of states (..., d, d)
     checks        cross-module invariant suite (the `verify` command), timed per check; loaded by `verify` only
     cli           sweep / threshold / verify / pi-tangle commands; one COLUMNS entry per sweep column, flagged or not
 """

@@ -5,11 +5,12 @@ has N = 1 and the GHZ state has tangle 1.  The negativity of a pair of
 modes is that of their two-mode reduction: trace the third mode out with
 ``linalg.partial_trace`` first.
 
-Each public call takes one state, not a stack, and checks it once; ``linalg``'s
-private partial trace and transpose take the checked array unread, straight into
-``np.linalg.eigvalsh``.  The sweep's ``pi_tangle`` column runs ``_pi_tangle`` on
-the states ``cli._damped`` built, channel outputs of a checked block, so a block
-is checked once.
+Each public call takes a state or a stack of them (..., d, d), checked in one
+``_state`` call, and gives floats for one state, arrays of the leading axes for a
+stack.  ``linalg``'s private partial trace and transpose take the checked array
+unread, into ``np.linalg.eigvalsh``.  Squares are products ``x * x``, not ``** 2``
+(C ``pow`` on a scalar), so a stack's row equals its lone call bit for bit.  The
+``pi_tangle`` sweep column runs ``_pi_tangle`` on the channel's checked output.
 """
 
 from __future__ import annotations
@@ -19,62 +20,52 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _partial_trace, _partial_transpose, _state
+from .nonlocality import _maybe_scalar
 
 __all__ = ["PiTangle", "negativity", "pi_tangle"]
 
 
-def negativity(rho, mode: int) -> float:
-    """Negativity of a state across the bipartition mode | rest (1-based mode).
+def negativity(rho, mode: int) -> float | np.ndarray:
+    """Negativity of each state of ``rho`` (..., d, d) across the bipartition mode | rest (1-based mode).
 
-    Always >= 0; zero iff the partial transpose stays positive semidefinite.
-    A one-mode state has no such bipartition and raises ValueError.
+    Always >= 0; zero iff the partial transpose stays positive semidefinite.  A one-mode state raises ValueError.
     """
-    rho, n = _one_state(rho)
+    rho, n = _state(rho)
     if n < 2:
         raise ValueError("a one-mode state has no bipartition mode | rest")
-    return _negativity(rho, n, mode)
+    return _maybe_scalar(_negativity(rho, n, mode))
 
 
-def _one_state(rho, modes: int | None = None) -> tuple[np.ndarray, int]:
-    """One checked state (d, d) and its mode count; the measures here are not taken over a stack."""
-    rho, n = _state(rho, modes)
-    if rho.ndim != 2:
-        raise ValueError(f"expected one state, got a stack of shape {rho.shape}")
-    return rho, n
-
-
-def _negativity(rho: np.ndarray, n: int, mode: int) -> float:  # rho (2^n, 2^n) already checked
-    return max(float(np.sum(np.abs(np.linalg.eigvalsh(_partial_transpose(rho, n, mode))))) - 1.0, 0.0)
+def _negativity(rho: np.ndarray, n: int, mode: int) -> np.ndarray:  # rho (..., 2^n, 2^n) already checked
+    return np.maximum(np.abs(np.linalg.eigvalsh(_partial_transpose(rho, n, mode))).sum(axis=-1) - 1.0, 0.0)
 
 
 @dataclass(frozen=True)
 class PiTangle:
-    """Residual tangle pi and its per-mode components (raw, unclamped)."""
+    """Residual tangle pi and its per-mode components (raw, unclamped): floats for one state, arrays for a stack."""
 
-    pi: float
-    pi_1: float
-    pi_2: float
-    pi_3: float
+    pi: float | np.ndarray
+    pi_1: float | np.ndarray
+    pi_2: float | np.ndarray
+    pi_3: float | np.ndarray
 
 
 def pi_tangle(rho) -> PiTangle:
-    """Residual tripartite tangle of a three-mode state.
+    """Residual tripartite tangle of each three-mode state of ``rho`` (..., 8, 8).
 
-    For each mode m the residual is N(m|rest)^2 minus the squared
-    negativities of the pairs (m, j), j != m; pi is the average of the three
-    residuals.  The pair (m, j) is the reduction with mode 6 - m - j traced
-    out, and transposing either of its modes gives spectra related by a full
-    transpose, so its negativity is computed once, across its first mode.
-    Components are reported raw; only the aggregate is clamped to zero when
-    it is negative by less than 1e-12.
+    For each mode m the residual is N(m|rest)^2 minus the squared negativities of the pairs (m, j), j != m; pi is
+    the average of the three residuals.  The pair (m, j) is the reduction with mode 6 - m - j traced out, and
+    transposing either of its modes gives spectra related by a full transpose, so its negativity is computed once,
+    across its first mode.  Components are reported raw; only the aggregate is clamped to zero when it is negative by
+    less than 1e-12.
     """
-    return _pi_tangle(_one_state(rho, 3)[0])
+    return _pi_tangle(_state(rho, 3)[0])
 
 
-def _pi_tangle(rho: np.ndarray) -> PiTangle:  # rho (8, 8) already checked
-    pair_sq = {k: _negativity(_partial_trace(rho, 3, k), 2, 1) ** 2 for k in (1, 2, 3)}  # the pair without mode k
-    residuals = [_negativity(rho, 3, m) ** 2 - sum(pair_sq[6 - m - j] for j in (1, 2, 3) if j != m) for m in (1, 2, 3)]
+def _pi_tangle(rho: np.ndarray) -> PiTangle:  # rho (..., 8, 8) already checked
+    ones = [_negativity(rho, 3, m) for m in (1, 2, 3)]  # ones[m] = N(m + 1 | rest)
+    pairs = [_negativity(_partial_trace(rho, 3, k), 2, 1) for k in (1, 2, 3)]  # pairs[k]: without mode k + 1
+    residuals = [ones[m] * ones[m] - sum(pairs[k] * pairs[k] for k in range(3) if k != m) for m in range(3)]
     aggregate = sum(residuals) / 3.0
-    if -1e-12 < aggregate < 0.0:
-        aggregate = 0.0
-    return PiTangle(pi=aggregate, pi_1=residuals[0], pi_2=residuals[1], pi_3=residuals[2])
+    aggregate = np.where((-1e-12 < aggregate) & (aggregate < 0.0), 0.0, aggregate)
+    return PiTangle(*map(_maybe_scalar, (aggregate, *residuals)))

@@ -115,6 +115,14 @@ def _state(rho: np.ndarray, modes: int | None = None) -> tuple[np.ndarray, int]:
     return rho, n
 
 
+def _check_broadcast(lead: tuple, other: tuple, what: str) -> None:
+    """ValueError naming both shapes unless a stack's leading shape ``lead`` broadcasts against ``other``."""
+    try:
+        np.broadcast_shapes(lead, other)
+    except ValueError:
+        raise ValueError(f"states of leading shape {lead} do not broadcast against {what} {other}") from None
+
+
 def partial_trace(rho: np.ndarray, mode: int) -> np.ndarray:
     """Trace out one mode of each multi-mode operator of ``rho`` (..., d, d).
 

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _check_integer, _numbers, _state
+from .linalg import _check_broadcast, _check_integer, _numbers, _state
 from .states import PAULI, _unit_vectors
 from .unruh import _check_r
 
@@ -130,6 +130,7 @@ def _bell_fields(t: np.ndarray, rest: np.ndarray, modes: int) -> np.ndarray:
 def _bell_value(t: np.ndarray, settings, modes: int):
     """Bell values of a correlation tensor or a stack of them at ``settings``; ``modes`` picks the inequality."""
     dirs = _unit_vectors(settings, 2 * modes)
+    _check_broadcast(t.shape[:-modes], dirs.shape[:-2], "settings of leading shape")
     fields = _bell_fields(t, dirs[..., 2:, :], modes)
     return _guarded(np.abs(np.sum(dirs[..., :2, :] * fields, axis=(-2, -1))), modes)
 

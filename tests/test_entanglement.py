@@ -93,13 +93,13 @@ def test_pi_tangle_needs_three_modes():
         pi_tangle(density(singlet()))
 
 
-def test_measures_reject_stacks():
-    # negativity and pi_tangle take one state: a stack (..., d, d) is not summed over
-    ghz = density(gghz(math.pi / 4.0))
-    with pytest.raises(ValueError, match="expected one state, got a stack of shape \\(2, 8, 8\\)"):
-        pi_tangle(np.stack([ghz, ghz]))
-    with pytest.raises(ValueError, match="expected one state"):
-        negativity(np.stack([ghz, ghz]), 1)
+def test_measures_reject_stacks_without_the_cut():
+    # a stack is read as states, so it is refused only where one of its states would be: one-mode states have no
+    # cut mode | rest, and pi_tangle takes three modes
+    with pytest.raises(ValueError, match="no bipartition"):
+        negativity(np.stack([np.eye(2) / 2.0] * 3), 1)
+    with pytest.raises(ValueError, match="3-mode state, got shape \\(2, 4, 4\\)"):
+        pi_tangle(np.stack([density(singlet())] * 2))
 
 
 def test_pi_tangle_fully_product(rng):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from accelbell import cli, entanglement, linalg, nonlocality, optimize, states, unruh
 from accelbell.cli import SweepSpec, run_sweep
-from accelbell.entanglement import negativity
+from accelbell.entanglement import negativity, pi_tangle
 from accelbell.linalg import density, partial_trace, partial_transpose
 from accelbell.nonlocality import (
     bell_upper,
@@ -42,6 +42,8 @@ def test_stack_rows_equal_single_state_calls(seed, modes, rank, size, data):
     result = maximize_bell(damped, restarts=1, seed=seed % 1000)
     upper = bell_upper(damped)
     reduced, transposed = partial_trace(damped, mode), partial_transpose(damped, mode)
+    negativities = [negativity(damped, cut) for cut in range(1, modes + 1)]
+    tangle = pi_tangle(damped) if modes == 3 else None
     for i in range(size):
         rho = apply_channel(rhos[i], mode, rs[i])
         assert np.array_equal(damped[i], rho)
@@ -50,6 +52,9 @@ def test_stack_rows_equal_single_state_calls(seed, modes, rank, size, data):
         assert upper[i] == bell_upper(rho)
         assert np.array_equal(reduced[i], partial_trace(rho, mode))
         assert np.array_equal(transposed[i], partial_transpose(rho, mode))
+        assert [by_cut[i] for by_cut in negativities] == [negativity(rho, cut) for cut in range(1, modes + 1)]
+        if tangle is not None:
+            assert [field[i] for field in vars(tangle).values()] == list(vars(pi_tangle(rho)).values())
         alone = maximize_bell(rho, restarts=1, seed=seed % 1000)
         assert result.value[i] == alone.value
         assert np.array_equal(result.directions[i], alone.directions)
@@ -66,9 +71,12 @@ def test_state_builders_on_arrays_equal_scalar_calls(angles, data):
         kets = build(t)
         assert kets.shape == (len(angles), 8)
         damped = apply_channel(density(kets), mode, rs)
+        tangle = pi_tangle(damped)  # the sweep's states: each row as its lone call gives it, bit for bit
         for i in range(len(angles)):
             assert np.array_equal(kets[i], build(float(t[i])))
-            assert np.array_equal(damped[i], apply_channel(density(build(float(t[i]))), mode, float(rs[i])))
+            rho = apply_channel(density(build(float(t[i]))), mode, float(rs[i]))
+            assert np.array_equal(damped[i], rho)
+            assert [field[i] for field in vars(tangle).values()] == list(vars(pi_tangle(rho)).values())
     # the singlet builder ignores its parameter: the channel broadcasts one state against the r axis
     damped = apply_channel(density(singlet()), 2, rs)
     assert all(np.array_equal(damped[i], apply_channel(density(singlet()), 2, float(r))) for i, r in enumerate(rs))
@@ -86,6 +94,12 @@ def test_leading_axes_broadcast():
     assert bell_upper(damped)[1, 2] == bell_upper(damped[1, 2])
     assert isinstance(bell_upper(density(singlet())), float)
     assert isinstance(bell_value(density(singlet()), np.tile([0.0, 0.0, 1.0], (4, 1))), float)
+    tangle = pi_tangle(damped)
+    assert tangle.pi.shape == tangle.pi_1.shape == tangle.pi_2.shape == tangle.pi_3.shape == (2, 3)
+    assert negativity(damped, 2).shape == (2, 3)
+    # a Python float, not a numpy scalar
+    assert all(type(field) is float for field in vars(pi_tangle(damped[1, 2])).values())
+    assert type(negativity(damped[1, 2], 2)) is float and type(negativity(density(singlet()), 1)) is float
 
 
 def test_stack_check_names_the_worst_trace():
@@ -161,9 +175,33 @@ def test_state_quantities_accept_empty_stacks():
         assert bell_value(empty, np.tile([0.0, 0.0, 1.0], (2 * modes, 1))).shape == (0,)
         assert bell_value(density(singlet() if modes == 2 else gghz(0.3)), np.empty((0, 2 * modes, 3))).shape == (0,)
         assert bell_upper(empty).shape == (0,)
+        assert all(negativity(empty, cut).shape == (0,) for cut in range(1, modes + 1))
         result = maximize_bell(empty.reshape((3, 0) + empty.shape[1:]), restarts=2)
         assert result.value.shape == result.evaluations.shape == result.certified.shape == (3, 0)
         assert result.directions.shape == (3, 0, 2 * modes, 3)
+    assert all(np.shape(field) == (2, 0) for field in vars(pi_tangle(np.empty((2, 0, 8, 8)))).values())
+
+
+def test_apply_channel_rejects_r_that_does_not_broadcast():
+    # the leading shapes are checked before any product, so the message names the shapes passed, not numpy's operands
+    rhos = density(gghz([0.1, 0.2, 0.3]))
+    with pytest.raises(ValueError, match="^states of leading shape \\(3,\\) do not broadcast against r of shape "
+                                         "\\(2,\\)$"):
+        apply_channel(rhos, 1, [0.1, 0.2])
+    with pytest.raises(ValueError, match="leading shape \\(3,\\) do not broadcast against r of shape \\(3, 2\\)$"):
+        apply_channel(rhos, 1, np.zeros((3, 2)))
+    assert apply_channel(rhos, 1, np.zeros((2, 1))).shape == (2, 3, 8, 8)  # shapes that broadcast still do
+
+
+def test_bell_value_rejects_settings_that_do_not_broadcast():
+    rhos = density(gghz([0.1, 0.2, 0.3]))
+    with pytest.raises(ValueError, match="^states of leading shape \\(3,\\) do not broadcast against settings of "
+                                         "leading shape \\(2,\\)$"):
+        bell_value(rhos, np.tile(states.Z_AXIS, (2, 6, 1)))
+    with pytest.raises(ValueError, match="leading shape \\(2, 3\\) do not broadcast against settings of leading shape "
+                                         "\\(4,\\)$"):
+        bell_value(apply_channel(density(singlet()), 2, np.zeros((2, 3))), np.tile(states.Z_AXIS, (4, 4, 1)))
+    assert bell_value(rhos, np.tile(states.Z_AXIS, (2, 1, 6, 1))).shape == (2, 3)  # shapes that broadcast still do
 
 
 def test_closed_forms_accept_empty_input():
