@@ -93,7 +93,7 @@ def test_pi_tangle_needs_three_modes():
         pi_tangle(density(singlet()))
 
 
-def test_measures_reject_stacks_without_the_cut():
+def test_measures_reject_stacks():
     # a stack is read as states, so it is refused only where one of its states would be: one-mode states have no
     # cut mode | rest, and pi_tangle takes three modes
     with pytest.raises(ValueError, match="no bipartition"):
