@@ -17,7 +17,7 @@ Library layout:
     entanglement  negativity across one mode (pairs via linalg.partial_trace), residual tripartite tangle with
                   its fields pi, pi_1, pi_2, pi_3, of states (..., d, d)
     checks        cross-module invariant suite (the `verify` command), timed per check; loaded by `verify` only
-    cli           sweep / threshold / verify / pi-tangle commands; one COLUMNS entry per sweep column, flagged or not
+    cli           sweep / threshold / verify / pi-tangle commands; COLUMNS maps each sweep column to its states, flag
 """
 
 from .entanglement import PiTangle, negativity, pi_tangle

@@ -47,13 +47,11 @@ class SweepSpec:
     certify_resolution: float | None = None
 
 
-def _check_state(state: str, mode: int) -> int:
-    """Mode count of ``state``; raises ValueError for an unknown state or a mode it does not have."""
+def _check_state(state: str, mode: int) -> None:
+    """Raise ValueError for an unknown state or a mode it does not have."""
     if state not in STATE_MODES:
         raise ValueError(f"unknown state {state!r}; choose from {sorted(STATE_MODES)}")
-    n = STATE_MODES[state][0]
-    linalg._check_integer("mode", mode, 1, n)
-    return n
+    linalg._check_integer("mode", mode, 1, STATE_MODES[state][0])
 
 
 def _damped(state: str, params, mode: int, rs) -> np.ndarray:
@@ -61,30 +59,32 @@ def _damped(state: str, params, mode: int, rs) -> np.ndarray:
     return unruh.apply_channel(linalg.density(STATE_BUILDERS[state](params)), mode, rs)
 
 
-def _svetlichny_bound(spec: SweepSpec, params: np.ndarray, rs: np.ndarray, envelope: bool) -> np.ndarray:
-    if spec.state == "gghz":
-        ref = nonlocality.svetlichny_bound_gghz(params, rs)
-        return ref.envelope if envelope else ref.bound
-    return nonlocality.svetlichny_bound_ms(params, rs, spec.mode)
-
-
 def _numeric(spec: SweepSpec, params, rs, rhos) -> np.ndarray:
     """Maximize every damped state of the block in one lockstep simplex."""
     return optimize.maximize_bell(rhos, spec.certify_resolution, restarts=spec.restarts, seed=spec.seed).value
 
 
-# column: (modes, evaluator(spec, params, rs, damped states) -> one value per point, flagged); a flagged column
-# is followed by its violation flag, nonlocality.violates of its value under the inequality of its mode count;
+def _ms_bound(spec: SweepSpec, params, rs, rhos) -> np.ndarray:
+    return nonlocality.svetlichny_bound_ms(params, rs, spec.mode)
+
+
+# column: ({state: evaluator(spec, params, rs, damped states) -> one value per point}, flagged); a column has a value
+# for the states it names and for no other, as a closed form holds for one state family only; a flagged column is
+# followed by its violation flag, nonlocality.violates of its value under the inequality of the state's mode count;
 # params and rs are the block's (k,) arrays and the damped states its (k, d, d) stack, each taken in one call
 COLUMNS = {
-    "chsh_restricted_max": (2, lambda spec, params, rs, rhos: nonlocality.chsh_restricted_max(rs), True),
-    "chsh_horodecki": (2, lambda spec, params, rs, rhos: nonlocality.bell_upper(rhos), True),
-    "chsh_numeric": (2, _numeric, True),
-    "svetlichny_bound": (3, lambda spec, params, rs, rhos: _svetlichny_bound(spec, params, rs, envelope=False), True),
-    "svetlichny_envelope": (3, lambda spec, params, rs, rhos: _svetlichny_bound(spec, params, rs, envelope=True), True),
-    "svetlichny_upper": (3, lambda spec, params, rs, rhos: nonlocality.bell_upper(rhos), True),
-    "svetlichny_numeric": (3, _numeric, True),
-    "pi_tangle": (3, lambda spec, params, rs, rhos: [entanglement._pi_tangle(rho).pi for rho in rhos], False),
+    "chsh_restricted_max": ({"singlet": lambda spec, params, rs, rhos: nonlocality.chsh_restricted_max(rs)}, True),
+    "chsh_horodecki": ({"singlet": lambda spec, params, rs, rhos: nonlocality.bell_upper(rhos)}, True),
+    "chsh_numeric": ({"singlet": _numeric}, True),
+    "svetlichny_bound": ({"gghz": lambda spec, params, rs, rhos: nonlocality.svetlichny_bound_gghz(params, rs).bound,
+                          "ms": _ms_bound}, True),
+    "svetlichny_envelope": ({"gghz": lambda spec, params, rs, rhos:
+                             nonlocality.svetlichny_bound_gghz(params, rs).envelope, "ms": _ms_bound}, True),
+    "svetlichny_upper": (dict.fromkeys(("gghz", "ms"),
+                                       lambda spec, params, rs, rhos: nonlocality.bell_upper(rhos)), True),
+    "svetlichny_numeric": (dict.fromkeys(("gghz", "ms"), _numeric), True),
+    "pi_tangle": (dict.fromkeys(("gghz", "ms"), lambda spec, params, rs, rhos:
+                                [entanglement._pi_tangle(rho).pi for rho in rhos]), False),
 }
 
 
@@ -96,7 +96,7 @@ def _grid_end(spec: SweepSpec, name: str) -> float:
 
 
 def _validate_spec(spec: SweepSpec) -> None:
-    n = _check_state(spec.state, spec.mode)
+    _check_state(spec.state, spec.mode)
     for label, steps in (("param", spec.param_steps), ("r", spec.r_steps)):
         start, stop = (_grid_end(spec, f"{label}_{end}") for end in ("start", "stop"))
         linalg._check_integer(f"{label} grid steps", steps, 1)
@@ -112,9 +112,8 @@ def _validate_spec(spec: SweepSpec) -> None:
     for col in spec.columns:
         if col not in COLUMNS:
             raise ValueError(f"unknown column {col!r}; choose from {tuple(COLUMNS)}")
-        modes = COLUMNS[col][0]
-        if modes != n:
-            raise ValueError(f"column {col!r} needs a {'two' if modes == 2 else 'three'}-mode state, not {spec.state!r}")
+        if spec.state not in COLUMNS[col][0]:
+            raise ValueError(f"column {col!r} has no value for state {spec.state!r}; it takes {list(COLUMNS[col][0])}")
     optimize._check_search(spec.restarts, spec.certify_resolution, spec.seed)
 
 
@@ -134,15 +133,15 @@ def run_sweep(spec: SweepSpec) -> str:
                                                        np.linspace(spec.r_start, spec.r_stop, spec.r_steps), indexing="ij"))
     header = ["param", "r"]
     for col in spec.columns:
-        header += [col, col + "_violation"] if COLUMNS[col][2] else [col]
-    lines = [",".join(header)]
+        header += [col, col + "_violation"] if COLUMNS[col][1] else [col]
+    lines, modes = [",".join(header)], STATE_MODES[spec.state][0]
     for start in range(0, params.size, BLOCK):
         block_params, block_rs = params[start:start + BLOCK], rs[start:start + BLOCK]
         rhos = _damped(spec.state, block_params, spec.mode, block_rs)
         table = [block_params, block_rs]  # one float column each; a flag is 1.0 or 0.0, which _fmt writes 1 or 0
         for col in spec.columns:
-            modes, evaluate, flagged = COLUMNS[col]
-            values = evaluate(spec, block_params, block_rs, rhos)
+            evaluators, flagged = COLUMNS[col]
+            values = evaluators[spec.state](spec, block_params, block_rs, rhos)
             table += [values, nonlocality.violates(values, modes)] if flagged else [values]
         lines.extend(",".join(map(_fmt, row)) for row in np.stack(table, axis=1).tolist())
     return "\n".join(lines) + "\n"
@@ -158,8 +157,9 @@ def solve_threshold() -> dict:
 
 
 def solve_pi_tangle(state: str, param: float, r: float, mode: int) -> dict:
-    if _check_state(state, mode) != 3:
-        raise ValueError("pi-tangle needs a three-mode state")
+    _check_state(state, mode)
+    if state not in COLUMNS["pi_tangle"][0]:
+        raise ValueError(f"pi-tangle has no value for {state!r}; it takes {list(COLUMNS['pi_tangle'][0])}")
     tangle = entanglement.pi_tangle(_damped(state, param, mode, r))
     report = {"state": state, "param": _sig(param), "r": _sig(r), "mode": mode}
     return report | {name: _sig(value) for name, value in asdict(tangle).items()}
@@ -200,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("verify", help="run the cross-module invariant suite")
 
     pt = sub.add_parser("pi-tangle", help="residual tangle of a damped state, JSON output")
-    pt.add_argument("--state", required=True, choices=[s for s, (n, _) in STATE_MODES.items() if n == 3])
+    pt.add_argument("--state", required=True, choices=list(COLUMNS["pi_tangle"][0]))
     pt.add_argument("--param", type=float, required=True)
     damping = pt.add_mutually_exclusive_group(required=True)
     damping.add_argument("--r", type=float, help="damping angle in [0, pi/4]")

@@ -104,23 +104,25 @@ def _operator(rho, what: str = "operator") -> tuple[np.ndarray, int]:
 def _state(rho: np.ndarray, modes: int | None = None) -> tuple[np.ndarray, int]:
     """Check every state of ``rho`` (..., d, d) in one pass; return it as a complex array and its mode count."""
     rho, n = _operator(rho, "matrix")
+    if n < 1 or n != (modes or n):
+        want = f"{modes}-mode state" if modes else "state of one or more modes"
+        raise ValueError(f"expected a {want}, got shape {rho.shape}")
     residual = float(np.abs(rho - np.swapaxes(rho.conj(), -1, -2)).max(initial=0.0))
     if residual > HERMITICITY_ATOL:
         raise ValueError(f"matrix is not Hermitian (residual {residual:.3e} > {HERMITICITY_ATOL:.0e})")
     traces = np.trace(rho, axis1=-2, axis2=-1).ravel()
     worst = traces[np.argmax(np.abs(traces - 1.0))] if traces.size else 1.0
-    if n < 1 or n != (modes or n) or not abs(worst - 1.0) <= HERMITICITY_ATOL:
-        want = f"{modes}-mode state" if modes else "state of one or more modes"
-        raise ValueError(f"expected a unit-trace {want}, got shape {rho.shape} and trace {worst.real:.6g}")
+    if not abs(worst - 1.0) <= HERMITICITY_ATOL:
+        raise ValueError(f"expected a unit-trace state, got shape {rho.shape} and trace {worst.real:.6g}")
     return rho, n
 
 
-def _check_broadcast(lead: tuple, other: tuple, what: str) -> None:
-    """ValueError naming both shapes unless a stack's leading shape ``lead`` broadcasts against ``other``."""
+def _check_broadcast(first: str, first_shape: tuple, second: str, second_shape: tuple) -> None:
+    """ValueError naming both arguments and their shapes, in the caller's order, unless the shapes broadcast."""
     try:
-        np.broadcast_shapes(lead, other)
+        np.broadcast_shapes(first_shape, second_shape)
     except ValueError:
-        raise ValueError(f"states of leading shape {lead} do not broadcast against {what} {other}") from None
+        raise ValueError(f"{first} {first_shape} do not broadcast against {second} {second_shape}") from None
 
 
 def partial_trace(rho: np.ndarray, mode: int) -> np.ndarray:

@@ -87,9 +87,9 @@ __all__ = [
 ]
 
 
-def _tensor(rho: np.ndarray, modes: int | None = None) -> tuple[np.ndarray, int]:
+def _tensor(rho: np.ndarray) -> tuple[np.ndarray, int]:
     """Correlation tensors (..., 3, 3(, 3)) of a checked stack of states, and its mode count."""
-    rho, n = _state(rho, modes)
+    rho, n = _state(rho)
     if n not in INEQUALITIES:
         raise ValueError(f"expected a 4x4 or 8x8 operator, got shape {rho.shape}")
     lead = rho.shape[:-2]  # one matrix-vector product per state, so a row of a stack equals its lone call
@@ -130,7 +130,7 @@ def _bell_fields(t: np.ndarray, rest: np.ndarray, modes: int) -> np.ndarray:
 def _bell_value(t: np.ndarray, settings, modes: int):
     """Bell values of a correlation tensor or a stack of them at ``settings``; ``modes`` picks the inequality."""
     dirs = _unit_vectors(settings, 2 * modes)
-    _check_broadcast(t.shape[:-modes], dirs.shape[:-2], "settings of leading shape")
+    _check_broadcast("states of leading shape", t.shape[:-modes], "settings of leading shape", dirs.shape[:-2])
     fields = _bell_fields(t, dirs[..., 2:, :], modes)
     return _guarded(np.abs(np.sum(dirs[..., :2, :] * fields, axis=(-2, -1))), modes)
 
@@ -160,6 +160,7 @@ def restricted_settings(gamma, r=0.0) -> np.ndarray:
     the closed form of ``chsh_restricted`` exact for every r.
     """
     r, g = _check_r(r), _numbers(gamma, "angle gamma")
+    _check_broadcast("angles gamma of shape", g.shape, "r of shape", r.shape)
     g, split = np.broadcast_arrays(g, math.pi - r)
     s, c, zero = np.sin(g), np.cos(g), np.zeros(g.shape)
     z = np.stack([zero, zero, zero + 1.0], axis=-1)
@@ -170,6 +171,7 @@ def chsh_restricted(r, gamma):
     """CHSH value of the damped singlet on the restricted family:
     2 cos^2(r) |sin^2(gamma) + cos(gamma)|.  Values above 2 are violations."""
     r, g = _check_r(r), _numbers(gamma, "angle gamma")
+    _check_broadcast("r values of shape", r.shape, "angles gamma of shape", g.shape)
     vals = 2.0 * np.square(np.cos(r)) * np.abs(np.square(np.sin(g)) + np.cos(g))
     return _maybe_scalar(vals)
 
@@ -264,6 +266,7 @@ def svetlichny_bound_gghz(theta1, r) -> GghzBound:
     it: at t1 = pi/2 (|111>) the axial value is 4.
     """
     r, t1 = _check_r(r), _numbers(theta1, "control angle theta1")
+    _check_broadcast("control angles theta1 of shape", t1.shape, "r of shape", r.shape)
     axial_amp = 2.0 * np.square(np.cos(t1)) * np.square(np.cos(r)) - 1.0
     axial_value = 4.0 * np.abs(axial_amp)
     equatorial_value = 4.0 * math.sqrt(2.0) * np.abs(np.sin(2.0 * t1)) * np.cos(r)
@@ -286,6 +289,7 @@ def svetlichny_bound_ms(theta3, r, mode: int):
     4 sqrt(cos^2 t3 cos^2 2r + 2 sin^2 t3 cos^2 r).
     """
     r, t3 = _check_r(r), _numbers(theta3, "control angle theta3")
+    _check_broadcast("control angles theta3 of shape", t3.shape, "r of shape", r.shape)
     _check_integer("mode", mode, 1, 3)
     cos2, sin2 = np.square(np.cos(t3)), np.square(np.sin(t3))
     if mode < 3:

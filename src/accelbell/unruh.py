@@ -103,7 +103,7 @@ def apply_channel(rho: np.ndarray, mode: int, r) -> np.ndarray:
     rho, n = _state(rho)
     _check_integer("mode", mode, 1, n)
     r = _check_r(r)
-    _check_broadcast(rho.shape[:-2], r.shape, "r of shape")
+    _check_broadcast("states of leading shape", rho.shape[:-2], "r of shape", r.shape)
     left, right = 2 ** (mode - 1), 2 ** (n - mode)
     # t[a, b] is the block of the damped mode's row bit a and column bit b, (..., left, right, left, right)
     t = np.moveaxis(rho.reshape(rho.shape[:-2] + (left, 2, right, left, 2, right)), (-5, -2), (0, 1))

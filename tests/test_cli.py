@@ -159,6 +159,36 @@ def test_sweep_validation_errors():
             run_sweep(bound_spec(**{field: math.nan}))
 
 
+def test_columns_reject_states_they_have_no_value_for(capsys, monkeypatch):
+    # one table: a column has a value for the states its COLUMNS entry names, and is refused for every other state
+    # before any state is built, by the library call and by the command alike
+    refused = []
+    for col, (evaluators, flagged) in COLUMNS.items():
+        for state, (_, mode) in cli.STATE_MODES.items():
+            if state not in evaluators:
+                refused.append((col, state))
+                continue
+            spec = SweepSpec(state=state, param_start=0.3, param_stop=0.3, param_steps=1, r_start=0.2, r_stop=0.2,
+                             r_steps=1, mode=mode, columns=(col,), restarts=2)
+            rows = run_sweep(spec).splitlines()
+            assert len(rows) == 2 and len(rows[1].split(",")) == (4 if flagged else 3)
+    assert len(refused) == 11
+    monkeypatch.setattr(cli, "_damped", lambda *args: pytest.fail("state built before the column was checked"))
+    for col, state in refused:
+        spec = SweepSpec(state=state, param_start=0.3, param_stop=0.3, param_steps=1, r_start=0.2, r_stop=0.2,
+                         r_steps=1, mode=cli.STATE_MODES[state][1], columns=(col,))
+        with pytest.raises(ValueError, match=f"^column '{col}' has no value for state '{state}'; it takes \\[") as no:
+            run_sweep(spec)
+        assert main(["sweep", "--state", state, "--r-steps", "1", "--columns", col]) == 2
+        assert capsys.readouterr() == ("", f"error: {no.value}\n")  # one line on stderr, nothing on stdout
+        if col == "pi_tangle":  # the pi-tangle command reads the same entry
+            with pytest.raises(ValueError, match=f"^pi-tangle has no value for '{state}'; it takes \\['gghz', 'ms'"):
+                solve_pi_tangle(state, 0.3, 0.2, cli.STATE_MODES[state][1])
+            with pytest.raises(SystemExit) as exc:
+                main(["pi-tangle", "--state", state, "--param", "0.3", "--r", "0.2"])
+            assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
+
+
 def test_sweep_spec_validation_rejects_bool_and_out_of_range_modes(monkeypatch):
     # the one integer rule (linalg._check_integer) checks the mode in _validate_spec, before any state is built
     monkeypatch.setattr(cli, "_damped", lambda *args: pytest.fail("state built before the mode was checked"))
@@ -359,7 +389,7 @@ def test_closed_form_columns_equal_per_point_calls(state, mode, columns):
                     value = ref.bound if col == "svetlichny_bound" else ref.envelope
                 else:
                     value = nonlocality.svetlichny_bound_ms(p, r, mode)
-                cells += [cli._fmt(value), "1" if violates(value, COLUMNS[col][0]) else "0"]
+                cells += [cli._fmt(value), "1" if violates(value, cli.STATE_MODES[state][0]) else "0"]
             assert row.split(",") == cells
 
 

@@ -1,6 +1,7 @@
 """The one state form: a stack (..., d, d) gives, row by row, exactly what each state gives alone."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from accelbell.nonlocality import (
     chsh_restricted,
     chsh_restricted_max,
     correlation_tensor,
+    restricted_settings,
     svetlichny_bound_gghz,
     svetlichny_bound_ms,
 )
@@ -202,6 +204,42 @@ def test_bell_value_rejects_settings_that_do_not_broadcast():
                                          "\\(4,\\)$"):
         bell_value(apply_channel(density(singlet()), 2, np.zeros((2, 3))), np.tile(states.Z_AXIS, (4, 4, 1)))
     assert bell_value(rhos, np.tile(states.Z_AXIS, (2, 1, 6, 1))).shape == (2, 3)  # shapes that broadcast still do
+
+
+def test_state_check_rejects_a_wrong_mode_count_by_its_own_message():
+    # a wrong mode count names the shape and the wanted count, and no trace: the traces of the first stack are fine,
+    # and the empty stack has none
+    for rhos in (np.stack([density(singlet())] * 2), np.empty((0, 4, 4))):
+        with pytest.raises(ValueError, match=f"^expected a 3-mode state, got shape \\({rhos.shape[0]}, 4, 4\\)$"):
+            pi_tangle(rhos)
+    with pytest.raises(ValueError, match="^expected a state of one or more modes, got shape \\(2, 1, 1\\)$"):
+        correlation_tensor(np.ones((2, 1, 1)))
+    # a wrong trace at the right mode count is still refused by the worst trace
+    with pytest.raises(ValueError, match="^expected a unit-trace state, got shape \\(2, 8, 8\\) and trace 2$"):
+        pi_tangle(np.stack([np.eye(8) / 8.0, np.eye(8) / 4.0]))
+
+
+def test_closed_forms_reject_arguments_that_do_not_broadcast():
+    # each closed form names its angle and r with their shapes, in the order the caller passes them
+    two, three = [0.1, 0.2], [0.1, 0.2, 0.3]
+    calls = {
+        "control angles theta1 of shape (2,) do not broadcast against r of shape (3,)":
+            [lambda: svetlichny_bound_gghz(two, three)],
+        "control angles theta3 of shape (2,) do not broadcast against r of shape (3,)":
+            [lambda: svetlichny_bound_ms(two, three, 1), lambda: svetlichny_bound_ms(two, three, 3)],
+        "r values of shape (3,) do not broadcast against angles gamma of shape (2,)":
+            [lambda: chsh_restricted(three, two)],
+        "angles gamma of shape (2,) do not broadcast against r of shape (3,)":
+            [lambda: restricted_settings(two, three)],
+    }
+    for message, group in calls.items():
+        for call in group:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+    # shapes that broadcast still do
+    column = np.array(three)[:, None]
+    assert svetlichny_bound_gghz(two, column).bound.shape == svetlichny_bound_ms(two, column, 3).shape == (3, 2)
+    assert chsh_restricted(column, two).shape == (3, 2) and restricted_settings(two, column).shape == (3, 2, 4, 3)
 
 
 def test_closed_forms_accept_empty_input():
