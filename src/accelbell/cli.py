@@ -173,8 +173,13 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+class _Parser(argparse.ArgumentParser):  # its subparsers are _Parsers too
+    def error(self, message):  # usage, then the one "error:" line main prints for a refused command; exit 2
+        self.exit(2, f"{self.format_usage()}error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="accelbell", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="accelbell", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="grid sweep over (state parameter, r), CSV output")

@@ -8,9 +8,9 @@ sigma_z |0> = +|0>.
 
 All functions are pure.  Every matrix is read by one shape rule, ``_operator``:
 finite complex numbers (..., d, d), square, d = 2^n <= ``MAX_DIM`` = 16.  A state
-is also Hermitian and of unit trace within ``HERMITICITY_ATOL`` (n >= 1;
-positivity is not checked), so a stack is checked whole by one ``_state`` call
-at each entry point (``density``, ``unruh``, ``entanglement``,
+is also Hermitian, of unit trace and positive semidefinite within ``HERMITICITY_ATOL``
+(n >= 1; positivity by one ``eigvalsh`` of the stack), so a stack is checked whole
+by one ``_state`` call at each entry point (``density``, ``unruh``, ``entanglement``,
 ``nonlocality._tensor``).  ``partial_trace`` and ``partial_transpose`` read
 outside operators by the shape rule; arrays ``_state`` already checked go to
 their private bodies unread.  Eigenvalues, Tr[rho O] and Kronecker products are
@@ -114,6 +114,9 @@ def _state(rho: np.ndarray, modes: int | None = None) -> tuple[np.ndarray, int]:
     worst = traces[np.argmax(np.abs(traces - 1.0))] if traces.size else 1.0
     if not abs(worst - 1.0) <= HERMITICITY_ATOL:
         raise ValueError(f"expected a unit-trace state, got shape {rho.shape} and trace {worst.real:.6g}")
+    lowest = float(np.linalg.eigvalsh(rho).min(initial=0.0))  # one eigensolve of the whole stack
+    if lowest < -HERMITICITY_ATOL:
+        raise ValueError(f"matrix is not positive semidefinite (smallest eigenvalue {lowest:.3e} < {-HERMITICITY_ATOL:.0e})")
     return rho, n
 
 

@@ -27,9 +27,9 @@ The state quantities take a stack of states (..., d, d), checked in one
 ``_state`` call, whose leading axes broadcast against the settings'; one state
 and one setting give a float.  ``violates`` reads the classical bound of the
 table's row, with margin ``VIOLATION_TOL``.  ``ValueError`` is raised for a
-non-state, settings of the wrong count or non-finite, and a value above the
-quantum maximum; angles and values are read by ``linalg._numbers`` and mode
-counts follow ``linalg._check_integer``.
+non-state, positivity included, and for settings of the wrong count or
+non-finite; angles and values are read by ``linalg._numbers`` and mode counts
+follow ``linalg._check_integer``.
 """
 
 from __future__ import annotations
@@ -100,14 +100,6 @@ def _maybe_scalar(values: np.ndarray):
     return values.item() if values.ndim == 0 else values  # a Python float or bool for one value
 
 
-def _guarded(values: np.ndarray, modes: int):
-    """``values``, or ValueError if one is above the quantum maximum of the ``modes``-mode inequality."""
-    inequality = INEQUALITIES[modes]
-    if not (values <= inequality.quantum_max + VIOLATION_TOL).all():
-        raise ValueError(f"{inequality.name} value above the quantum maximum; is rho a density operator?")
-    return _maybe_scalar(values)
-
-
 def correlation_tensor(rho: np.ndarray) -> np.ndarray:
     """T_ij = Tr[rho sigma_i x sigma_j] of a 4x4 operator, or T_ijk of an 8x8 one, as a real array (..., 3, 3(, 3))."""
     return _tensor(rho)[0]
@@ -132,7 +124,7 @@ def _bell_value(t: np.ndarray, settings, modes: int):
     dirs = _unit_vectors(settings, 2 * modes)
     _check_broadcast("states of leading shape", t.shape[:-modes], "settings of leading shape", dirs.shape[:-2])
     fields = _bell_fields(t, dirs[..., 2:, :], modes)
-    return _guarded(np.abs(np.sum(dirs[..., :2, :] * fields, axis=(-2, -1))), modes)
+    return _maybe_scalar(np.abs(np.sum(dirs[..., :2, :] * fields, axis=(-2, -1))))
 
 
 def bell_value(rho: np.ndarray, settings) -> float | np.ndarray:
@@ -224,15 +216,13 @@ def bell_upper(rho: np.ndarray) -> float | np.ndarray:
     The state's mode count picks the inequality, as in ``bell_value``.  CHSH
     (4x4): 2 sqrt(t1 + t2) with t1 >= t2 the two largest eigenvalues of
     T^T T, the exact maximum (Horodecki, Horodecki & Horodecki, PLA 200, 340
-    (1995)), with ``bell_value``'s quantum-maximum guard.  Svetlichny (8x8):
-    4 min_k sigma_max(T_(k)) over the 3x9 unfoldings T_(k) of T along each
-    mode k (Li, Shen, Jing, Fei & Li-Jost, PRA 96, 042323 (2017)), a bound:
-    it equals the damped GGHZ envelope and both maximal-slice closed forms,
-    and lies above the maximum of a generic state.
+    (1995)).  Svetlichny (8x8): 4 min_k sigma_max(T_(k)) over the 3x9
+    unfoldings T_(k) of T along each mode k (Li, Shen, Jing, Fei & Li-Jost,
+    PRA 96, 042323 (2017)), a bound: it equals the damped GGHZ envelope and
+    both maximal-slice closed forms, and lies above the maximum of a generic
+    state.
     """
-    t, n = _tensor(rho)
-    values = _upper_bound(t, n)
-    return _guarded(values, n) if n == 2 else _maybe_scalar(values)
+    return _maybe_scalar(_upper_bound(*_tensor(rho)))
 
 
 @dataclass(frozen=True)

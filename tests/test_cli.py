@@ -267,6 +267,18 @@ def test_main_pi_tangle_omega_precedence(tmp_path, capsys):
     assert abs(json.loads(out_w.read_text())["r"] - unruh.acceleration_parameter(omega)) < 1e-11
 
 
+def test_argparse_usage_errors_end_in_one_error_line(capsys):
+    # a refusal by argparse reads like one by main: the usage, then one "error:" line, and exit 2
+    for argv in (["pi-tangle", "--state", "singlet", "--param", "0.3", "--r", "0.1"],
+                 ["sweep", "--state", "gghz", "--columns", "pi_tangle", "--restarts", "x"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: accelbell")
+        assert [line for line in err if "error:" in line] == [err[-1]] and err[-1].startswith("error: ")
+
+
 def test_main_usage_errors(capsys, monkeypatch, tmp_path):
     assert main(["sweep", "--state", "singlet", "--columns", "svetlichny_bound"]) == 2
     for argv in (["sweep", "--state", "unknown", "--columns", "pi_tangle"],

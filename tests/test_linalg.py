@@ -2,17 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from accelbell.entanglement import negativity, pi_tangle
 from accelbell.linalg import (
     density,
     mode_count,
     partial_trace,
     partial_transpose,
 )
-from accelbell.states import SIGMA_Z
+from accelbell.nonlocality import bell_upper, bell_value, correlation_tensor
+from accelbell.optimize import grid_oracle, maximize_bell
+from accelbell.states import SIGMA_X, SIGMA_Z
+from accelbell.unruh import R_MAX, apply_channel
 
-from helpers import random_density
+from helpers import random_density, random_state, random_unitary
 
 
 def bell_phi_plus():
@@ -149,3 +155,69 @@ def test_trace_norm_of_partial_transpose_at_least_one(rng):
         product = np.kron(random_density(rng, 1), random_density(rng, 1))
         assert abs(trace_norm(partial_transpose(product, 1)) - 1.0) < 1e-12
 
+
+def test_state_check_rejects_and_names_the_worst_eigenvalue():
+    # one eigensolve of the whole stack; the message names its smallest eigenvalue, here in the second state
+    stack = np.stack([np.diag([1.2, -0.2, 0.0, 0.0]), np.diag([1.5, -0.5, 0.0, 0.0]), np.eye(4) / 4.0])
+    message = r"^matrix is not positive semidefinite \(smallest eigenvalue -5\.000e-01 < -1e-10\)$"
+    with pytest.raises(ValueError, match=message):
+        negativity(stack, 1)
+
+
+def state_calls(rho, modes):
+    """Every state entry point whose mode count fits ``modes``, as calls on ``rho``."""
+    calls = [lambda: apply_channel(rho, 1, 0.1)]
+    if modes >= 2:
+        calls.append(lambda: negativity(rho, 1))
+    if modes in (2, 3):
+        calls += [
+            lambda: correlation_tensor(rho),
+            lambda: bell_value(rho, np.tile([0.0, 0.0, 1.0], (2 * modes, 1))),
+            lambda: bell_upper(rho),
+            lambda: maximize_bell(rho, restarts=1),
+            lambda: grid_oracle(rho, math.pi / 2.0),
+        ]
+    if modes == 3:
+        calls.append(lambda: pi_tangle(rho))
+    return calls
+
+
+@st.composite
+def non_positive_operators(draw):
+    """U diag(lambda) U^dag on 1-3 modes: unit trace, Hermitian, one eigenvalue at -delta, delta in [1e-9, 1]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    d = 2 ** draw(st.integers(1, 3), label="modes")
+    delta = draw(st.floats(1e-9, 1.0), label="delta")
+    weights = rng.random(d - 1) + 0.1
+    spectrum = np.concatenate([[-delta], weights / weights.sum() * (1.0 + delta)])
+    u = random_unitary(rng, d)
+    rho = (u * spectrum) @ u.conj().T
+    return (rho + rho.conj().T) / 2.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=non_positive_operators())
+@example(rho=np.diag([1.5, -0.5, 0.0, 0.0]))  # its negativity across mode 1 read 1.0, a Bell pair's
+@example(rho=np.eye(8) / 8.0 + 2.0 * np.kron(np.kron(SIGMA_X, SIGMA_X), SIGMA_X))  # its unfolding bound read 64
+def test_state_entry_points_reject_non_positive_operators(rho):
+    # unit trace and Hermitian, so only the positivity check refuses it, at every state entry point
+    modes = mode_count(len(rho))
+    for call in state_calls(rho, modes):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            call()
+    # an operator that is not a state is still an operator to the partial trace and transpose
+    if modes >= 2:
+        assert_allclose(np.trace(partial_trace(rho, 1)), 1.0, atol=1e-12)
+    assert_allclose(np.trace(partial_transpose(rho, 1)), 1.0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), modes=st.integers(1, 3), data=st.data())
+def test_damped_pure_states_pass_every_state_entry_point(seed, modes, data):
+    # rank one up to rounding, so the smallest eigenvalues sit near -1e-16, far inside the -1e-10 floor
+    rng = np.random.default_rng(seed)
+    mode = data.draw(st.integers(1, modes), label="mode")
+    rho = apply_channel(density(random_state(rng, modes)), mode, data.draw(st.floats(0.0, R_MAX), label="r"))
+    assert np.linalg.eigvalsh(rho)[0] > -1e-12
+    for call in state_calls(rho, modes):
+        call()

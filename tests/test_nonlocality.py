@@ -107,10 +107,11 @@ def test_chsh_optimal_settings_reach_tsirelson():
 
 
 def test_evaluators_reject_values_above_quantum_maximum():
-    # unit-trace and Hermitian but not positive, so only the bound check stops them; it must hold under python -O too
-    with pytest.raises(ValueError, match="quantum maximum"):
+    # unit-trace and Hermitian but not positive, so the state check refuses them before any value is formed; it must
+    # hold under python -O too
+    with pytest.raises(ValueError, match="positive semidefinite"):
         bell_value(10.0 * density(singlet()) - 9.0 * np.eye(4) / 4.0, chsh_tsirelson_settings())
-    with pytest.raises(ValueError, match="Svetlichny value above the quantum maximum"):
+    with pytest.raises(ValueError, match="positive semidefinite"):
         bell_value(10.0 * density(gghz(0.0)) - 9.0 * np.eye(8) / 8.0, np.tile(Z_AXIS, (6, 1)))
 
 
@@ -469,7 +470,7 @@ def test_evaluators_reject_non_finite_input():
 
 
 def test_state_entry_points_reject_non_states():
-    # every state entry point checks shape, finiteness, Hermiticity and unit trace (not positivity)
+    # every state entry point checks shape, finiteness, Hermiticity, unit trace and positivity
     calls = {
         "and trace 20$": [lambda: bell_upper(5.0 * np.eye(4)), lambda: maximize_bell(5.0 * np.eye(4), restarts=1)],
         "and trace 12$": [lambda: negativity(3.0 * np.eye(4), 1)],

@@ -258,8 +258,9 @@ def test_constant_objective_tie_break():
 
 
 def test_non_finite_objective_rejected():
-    # a unit-trace Hermitian operator whose correlation tensor overflows
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="objective returned non-finite"):
+    # a unit-trace Hermitian operator whose correlation tensor would overflow; it is not positive, so the state check
+    # refuses it before the objective runs
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="positive semidefinite"):
         maximize_bell(np.diag([1e308, -1e308, 0.5, 0.5]), restarts=1)
 
 

@@ -162,10 +162,11 @@ def test_mode_arguments_reject_non_integers(call):
 
 
 def test_horodecki_rejects_values_above_the_quantum_maximum():
-    # unit trace and Hermitian, but not positive: T_zz = 3 is T's only entry, so the closed form reads 2 sqrt(9) = 6
-    with pytest.raises(ValueError, match="quantum maximum"):
+    # unit trace and Hermitian, but not positive (T_zz = 3 is T's only entry, so the closed form would read
+    # 2 sqrt(9) = 6): the state check refuses it, alone or in a stack
+    with pytest.raises(ValueError, match="positive semidefinite"):
         bell_upper(np.diag([2.0, -1.0, 0.0, 0.0]))
-    with pytest.raises(ValueError, match="quantum maximum"):
+    with pytest.raises(ValueError, match="positive semidefinite"):
         bell_upper(np.stack([density(singlet()), np.diag([2.0, -1.0, 0.0, 0.0])]))
 
 
