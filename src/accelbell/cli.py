@@ -88,17 +88,10 @@ COLUMNS = {
 }
 
 
-def _grid_end(spec: SweepSpec, name: str) -> float:
-    end = linalg._numbers(getattr(spec, name), f"grid end {name}")
-    if end.ndim:
-        raise ValueError(f"grid end {name} must be one number, got {getattr(spec, name)!r}")
-    return float(end)
-
-
 def _validate_spec(spec: SweepSpec) -> None:
     _check_state(spec.state, spec.mode)
     for label, steps in (("param", spec.param_steps), ("r", spec.r_steps)):
-        start, stop = (_grid_end(spec, f"{label}_{end}") for end in ("start", "stop"))
+        start, stop = (linalg._number(getattr(spec, name), f"grid end {name}") for name in (f"{label}_start", f"{label}_stop"))
         linalg._check_integer(f"{label} grid steps", steps, 1)
         if stop < start:
             raise ValueError(f"{label} grid has stop < start")
@@ -157,6 +150,7 @@ def solve_threshold() -> dict:
 
 
 def solve_pi_tangle(state: str, param: float, r: float, mode: int) -> dict:
+    param, r = linalg._number(param, "state parameter"), linalg._number(r, "acceleration parameter r")
     _check_state(state, mode)
     if state not in COLUMNS["pi_tangle"][0]:
         raise ValueError(f"pi-tangle has no value for {state!r}; it takes {list(COLUMNS['pi_tangle'][0])}")

@@ -7,10 +7,10 @@ modes is that of their two-mode reduction: trace the third mode out with
 
 Each public call takes a state or a stack of them (..., d, d), checked in one
 ``_state`` call, and gives floats for one state, arrays of the leading axes for a
-stack.  ``linalg``'s private partial trace and transpose take the checked array
-unread, into ``np.linalg.eigvalsh``.  Squares are products ``x * x``, not ``** 2``
-(C ``pow`` on a scalar), so a stack's row equals its lone call bit for bit.  The
-``pi_tangle`` sweep column runs ``_pi_tangle`` on the channel's checked output.
+stack (``_maybe_scalar``).  Only ``linalg`` is imported: its private partial trace
+and transpose take the checked array unread, into ``eigvalsh``.  Squares are ``x * x``,
+not ``** 2`` (C ``pow`` on a scalar), so a stack's row equals its lone call bit for
+bit.  The ``pi_tangle`` sweep column runs ``_pi_tangle`` on the checked channel output.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _partial_trace, _partial_transpose, _state
-from .nonlocality import _maybe_scalar
+from .linalg import _maybe_scalar, _partial_trace, _partial_transpose, _state
 
 __all__ = ["PiTangle", "negativity", "pi_tangle"]
 

@@ -15,11 +15,11 @@ by one ``_state`` call at each entry point (``density``, ``unruh``, ``entangleme
 outside operators by the shape rule; arrays ``_state`` already checked go to
 their private bodies unread.  Eigenvalues, Tr[rho O] and Kronecker products are
 numpy's ``eigvalsh``, ``einsum`` and ``kron``, called directly; ``np.kron(a, b)``
-keeps ``a`` most significant, as the ordering above needs.  Input from outside
-is read by one reader, ``_numbers``: numbers only, never None, a string, a bool
-(in a list or tuple too) or an iterator, and finite unless the caller says
-otherwise.  A count follows one integer rule, ``_check_integer``: a mode is an
-integer in 1..n, never a bool.
+keeps ``a`` most significant, as the ordering above needs.  Input from outside is
+read by one reader, ``_numbers``: numbers only, never None, a string, a bool (in a
+list or tuple too) or an iterator, finite unless the caller says otherwise, and one
+value for ``_number``.  Counts follow ``_check_integer`` (a mode is an integer in
+1..n, never a bool), and results ``_maybe_scalar``: a Python value for one input.
 """
 
 from __future__ import annotations
@@ -58,6 +58,18 @@ def _numbers(values, what: str, dtype=float, finite: bool = True) -> np.ndarray:
     if finite and not np.isfinite(array).all():
         raise ValueError(f"non-finite {what}: {reprlib.repr(values)}")
     return array
+
+
+def _number(value, what: str) -> float:
+    """``value`` as one finite float (a 0-d array counts as one); ValueError naming ``what`` for any other shape."""
+    number = _numbers(value, what)
+    if number.ndim:
+        raise ValueError(f"{what} must be one number, got an array of shape {number.shape}")
+    return float(number)
+
+
+def _maybe_scalar(values: np.ndarray):
+    return values.item() if values.ndim == 0 else values  # a Python float, bool or str for one value
 
 
 def _holds_bool(values) -> bool:

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _check_broadcast, _check_integer, _numbers, _state
+from .linalg import _check_broadcast, _check_integer, _maybe_scalar, _numbers, _state
 from .states import PAULI, _unit_vectors
 from .unruh import _check_r
 
@@ -94,10 +94,6 @@ def _tensor(rho: np.ndarray) -> tuple[np.ndarray, int]:
         raise ValueError(f"expected a 4x4 or 8x8 operator, got shape {rho.shape}")
     lead = rho.shape[:-2]  # one matrix-vector product per state, so a row of a stack equals its lone call
     return np.matmul(INEQUALITIES[n].paulis, rho.reshape(lead + (4**n, 1))).real.reshape(lead + (3,) * n), n
-
-
-def _maybe_scalar(values: np.ndarray):
-    return values.item() if values.ndim == 0 else values  # a Python float or bool for one value
 
 
 def correlation_tensor(rho: np.ndarray) -> np.ndarray:
@@ -263,7 +259,7 @@ def svetlichny_bound_gghz(theta1, r) -> GghzBound:
     axial = np.square(axial_amp) >= np.square(np.sin(2.0 * t1)) * np.square(np.cos(r))
     return GghzBound(
         bound=_maybe_scalar(np.where(axial, axial_value, equatorial_value)),
-        branch=np.where(axial, "axial", "equatorial")[()],
+        branch=_maybe_scalar(np.where(axial, "axial", "equatorial")),
         axial_value=_maybe_scalar(axial_value),
         equatorial_value=_maybe_scalar(equatorial_value),
         envelope=_maybe_scalar(np.maximum(axial_value, equatorial_value)),

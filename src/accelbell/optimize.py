@@ -49,8 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_integer, _numbers
-from .nonlocality import _bell_fields, _bell_value, _maybe_scalar, _tensor, _upper_bound
+from .linalg import _check_integer, _maybe_scalar, _number
+from .nonlocality import _bell_fields, _bell_value, _tensor, _upper_bound
 
 DEFAULT_BUDGET = 10**8
 MAX_RESTARTS = 1024  # the simplex rows of all starts are built at once, about 0.3 MB each for a Svetlichny block
@@ -182,10 +182,10 @@ def _nelder_mead(fn, x0: np.ndarray, step: np.ndarray, goal: np.ndarray):
 
 
 def _lattice_steps(resolution: float) -> int:
-    step = _numbers(resolution, "lattice resolution")
-    if step.ndim or not step > 0.0:
-        raise ValueError(f"resolution {resolution!r} must be one positive angle")
-    steps = math.pi / float(step)
+    step = _number(resolution, "lattice resolution")
+    if not step > 0.0:
+        raise ValueError(f"resolution {resolution!r} must be a positive angle")
+    steps = math.pi / step
     if not math.isfinite(steps):
         raise ValueError(f"resolution {resolution!r} is too small: pi / resolution is not finite")
     k = round(steps)

@@ -62,7 +62,8 @@ def spin_observable(d) -> np.ndarray:
 
 
 def singlet() -> np.ndarray:
-    """Two-mode singlet (|10> - |01>)/sqrt(2)."""
+    """Two-mode singlet (|10> - |01>)/sqrt(2).  No double squares to 1/2 (0.7071067811865475**2 is 0.4999999999999999,
+    the next double's 0.5000000000000001): this ket errs low, so exact singlet values sit just below 2 sqrt 2."""
     return np.array([0.0, -1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 
 

@@ -28,9 +28,9 @@ c = cos r and s = sin r, the pair acts as four elementwise products:
 array; the leading axes of the state stack and of r broadcast.  It and
 ``dilate`` followed by a partial trace (``dilate_and_trace``, one ket) are two
 independent implementations of the same map and must agree to 1e-12; the
-cross-check lives in the test suite and in ``checks.verify``.  ``_check_r``
-is the package's one r-domain check; it and ``acceleration_parameter`` read
-their input with ``linalg._numbers``, and modes follow ``linalg._check_integer``.
+cross-check lives in the test suite and in ``checks.verify``.  ``_check_r`` is
+the one r-domain check, on ``linalg._numbers``; ``linalg._number`` reads the one
+W or r of ``acceleration_parameter`` and ``dilate``, and modes follow ``_check_integer``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from .linalg import _check_broadcast, _check_integer, _numbers, _state, density, mode_count, partial_trace
+from .linalg import _check_broadcast, _check_integer, _number, _numbers, _state, density, mode_count, partial_trace
 
 R_MAX = math.pi / 4.0
 
@@ -54,10 +54,9 @@ def acceleration_parameter(omega_ratio: float) -> float:
     number is accepted: negative and non-finite numbers, ints beyond 64 bits,
     bools (True is not W = 1), strings, bytes and arrays raise ValueError.
     """
-    w = _numbers(omega_ratio, "frequency-to-acceleration ratio")
-    if w.ndim or w < 0.0:
-        raise ValueError(f"frequency-to-acceleration ratio must be one number >= 0, got {omega_ratio!r}")
-    w = float(w)
+    w = _number(omega_ratio, "frequency-to-acceleration ratio")
+    if w < 0.0:
+        raise ValueError(f"frequency-to-acceleration ratio must be >= 0, got {omega_ratio!r}")
     # exp underflows to 0 for large w, giving r = 0 exactly
     return math.acos(1.0 / math.sqrt(1.0 + math.exp(-2.0 * math.pi * w)))
 
@@ -78,9 +77,7 @@ def dilate(psi: np.ndarray, mode: int, r: float) -> np.ndarray:
     new hidden-wedge mode is appended as the trailing (least significant)
     mode, per the two state maps above.  Norm is preserved exactly.
     """
-    r = _check_r(r)
-    if r.ndim:
-        raise ValueError(f"dilate takes one acceleration parameter r, got an array of shape {r.shape}")
+    r = _check_r(_number(r, "acceleration parameter r"))
     rho = density(psi)  # density's check rejects a non-finite or non-unit ket
     if rho.ndim != 2:
         raise ValueError(f"dilate takes one ket, got shape {rho.shape[:-1]}")

@@ -138,7 +138,7 @@ def test_sweep_calls_public_maximizer_once_per_block(monkeypatch):
     assert len(calls) == 2
 
 
-def test_sweep_validation_errors():
+def test_sweep_validation_errors(capsys):
     with pytest.raises(ValueError):
         run_sweep(bound_spec(columns=("chsh_horodecki",)))  # two-mode column on gghz
     with pytest.raises(ValueError):
@@ -157,6 +157,14 @@ def test_sweep_validation_errors():
             run_sweep(bound_spec(**{field: np.array([0.0, 0.1])}))
         with pytest.raises(ValueError, match=f"^non-finite grid end {field}"):
             run_sweep(bound_spec(**{field: math.nan}))
+    # a grid runs from its start up to its stop: a stop below the start is refused by the library call and by the
+    # command, which exits 2 with one error line
+    for label in ("param", "r"):
+        with pytest.raises(ValueError, match=f"^{label} grid has stop < start$"):
+            run_sweep(bound_spec(**{f"{label}_start": 0.5, f"{label}_stop": 0.1}))
+        assert main(["sweep", "--state", "gghz", f"--{label}-start", "0.5", f"--{label}-stop", "0.1",
+                     "--columns", "pi_tangle"]) == 2
+        assert capsys.readouterr() == ("", f"error: {label} grid has stop < start\n")
 
 
 def test_columns_reject_states_they_have_no_value_for(capsys, monkeypatch):
@@ -229,6 +237,14 @@ def test_pi_tangle_report():
     assert abs(payload["pi"] - 1.0) < 1e-10
     with pytest.raises(ValueError):
         solve_pi_tangle("bogus", 0.1, 0.1, 3)
+
+
+def test_pi_tangle_report_rejects_several_numbers_before_building_a_state(monkeypatch):
+    # the report is of one point: a list or an empty list of parameters or r is refused before any state is built
+    monkeypatch.setattr(cli, "_damped", lambda *args: pytest.fail("state built before the point was read"))
+    for param, r, what in (([0.3, 0.4], 0.2, "state parameter"), (0.3, [], "acceleration parameter r")):
+        with pytest.raises(ValueError, match=f"^{what} must be one number"):
+            solve_pi_tangle("gghz", param, r, 3)
 
 
 def test_main_threshold_and_out_file(tmp_path, capsys):

@@ -350,6 +350,7 @@ def test_closed_forms_on_arrays_equal_scalar_calls(points):
         assert ref.branch[i] == one.branch
         for name in ("bound", "axial_value", "equatorial_value", "envelope"):
             assert getattr(ref, name)[i] == getattr(one, name)
+    assert type(svetlichny_bound_gghz(0.3, 0.2).branch) is str  # a Python value for a lone input, as every field
 
 
 def test_closed_forms_reject_r_outside_quarter_pi():

@@ -311,12 +311,20 @@ _ARGUMENTS = {
 }
 
 
+# the arguments that are one number each, read by linalg._number: several numbers are refused too
+_ONE_NUMBER = {"acceleration_parameter", "dilate-r", "grid_oracle-resolution", "maximize_bell-witness_resolution",
+               "solve_pi_tangle-param", "solve_pi_tangle-r",
+               *(f"run_sweep-{field}" for field in ("param_start", "param_stop", "r_start", "r_stop"))}
+
+
 @pytest.mark.parametrize("argument", _ARGUMENTS)
 def test_entry_points_reject_non_numbers(argument):
     # one reader (linalg._numbers) and one integer rule (linalg._check_integer) behind every entry point: None, an
     # iterator, a string and a bool, also one in a list among numbers, are ValueError, never TypeError or a number;
-    # so are NaN where the argument must be finite, and a float where it must be an integer
+    # so are NaN where the argument must be finite, a float where it must be an integer, and two numbers where it
+    # must be one
     call, good, kind = _ARGUMENTS[argument]
+    assert _ONE_NUMBER <= _ARGUMENTS.keys()
     call(good)
     mixed = np.asarray(good).tolist() if np.ndim(good) else [good, good]
     leaf = mixed
@@ -332,6 +340,8 @@ def test_entry_points_reject_non_numbers(argument):
         bad.append(np.full(np.shape(good), math.nan))
     if kind == "integer":
         bad += [float(good), np.float64(good)]
+    if argument in _ONE_NUMBER:
+        bad += [[good, good], np.array([good, good])]
     for value in bad:
         with pytest.raises(ValueError):
             call(value)

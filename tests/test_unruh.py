@@ -57,7 +57,7 @@ def test_acceleration_parameter_rejects_bad_input():
 def test_scalar_entry_points_reject_arrays_and_bools():
     # dilate takes one r per call, and a bool is not a frequency ratio (True would read as W = 1)
     for call in (lambda: dilate(singlet(), 1, [0.1, 0.2]), lambda: dilate_and_trace(singlet(), 2, np.array([0.1]))):
-        with pytest.raises(ValueError, match="one acceleration parameter"):
+        with pytest.raises(ValueError, match="acceleration parameter r must be one number"):
             call()
     for flag in (True, False, np.True_):
         with pytest.raises(ValueError, match="frequency-to-acceleration ratio"):
