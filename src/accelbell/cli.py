@@ -110,10 +110,6 @@ def _validate_spec(spec: SweepSpec) -> None:
     optimize._check_search(spec.restarts, spec.certify_resolution, spec.seed)
 
 
-def _fmt(value) -> str:
-    return f"{value:.12g}"
-
-
 def run_sweep(spec: SweepSpec) -> str:
     """Evaluate the sweep grid and render it as CSV text.
 
@@ -128,15 +124,16 @@ def run_sweep(spec: SweepSpec) -> str:
     for col in spec.columns:
         header += [col, col + "_violation"] if COLUMNS[col][1] else [col]
     lines, modes = [",".join(header)], STATE_MODES[spec.state][0]
+    template = ",".join(["%.12g"] * len(header))  # % and format share one float formatter: each cell is f"{x:.12g}"
     for start in range(0, params.size, BLOCK):
         block_params, block_rs = params[start:start + BLOCK], rs[start:start + BLOCK]
         rhos = _damped(spec.state, block_params, spec.mode, block_rs)
-        table = [block_params, block_rs]  # one float column each; a flag is 1.0 or 0.0, which _fmt writes 1 or 0
+        table = [block_params, block_rs]  # one float column each; a flag is 1.0 or 0.0, which %.12g writes 1 or 0
         for col in spec.columns:
             evaluators, flagged = COLUMNS[col]
             values = evaluators[spec.state](spec, block_params, block_rs, rhos)
             table += [values, nonlocality.violates(values, modes)] if flagged else [values]
-        lines.extend(",".join(map(_fmt, row)) for row in np.stack(table, axis=1).tolist())
+        lines.extend(template % tuple(row) for row in np.stack(table, axis=1).tolist())
     return "\n".join(lines) + "\n"
 
 

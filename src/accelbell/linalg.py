@@ -6,20 +6,21 @@ significant bit of the basis index, so the product ket |abc> sits at index
 4a + 2b + c.  Mode indices are 1-based throughout.  The sign convention is
 sigma_z |0> = +|0>.
 
-All functions are pure.  Every matrix is read by one shape rule, ``_operator``:
-finite complex numbers (..., d, d), square, d = 2^n <= ``MAX_DIM`` = 16.  A state
-is also Hermitian, of unit trace and positive semidefinite within ``HERMITICITY_ATOL``
-(n >= 1; positivity by one ``eigvalsh`` of the stack), so a stack is checked whole
-by one ``_state`` call at each entry point (``density``, ``unruh``, ``entanglement``,
-``nonlocality._tensor``).  ``partial_trace`` and ``partial_transpose`` read
-outside operators by the shape rule; arrays ``_state`` already checked go to
-their private bodies unread.  Eigenvalues, Tr[rho O] and Kronecker products are
-numpy's ``eigvalsh``, ``einsum`` and ``kron``, called directly; ``np.kron(a, b)``
-keeps ``a`` most significant, as the ordering above needs.  Input from outside is
-read by one reader, ``_numbers``: numbers only, never None, a string, a bool (in a
-list or tuple too) or an iterator, finite unless the caller says otherwise, and one
-value for ``_number``.  Counts follow ``_check_integer`` (a mode is an integer in
-1..n, never a bool), and results ``_maybe_scalar``: a Python value for one input.
+All functions are pure, and an entry point checks what it is given, never a value it
+built from checked input.  Every matrix is read by one shape rule, ``_operator``: finite
+complex numbers (..., d, d), square, d = 2^n <= ``MAX_DIM`` = 16.  A state is also
+Hermitian, of unit trace and positive semidefinite within ``HERMITICITY_ATOL`` (n >= 1;
+one ``eigvalsh`` of the stack), checked whole by one ``_state`` call at each entry point
+(``unruh``, ``entanglement``, ``nonlocality._tensor``).  Kets and measurement directions
+follow one rule, ``_unit_vectors``: finite, entries of modulus <= 1, squared norms within
+``HERMITICITY_ATOL`` of 1.  ``density`` reads kets by it and returns |psi><psi| unread, a
+state up to rounding (Hermitian, of trace the squared norm, rank one).  ``partial_trace``
+and ``partial_transpose`` read outside operators by the shape rule, and arrays ``_state``
+checked go to their private bodies unread.  ``eigvalsh``, ``einsum`` and ``kron`` are
+numpy's; ``np.kron(a, b)`` keeps ``a`` most significant, as the ordering above needs.
+Outside input is read by ``_numbers`` (numbers only, finite unless the caller says
+otherwise; one value for ``_number``), counts by ``_check_integer`` (a mode is an integer
+in 1..n, never a bool), and results leave by ``_maybe_scalar``: a Python value for one input.
 """
 
 from __future__ import annotations
@@ -95,11 +96,22 @@ def mode_count(dim: int) -> int:
 
 
 def density(psi: np.ndarray) -> np.ndarray:
-    """Rank-one density operators |psi><psi| of kets (..., d); a non-finite or non-unit ket raises ValueError."""
-    v = np.atleast_1d(_numbers(psi, "ket", complex, finite=False))
-    if not (np.abs(v) <= 1.0 + HERMITICITY_ATOL).all():  # before the product, which would overflow or make NaN
-        raise ValueError("ket has a non-finite entry or one of modulus above 1, so it is not a unit ket")
-    return _state(v[..., :, None] * v[..., None, :].conj())[0]
+    """|psi><psi| of unit kets (..., d), d = 2^n with n >= 1 and d <= ``MAX_DIM``; the product is not read again."""
+    v = _unit_vectors(psi, "ket", complex)
+    if mode_count(v.shape[-1]) < 1 or v.shape[-1] > MAX_DIM:
+        raise ValueError(f"expected a ket of a state of one or more modes, dimension <= {MAX_DIM}, got shape {v.shape}")
+    return v[..., :, None] * v[..., None, :].conj()
+
+
+def _unit_vectors(values, what: str, dtype=float) -> np.ndarray:
+    """Kets or directions (..., k) of ``dtype``: finite, entries <= 1 in modulus (before any square), unit norm."""
+    v = np.atleast_1d(_numbers(values, what, dtype))
+    if (modulus := np.abs(v).max(initial=0.0)) > 1.0 + HERMITICITY_ATOL:
+        raise ValueError(f"expected unit {what}, got an entry of modulus {modulus:.6g} above 1")
+    norms = np.einsum("...i,...i->...", v.conj(), v).real
+    if not (off := np.abs(norms - 1.0)).max(initial=0.0) <= HERMITICITY_ATOL:  # named, as _state names the worst trace
+        raise ValueError(f"expected unit {what}, got shape {v.shape} and squared norm {norms.flat[off.argmax()]:.6g}")
+    return v
 
 
 def _operator(rho, what: str = "operator") -> tuple[np.ndarray, int]:

@@ -27,9 +27,9 @@ The state quantities take a stack of states (..., d, d), checked in one
 ``_state`` call, whose leading axes broadcast against the settings'; one state
 and one setting give a float.  ``violates`` reads the classical bound of the
 table's row, with margin ``VIOLATION_TOL``.  ``ValueError`` is raised for a
-non-state, positivity included, and for settings of the wrong count or
-non-finite; angles and values are read by ``linalg._numbers`` and mode counts
-follow ``linalg._check_integer``.
+non-state, positivity included, and for settings of the wrong count or not unit
+vectors (``states._directions``, on the kets' rule ``linalg._unit_vectors``);
+angles and values are read by ``linalg._numbers``, mode counts by ``_check_integer``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import _check_broadcast, _check_integer, _maybe_scalar, _numbers, _state
-from .states import PAULI, _unit_vectors
+from .states import PAULI, _directions
 from .unruh import _check_r
 
 
@@ -115,23 +115,16 @@ def _bell_fields(t: np.ndarray, rest: np.ndarray, modes: int) -> np.ndarray:
     return np.einsum("...ijk,...yj,...xyk->...xi", t, rest[..., :2, :], INEQUALITIES[3].beta @ rest[..., None, 2:, :])
 
 
-def _bell_value(t: np.ndarray, settings, modes: int):
-    """Bell values of a correlation tensor or a stack of them at ``settings``; ``modes`` picks the inequality."""
-    dirs = _unit_vectors(settings, 2 * modes)
-    _check_broadcast("states of leading shape", t.shape[:-modes], "settings of leading shape", dirs.shape[:-2])
-    fields = _bell_fields(t, dirs[..., 2:, :], modes)
-    return _maybe_scalar(np.abs(np.sum(dirs[..., :2, :] * fields, axis=(-2, -1))))
-
-
 def bell_value(rho: np.ndarray, settings) -> float | np.ndarray:
     """|sum beta T(u_x, v_y(, w_z))| of a state or a stack of them: CHSH for 4x4 operators, Svetlichny for 8x8 ones.
 
-    ``settings`` is a stack of 2n unit directions, (..., 4, 3) in the order
-    (a, a', b, b') or (..., 6, 3) in the order (a, a', c, c', b, b'); one
-    state and one setting give a float.
+    ``settings`` is a stack of 2n unit directions, (..., 4, 3) in the order (a, a', b, b') or (..., 6, 3) in the
+    order (a, a', c, c', b, b'); one state and one setting give a float.
     """
     t, n = _tensor(rho)
-    return _bell_value(t, settings, n)
+    dirs = _directions(settings, 2 * n)
+    _check_broadcast("states of leading shape", t.shape[:-n], "settings of leading shape", dirs.shape[:-2])
+    return _maybe_scalar(np.abs(np.sum(dirs[..., :2, :] * _bell_fields(t, dirs[..., 2:, :], n), axis=(-2, -1))))
 
 
 def restricted_settings(gamma, r=0.0) -> np.ndarray:

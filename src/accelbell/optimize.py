@@ -25,8 +25,8 @@ has converged or been certified this way (``OptimizeResult.converged`` and
 ``certified``).
 A row sees only its own state's values, so a state's result does not depend
 on the rest of the stack.  Per state the best run wins, ties to the earliest
-start.  Then a, a' = X/|X| (z where X = 0), and one call of ``bell_value``'s
-body gives the values at the full settings from the T already built.
+start.  Then a, a' = X/|X| (z where X = 0), and the value is |a.X_0 + a'.X_1|
+at the fields X already built: directions built here are not read again.
 
 ``grid_oracle``, the independent certification path, takes the same state
 form and scans the lattice theta in {0, res, ..., pi} x phi in {0, res, ...,
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _check_integer, _maybe_scalar, _number
-from .nonlocality import _bell_fields, _bell_value, _tensor, _upper_bound
+from .nonlocality import _bell_fields, _tensor, _upper_bound
 
 DEFAULT_BUDGET = 10**8
 MAX_RESTARTS = 1024  # the simplex rows of all starts are built at once, about 0.3 MB each for a Svetlichny block
@@ -81,7 +81,7 @@ class OptimizeResult:
 
     ``evaluations`` counts the points at which the reduced objective
     |X_0| + |X_1| was evaluated over the state's simplex runs, the
-    witness's included; the final evaluator call is not counted.
+    witness's included; the final value at the winning fields is not.
     ``converged`` says how the winning run stopped: True at the value
     spread ``TOLERANCE`` or at the state's upper bound, False at
     ``MAX_ITERATIONS``.  It says nothing of the distance to the maximum:
@@ -310,8 +310,7 @@ def maximize_bell(
     norms = np.linalg.norm(fields, axis=-1, keepdims=True)
     first = np.divide(fields, norms, out=np.tile([0.0, 0.0, 1.0], (len(t), 2, 1)), where=norms > 0.0)
     directions = np.concatenate([first, later], axis=1)
-    # bell_value's body with its unit-vector check, on the T built above
-    values = _bell_value(t, directions, modes)
+    values = np.abs(np.sum(first * fields, axis=(-2, -1)))  # |a.X_0 + a'.X_1|, bell_value's last step
     value, evaluations, stopped, certified = (_maybe_scalar(field.reshape(lead)) for field in (
         values, evals.sum(axis=1), converged[states, best], values >= reference - TOLERANCE))
     return OptimizeResult(value, directions.reshape(lead + (2 * modes, 3)), evaluations, stopped, certified)

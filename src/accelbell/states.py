@@ -7,10 +7,10 @@ in their docstring, for every finite angle.  An angle outside the window that
 covers a family gives a ket that differs from one inside it only by amplitude
 signs: a Z on one mode, which commutes with the damping channel and leaves the
 Bell maxima, the bounds and the tangle as they are, or a global phase.  Angles
-and directions are read by ``linalg._numbers``, so a non-finite angle, a
-string, a bool, None or an iterator raises ValueError.
-A measurement direction is a unit 3-vector, never an angle pair;
-``_unit_vectors`` checks directions here and in ``nonlocality``.
+are read by ``linalg._numbers``, so a non-finite angle, a string, a bool, None
+or an iterator raises ValueError.  A measurement direction is a unit 3-vector,
+never an angle pair: ``_directions`` checks the shape of the directions here and
+in ``nonlocality``, then reads them by ``linalg._unit_vectors``, the kets' rule.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .linalg import _numbers
+from .linalg import _numbers, _unit_vectors
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -43,22 +43,17 @@ __all__ = [
 ]
 
 
-def _unit_vectors(settings, count: int) -> np.ndarray:
-    """Normalize settings to a float array of unit vectors, shape (..., count, 3)."""
-    arr = _numbers(settings, "measurement directions", finite=False)  # the shape is checked first
+def _directions(settings, count: int) -> np.ndarray:
+    """Settings as a float array of unit vectors, shape (..., count, 3): the shape first, then ``linalg``'s rule."""
+    arr = _numbers(settings, "measurement directions", finite=False)
     if arr.ndim < 2 or arr.shape[-2] != count or arr.shape[-1] != 3:
         raise ValueError(f"expected {count} directions of dimension 3, got shape {arr.shape}")
-    norms = np.einsum("...i,...i->...", arr, arr)
-    if not np.abs(norms - 1.0).max(initial=0.0) <= 1e-10:  # also catches NaN and inf
-        if not np.isfinite(arr).all():
-            raise ValueError("measurement directions have non-finite entries")
-        raise ValueError("all measurement directions must be unit vectors")
-    return arr
+    return _unit_vectors(arr, "measurement directions")
 
 
 def spin_observable(d) -> np.ndarray:
     """2x2 spin observable along a unit 3-vector, eigenvalues exactly +-1."""
-    return np.einsum("i,ijk->jk", _unit_vectors([d], 1)[0], PAULI)
+    return np.einsum("i,ijk->jk", _directions([d], 1)[0], PAULI)
 
 
 def singlet() -> np.ndarray:

@@ -25,12 +25,12 @@ c = cos r and s = sin r, the pair acts as four elementwise products:
     rho'_00 = c rho_00 c    rho'_01 = c rho_01    rho'_10 = rho_10 c    rho'_11 = rho_11 + s rho_00 s
 
 ``apply_channel`` computes exactly these, with no Kronecker operator or Kraus
-array; the leading axes of the state stack and of r broadcast.  It and
-``dilate`` followed by a partial trace (``dilate_and_trace``, one ket) are two
-independent implementations of the same map and must agree to 1e-12; the
-cross-check lives in the test suite and in ``checks.verify``.  ``_check_r`` is
-the one r-domain check, on ``linalg._numbers``; ``linalg._number`` reads the one
-W or r of ``acceleration_parameter`` and ``dilate``, and modes follow ``_check_integer``.
+array; the leading axes of the state stack and of r broadcast.  It and ``dilate``
+followed by a partial trace (``dilate_and_trace``, one ket) are two independent
+implementations of the same map and must agree to 1e-12, in the tests and in
+``checks.verify``.  ``_check_r`` is the one r-domain check, on ``linalg._numbers``;
+``linalg._number`` reads the one W or r of ``acceleration_parameter`` and ``dilate``,
+``linalg._unit_vectors`` the ket of ``dilate``, and modes follow ``_check_integer``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ import math
 
 import numpy as np
 
-from .linalg import _check_broadcast, _check_integer, _number, _numbers, _state, density, mode_count, partial_trace
+from .linalg import (_check_broadcast, _check_integer, _number, _numbers, _state, _unit_vectors, density, mode_count,
+                     partial_trace)
 
 R_MAX = math.pi / 4.0
 
@@ -78,12 +79,12 @@ def dilate(psi: np.ndarray, mode: int, r: float) -> np.ndarray:
     mode, per the two state maps above.  Norm is preserved exactly.
     """
     r = _check_r(_number(r, "acceleration parameter r"))
-    rho = density(psi)  # density's check rejects a non-finite or non-unit ket
-    if rho.ndim != 2:
-        raise ValueError(f"dilate takes one ket, got shape {rho.shape[:-1]}")
-    n = mode_count(len(rho))
+    psi = _unit_vectors(psi, "ket", complex)
+    if psi.ndim != 1:
+        raise ValueError(f"dilate takes one ket, got shape {psi.shape}")
+    n = mode_count(len(psi))
     _check_integer("mode", mode, 1, n)
-    t = np.moveaxis(np.asarray(psi, dtype=complex).reshape((2,) * n), mode - 1, 0)
+    t = np.moveaxis(psi.reshape((2,) * n), mode - 1, 0)
     out = np.zeros((2,) + t.shape[1:] + (2,), dtype=complex)
     out[0, ..., 0] = math.cos(r) * t[0]
     out[1, ..., 1] = math.sin(r) * t[0]

@@ -408,7 +408,7 @@ def test_closed_form_columns_equal_per_point_calls(state, mode, columns):
                 for r in np.linspace(0.0, math.pi / 4.0, r_steps)]
         assert len(rows) == len(grid) and (len(grid) > cli.BLOCK or len(grid) == 1)
         for row, (p, r) in zip(rows, grid):
-            cells = [cli._fmt(p), cli._fmt(r)]
+            cells = [f"{p:.12g}", f"{r:.12g}"]
             for col in columns:
                 if col == "chsh_restricted_max":
                     value = nonlocality.chsh_restricted_max(r)
@@ -417,7 +417,7 @@ def test_closed_form_columns_equal_per_point_calls(state, mode, columns):
                     value = ref.bound if col == "svetlichny_bound" else ref.envelope
                 else:
                     value = nonlocality.svetlichny_bound_ms(p, r, mode)
-                cells += [cli._fmt(value), "1" if violates(value, cli.STATE_MODES[state][0]) else "0"]
+                cells += [f"{value:.12g}", "1" if violates(value, cli.STATE_MODES[state][0]) else "0"]
             assert row.split(",") == cells
 
 
@@ -434,7 +434,7 @@ def test_pi_tangle_column_equals_per_point_public_calls(state, mode):
         assert len(rows) == len(grid) and (len(grid) > cli.BLOCK or len(grid) == 1)
         for row, (p, r) in zip(rows, grid):
             value = entanglement.pi_tangle(cli._damped(state, p, mode, r)).pi
-            assert row.split(",") == [cli._fmt(p), cli._fmt(r), cli._fmt(value)]
+            assert row.split(",") == [f"{p:.12g}", f"{r:.12g}", f"{value:.12g}"]
 
 
 def test_svetlichny_upper_column_one_call_per_block(monkeypatch):
@@ -449,11 +449,19 @@ def test_svetlichny_upper_column_one_call_per_block(monkeypatch):
     grid = [(p, r) for p in np.linspace(0.1, 1.4, 3) for r in np.linspace(0.0, math.pi / 4.0, 30)]
     for row, (p, r) in zip(rows[1:], grid):
         value = real(unruh.apply_channel(density(maximal_slice(p)), 3, r))
-        assert row.split(",")[2:] == [cli._fmt(value), "1" if violates(value, 3) else "0"]
+        assert row.split(",")[2:] == [f"{value:.12g}", "1" if violates(value, 3) else "0"]
 
 
-def test_main_verify_quick(capsys):
-    # the former quick checks, the three dual paths, lead the one suite that `verify` runs
+@pytest.fixture(scope="module")
+def verified():
+    """One run of the whole invariant suite, ``checks.verify()``'s (code, report), shared by the tests that read it."""
+    return checks.verify()
+
+
+def test_main_verify_quick(capsys, monkeypatch, verified):
+    # the former quick checks, the three dual paths, lead the one suite that `verify` runs; main prints the shared
+    # run's report and returns its code
+    monkeypatch.setattr(checks, "verify", lambda: verified)
     assert main(["verify"]) == 0
     lines = capsys.readouterr().out.splitlines()
     # every check's PASS line, in order, each with its detail line under it, then the summary
@@ -469,9 +477,9 @@ def test_main_verify_quick(capsys):
         assert exc.value.code == 2
 
 
-def test_verify_full_level_passes():
+def test_verify_full_level_passes(verified):
     # the former full level is the one suite
-    code, report = checks.verify()
+    code, report = verified
     assert code == 0, report
     lines = report.split("\n")
     passes = [line.split() for line in lines if line.startswith("PASS")]

@@ -8,6 +8,8 @@ from numpy.testing import assert_allclose
 
 from accelbell.entanglement import negativity, pi_tangle
 from accelbell.linalg import (
+    HERMITICITY_ATOL,
+    _state,
     density,
     mode_count,
     partial_trace,
@@ -55,12 +57,59 @@ def test_mode_count():
 
 
 def test_density_rejects_non_finite_ket():
-    # checked before the outer product: under -W error its overflow or inf * 0 warning would escape as the error
-    for ket in ([1.0, math.inf], [math.nan, 0.0], [complex(math.inf, 1.0), 0.0], [1e200, 0.0],
-                [[1.0, 0.0], [0.0, math.inf]]):
-        with pytest.raises(ValueError, match="non-finite entry or one of modulus above 1"):
+    # checked before any square: under -W error its overflow or inf * 0 warning would escape as the error
+    for ket in ([1.0, math.inf], [math.nan, 0.0], [complex(math.inf, 1.0), 0.0], [[1.0, 0.0], [0.0, math.inf]]):
+        with pytest.raises(ValueError, match="non-finite ket"):
             density(ket)
+    with pytest.raises(ValueError, match="^expected unit ket, got an entry of modulus 1e\\+200 above 1$"):
+        density([1e200, 0.0])
     assert np.array_equal(density([0.0, 1.0]), np.diag([0.0, 1.0]))
+
+
+def _near_unit_kets(seed, modes, stack, off):
+    """Random kets (*stack, 2^modes) whose squared norms are 1 + off, up to rounding."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=stack + (2**modes,)) + 1j * rng.normal(size=stack + (2**modes,))
+    return v * np.sqrt((1.0 + off) / np.einsum("...i,...i->...", v.conj(), v).real)[..., None]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), modes=st.integers(1, 4), stack=st.sampled_from([(), (0,), (3,), (2, 2)]),
+       off=st.floats(-HERMITICITY_ATOL / 2.0, HERMITICITY_ATOL / 2.0))
+def test_density_of_unit_kets_is_a_state(seed, modes, stack, off):
+    # density returns its product unchecked: for every ket the unit-vector rule passes, _state passes the product
+    rhos = density(_near_unit_kets(seed, modes, stack, off))
+    assert rhos.shape == stack + (2**modes,) * 2
+    assert _state(rhos)[1] == modes
+    basis = np.eye(2**modes) * math.sqrt(1.0 + off)  # entries of modulus just above 1
+    assert _state(density(basis))[0].shape == (2**modes,) * 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), modes=st.integers(1, 4), stack=st.sampled_from([(), (3,), (2, 2)]),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf, complex(1.0, math.inf)]),
+       excess=st.floats(2.0 * HERMITICITY_ATOL, 1e300), off=st.floats(2.0 * HERMITICITY_ATOL, 1.0))
+def test_density_rejects_non_unit_kets(seed, modes, stack, bad, excess, off):
+    for entry, message in ((bad, "^non-finite ket"), (1.0 + excess, "^expected unit ket, got an entry of modulus")):
+        kets = _near_unit_kets(seed, modes, stack, 0.0)
+        kets[..., seed % 2**modes] = entry  # in each ket of the stack; refused before any square, which could overflow
+        with pytest.raises(ValueError, match=message):
+            density(kets)
+    for squared_norm in (1.0 - off, 1.0 + off):  # a longer ket may also have an entry of modulus above 1
+        with pytest.raises(ValueError, match="^expected unit ket, got (shape .* and squared norm|an entry of modulus)"):
+            density(_near_unit_kets(seed, modes, stack, squared_norm - 1.0))
+
+
+def test_density_rejects_a_stack_naming_its_worst_ket():
+    with pytest.raises(ValueError, match=r"^expected unit ket, got shape \(3, 2\) and squared norm 0.18$"):
+        density([[1.0, 0.0], [0.6, 0.6], [0.3, 0.3]])
+
+
+@pytest.mark.parametrize("dim", [1, 6, 32])
+def test_density_rejects_kets_of_other_dimensions(dim):
+    for kets in (np.eye(dim), np.eye(dim)[0]):  # unit kets, a stack and a lone one
+        with pytest.raises(ValueError, match="one or more modes|not a power of two"):
+            density(kets)
 
 
 def test_partial_trace_bell_marginal():

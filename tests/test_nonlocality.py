@@ -470,13 +470,31 @@ def test_evaluators_reject_non_finite_input():
             bell_value(rho2, np.array([[0.0, 0.0], [value, 0.0], [0.0, 0.0], [1.0, 0.0]]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), which=st.integers(0, 5), bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+       excess=st.floats(2e-10, 1e300), off=st.floats(2e-10, 1.0))
+def test_bell_value_and_spin_observable_reject_non_unit_directions(seed, which, bad, excess, off):
+    # the unit-vector rule that reads kets reads directions too: non-finite, an entry of modulus above 1, a norm off 1
+    dirs = random_directions(np.random.default_rng(seed), (6,))
+    non_finite, large, short = dirs.copy(), dirs.copy(), dirs * math.sqrt(1.0 - off)
+    non_finite[which, seed % 3], large[which, seed % 3] = bad, 1.0 + excess
+    for message, bad_dirs in (("^non-finite measurement directions", non_finite),
+                              ("^expected unit measurement directions, got an entry of modulus", large),
+                              ("^expected unit measurement directions, got shape .* and squared norm", short)):
+        for call in (lambda: bell_value(density(gghz(0.3)), bad_dirs),
+                     lambda: bell_value(density(singlet()), np.roll(bad_dirs, -which, axis=0)[:4]),
+                     lambda: spin_observable(bad_dirs[which])):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
 def test_state_entry_points_reject_non_states():
     # every state entry point checks shape, finiteness, Hermiticity, unit trace and positivity
     calls = {
         "and trace 20$": [lambda: bell_upper(5.0 * np.eye(4)), lambda: maximize_bell(5.0 * np.eye(4), restarts=1)],
         "and trace 12$": [lambda: negativity(3.0 * np.eye(4), 1)],
         "and trace 16$": [lambda: pi_tangle(2.0 * np.eye(8)), lambda: bell_upper(2.0 * np.eye(8))],
-        "and trace 2$": [lambda: density([1.0, 1.0])],
+        "and squared norm 2$": [lambda: density([1.0, 1.0])],
         "non-finite": [lambda: apply_channel(np.full((4, 4), math.nan), 1, 0.1), lambda: density([math.nan, 0.0])],
         "not Hermitian": [lambda: apply_channel(np.triu(np.ones((4, 4))) / 4.0, 1, 0.1)],
         "exceeds the supported maximum": [lambda: apply_channel(np.eye(32) / 32.0, 1, 0.1)],

@@ -155,10 +155,10 @@ def test_apply_channel_mode_out_of_range():
 
 
 def test_dilate_rejects_non_state_ket():
-    # density's check covers the ket: non-finite entries, then a norm of sqrt(2)
+    # the unit-vector rule reads the ket: non-finite entries, then a squared norm of 2
     with pytest.raises(ValueError, match="non-finite"):
         dilate(np.array([math.nan, 0.0]), 1, 0.1)
-    with pytest.raises(ValueError, match="and trace 2$"):
+    with pytest.raises(ValueError, match="and squared norm 2$"):
         dilate([1.0, 1.0], 1, 0.1)
     # a stack of kets, like an array of r
     with pytest.raises(ValueError, match=r"^dilate takes one ket, got shape \(2, 8\)$"):
