@@ -1,12 +1,11 @@
 """Command line driver: parameter sweeps, threshold report, verification.
 
-Exit codes: 0 success, 1 failed check, exceeded evaluation budget or out of
-memory, 2 usage error, including an ``--out`` file that cannot be opened
-(checked before any computation).  A failed command leaves no new ``--out``
-file.  The seed comes from ``--seed`` only (default 0), never from the
-environment; a negative seed is a usage error.  Sweep output is CSV with a
-header row, 12 significant digits and "\n" line endings; scalar reports are
-JSON.  Identical specs and seeds give byte-identical output.
+Exit codes: 0 success, 1 failed check, exceeded evaluation budget or out of memory, 2 usage error, including an
+``--out`` file that cannot be opened (checked before any computation).  A failed command leaves no new ``--out`` file.
+A command's inputs are refused in one place, ``_validate_spec``, before any state is built; ``pi-tangle`` is checked
+and computed as the one-point sweep of the ``pi_tangle`` column.  The seed comes from ``--seed`` only (default 0),
+never from the environment; a negative seed is a usage error.  Sweep output is CSV with a header row, 12 significant
+digits and "\n" line endings; scalar reports are JSON.  Identical specs and seeds give byte-identical output.
 """
 
 from __future__ import annotations
@@ -47,16 +46,10 @@ class SweepSpec:
     certify_resolution: float | None = None
 
 
-def _check_state(state: str, mode: int) -> None:
-    """Raise ValueError for an unknown state or a mode it does not have."""
-    if state not in STATE_MODES:
-        raise ValueError(f"unknown state {state!r}; choose from {sorted(STATE_MODES)}")
-    linalg._check_integer("mode", mode, 1, STATE_MODES[state][0])
-
-
 def _damped(state: str, params, mode: int, rs) -> np.ndarray:
-    """The damped states (..., d, d) of ``state`` at broadcast parameters and r, built in one call per step."""
-    return unruh.apply_channel(linalg.density(STATE_BUILDERS[state](params)), mode, rs)
+    """The damped states (..., d, d) of a validated spec's ``state`` at broadcast parameters and r, in one call per
+    step: ``density`` reads the kets, and the channel's body takes their product unread (it maps states to states)."""
+    return unruh._apply_channel(linalg.density(STATE_BUILDERS[state](params)), STATE_MODES[state][0], mode, rs)
 
 
 def _numeric(spec: SweepSpec, params, rs, rhos) -> np.ndarray:
@@ -88,8 +81,12 @@ COLUMNS = {
 }
 
 
+# the one place a command's inputs are refused, before any state is built: a block of a validated spec is built and
+# evaluated by bodies that check nothing again
 def _validate_spec(spec: SweepSpec) -> None:
-    _check_state(spec.state, spec.mode)
+    if spec.state not in STATE_MODES:
+        raise ValueError(f"unknown state {spec.state!r}; choose from {sorted(STATE_MODES)}")
+    linalg._check_integer("mode", spec.mode, 1, STATE_MODES[spec.state][0])
     for label, steps in (("param", spec.param_steps), ("r", spec.r_steps)):
         start, stop = (linalg._number(getattr(spec, name), f"grid end {name}") for name in (f"{label}_start", f"{label}_stop"))
         linalg._check_integer(f"{label} grid steps", steps, 1)
@@ -147,11 +144,10 @@ def solve_threshold() -> dict:
 
 
 def solve_pi_tangle(state: str, param: float, r: float, mode: int) -> dict:
+    # the report at one point is the one-point sweep of the pi_tangle column, checked and computed as the column is
     param, r = linalg._number(param, "state parameter"), linalg._number(r, "acceleration parameter r")
-    _check_state(state, mode)
-    if state not in COLUMNS["pi_tangle"][0]:
-        raise ValueError(f"pi-tangle has no value for {state!r}; it takes {list(COLUMNS['pi_tangle'][0])}")
-    tangle = entanglement.pi_tangle(_damped(state, param, mode, r))
+    _validate_spec(SweepSpec(state, param, param, 1, r, r, 1, mode, ("pi_tangle",)))
+    tangle = entanglement._pi_tangle(_damped(state, param, mode, r))
     report = {"state": state, "param": _sig(param), "r": _sig(r), "mode": mode}
     return report | {name: _sig(value) for name, value in asdict(tangle).items()}
 
@@ -227,11 +223,10 @@ def main(argv=None) -> int:
             code, report = checks.verify()
             print(report)
             return code
-        if args.command == "pi-tangle":
-            r = args.r if args.omega is None else unruh.acceleration_parameter(args.omega)
-            _write(json.dumps(solve_pi_tangle(args.state, args.param, r, args.mode), indent=2) + "\n", args.out)
-            return 0
-        raise ValueError(f"unknown command {args.command!r}")
+        # pi-tangle: the subcommand is required and its names are fixed, so no other command reaches this line
+        r = args.r if args.omega is None else unruh.acceleration_parameter(args.omega)
+        _write(json.dumps(solve_pi_tangle(args.state, args.param, r, args.mode), indent=2) + "\n", args.out)
+        return 0
     except (optimize.BudgetError, MemoryError) as exc:  # a lattice or a grid too large to evaluate
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         code = 1

@@ -10,7 +10,8 @@ Each public call takes a state or a stack of them (..., d, d), checked in one
 stack (``_maybe_scalar``).  Only ``linalg`` is imported: its private partial trace
 and transpose take the checked array unread, into ``eigvalsh``.  Squares are ``x * x``,
 not ``** 2`` (C ``pow`` on a scalar), so a stack's row equals its lone call bit for
-bit.  The ``pi_tangle`` sweep column runs ``_pi_tangle`` on the checked channel output.
+bit.  The ``pi_tangle`` sweep column and the ``pi-tangle`` report run ``_pi_tangle`` on
+the channel's output of checked kets.
 """
 
 from __future__ import annotations

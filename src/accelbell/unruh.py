@@ -24,12 +24,12 @@ c = cos r and s = sin r, the pair acts as four elementwise products:
 
     rho'_00 = c rho_00 c    rho'_01 = c rho_01    rho'_10 = rho_10 c    rho'_11 = rho_11 + s rho_00 s
 
-``apply_channel`` computes exactly these, with no Kronecker operator or Kraus
-array; the leading axes of the state stack and of r broadcast.  It and ``dilate``
-followed by a partial trace (``dilate_and_trace``, one ket) are two independent
-implementations of the same map and must agree to 1e-12, in the tests and in
-``checks.verify``.  ``_check_r`` is the one r-domain check, on ``linalg._numbers``;
-``linalg._number`` reads the one W or r of ``acceleration_parameter`` and ``dilate``,
+``apply_channel`` checks its states, mode and r, and its private body ``_apply_channel`` computes exactly these,
+with no Kronecker operator or Kraus array; the leading axes of the state stack and of r broadcast.  The sweep calls
+the body on ``density``'s product, whose kets, mode and r are already read: the channel maps states to states.  It and
+``dilate`` followed by a partial trace (``dilate_and_trace``, one ket) are two independent implementations of the
+same map and must agree to 1e-12, in the tests and in ``checks.verify``.  ``_check_r`` is the one r-domain check, on
+``linalg._numbers``; ``linalg._number`` reads the one W or r of ``acceleration_parameter`` and ``dilate``,
 ``linalg._unit_vectors`` the ket of ``dilate``, and modes follow ``_check_integer``.
 """
 
@@ -39,8 +39,8 @@ import math
 
 import numpy as np
 
-from .linalg import (_check_broadcast, _check_integer, _number, _numbers, _state, _unit_vectors, density, mode_count,
-                     partial_trace)
+from .linalg import (_check_broadcast, _check_integer, _number, _numbers, _partial_trace, _state, _unit_vectors,
+                     density, mode_count)
 
 R_MAX = math.pi / 4.0
 
@@ -102,10 +102,14 @@ def apply_channel(rho: np.ndarray, mode: int, r) -> np.ndarray:
     _check_integer("mode", mode, 1, n)
     r = _check_r(r)
     _check_broadcast("states of leading shape", rho.shape[:-2], "r of shape", r.shape)
+    return _apply_channel(rho, n, mode, r)
+
+
+def _apply_channel(rho: np.ndarray, n: int, mode: int, r) -> np.ndarray:  # states, mode and r already read
     left, right = 2 ** (mode - 1), 2 ** (n - mode)
     # t[a, b] is the block of the damped mode's row bit a and column bit b, (..., left, right, left, right)
     t = np.moveaxis(rho.reshape(rho.shape[:-2] + (left, 2, right, left, 2, right)), (-5, -2), (0, 1))
-    c, s = (f(r).reshape(r.shape + (1,) * 4) for f in (np.cos, np.sin))
+    c, s = (f(r).reshape(np.shape(r) + (1,) * 4) for f in (np.cos, np.sin))
     out = np.array([[c * t[0, 0] * c, c * t[0, 1]], [t[1, 0] * c, t[1, 1] + s * t[0, 0] * s]])
     return np.moveaxis(out, (0, 1), (-5, -2)).reshape(out.shape[2:-4] + rho.shape[-2:])
 
@@ -114,4 +118,5 @@ def dilate_and_trace(psi: np.ndarray, mode: int, r: float) -> np.ndarray:
     """Reference path for the channel: dilate, project to a density operator,
     trace out the trailing hidden mode."""
     big = density(dilate(psi, mode, r))
-    return partial_trace(big, mode_count(len(big)))
+    n = mode_count(len(big))
+    return _partial_trace(big, n, n)

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from accelbell import checks, cli, entanglement, nonlocality, optimize, unruh
+from accelbell import checks, cli, entanglement, linalg, nonlocality, optimize, unruh
 from accelbell.cli import COLUMNS, SweepSpec, main, run_sweep, solve_pi_tangle, solve_threshold
 from accelbell.linalg import density
 from accelbell.nonlocality import bell_upper, violates
@@ -189,9 +191,10 @@ def test_columns_reject_states_they_have_no_value_for(capsys, monkeypatch):
             run_sweep(spec)
         assert main(["sweep", "--state", state, "--r-steps", "1", "--columns", col]) == 2
         assert capsys.readouterr() == ("", f"error: {no.value}\n")  # one line on stderr, nothing on stdout
-        if col == "pi_tangle":  # the pi-tangle command reads the same entry
-            with pytest.raises(ValueError, match=f"^pi-tangle has no value for '{state}'; it takes \\['gghz', 'ms'"):
+        if col == "pi_tangle":  # the pi-tangle command is the column's one-point sweep: the same check and message
+            with pytest.raises(ValueError) as report:
                 solve_pi_tangle(state, 0.3, 0.2, cli.STATE_MODES[state][1])
+            assert str(report.value) == str(no.value)
             with pytest.raises(SystemExit) as exc:
                 main(["pi-tangle", "--state", state, "--param", "0.3", "--r", "0.2"])
             assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
@@ -245,6 +248,31 @@ def test_pi_tangle_report_rejects_several_numbers_before_building_a_state(monkey
     for param, r, what in (([0.3, 0.4], 0.2, "state parameter"), (0.3, [], "acceleration parameter r")):
         with pytest.raises(ValueError, match=f"^{what} must be one number"):
             solve_pi_tangle("gghz", param, r, 3)
+
+
+def test_pi_tangle_report_rejects_r_and_mode_before_building_a_state(monkeypatch):
+    # the report is validated as the one-point sweep of its column: an r outside [0, pi/4] and a mode the state does
+    # not have are refused by _validate_spec, before any state is built
+    monkeypatch.setattr(cli, "_damped", lambda *args: pytest.fail("state built before the point was checked"))
+    with pytest.raises(ValueError, match=r"^acceleration parameter r=1.0 outside \[0, pi/4\]$"):
+        solve_pi_tangle("gghz", 0.3, 1.0, 3)
+    with pytest.raises(ValueError, match="^mode 4: expected an integer in 1..3$"):
+        solve_pi_tangle("ms", 0.3, 0.1, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(state=st.sampled_from(["gghz", "ms"]), param=st.floats(-1.0, 4.0), r=st.floats(0.0, unruh.R_MAX),
+       mode=st.integers(1, 3))
+def test_pi_tangle_report_is_the_one_point_sweep_of_its_column(state, param, r, mode):
+    # one check, one computation: the report's pi is the column's cell read back, and the block the channel's body
+    # builds from density's product unread is the checked public channel's output, bit for bit, and a state
+    report = solve_pi_tangle(state, param, r, mode)
+    row = run_sweep(SweepSpec(state, param, param, 1, r, r, 1, mode, ("pi_tangle",))).splitlines()[1]
+    assert report["pi"] == float(row.split(",")[2])
+    block = cli._damped(state, param, mode, r)
+    checked = unruh.apply_channel(density(cli.STATE_BUILDERS[state](param)), mode, r)
+    assert block.shape == checked.shape == (8, 8) and block.tobytes() == checked.tobytes()
+    linalg._state(block, 3)
 
 
 def test_main_threshold_and_out_file(tmp_path, capsys):

@@ -121,7 +121,8 @@ def test_stack_check_names_the_worst_trace():
 
 
 def test_sweep_block_checked_once_per_step(monkeypatch):
-    # the channel and bell_upper each check a 64-point block in one call; density checks the kets, not its product
+    # _validate_spec reads the spec and density the kets; the channel's body takes density's product unread, so a
+    # 64-point block is checked as a state only by a public Bell function, bell_upper, in one call
     calls, reads = [], []
     for module in (linalg, unruh, nonlocality, entanglement):
         checked = module._state
@@ -131,17 +132,17 @@ def test_sweep_block_checked_once_per_step(monkeypatch):
     spec = SweepSpec(state="singlet", param_start=0.0, param_stop=0.0, param_steps=1, r_start=0.0,
                      r_stop=R_MAX, r_steps=cli.BLOCK, mode=2, columns=("chsh_restricted_max", "chsh_horodecki"))
     run_sweep(spec)
-    assert len(calls) == 2
+    assert len(calls) == 1
     counts = {}
     for other in ("svetlichny_envelope", "pi_tangle"):
         calls.clear(), reads.clear()
         run_sweep(SweepSpec(state="gghz", param_start=0.0, param_stop=1.0, param_steps=8, r_start=0.0, r_stop=R_MAX,
                             r_steps=8, mode=3, columns=("svetlichny_bound", other)))
         counts[other] = len(calls), len(reads)
-    assert counts["svetlichny_envelope"][0] == 1
-    # pi_tangle takes the channel's output of the checked block unread: no state of the block is checked again, and
-    # its nine partial traces and transposes read none again
-    assert counts["pi_tangle"][0] == 1
+    assert counts["svetlichny_envelope"][0] == 0
+    # pi_tangle takes the channel's output of the checked kets unread: no state of the block is checked, and its nine
+    # partial traces and transposes read none again
+    assert counts["pi_tangle"][0] == 0
     assert counts["pi_tangle"][1] == counts["svetlichny_envelope"][1]
 
 
